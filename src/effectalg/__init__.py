@@ -25,7 +25,7 @@ from .operators import (InducedStateMap, OperatorProfile, check_esp,
                         scan_mv_operator_agreement)
 from .pogroup import (ExtensionReport, IntervalAlgebra, PoGroupSpec,
                       extend_endomorphism, extremal_states, group_leq,
-                      interval_contains, materialize)
+                      materialize)
 from .states import (EvaluationImage, OrderingReport, StatePolytope,
                      clan_closure_witness, compute_states, discrete_profile,
                      evaluation_image, is_order_determining, is_state,

@@ -11,12 +11,11 @@ import argparse
 import sys
 
 from .core import AxiomViolation, GuardExceeded
-from .io import (dump_report, frac_to_str, load_group, load_simplex, load_structure,
-                 polytope_to_dict)
+from .io import dump_report, load_simplex, load_structure, polytope_to_dict
 from .operators import (classify_operator, enumerate_endomorphisms, induced_state_map,
-                        minimal_potency, potencies_up_to)
+                        power)
 from .states import compute_states, discrete_profile, is_order_determining
-from .structure import enumerate_ideals, structure_report
+from .structure import structure_report
 from .suite import run_suite
 
 
@@ -65,12 +64,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
     E = load_structure(args.input)
     rep = structure_report(E, guard_elements=args.guard_elements)
     out = rep.to_dict()
-    try:
-        out["ideals"] = [
-            {"members": list(i), **flags}
-            for i, flags in enumerate_ideals(E, guard_elements=args.guard_elements)]
-    except GuardExceeded:
-        out["ideals"] = None
+    out["ideals"] = (None if rep.ideals is None else
+                     [{"members": list(i), **flags} for i, flags in rep.ideals])
     return out, 0
 
 
@@ -100,7 +95,7 @@ def cmd_operators(args) -> tuple[dict, int]:
         entry = prof.to_dict()
         if args.n is not None:
             entry["classification"][f"is_{args.n}_potent"] = (
-                args.n in potencies_up_to(m, args.n))
+                args.n >= 2 and power(m, args.n) == m)
         n = prof.minimal_potency
         if n is not None and not P.empty:
             ind = induced_state_map(E, m, P, n=n, seed=args.seed)

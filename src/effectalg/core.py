@@ -8,7 +8,7 @@ rather than repaired so that corrupted tables fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 

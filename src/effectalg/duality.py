@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from .catalog import build_boolean
 from .core import FiniteEffectAlgebra
 from .linalg import ZERO, ONE, Vec
-from .operators import (InducedStateMap, check_esp, classify_operator,
-                        induced_state_map, is_endomorphism, minimal_potency, power)
+from .operators import (InducedStateMap, induced_state_map, is_endomorphism,
+                        minimal_potency, power)
 from .states import StatePolytope, compute_states, is_order_determining
 
 
@@ -257,7 +257,9 @@ def embedding_intertwines(E: FiniteEffectAlgebra, mapping: Sequence[int],
     report = is_order_determining(E, P)
     if not report.order_determining:
         raise ValueError("embedding check needs order-determining states")
-    if not check_esp(tuple(mapping), P):
+    # vertex map: s_i o tau sits at vertex image[i]
+    image = P.vertex_map(mapping)
+    if image is None:
         raise ValueError("embedding check needs extremal-state preservation")
     n = E.n
     hat = [tuple(v[a] for v in P.vertices) for a in range(n)]
@@ -278,11 +280,6 @@ def embedding_intertwines(E: FiniteEffectAlgebra, mapping: Sequence[int],
                 if target != hat[E.sums[(a, b)]]:
                     sums_match = False
 
-    # vertex map: s_i o tau sits at vertex image[i]
-    image = []
-    for v in P.vertices:
-        img = tuple(v[mapping[a]] for a in range(n))
-        image.append(P.vertex_index(img))
     operator_commutes = all(
         tuple(hat[mapping[a]][i] for i in range(len(P.vertices)))
         == tuple(hat[a][image[i]] for i in range(len(P.vertices)))

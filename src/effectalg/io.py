@@ -17,11 +17,6 @@ from .pogroup import IntervalAlgebra, PoGroupSpec
 from .states import StatePolytope
 
 
-def frac_to_str(f: Fraction) -> str:
-    f = Fraction(f)
-    return str(f)
-
-
 def str_to_frac(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
@@ -86,7 +81,7 @@ def polytope_to_dict(P: StatePolytope) -> dict:
     return {
         "size": P.size,
         "free_dim": P.free_dim,
-        "vertices": [[frac_to_str(x) for x in v] for v in P.vertices],
+        "vertices": [[str(x) for x in v] for v in P.vertices],
     }
 
 

@@ -15,28 +15,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     acc = ZERO
     for x, y in zip(a, b):
         if x and y:
             acc += x * y
     return acc
-
-
-def vec_add(a, b) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -95,17 +79,6 @@ def affine_parametrization(eq_rows: list[Sequence[Fraction]], eq_rhs: Sequence[F
             col[p] = -red[r][f]
         basis.append(tuple(col))
     return tuple(c_vec), free, basis
-
-
-def solve_unique(eq_rows, eq_rhs, nvars: int):
-    """Unique solution of A x = b, or None (inconsistent or underdetermined)."""
-    param = affine_parametrization(eq_rows, eq_rhs, nvars)
-    if param is None:
-        return None
-    c, free, _ = param
-    if free:
-        return None
-    return c
 
 
 def rank(rows: list[Sequence[Fraction]]) -> int:

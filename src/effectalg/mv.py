@@ -10,7 +10,7 @@ checked at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import FiniteEffectAlgebra
 from .structure import check_rdp, classify_lattice
@@ -105,10 +105,6 @@ def mv_state_axioms(A: MvStructure, mapping: Sequence[int]) -> dict:
               for x in range(n) for y in range(n))
     return {"zero_fixed": ax1, "star_equivariant": ax2,
             "oplus_split": ax3, "image_oplus_fixed": ax4}
-
-
-def is_mv_state_operator(A: MvStructure, mapping: Sequence[int]) -> bool:
-    return all(mv_state_axioms(A, mapping).values())
 
 
 def is_mv_endomorphism(A: MvStructure, mapping: Sequence[int]) -> bool:

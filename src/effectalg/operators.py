@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -59,18 +58,6 @@ def minimal_potency(mapping: Sequence[int]) -> Optional[int]:
     return None
 
 
-def potencies_up_to(mapping: Sequence[int], bound: int) -> list[int]:
-    """All n in [2, bound] with mapping^n == mapping, each checked directly."""
-    m = tuple(mapping)
-    out = []
-    cur = m
-    for n in range(2, bound + 1):
-        cur = compose(m, cur)
-        if cur == m:
-            out.append(n)
-    return out
-
-
 def kernel(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> tuple[int, ...]:
     return tuple(a for a in range(E.n) if mapping[a] == 0)
 
@@ -80,8 +67,9 @@ def enumerate_endomorphisms(E: FiniteEffectAlgebra,
     """All endomorphisms, by backtracking over images in a linear extension.
 
     Images of complements are forced immediately; partial assignments are pruned
-    by order preservation and by every fully assigned sum constraint.  Leaves are
-    validated against the whole table.
+    by order preservation and by every fully assigned sum constraint.  Each sum
+    triple is checked when its last element gets an image, so every leaf is an
+    endomorphism and no leaf repeats another.
     """
     n = E.n
     leq = E.order.leq
@@ -122,9 +110,7 @@ def enumerate_endomorphisms(E: FiniteEffectAlgebra,
     def rec(pos: int):
         nonlocal nodes
         if pos == len(order):
-            m = tuple(img)
-            if is_endomorphism(E, m):
-                results.append(m)
+            results.append(tuple(img))
             return
         e = order[pos]
         if img[e] >= 0:
@@ -151,7 +137,7 @@ def enumerate_endomorphisms(E: FiniteEffectAlgebra,
                 img[other] = -1
 
     rec(0)
-    return sorted(set(results))
+    return sorted(results)
 
 
 @dataclass(frozen=True)
@@ -221,11 +207,7 @@ def check_esp(mapping: Sequence[int], P: StatePolytope) -> bool:
 
     Vacuously true when there are no states at all.
     """
-    for v in P.vertices:
-        image = tuple(v[mapping[a]] for a in range(len(mapping)))
-        if P.vertex_index(image) is None:
-            return False
-    return True
+    return P.vertex_map(mapping) is not None
 
 
 def classify_operator(E: FiniteEffectAlgebra, mapping: Sequence[int],
@@ -265,8 +247,8 @@ def induced_state_map(E: FiniteEffectAlgebra, mapping: Sequence[int],
                       seed: int = 0, affine_probes: int = 100) -> InducedStateMap:
     """The map s -> s o tau on the state polytope, with its contracts verified.
 
-    The vertices are scaled to integers over their common denominator, so every
-    check is exact integer arithmetic.  Each of the ``affine_probes`` probes
+    Every check is exact integer arithmetic on ``P.int_vertices``, the vertices
+    scaled by their common denominator.  Each of the ``affine_probes`` probes
     draws integer weights w_i in [1, 16], one per vertex, forms q = sum_i w_i v_i
     and checks q o tau without the vertex images: it must be (sum_i w_i) times a
     state, i.e. 0 at 0, the weight total at 1, every value between those two,
@@ -280,8 +262,8 @@ def induced_state_map(E: FiniteEffectAlgebra, mapping: Sequence[int],
     if n is None:
         n = minimal_potency(m)
     verts = P.vertices
-    scale = lcm(*(x.denominator for v in verts for x in v))
-    iverts = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts]
+    scale = P.scale
+    iverts = P.int_vertices
 
     # The state conditions on s o tau only read s on the image of tau: relabel
     # the image as 0..u-1 and deduplicate the image triples of the sum table.
@@ -319,11 +301,9 @@ def induced_state_map(E: FiniteEffectAlgebra, mapping: Sequence[int],
         if mn != m and any(iv[x] != iv[y] for iv in iverts for x, y in zip(mn, m)):
             raise AssertionError(f"induced map is not {n}-potent on vertices")
 
-    index = {iv: i for i, iv in enumerate(iverts)}
-    v2v = [index.get(tuple(iv[x] for x in m)) for iv in iverts]
     return InducedStateMap(
         vertex_images=tuple(images),
-        vertex_to_vertex=None if None in v2v else tuple(v2v),
+        vertex_to_vertex=P.vertex_map(m),
         potency=n,
         affine_probes=probes,
     )

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import FiniteEffectAlgebra, GuardExceeded, validate_axioms
 from .linalg import Vec, mat_pow, mat_vec
-from .operators import minimal_potency  # noqa: F401  (re-export convenience)
+from .operators import minimal_potency
 
 ORDERS = ("product", "lex", "strict")
 
@@ -83,10 +83,6 @@ class IntervalAlgebra:
 
     def complement(self, x: Sequence) -> Vec:
         return tuple(u - p for u, p in zip(self.unit, self.spec.element(x)))
-
-
-def interval_contains(alg: IntervalAlgebra, x: Sequence) -> bool:
-    return alg.contains(x)
 
 
 def materialize(alg: IntervalAlgebra, guard_elements: int = 4096) -> FiniteEffectAlgebra:

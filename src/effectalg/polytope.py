@@ -20,7 +20,7 @@ from itertools import combinations, product
 from math import comb
 
 from .core import GuardExceeded
-from .linalg import ZERO, ONE, dot, primitive, solve_unique
+from .linalg import ZERO, ONE, dot, primitive
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 

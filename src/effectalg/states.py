@@ -9,6 +9,7 @@ because vertex dedup and value-set tests need decidable equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
@@ -20,7 +21,13 @@ from .polytope import active_set_vertices, dd_vertices
 
 @dataclass(frozen=True)
 class StatePolytope:
-    """Exact state polytope: vertex list (sorted lexicographically) plus shape data."""
+    """Exact state polytope: vertex list (sorted lexicographically) plus shape data.
+
+    The only code that knows how vertices are looked up: on first use it scales
+    them once to integer tuples over their common denominator ``scale`` and
+    indexes those tuples, so finding the vertex equal to a state is one exact
+    dict lookup.
+    """
 
     size: int                      # ambient dimension = |E|
     vertices: tuple[Vec, ...]
@@ -30,12 +37,42 @@ class StatePolytope:
     def empty(self) -> bool:
         return not self.vertices
 
+    @cached_property
+    def scale(self) -> int:
+        """Common denominator of every vertex coordinate."""
+        return lcm(*(x.denominator for v in self.vertices for x in v))
+
+    @cached_property
+    def int_vertices(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices times ``scale``, as integer tuples."""
+        scale = self.scale
+        return tuple(tuple(x.numerator * (scale // x.denominator) for x in v)
+                     for v in self.vertices)
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {iv: i for i, iv in enumerate(self.int_vertices)}
+
     def vertex_index(self, vec: Sequence[Fraction]) -> Optional[int]:
-        t = tuple(vec)
-        for i, v in enumerate(self.vertices):
-            if v == t:
-                return i
-        return None
+        """Index of the vertex equal to ``vec``, or None.
+
+        An integral Fraction hashes and compares equal to its int, so the scaled
+        vector finds its integer key exactly when it is a vertex.
+        """
+        scale = self.scale
+        return self._index.get(tuple(x * scale for x in vec))
+
+    def vertex_map(self, mapping: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """For every vertex s, the index of the vertex s o mapping; None when some
+        s o mapping is not a vertex."""
+        index = self._index
+        out = []
+        for iv in self.int_vertices:
+            i = index.get(tuple([iv[a] for a in mapping]))
+            if i is None:
+                return None
+            out.append(i)
+        return tuple(out)
 
 
 def state_equalities(E: FiniteEffectAlgebra):
@@ -127,6 +164,29 @@ class OrderingReport:
     sep_witness: Optional[tuple]    # (a, b): a != b with identical state values
 
 
+def _order_report(values: Sequence[tuple], leq: Callable[[int, int], bool]) -> OrderingReport:
+    """Order determination and separation from each element's state values.
+
+    ``values[a]`` lists element a's value at every state; ``leq(a, b)`` is the
+    order on element indices.  A pair ordered in the algebra but not by some
+    state means the "states" are not states, so it raises.
+    """
+    od_w = None
+    sep_w = None
+    for a, va in enumerate(values):
+        for b, vb in enumerate(values):
+            statewise = all(x <= y for x, y in zip(va, vb))
+            actual = leq(a, b)
+            if statewise and not actual and od_w is None:
+                od_w = (a, b)
+            if actual and not statewise:
+                raise AssertionError(f"states fail monotonicity at ({a}, {b})")
+            if a < b and sep_w is None and va == vb:
+                sep_w = (a, b)
+    return OrderingReport(order_determining=od_w is None, separating=sep_w is None,
+                          od_witness=od_w, sep_witness=sep_w)
+
+
 def is_order_determining(E: FiniteEffectAlgebra, P: StatePolytope) -> OrderingReport:
     """Does a <= b hold exactly when s(a) <= s(b) for every extremal state?
 
@@ -134,20 +194,8 @@ def is_order_determining(E: FiniteEffectAlgebra, P: StatePolytope) -> OrderingRe
     the weaker separation property (equal under all states implies equal).
     """
     leq = E.order.leq
-    od_w = None
-    sep_w = None
-    for a in range(E.n):
-        for b in range(E.n):
-            statewise = all(v[a] <= v[b] for v in P.vertices)
-            if statewise and not leq[a][b] and od_w is None:
-                od_w = (a, b)
-            if a < b and sep_w is None and all(v[a] == v[b] for v in P.vertices):
-                sep_w = (a, b)
-            if leq[a][b] and not statewise:
-                # impossible for genuine states; flag loudly
-                raise AssertionError(f"state order broke monotonicity at ({a}, {b})")
-    return OrderingReport(order_determining=od_w is None, separating=sep_w is None,
-                          od_witness=od_w, sep_witness=sep_w)
+    values = [tuple(v[a] for v in P.vertices) for a in range(E.n)]
+    return _order_report(values, lambda a, b: leq[a][b])
 
 
 def sampled_order_report(elements: Sequence, state_fns: Sequence[Callable],
@@ -156,22 +204,10 @@ def sampled_order_report(elements: Sequence, state_fns: Sequence[Callable],
 
     Used for interval algebras that cannot be materialized; ``elements`` are
     ambient values, ``state_fns`` evaluate states on them, ``leq_fn`` is the
-    ambient order.
+    ambient order.  Witnesses are index pairs into ``elements``.
     """
-    od_w = None
-    sep_w = None
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            statewise = all(s(a) <= s(b) for s in state_fns)
-            actual = leq_fn(a, b)
-            if statewise and not actual and od_w is None:
-                od_w = (i, j)
-            if actual and not statewise:
-                raise AssertionError(f"states fail monotonicity at ({a}, {b})")
-            if i < j and sep_w is None and all(s(a) == s(b) for s in state_fns):
-                sep_w = (i, j)
-    return OrderingReport(order_determining=od_w is None, separating=sep_w is None,
-                          od_witness=od_w, sep_witness=sep_w)
+    values = [tuple(s(a) for s in state_fns) for a in elements]
+    return _order_report(values, lambda i, j: leq_fn(elements[i], elements[j]))
 
 
 def discrete_profile(vec: Sequence[Fraction]) -> int:

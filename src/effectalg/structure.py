@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import FiniteEffectAlgebra, GuardExceeded
@@ -15,7 +15,11 @@ class StructureReport:
     interpolation: bool
     interpolation_witness: Optional[tuple]
     lattice_class: str        # "lattice", "antilattice", "both", "neither"
-    ideal_count: int
+    ideals: Optional[list]    # enumerate_ideals output; None when its guard stopped it
+
+    @property
+    def ideal_count(self) -> int:
+        return -1 if self.ideals is None else len(self.ideals)
 
     def to_dict(self) -> dict:
         return {
@@ -51,21 +55,11 @@ def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int, y2: int)
 
 
 def check_rdp(E: FiniteEffectAlgebra):
-    """Riesz decomposition as (holds, witness).
+    """Riesz decomposition as (holds, witness), by 2x2 refinement of equal sums.
 
-    Evaluates both standard formulations (2x2 refinement of equal sums, and
-    splitting of x <= y1 + y2) and insists they agree; the returned witness is an
-    unrefinable quadruple (x1, x2, y1, y2) when the property fails.
+    The witness is an unrefinable quadruple (x1, x2, y1, y2) when the property
+    fails, else None.  ``_rdp_splitting`` is the reference formulation.
     """
-    first, w1 = _rdp_refinement(E)
-    second, w2 = _rdp_splitting(E)
-    if first != second:
-        raise AssertionError(
-            f"RDP formulations disagree: refinement={first}, splitting={second}")
-    return first, (w1 if not first else None)
-
-
-def _rdp_refinement(E: FiniteEffectAlgebra):
     by_sum: dict[int, list[tuple[int, int]]] = {}
     for (i, j), k in E.sums.items():
         if i <= j:
@@ -79,6 +73,10 @@ def _rdp_refinement(E: FiniteEffectAlgebra):
 
 
 def _rdp_splitting(E: FiniteEffectAlgebra):
+    """Reference formulation: every x <= y1 + y2 splits as x1 + (x - x1) with
+    x1 <= y1 and x - x1 <= y2.  Returns (holds, (x, y1, y2) or None); tests and
+    the suite compare it with ``check_rdp``.
+    """
     leq = E.order.leq
     sums = E.sums
     sub = E.order.sub
@@ -205,7 +203,7 @@ def structure_report(E: FiniteEffectAlgebra, guard_elements: int = 16) -> Struct
     interp, interp_w = check_interpolation(E)
     lattice_class = classify_lattice(E)
     try:
-        ideal_count = len(enumerate_ideals(E, guard_elements=guard_elements))
+        ideals = enumerate_ideals(E, guard_elements=guard_elements)
     except GuardExceeded:
-        ideal_count = -1
-    return StructureReport(rdp, rdp_w, interp, interp_w, lattice_class, ideal_count)
+        ideals = None
+    return StructureReport(rdp, rdp_w, interp, interp_w, lattice_class, ideals)

@@ -13,24 +13,22 @@ from typing import Callable
 
 from .catalog import (build_boolean, build_chain, build_even_subsets,
                       build_product, horizontal_sum, small_catalog)
-from .core import FiniteEffectAlgebra
 from .duality import (FiniteSimplex, VertexMap, affine_functor, check_simplex_morphism,
                       check_state_morphism, embedding_intertwines, evaluation_map,
-                      induced_state_self_map, round_trip_check)
+                      round_trip_check)
 from .fuzz import fuzz_mutations
 from .linalg import ZERO, ONE
 from .mv import derived_sum_matches, mv_operations
 from .operators import (check_esp, classify_operator, compose, coordinate_repeat_maps,
-                        coordinate_swap_map, enumerate_endomorphisms, induced_state_map,
-                        is_endomorphism, kernel, minimal_potency, operator_law_report,
-                        scan_mv_operator_agreement)
+                        enumerate_endomorphisms, induced_state_map, kernel,
+                        minimal_potency, operator_law_report, scan_mv_operator_agreement)
 from .pogroup import (IntervalAlgebra, PoGroupSpec, extend_endomorphism,
                       extremal_states, group_leq, materialize, strict_plane_preimage)
 from .states import (StatePolytope, clan_closure_witness, compute_states,
-                     discrete_profile, evaluation_image, image_order_isomorphic,
+                     discrete_profile, image_order_isomorphic,
                      is_order_determining, is_state, sampled_order_report)
-from .structure import (check_interpolation, check_rdp, classify_lattice,
-                        enumerate_ideals, verify_rdp_witness)
+from .structure import (_rdp_splitting, check_interpolation, check_rdp,
+                        classify_lattice, enumerate_ideals, verify_rdp_witness)
 
 F = Fraction
 
@@ -497,9 +495,9 @@ def check_structure_invariants(seed: int = 0) -> CheckResult:
     passed = True
     details = {}
     for name, E in small_catalog():
-        rdp, _ = check_rdp(E)       # both formulations compared inside
+        rdp, _ = check_rdp(E)
         interp, _ = check_interpolation(E)
-        if rdp and not interp:
+        if rdp != _rdp_splitting(E)[0] or (rdp and not interp):
             passed = False
         if rdp:
             for _ideal, flags in enumerate_ideals(E):

@@ -7,13 +7,15 @@ import pytest
 
 from effectalg.catalog import build_boolean, build_chain
 from effectalg.cli import main
-from effectalg.io import (frac_to_str, group_from_dict, load_structure,
+from effectalg.io import (group_from_dict, load_structure, polytope_to_dict,
                           save_structure, simplex_from_dict, str_to_frac,
                           structure_from_dict, structure_to_dict)
+from effectalg.states import StatePolytope
 
 
 def test_rational_strings():
-    assert frac_to_str(F(3, 10)) == "3/10"
+    P = StatePolytope(size=3, vertices=((F(0), F(3, 10), F(1)),), free_dim=1)
+    assert polytope_to_dict(P)["vertices"] == [["0", "3/10", "1"]]
     assert str_to_frac("3/10") == F(3, 10)
     assert str_to_frac("2") == F(2)
     assert str_to_frac(1) == F(1)

@@ -78,6 +78,29 @@ def test_no_vertex_is_a_midpoint():
                         assert tuple((x + y) / 2 for x, y in zip(u1, u2)) != v
 
 
+def test_vertex_lookup_matches_fraction_scan():
+    """vertex_index and vertex_map against a linear scan with Fraction equality,
+    on vertices, midpoints and the images under random unit-fixing self-maps."""
+    def scan(P, vec):
+        return next((i for i, v in enumerate(P.vertices) if v == tuple(vec)), None)
+
+    rng = random.Random(3)
+    for _name, E in small_catalog(max_elements=6):
+        P = compute_states(E)
+        n = E.n
+        for i, v in enumerate(P.vertices):
+            assert P.vertex_index(v) == i
+            assert P.vertex_index([int(x) if x.denominator == 1 else x for x in v]) == i
+        for v, w in zip(P.vertices, P.vertices[1:]):
+            mid = tuple((x + y) / 2 for x, y in zip(v, w))
+            assert P.vertex_index(mid) is None
+        maps = [tuple(range(n))]
+        maps += [(0, *(rng.randrange(n) for _ in range(n - 2)), n - 1) for _ in range(40)]
+        for m in maps:
+            found = [scan(P, tuple(v[a] for a in m)) for v in P.vertices]
+            assert P.vertex_map(m) == (None if None in found else tuple(found))
+
+
 def test_order_determining_catalog():
     for k in (1, 2, 3):
         E = build_boolean(k)

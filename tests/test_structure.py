@@ -4,12 +4,15 @@ Independent oracle: a from-scratch refinement search over raw quadruples,
 with no shared code with the library path.
 """
 
+import random
 from itertools import product
 
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
-from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
-                                 enumerate_ideals, is_riesz_ideal, verify_rdp_witness)
+from effectalg.fuzz import random_algebra
+from effectalg.structure import (_rdp_splitting, check_interpolation, check_rdp,
+                                 classify_lattice, enumerate_ideals, is_riesz_ideal,
+                                 verify_rdp_witness)
 
 
 def rdp_oracle(E):
@@ -47,6 +50,27 @@ def test_even_subsets_rdp_fails_with_verifiable_witness():
     assert all("{" in lab for lab in E.labels)
     assert "{1}" not in E.labels
     assert not rdp_oracle(E)
+
+
+def test_rdp_matches_splitting_reference():
+    """The refinement search against the splitting formulation on the A05
+    population (catalog up to 9 elements plus 200 seeded random tables) and on
+    four larger algebras."""
+    population = [E for _name, E in small_catalog(max_elements=9)]
+    rng = random.Random(20240913)
+    population += [random_algebra(rng, max_elements=9)[1] for _ in range(200)]
+    population += [build_boolean(5), build_chain(32), build_even_subsets(6),
+                   build_product([build_chain(4)] * 3)]
+    failures = 0
+    for E in population:
+        holds, witness = check_rdp(E)
+        assert holds == _rdp_splitting(E)[0]
+        if holds:
+            assert witness is None
+        else:
+            failures += 1
+            assert verify_rdp_witness(E, witness)
+    assert failures  # both verdicts occur
 
 
 def test_rdp_catalog():
