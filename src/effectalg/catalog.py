@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from .core import FiniteEffectAlgebra, validate_axioms
+from .core import FiniteEffectAlgebra, raw_triples, validate_axioms
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
         triples.add((a, 0, a))
     triples.add((one, 0, one))
     for bi, B in enumerate(blocks):
-        for (x, y), z in B.sums.items():
+        for x, y, z in raw_triples(B):
             triples.add((outer(bi, x), outer(bi, y), outer(bi, z)))
     labels = ["0"] + [f"b{bi}:{blocks[bi].labels[x]}" for bi, x in owners] + ["1"]
     return validate_axioms(n, sorted(triples), labels,
@@ -163,9 +163,7 @@ def build_catalog(spec: CatalogSpec) -> FiniteEffectAlgebra:
     if spec.kind == "product":
         return build_product([build_catalog(f) for f in spec.factors])
     if spec.kind == "mv_product":
-        E = build_product([build_chain(n) for n in spec.chains])
-        E.meta["mv"] = True
-        return E
+        return build_product([build_chain(n) for n in spec.chains])
     raise ValueError(f"unknown catalog kind {spec.kind!r}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import AxiomViolation, GuardExceeded
+from .core import AxiomViolation, GuardExceeded, raw_triples
 from .io import dump_report, load_simplex, load_structure, polytope_to_dict
 from .operators import (classify_operator, enumerate_endomorphisms, induced_state_map,
                         power)
@@ -57,7 +57,7 @@ def cmd_validate(args) -> tuple[dict, int]:
     except AxiomViolation as v:
         return {"valid": False, "axiom": v.axiom, "witness": list(v.witness),
                 "message": v.message}, 1
-    return {"valid": True, "elements": E.n, "sums": len(E.sums)}, 0
+    return {"valid": True, "elements": E.n, "sums": len(raw_triples(E))}, 0
 
 
 def cmd_analyze(args) -> tuple[dict, int]:

@@ -2,14 +2,18 @@
 
 An algebra is a finite set indexed 0..n-1 with a partial commutative sum.  By file
 convention index 0 is the zero element and index n-1 is the unit.  The partial sum
-is stored sparsely as a symmetric dict (i, j) -> k; asymmetric input is rejected
-rather than repaired so that corrupted tables fail loudly.
+is stored once, as an immutable dense table ``table[a][b]`` (None where a + b is
+undefined) plus the list of its defined sums; only ``validate_axioms`` builds it.
+Asymmetric input is rejected rather than repaired so that corrupted tables fail
+loudly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 
 class EffectAlgebraError(Exception):
@@ -34,54 +38,68 @@ class AxiomViolation(EffectAlgebraError):
         self.message = message
 
 
+Table = tuple[tuple[Optional[int], ...], ...]
+
+
 @dataclass(frozen=True)
 class OrderData:
     """Derived order-theoretic structure of a validated algebra."""
 
     leq: tuple[tuple[bool, ...], ...]        # leq[a][b] iff a <= b
-    complement: tuple[int, ...]              # the unique a' with a + a' = 1
-    sub: dict                                # (b, a) -> b - a, for a <= b
-    join: tuple[tuple[Optional[int], ...], ...]
-    meet: tuple[tuple[Optional[int], ...], ...]
+    sub: Table                               # sub[b][a] = b - a for a <= b, else None
+    join: Table
+    meet: Table
 
 
+@dataclass(frozen=True)
 class FiniteEffectAlgebra:
-    """A validated finite effect algebra. Immutable after construction."""
+    """A validated finite effect algebra; ``validate_axioms`` builds it.
 
-    def __init__(self, n: int, sums: dict, labels: Optional[list[str]] = None,
-                 meta: Optional[dict] = None):
-        self.n = n
-        self.sums = dict(sums)
-        self.labels = list(labels) if labels else [str(i) for i in range(n)]
-        self.meta = dict(meta) if meta else {}
-        self.zero = 0
-        self.one = n - 1
-        self._order: Optional[OrderData] = None
+    ``table[a][b]`` is a + b, or None where undefined; it is symmetric.
+    ``triples`` lists every defined sum once as (i, j, k) with i <= j, in the
+    order validation first received the pair.  ``complements[a]`` is the unique
+    a' with a + a' = 1.  Every field is immutable; ``meta`` is read-only.
+    """
+
+    n: int
+    table: Table
+    triples: tuple[tuple[int, int, int], ...]
+    complements: tuple[int, ...]
+    labels: tuple[str, ...]
+    meta: Mapping
 
     def __repr__(self):
-        return f"FiniteEffectAlgebra(n={self.n}, sums={len(self.sums)})"
+        return f"FiniteEffectAlgebra(n={self.n}, triples={len(self.triples)})"
 
-    def defined(self, i: int, j: int) -> bool:
-        return (i, j) in self.sums
-
-    def sum(self, i: int, j: int) -> int:
-        return self.sums[(i, j)]
+    def __hash__(self):   # meta is unhashable; equal algebras have equal tables
+        return hash(self.table)
 
     @property
+    def one(self) -> int:
+        return self.n - 1
+
+    def defined(self, i: int, j: int) -> bool:
+        return self.table[i][j] is not None
+
+    def sum(self, i: int, j: int) -> int:
+        k = self.table[i][j]
+        if k is None:
+            raise KeyError((i, j))
+        return k
+
+    @cached_property
     def order(self) -> OrderData:
-        if self._order is None:
-            self._order = derive_order(self)
-        return self._order
+        return derive_order(self)
 
     def leq(self, a: int, b: int) -> bool:
         return self.order.leq[a][b]
 
     def complement(self, a: int) -> int:
-        return self.order.complement[a]
+        return self.complements[a]
 
     def minus(self, b: int, a: int) -> int:
         """The unique c with a + c = b; requires a <= b."""
-        return self.order.sub[(b, a)]
+        return self.order.sub[b][a]
 
     def join(self, a: int, b: int) -> Optional[int]:
         return self.order.join[a][b]
@@ -89,33 +107,13 @@ class FiniteEffectAlgebra:
     def meet(self, a: int, b: int) -> Optional[int]:
         return self.order.meet[a][b]
 
-    def elements(self) -> range:
-        return range(self.n)
-
     def sum_triples(self) -> list[tuple[int, int, int]]:
-        """Defined sums as (i, j, k) with i <= j."""
-        return sorted((i, j, k) for (i, j), k in self.sums.items() if i <= j)
+        """Defined sums as (i, j, k) with i <= j, sorted."""
+        return sorted(self.triples)
 
     def is_linear(self) -> bool:
         o = self.order.leq
         return all(o[a][b] or o[b][a] for a in range(self.n) for b in range(self.n))
-
-
-def normalize_triples(n: int, triples: Iterable[tuple[int, int, int]]) -> dict:
-    """Turn a triple list into a sum dict; reject malformed or contradictory entries."""
-    sums: dict = {}
-    for t in triples:
-        if len(t) != 3:
-            raise AxiomViolation("table", tuple(t), "entries must be (i, j, k) triples")
-        i, j, k = t
-        for x in (i, j, k):
-            if not isinstance(x, int) or not (0 <= x < n):
-                raise AxiomViolation("table", (i, j, k), "index out of range")
-        if (i, j) in sums and sums[(i, j)] != k:
-            raise AxiomViolation("table", (i, j, k, sums[(i, j)]),
-                                 "two values for the same pair")
-        sums[(i, j)] = k
-    return sums
 
 
 def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
@@ -126,91 +124,102 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
     Checks, in order: table shape, commutativity (i), the unit law (iv), unique
     complements against index n-1 (iii), partial associativity as a biconditional
     over all triples (ii), and the index conventions for 0 and 1.  Raises
-    AxiomViolation naming the first failure with a witness.
+    AxiomViolation naming the first failure with a witness: the first offending
+    entry in input order for the table, (i) and (iv), the lexicographically
+    first triple for (ii).
     """
     if n < 1:
         raise AxiomViolation("table", (n,), "need at least one element")
-    sums = normalize_triples(n, triples)
+    entries = list(triples)
     one = n - 1
+    rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    upper = []     # each defined pair once, i <= j, in order of first appearance
+    for t in entries:
+        if len(t) != 3:
+            raise AxiomViolation("table", tuple(t), "entries must be (i, j, k) triples")
+        i, j, k = t
+        for x in (i, j, k):
+            if not isinstance(x, int) or not (0 <= x < n):
+                raise AxiomViolation("table", (i, j, k), "index out of range")
+        prev = rows[i][j]
+        if prev is None:
+            rows[i][j] = k
+            if i <= j:
+                upper.append((i, j, k))
+        elif prev != k:
+            raise AxiomViolation("table", (i, j, k, prev), "two values for the same pair")
 
-    for (i, j), k in sums.items():
-        if sums.get((j, i)) != k:
+    for i, j, k in entries:
+        if rows[j][i] != k:
             raise AxiomViolation("i", (i, j, k),
                                  "pair defined in one order only (or values differ)")
 
-    for (i, j), k in sums.items():
+    for i, j, _k in entries:
         if j == one and i != 0:
             raise AxiomViolation("iv", (i,), "a + 1 defined for a != 0")
 
-    complement = [None] * n
-    for a in range(n):
-        partners = [b for b in range(n) if sums.get((a, b)) == one]
+    complements = []
+    for a, row in enumerate(rows):
+        partners = [b for b, k in enumerate(row) if k == one]
         if len(partners) != 1:
             raise AxiomViolation("iii", (a, tuple(partners)),
                                  "complement must exist and be unique")
-        complement[a] = partners[0]
+        complements.append(partners[0])
 
-    rng = range(n)
-    for a in rng:
-        for b in rng:
-            ab = sums.get((a, b))
-            for c in rng:
-                left = ab is not None and (ab, c) in sums
-                bc = sums.get((b, c))
-                right = bc is not None and (a, bc) in sums
-                if left != right:
+    # (a + b) + c against a + (b + c), for every c at once: the rows agree
+    # exactly when both sides are undefined or equal at each c.
+    undefined = [None] * n
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
+            left = undefined if ab is None else rows[ab]
+            right = [None if bc is None else row_a[bc] for bc in rows[b]]
+            if left != right:
+                c = next(c for c in range(n) if left[c] != right[c])
+                if (left[c] is None) != (right[c] is None):
                     raise AxiomViolation("ii", (a, b, c),
                                          "one association defined, the other not")
-                if left and sums[(ab, c)] != sums[(a, bc)]:
-                    raise AxiomViolation("ii", (a, b, c), "associated sums differ")
+                raise AxiomViolation("ii", (a, b, c), "associated sums differ")
 
-    if complement[one] != 0:
-        raise AxiomViolation("convention", (complement[one],),
+    if complements[one] != 0:
+        raise AxiomViolation("convention", (complements[one],),
                              "the complement of the unit must sit at index 0")
-    if n > 1 and complement[0] != one:
-        raise AxiomViolation("convention", (complement[0],),
+    if n > 1 and complements[0] != one:
+        raise AxiomViolation("convention", (complements[0],),
                              "the complement of index 0 must be the unit")
 
-    return FiniteEffectAlgebra(n, sums, labels, meta)
+    frozen_meta = {key: tuple(v) if isinstance(v, list) else v
+                   for key, v in (meta or {}).items()}
+    return FiniteEffectAlgebra(
+        n=n,
+        table=tuple(tuple(r) for r in rows),
+        triples=tuple(upper),
+        complements=tuple(complements),
+        labels=tuple(labels) if labels else tuple(str(i) for i in range(n)),
+        meta=MappingProxyType(frozen_meta),
+    )
+
+
+def raw_triples(E: FiniteEffectAlgebra) -> list[tuple[int, int, int]]:
+    """Every defined ordered pair as (a, b, a + b), row by row: the raw table
+    that ``validate_axioms`` reads and structure files store."""
+    return [(a, b, k) for a, row in enumerate(E.table) for b, k in enumerate(row)
+            if k is not None]
 
 
 def derive_order(E: FiniteEffectAlgebra) -> OrderData:
-    """Derived order, complements, subtraction, and join/meet tables.
+    """Derived order, subtraction, and join/meet tables.
 
-    On a validated algebra the relation a <= b iff a + c = b for some c is a
-    partial order with bottom 0 and top 1; this recomputes and asserts that.
+    a <= b iff a + c = b for some c.  ``validate_axioms`` has established the
+    axioms, so this is a partial order with bottom 0 and top 1 and every
+    difference b - a is unique; nothing here checks that again.
     """
     n = E.n
     leq = [[False] * n for _ in range(n)]
-    sub: dict = {}
-    for (a, c), b in E.sums.items():
-        leq[a][b] = True
-        prev = sub.get((b, a))
-        if prev is not None and prev != c:
-            raise EffectAlgebraError(f"difference {b} - {a} is not unique")
-        sub[(b, a)] = c
-    for a in range(n):
-        if not leq[a][a]:  # a + 0 = a is forced by the axioms
-            raise EffectAlgebraError("derived order is not reflexive")
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
-                raise EffectAlgebraError("derived order is not antisymmetric")
-    for a in range(n):
-        for b in range(n):
-            if leq[a][b]:
-                for c in range(n):
-                    if leq[b][c] and not leq[a][c]:
-                        raise EffectAlgebraError("derived order is not transitive")
-
-    complement = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if E.sums.get((a, b)) == E.one:
-                complement[a] = b
-    for a in range(n):
-        if complement[complement[a]] != a:
-            raise EffectAlgebraError("complement is not an involution")
+    sub: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    for a, c, b in E.triples:
+        leq[a][b] = leq[c][b] = True
+        sub[b][a] = c
+        sub[b][c] = a
 
     join = [[None] * n for _ in range(n)]
     meet = [[None] * n for _ in range(n)]
@@ -227,8 +236,7 @@ def derive_order(E: FiniteEffectAlgebra) -> OrderData:
 
     return OrderData(
         leq=tuple(tuple(r) for r in leq),
-        complement=tuple(complement),
-        sub=sub,
+        sub=tuple(tuple(r) for r in sub),
         join=tuple(tuple(r) for r in join),
         meet=tuple(tuple(r) for r in meet),
     )
@@ -236,7 +244,7 @@ def derive_order(E: FiniteEffectAlgebra) -> OrderData:
 
 def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
     """Decide isomorphism by invariant screening plus backtracking search."""
-    if E1.n != E2.n or len(E1.sums) != len(E2.sums):
+    if E1.n != E2.n or len(E1.triples) != len(E2.triples):
         return False
 
     def profile(E):
@@ -245,7 +253,7 @@ def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
         for a in range(E.n):
             below = sum(o.leq[b][a] for b in range(E.n))
             above = sum(o.leq[a][b] for b in range(E.n))
-            deg = sum(1 for (i, _j) in E.sums if i == a)
+            deg = sum(k is not None for k in E.table[a])
             out.append((below, above, deg))
         return out
 
@@ -254,8 +262,12 @@ def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
         return False
 
     n = E1.n
+    t1, t2 = E1.table, E2.table
     image = [-1] * n
     used = [False] * n
+
+    def preserves_sums() -> bool:
+        return all(t2[image[i]][image[j]] == image[k] for i, j, k in E1.triples)
 
     def consistent(a: int, fa: int) -> bool:
         if p1[a] != p2[fa]:
@@ -264,8 +276,8 @@ def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
             fb = image[b]
             if fb < 0:
                 continue
-            k = E1.sums.get((a, b))
-            k2 = E2.sums.get((fa, fb))
+            k = t1[a][b]
+            k2 = t2[fa][fb]
             if (k is None) != (k2 is None):
                 return False
             if k is not None and image[k] >= 0 and image[k] != k2:
@@ -274,8 +286,7 @@ def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
 
     def rec(a: int) -> bool:
         if a == n:
-            return all(E2.sums.get((image[i], image[j])) == image[k]
-                       for (i, j), k in E1.sums.items())
+            return preserves_sums()
         if image[a] >= 0:
             return rec(a + 1)
         for fa in range(n):
@@ -295,6 +306,4 @@ def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
     image[n - 1] = n - 1
     if n > 1:
         used[n - 1] = True
-    first = 1 if n > 2 else n
-    return rec(first) if n > 2 else all(
-        E2.sums.get((image[i], image[j])) == image[k] for (i, j), k in E1.sums.items())
+    return rec(1) if n > 2 else preserves_sums()

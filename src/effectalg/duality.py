@@ -223,10 +223,7 @@ def round_trip_check(sx: FiniteSimplex, g: VertexMap, seed: int = 0,
         if lhs != rhs:
             probe_failures.append((w, lhs, rhs))
 
-    gn = g.image
-    for _ in range(g.declared_n - 1):
-        gn = tuple(g.image[v] for v in gn)
-    potency_ok = gn == g.image
+    potency_ok = power(g.image, g.declared_n) == tuple(g.image)
 
     passed = not vertex_failures and not probe_failures and potency_ok
     return RoundTripReport(passed, tuple(vertex_failures), tuple(probe_failures),
@@ -271,13 +268,14 @@ def embedding_intertwines(E: FiniteEffectAlgebra, mapping: Sequence[int],
     sums_match = True
     for a in range(n):
         for b in range(n):
-            defined = (a, b) in E.sums
+            k = E.table[a][b]
+            defined = k is not None
             pointwise_ok = all(x + y <= 1 for x, y in zip(hat[a], hat[b]))
             if defined != pointwise_ok:
                 sums_match = False
             elif defined:
                 target = tuple(x + y for x, y in zip(hat[a], hat[b]))
-                if target != hat[E.sums[(a, b)]]:
+                if target != hat[k]:
                     sums_match = False
 
     operator_commutes = all(
@@ -301,8 +299,8 @@ def check_state_morphism(E1: FiniteEffectAlgebra, tau1: Sequence[int],
     existing joins and meets, commuting with the two operators."""
     if len(h) != E1.n or h[E1.n - 1] != E2.n - 1:
         return MorphismReport(False, "unit not preserved", (E1.n - 1,))
-    for (i, j), k in E1.sums.items():
-        if E2.sums.get((h[i], h[j])) != h[k]:
+    for i, j, k in E1.triples:
+        if E2.table[h[i]][h[j]] != h[k]:
             return MorphismReport(False, "sum not preserved", (i, j))
     for a in range(E1.n):
         for b in range(a, E1.n):

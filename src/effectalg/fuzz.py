@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .catalog import (build_boolean, build_chain, build_even_subsets,
                       build_product, horizontal_sum)
-from .core import AxiomViolation, FiniteEffectAlgebra, validate_axioms
+from .core import AxiomViolation, FiniteEffectAlgebra, raw_triples, validate_axioms
 from .pogroup import IntervalAlgebra, PoGroupSpec, materialize
 
 
@@ -23,11 +23,11 @@ def permute_algebra(E: FiniteEffectAlgebra, perm: list[int]) -> FiniteEffectAlge
     """Relabel elements along a permutation fixing 0 and n-1."""
     if perm[0] != 0 or perm[E.n - 1] != E.n - 1:
         raise ValueError("permutation must fix the distinguished indices")
-    triples = [(perm[i], perm[j], perm[k]) for (i, j), k in E.sums.items()]
+    triples = [(perm[i], perm[j], perm[k]) for i, j, k in raw_triples(E)]
     labels = [None] * E.n
     for a in range(E.n):
         labels[perm[a]] = E.labels[a]
-    return validate_axioms(E.n, triples, labels, meta=dict(E.meta))
+    return validate_axioms(E.n, triples, labels, meta=E.meta)
 
 
 def random_algebra(rng: random.Random, max_elements: int = 9) -> tuple[str, FiniteEffectAlgebra]:
@@ -124,7 +124,7 @@ def _mutate(rng: random.Random, n: int, triples: list[tuple[int, int, int]]):
 
 def fuzz_mutations(E: FiniteEffectAlgebra, rng: random.Random,
                    count: int = 50) -> FuzzReport:
-    base = [(i, j, k) for (i, j), k in sorted(E.sums.items())]
+    base = raw_triples(E)
     outcomes = []
     for _ in range(count):
         triples, kind = _mutate(rng, E.n, base)
@@ -135,7 +135,7 @@ def fuzz_mutations(E: FiniteEffectAlgebra, rng: random.Random,
         except AxiomViolation as violation:
             outcomes.append(MutationOutcome(kind, "violation", violation.axiom))
             continue
-        same = mutated.sums == E.sums
+        same = mutated.table == E.table
         outcomes.append(MutationOutcome(
             kind, "valid_same" if same else "valid_different", None))
     return FuzzReport(tuple(outcomes))

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Union
 
 from .catalog import CatalogSpec, build_catalog
-from .core import FiniteEffectAlgebra, validate_axioms
+from .core import FiniteEffectAlgebra, raw_triples, validate_axioms
 from .duality import FiniteSimplex, VertexMap
 from .pogroup import IntervalAlgebra, PoGroupSpec
 from .states import StatePolytope
@@ -30,7 +30,7 @@ def structure_to_dict(E: FiniteEffectAlgebra) -> dict:
         "n": E.n,
         "zero": 0,
         "one": E.n - 1,
-        "sums": [[i, j, k] for (i, j), k in sorted(E.sums.items())],
+        "sums": [list(t) for t in raw_triples(E)],
         "labels": list(E.labels),
     }
 
@@ -59,10 +59,6 @@ def group_from_dict(data: dict) -> IntervalAlgebra:
                        order=data["order"])
     unit = tuple(str_to_frac(v) for v in data["unit"])
     return IntervalAlgebra(spec, unit)
-
-
-def load_group(path: Union[str, Path]) -> IntervalAlgebra:
-    return group_from_dict(json.loads(Path(path).read_text()))
 
 
 def simplex_from_dict(data: dict) -> tuple[FiniteSimplex, VertexMap]:

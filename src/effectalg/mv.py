@@ -36,13 +36,9 @@ def mv_operations(E: FiniteEffectAlgebra) -> MvStructure:
     if not rdp:
         raise ValueError("not an MV algebra: refinement fails")
     n = E.n
-    star = E.order.complement
+    star = E.complements
     meet = E.order.meet
-    sums = E.sums
-    oplus = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            oplus[x][y] = sums[(x, meet[y][star[x]])]
+    oplus = [[row[meet[y][star[x]]] for y in range(n)] for x, row in enumerate(E.table)]
     odot = [[star[oplus[star[x]][star[y]]] for y in range(n)] for x in range(n)]
     ominus = [[odot[x][star[y]] for y in range(n)] for x in range(n)]
 
@@ -79,7 +75,7 @@ def derived_sum_matches(A: MvStructure):
     for x in range(E.n):
         for y in range(E.n):
             derived_defined = leq[x][A.star[y]]
-            actual = E.sums.get((x, y))
+            actual = E.table[x][y]
             if derived_defined != (actual is not None):
                 return False, (x, y)
             if derived_defined and A.oplus[x][y] != actual:

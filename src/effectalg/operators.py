@@ -9,26 +9,24 @@ of extremal states.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .core import FiniteEffectAlgebra, GuardExceeded
+from .core import FiniteEffectAlgebra, GuardExceeded, raw_triples
 from .states import StatePolytope
 from .states import is_state  # noqa: F401  unused here; perfbench/tracing.py wraps this attribute
 
 
 def is_endomorphism(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> bool:
     m = tuple(mapping)
-    if len(m) != E.n or m[E.n - 1] != E.n - 1:
+    if len(m) != E.n or m[E.n - 1] != E.n - 1 or not all(0 <= x < E.n for x in m):
         return False
-    for (i, j), k in E.sums.items():
-        k2 = E.sums.get((m[i], m[j]))
-        if k2 is None or k2 != m[k]:
-            return False
-    return True
+    table = E.table
+    return all(table[m[i]][m[j]] == m[k] for i, j, k in E.triples)
 
 
 def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
@@ -73,12 +71,12 @@ def enumerate_endomorphisms(E: FiniteEffectAlgebra,
     """
     n = E.n
     leq = E.order.leq
-    comp = E.order.complement
+    comp = E.complements
+    table = E.table
     sums_by_elem: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for (i, j), k in E.sums.items():
-        if i <= j:
-            for e in {i, j, k}:
-                sums_by_elem[e].append((i, j, k))
+    for t in E.triples:
+        for e in set(t):
+            sums_by_elem[e].append(t)
 
     by_height = sorted(range(n), key=lambda a: (sum(leq[b][a] for b in range(n)), a))
     order = [a for a in by_height if a not in (0, n - 1)]
@@ -103,7 +101,7 @@ def enumerate_endomorphisms(E: FiniteEffectAlgebra,
             fi, fj, fk = img[i], img[j], img[k]
             if fi < 0 or fj < 0 or fk < 0:
                 continue
-            if E.sums.get((fi, fj)) != fk:
+            if table[fi][fj] != fk:
                 return False
         return True
 
@@ -271,7 +269,7 @@ def induced_state_map(E: FiniteEffectAlgebra, mapping: Sequence[int],
     pos = {x: r for r, x in enumerate(used)}
     lo, hi = pos[m[0]], pos[m[E.n - 1]]
     triples = {(min(pos[m[i]], pos[m[j]]), max(pos[m[i]], pos[m[j]]), pos[m[k]])
-               for (i, j), k in E.sums.items()}
+               for i, j, k in E.triples}
 
     def is_scaled_state(q, total) -> bool:
         return (q[lo] == 0 and q[hi] == total and min(q) >= 0 and max(q) <= total
@@ -338,7 +336,7 @@ def subalgebra_table(E: FiniteEffectAlgebra, members: Sequence[int]) -> FiniteEf
         raise ValueError("a subalgebra must contain 0 and 1 at the extremes")
     pos = {a: i for i, a in enumerate(mem)}
     triples = []
-    for (i, j), k in E.sums.items():
+    for i, j, k in raw_triples(E):
         if i in pos and j in pos:
             if k not in pos:
                 raise ValueError("subset is not closed under defined sums")
@@ -386,20 +384,19 @@ def scan_mv_operator_agreement(A, polytope: StatePolytope) -> dict:
     star = A.star
     oplus = A.oplus
     odot = A.odot
-    sums_get = E.sums.get
+    table = E.table
 
     for t0 in range(n):
         for t1 in range(n):
             if t0 == 0 and t1 == one:
                 continue
             mv_killed = t0 != 0 or star[t0] != t1
-            eff_killed = t1 != one or sums_get((t0, t0)) != t0
+            eff_killed = t1 != one or table[t0][t0] != t0
             if not (mv_killed and eff_killed):
                 raise AssertionError(f"pin certificate failed at ({t0}, {t1})")
 
     zt = tuple(tuple(odot[y][star[odot[x][y]]] for y in range(n)) for x in range(n))
-    sums_list = sorted(((i, j, k) for (i, j), k in E.sums.items() if i <= j),
-                       key=lambda t: (t[0] == 0, t))
+    sums_list = sorted(E.triples, key=lambda t: (t[0] == 0, t))
     join = E.order.join
     join_pairs = tuple((a, b, join[a][b]) for a in range(n) for b in range(a, n)
                        if join[a][b] is not None)
@@ -430,7 +427,7 @@ def scan_mv_operator_agreement(A, polytope: StatePolytope) -> dict:
 
     def endo(m):
         for i, j, k in sums_list:
-            if sums_get((m[i], m[j])) != m[k]:
+            if table[m[i]][m[j]] != m[k]:
                 return False
         return True
 
@@ -458,7 +455,6 @@ def scan_mv_operator_agreement(A, polytope: StatePolytope) -> dict:
                 return False
         return True
 
-    import itertools
     stats = {"scanned": 0, "endomorphisms": 0, "mv_state_operators": 0,
              "state_morphisms": 0, "esp_confirmed": 0}
     prefix = (0,)
@@ -527,11 +523,11 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
     sub_ok = True
     wit = None
     for a in image:
-        if E.order.complement[a] not in image:
+        if E.complements[a] not in image:
             sub_ok, wit = False, (a,)
             break
         for b in image:
-            k = E.sums.get((a, b))
+            k = E.table[a][b]
             if k is not None and k not in image:
                 sub_ok, wit = False, (a, b, k)
                 break

@@ -88,9 +88,7 @@ def state_equalities(E: FiniteEffectAlgebra):
     r1[n - 1] = ONE
     rows.append(r1)
     rhs.append(ONE)
-    for (i, j), k in E.sums.items():
-        if i > j:
-            continue
+    for i, j, k in E.triples:
         row = [ZERO] * n
         row[i] += ONE
         row[j] += ONE
@@ -109,7 +107,7 @@ def is_state(E: FiniteEffectAlgebra, vec: Sequence[Fraction]) -> bool:
         return False
     if vec[0] != 0 or vec[E.n - 1] != 1:
         return False
-    return all(vec[i] + vec[j] == vec[k] for (i, j), k in E.sums.items())
+    return all(vec[i] + vec[j] == vec[k] for i, j, k in E.triples)
 
 
 def compute_states(E: FiniteEffectAlgebra, method: str = "dd",
@@ -234,9 +232,7 @@ def evaluation_image(E: FiniteEffectAlgebra, P: StatePolytope) -> EvaluationImag
                    if vectors[a] == vectors[b])
     by_vec: dict[tuple, set[tuple]] = {}
     ok = True
-    for (i, j), k in E.sums.items():
-        if i > j:
-            continue
+    for i, j, k in E.triples:
         target = tuple(x + y for x, y in zip(vectors[i], vectors[j]))
         by_vec.setdefault(target, set()).add(vectors[k])
     for targets in by_vec.values():

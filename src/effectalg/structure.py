@@ -39,17 +39,16 @@ def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int, y2: int)
     Searches c11 <= x1, y1 and completes the other three cells by subtraction.
     """
     leq = E.order.leq
-    sums = E.sums
     sub = E.order.sub
     for c11 in range(E.n):
         if not (leq[c11][x1] and leq[c11][y1]):
             continue
-        c12 = sub[(x1, c11)]
-        c21 = sub[(y1, c11)]
+        c12 = sub[x1][c11]
+        c21 = sub[y1][c11]
         if not leq[c21][x2]:
             continue
-        c22 = sub[(x2, c21)]
-        if sums.get((c12, c22)) == y2:
+        c22 = sub[x2][c21]
+        if E.table[c12][c22] == y2:
             return (c11, c12, c21, c22)
     return None
 
@@ -61,9 +60,8 @@ def check_rdp(E: FiniteEffectAlgebra):
     fails, else None.  ``_rdp_splitting`` is the reference formulation.
     """
     by_sum: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), k in E.sums.items():
-        if i <= j:
-            by_sum.setdefault(k, []).append((i, j))
+    for i, j, k in E.triples:
+        by_sum.setdefault(k, []).append((i, j))
     for k, pairs in by_sum.items():
         for x1, x2 in pairs:
             for y1, y2 in pairs:
@@ -78,16 +76,13 @@ def _rdp_splitting(E: FiniteEffectAlgebra):
     the suite compare it with ``check_rdp``.
     """
     leq = E.order.leq
-    sums = E.sums
     sub = E.order.sub
-    for (y1, y2), top in E.sums.items():
-        if y1 > y2:
-            continue
+    for y1, y2, top in E.triples:
         for x in range(E.n):
             if not leq[x][top]:
                 continue
             for x1 in range(E.n):
-                if leq[x1][x] and leq[x1][y1] and leq[sub[(x, x1)]][y2]:
+                if leq[x1][x] and leq[x1][y1] and leq[sub[x][x1]][y2]:
                     break
             else:
                 return False, (x, y1, y2)
@@ -97,7 +92,8 @@ def _rdp_splitting(E: FiniteEffectAlgebra):
 def verify_rdp_witness(E: FiniteEffectAlgebra, witness: tuple) -> bool:
     """One-shot confirmation that a reported quadruple really has no refinement."""
     x1, x2, y1, y2 = witness
-    if E.sums.get((x1, x2)) != E.sums.get((y1, y2)) or E.sums.get((x1, x2)) is None:
+    s = E.table[x1][x2]
+    if s is None or E.table[y1][y2] != s:
         return False
     return refine_quadruple(E, x1, x2, y1, y2) is None
 
@@ -165,7 +161,7 @@ def enumerate_ideals(E: FiniteEffectAlgebra, tau=None, guard_elements: int = 16)
         if ok:
             for a in members:
                 for b in members:
-                    k = E.sums.get((a, b))
+                    k = E.table[a][b]
                     if k is not None and not mask >> k & 1:
                         ok = False
                         break
@@ -185,12 +181,12 @@ def is_riesz_ideal(E: FiniteEffectAlgebra, ideal) -> bool:
     sub = E.order.sub
     iset = set(ideal)
     for x in ideal:
-        for (a, b), top in E.sums.items():
-            if a > b or not leq[x][top]:
+        for a, b, top in E.triples:
+            if not leq[x][top]:
                 continue
             for a1 in ideal:
                 if leq[a1][x] and leq[a1][a]:
-                    b1 = sub[(x, a1)]
+                    b1 = sub[x][a1]
                     if b1 in iset and leq[b1][b]:
                         break
             else:

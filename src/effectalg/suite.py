@@ -480,14 +480,12 @@ def check_axiom_fuzz(seed: int = 0) -> CheckResult:
 def check_cancellation_positivity(seed: int = 0) -> CheckResult:
     passed = True
     for name, E in small_catalog():
-        for (a, c), s1 in E.sums.items():
-            for b in range(E.n):
-                s2 = E.sums.get((b, c))
-                if s2 is not None and s1 == s2 and a != b:
-                    passed = False
-        for (a, b), k in E.sums.items():
-            if k == 0 and (a != 0 or b != 0):
+        for row in E.table:
+            defined = [k for k in row if k is not None]
+            if len(set(defined)) != len(defined):
                 passed = False
+        if any(k == 0 and (a, b) != (0, 0) for a, b, k in E.triples):
+            passed = False
     return CheckResult("cancellation_and_positivity", passed, {})
 
 

@@ -11,7 +11,7 @@ def test_chain2_shape():
     E = build_chain(2)
     assert E.n == 3
     assert E.sum(1, 1) == 2            # v + v = 1
-    assert E.labels == ["0", "1/2", "1"]
+    assert E.labels == ("0", "1/2", "1")
 
 
 def test_even_subsets_count():
@@ -52,7 +52,8 @@ def test_catalog_spec_round_trip():
     assert build_catalog(again).n == 9
     mv = CatalogSpec.from_dict({"kind": "mv_product", "chains": [2, 2]})
     E = build_catalog(mv)
-    assert E.meta.get("mv") and E.n == 9
+    square = build_product([build_chain(2), build_chain(2)])
+    assert E == square and hash(E) == hash(square) and E.n == 9
 
 
 def test_horizontal_sum_blocks_do_not_mix():

@@ -1,12 +1,15 @@
 """Axiom validation, derived order, isomorphism, and mutation detection."""
 
 import random
+from dataclasses import FrozenInstanceError
+from functools import lru_cache
 
 import pytest
 
 from effectalg.catalog import build_boolean, build_chain, build_product, small_catalog
-from effectalg.core import AxiomViolation, is_isomorphic, validate_axioms
-from effectalg.fuzz import fuzz_mutations, permute_algebra, random_algebra
+from effectalg.core import AxiomViolation, is_isomorphic, raw_triples, validate_axioms
+from effectalg.fuzz import _mutate, fuzz_mutations, permute_algebra, random_algebra
+from tables import sums_dict
 
 
 def chain3_triples():
@@ -33,13 +36,13 @@ def exhaustive_associativity(n, sums):
 def test_chain3_table_is_valid():
     E = validate_axioms(4, chain3_triples())
     assert E.n == 4
-    assert exhaustive_associativity(E.n, E.sums)
+    assert exhaustive_associativity(E.n, sums_dict(E))
 
 
 def test_boolean_tables_are_valid():
     for k in (1, 2, 3):
         E = build_boolean(k)
-        assert exhaustive_associativity(E.n, E.sums)
+        assert exhaustive_associativity(E.n, sums_dict(E))
 
 
 def test_unit_law_violation_reported():
@@ -87,14 +90,45 @@ def test_boolean2_order():
     assert not E.leq(a, b) and not E.leq(b, a)
 
 
+@lru_cache(maxsize=1)
+def accepted_mutations():
+    """Every table ``validate_axioms`` accepts in a seeded run of random
+    raw-table edits of the catalog: the only tables here no builder produced."""
+    accepted = []
+    rng = random.Random(11)
+    for _name, E in small_catalog(max_elements=9):
+        base = raw_triples(E)
+        for _ in range(200):
+            triples, _kind = _mutate(rng, E.n, base)
+            try:
+                accepted.append(validate_axioms(E.n, triples))
+            except AxiomViolation:
+                pass
+    return accepted
+
+
+@lru_cache(maxsize=1)
+def order_population():
+    """Tables for the order theory that ``derive_order`` trusts validation to
+    guarantee: the A05 population (catalog up to 9 elements plus 200 seeded
+    random tables) and the accepted mutations."""
+    population = [E for _name, E in small_catalog(max_elements=9)]
+    rng = random.Random(20240913)
+    population += [random_algebra(rng, max_elements=9)[1] for _ in range(200)]
+    return population + accepted_mutations()
+
+
 def test_complement_involution_everywhere():
-    for _name, E in small_catalog():
+    for E in order_population():
+        sums = sums_dict(E)
         for x in range(E.n):
+            assert [y for y in range(E.n) if sums.get((x, y)) == E.one] == [E.complement(x)]
             assert E.complement(E.complement(x)) == x
 
 
 def test_order_is_partial_order():
-    for _name, E in small_catalog():
+    assert len(accepted_mutations()) >= 10
+    for E in order_population():
         o = E.order.leq
         n = E.n
         assert all(o[a][a] for a in range(n))
@@ -108,19 +142,26 @@ def test_order_is_partial_order():
 
 def test_cancellation_and_positivity():
     for _name, E in small_catalog():
-        for (a, c), s1 in E.sums.items():
+        sums = sums_dict(E)
+        for (a, c), s1 in sums.items():
             for b in range(E.n):
-                if E.sums.get((b, c)) == s1:
+                if sums.get((b, c)) == s1:
                     assert a == b
-        for (a, b), k in E.sums.items():
+        for (a, b), k in sums.items():
             if k == 0:
                 assert a == 0 and b == 0
 
 
 def test_subtraction_unique():
-    for _name, E in small_catalog():
-        for (b, a), c in E.order.sub.items():
-            assert E.sums[(a, c)] == b
+    """sub[b][a] is the one c with a + c = b, defined exactly when a <= b."""
+    for E in order_population():
+        sums = sums_dict(E)
+        for b in range(E.n):
+            for a in range(E.n):
+                diffs = [c for c in range(E.n) if sums.get((a, c)) == b]
+                c = E.order.sub[b][a]
+                assert diffs == ([] if c is None else [c])
+                assert E.order.leq[a][b] == bool(diffs)
 
 
 def test_isomorphism_examples():
@@ -145,4 +186,42 @@ def test_random_algebras_validate():
     for _ in range(40):
         _name, E = random_algebra(rng)
         assert 1 <= E.n <= 9
-        assert exhaustive_associativity(E.n, E.sums)
+        assert exhaustive_associativity(E.n, sums_dict(E))
+
+
+def test_table_is_symmetric_and_matches_triples():
+    for E in order_population():
+        n = E.n
+        assert all(E.table[a][b] == E.table[b][a] for a in range(n) for b in range(n))
+        assert all(i <= j for i, j, _k in E.triples)
+        assert len(set(E.triples)) == len(E.triples)
+        assert set(E.triples) == {(a, b, k) for (a, b), k in sums_dict(E).items() if a <= b}
+        assert E.sum_triples() == sorted(E.triples)
+
+
+def test_triples_keep_first_input_order():
+    # chain(2) with mirrored pairs and a duplicate, out of row-major order
+    triples = [(1, 0, 1), (2, 0, 2), (1, 1, 2), (0, 2, 2), (1, 1, 2), (0, 1, 1), (0, 0, 0)]
+    E = validate_axioms(3, triples)
+    assert E.triples == ((1, 1, 2), (0, 2, 2), (0, 1, 1), (0, 0, 0))
+
+
+def test_algebra_cannot_be_mutated():
+    E = build_product([build_chain(2), build_chain(2)])
+    o = E.order
+    for table in (E.table, o.leq, o.sub, o.join, o.meet):
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+        with pytest.raises(TypeError):
+            table[0][0] = table[1][1]
+    for seq in (E.triples, E.complements, E.labels):
+        with pytest.raises(TypeError):
+            seq[0] = seq[1]
+    with pytest.raises(TypeError):
+        E.meta["mv"] = True
+    assert isinstance(E.meta["tuples"], tuple)
+    with pytest.raises(FrozenInstanceError):
+        E.table = ()
+    with pytest.raises(FrozenInstanceError):
+        o.sub = ()
+    assert not hasattr(E, "sums")

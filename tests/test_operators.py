@@ -22,17 +22,19 @@ from effectalg.operators import (check_esp, classify_operator, compose,
                                  power, scan_mv_operator_agreement)
 from effectalg.states import compute_states
 from effectalg.structure import enumerate_ideals
+from tables import sums_dict
 
 
 def endomorphism_oracle(E):
     """Every total map, checked as a homomorphism the long way."""
     found = []
+    sums = sums_dict(E)
     for m in product(range(E.n), repeat=E.n):
         if m[E.n - 1] != E.n - 1:
             continue
         ok = True
-        for (i, j), k in E.sums.items():
-            if E.sums.get((m[i], m[j])) != m[k]:
+        for (i, j), k in sums.items():
+            if sums.get((m[i], m[j])) != m[k]:
                 ok = False
                 break
         if ok:

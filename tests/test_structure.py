@@ -13,12 +13,13 @@ from effectalg.fuzz import random_algebra
 from effectalg.structure import (_rdp_splitting, check_interpolation, check_rdp,
                                  classify_lattice, enumerate_ideals, is_riesz_ideal,
                                  verify_rdp_witness)
+from tables import sums_dict
 
 
 def rdp_oracle(E):
     """Brute force over all (x1, x2, y1, y2) and all (c11, c12, c21, c22)."""
     n = E.n
-    sums = E.sums
+    sums = sums_dict(E)
     for x1, x2, y1, y2 in product(range(n), repeat=4):
         s = sums.get((x1, x2))
         if s is None or sums.get((y1, y2)) != s:
