@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 
 class EffectAlgebraError(Exception):
@@ -27,7 +27,7 @@ class GuardExceeded(EffectAlgebraError):
 class AxiomViolation(EffectAlgebraError):
     """A sum table failed validation.
 
-    ``axiom`` is one of "table", "i", "ii", "iii", "iv", "convention";
+    ``axiom`` is one of "table", "i", "ii", "iii", "iv";
     ``witness`` holds the offending indices.
     """
 
@@ -122,8 +122,8 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
     """Validate a raw partial sum table and return the algebra.
 
     Checks, in order: table shape, commutativity (i), the unit law (iv), unique
-    complements against index n-1 (iii), partial associativity as a biconditional
-    over all triples (ii), and the index conventions for 0 and 1.  Raises
+    complements against index n-1 (iii), and partial associativity as a
+    biconditional over all triples (ii).  Raises
     AxiomViolation naming the first failure with a witness: the first offending
     entry in input order for the table, (i) and (iv), the lexicographically
     first triple for (ii).
@@ -180,13 +180,6 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
                                          "one association defined, the other not")
                 raise AxiomViolation("ii", (a, b, c), "associated sums differ")
 
-    if complements[one] != 0:
-        raise AxiomViolation("convention", (complements[one],),
-                             "the complement of the unit must sit at index 0")
-    if n > 1 and complements[0] != one:
-        raise AxiomViolation("convention", (complements[0],),
-                             "the complement of index 0 must be the unit")
-
     frozen_meta = {key: tuple(v) if isinstance(v, list) else v
                    for key, v in (meta or {}).items()}
     return FiniteEffectAlgebra(
@@ -221,18 +214,14 @@ def derive_order(E: FiniteEffectAlgebra) -> OrderData:
         sub[b][a] = c
         sub[b][c] = a
 
-    join = [[None] * n for _ in range(n)]
-    meet = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            ubs = [x for x in range(n) if leq[a][x] and leq[b][x]]
-            least = [x for x in ubs if all(leq[x][y] for y in ubs)]
-            if least:
-                join[a][b] = join[b][a] = least[0]
-            lbs = [x for x in range(n) if leq[x][a] and leq[x][b]]
-            greatest = [x for x in lbs if all(leq[y][x] for y in lbs)]
-            if greatest:
-                meet[a][b] = meet[b][a] = greatest[0]
+    # x is the join of a and b iff its up-set is exactly their common up-set;
+    # meets dually, with down-sets.
+    up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
+    down = [sum(1 << b for b in range(n) if leq[b][a]) for a in range(n)]
+    by_up = {mask: a for a, mask in enumerate(up)}
+    by_down = {mask: a for a, mask in enumerate(down)}
+    join = [[by_up.get(up[a] & up[b]) for b in range(n)] for a in range(n)]
+    meet = [[by_down.get(down[a] & down[b]) for b in range(n)] for a in range(n)]
 
     return OrderData(
         leq=tuple(tuple(r) for r in leq),
@@ -242,68 +231,102 @@ def derive_order(E: FiniteEffectAlgebra) -> OrderData:
     )
 
 
-def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
-    """Decide isomorphism by invariant screening plus backtracking search."""
-    if E1.n != E2.n or len(E1.triples) != len(E2.triples):
-        return False
+def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
+                  injective: bool = False,
+                  guard_nodes: int = 2_000_000) -> Iterator[tuple[int, ...]]:
+    """Every map f with f(1) = 1 and f(i) + f(j) = f(k) on every sum triple of E1.
 
-    def profile(E):
-        o = E.order
-        out = []
-        for a in range(E.n):
-            below = sum(o.leq[b][a] for b in range(E.n))
-            above = sum(o.leq[a][b] for b in range(E.n))
-            deg = sum(k is not None for k in E.table[a])
-            out.append((below, above, deg))
-        return out
+    Backtracking with forward checking (Haralick & Elliott 1980) on one rule:
+    once two entries of a triple (i, j, k) have images, the third is forced,
+    through E2's table or its subtraction, and a clash or an undefined entry
+    prunes the branch.  Complements and the order follow, since a + a' = 1 and
+    d + (e - d) = e are triples too.  Free elements are tried in order of
+    height; each tried image is one node against ``guard_nodes``.  Each map is
+    yielded once; ``injective`` keeps only one-to-one maps.
+    """
+    n, m = E1.n, E2.n
+    table, sub = E2.table, E2.order.sub
+    watch: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for t in E1.triples:
+        for e in set(t):
+            watch[e].append(t)
+    leq = E1.order.leq
+    free = sorted(range(n), key=lambda a: (sum(leq[b][a] for b in range(n)), a))
+    img = [-1] * n
+    used = [False] * m
+    trail: list[int] = []
+    nodes = 0
 
-    p1, p2 = profile(E1), profile(E2)
-    if sorted(p1) != sorted(p2):
-        return False
-
-    n = E1.n
-    t1, t2 = E1.table, E2.table
-    image = [-1] * n
-    used = [False] * n
-
-    def preserves_sums() -> bool:
-        return all(t2[image[i]][image[j]] == image[k] for i, j, k in E1.triples)
-
-    def consistent(a: int, fa: int) -> bool:
-        if p1[a] != p2[fa]:
-            return False
-        for b in range(n):
-            fb = image[b]
-            if fb < 0:
+    def assign(e: int, v: int) -> bool:
+        """Set f(e) = v and everything it forces; False on a clash."""
+        pending = [(e, v)]
+        while pending:
+            x, fx = pending.pop()
+            if img[x] >= 0:
+                if img[x] != fx:
+                    return False
                 continue
-            k = t1[a][b]
-            k2 = t2[fa][fb]
-            if (k is None) != (k2 is None):
-                return False
-            if k is not None and image[k] >= 0 and image[k] != k2:
-                return False
+            if injective:
+                if used[fx]:
+                    return False
+                used[fx] = True
+            img[x] = fx
+            trail.append(x)
+            for i, j, k in watch[x]:
+                fi, fj, fk = img[i], img[j], img[k]
+                if fk < 0:
+                    if fi >= 0 and fj >= 0:
+                        forced = (k, table[fi][fj])
+                    else:
+                        continue
+                elif fi < 0:
+                    if fj >= 0:
+                        forced = (i, sub[fk][fj])
+                    else:
+                        continue
+                elif fj < 0:
+                    forced = (j, sub[fk][fi])
+                elif table[fi][fj] == fk:
+                    continue
+                else:
+                    return False
+                if forced[1] is None:
+                    return False
+                pending.append(forced)
         return True
 
-    def rec(a: int) -> bool:
-        if a == n:
-            return preserves_sums()
-        if image[a] >= 0:
-            return rec(a + 1)
-        for fa in range(n):
-            if used[fa]:
-                continue
-            if consistent(a, fa):
-                image[a] = fa
-                used[fa] = True
-                if rec(a + 1):
-                    return True
-                used[fa] = False
-                image[a] = -1
-        return False
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            x = trail.pop()
+            used[img[x]] = False
+            img[x] = -1
 
-    image[0] = 0
-    used[0] = True
-    image[n - 1] = n - 1
-    if n > 1:
-        used[n - 1] = True
-    return rec(1) if n > 2 else preserves_sums()
+    def search(pos: int) -> Iterator[tuple[int, ...]]:
+        nonlocal nodes
+        while pos < n and img[free[pos]] >= 0:
+            pos += 1
+        if pos == n:
+            yield tuple(img)
+            return
+        e = free[pos]
+        for v in range(m):
+            if injective and used[v]:
+                continue
+            nodes += 1
+            if nodes > guard_nodes:
+                raise GuardExceeded(f"homomorphism search guarded at {guard_nodes} nodes")
+            mark = len(trail)
+            if assign(e, v):
+                yield from search(pos + 1)
+            undo(mark)
+
+    if assign(n - 1, m - 1):
+        yield from search(0)
+
+
+def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
+    """A one-to-one sum-preserving map between algebras with equally many
+    elements and sums is onto both, so its inverse preserves sums too."""
+    if E1.n != E2.n or len(E1.triples) != len(E2.triples):
+        return False
+    return next(homomorphisms(E1, E2, injective=True), None) is not None

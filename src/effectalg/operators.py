@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .core import FiniteEffectAlgebra, GuardExceeded, raw_triples
+from .core import FiniteEffectAlgebra, homomorphisms, raw_triples
 from .states import StatePolytope
 from .states import is_state  # noqa: F401  unused here; perfbench/tracing.py wraps this attribute
 
@@ -62,80 +62,8 @@ def kernel(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> tuple[int, ...]:
 
 def enumerate_endomorphisms(E: FiniteEffectAlgebra,
                             guard_nodes: int = 2_000_000) -> list[tuple[int, ...]]:
-    """All endomorphisms, by backtracking over images in a linear extension.
-
-    Images of complements are forced immediately; partial assignments are pruned
-    by order preservation and by every fully assigned sum constraint.  Each sum
-    triple is checked when its last element gets an image, so every leaf is an
-    endomorphism and no leaf repeats another.
-    """
-    n = E.n
-    leq = E.order.leq
-    comp = E.complements
-    table = E.table
-    sums_by_elem: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for t in E.triples:
-        for e in set(t):
-            sums_by_elem[e].append(t)
-
-    by_height = sorted(range(n), key=lambda a: (sum(leq[b][a] for b in range(n)), a))
-    order = [a for a in by_height if a not in (0, n - 1)]
-
-    img = [-1] * n
-    img[0] = 0
-    img[n - 1] = n - 1
-    results = []
-    nodes = 0
-
-    def consistent_after(e: int) -> bool:
-        fe = img[e]
-        for d in range(n):
-            fd = img[d]
-            if fd < 0 or d == e:
-                continue
-            if leq[d][e] and not leq[fd][fe]:
-                return False
-            if leq[e][d] and not leq[fe][fd]:
-                return False
-        for (i, j, k) in sums_by_elem[e]:
-            fi, fj, fk = img[i], img[j], img[k]
-            if fi < 0 or fj < 0 or fk < 0:
-                continue
-            if table[fi][fj] != fk:
-                return False
-        return True
-
-    def rec(pos: int):
-        nonlocal nodes
-        if pos == len(order):
-            results.append(tuple(img))
-            return
-        e = order[pos]
-        if img[e] >= 0:
-            rec(pos + 1)
-            return
-        other = comp[e]
-        for v in range(n):
-            nodes += 1
-            if nodes > guard_nodes:
-                raise GuardExceeded(f"endomorphism search guarded at {guard_nodes} nodes")
-            img[e] = v
-            forced = comp[v]
-            set_other = img[other] < 0
-            if not set_other and img[other] != forced:
-                img[e] = -1
-                continue
-            if set_other:
-                img[other] = forced
-            cells = (e, other) if set_other else (e,)
-            if all(consistent_after(c) for c in cells):
-                rec(pos + 1)
-            img[e] = -1
-            if set_other:
-                img[other] = -1
-
-    rec(0)
-    return sorted(results)
+    """All endomorphisms, sorted; ``core.homomorphisms`` does the search."""
+    return sorted(homomorphisms(E, E, guard_nodes=guard_nodes))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import random
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
@@ -120,6 +121,7 @@ def order_population():
 
 def test_complement_involution_everywhere():
     for E in order_population():
+        assert E.complements[0] == E.n - 1 and E.complements[E.n - 1] == 0
         sums = sums_dict(E)
         for x in range(E.n):
             assert [y for y in range(E.n) if sums.get((x, y)) == E.one] == [E.complement(x)]
@@ -170,6 +172,33 @@ def test_isomorphism_examples():
     E = build_boolean(3)
     perm = [0, 4, 2, 1, 6, 5, 3, 7]
     assert is_isomorphic(E, permute_algebra(E, perm))
+
+
+def isomorphism_oracle(E1, E2):
+    """Some relabeling fixing 0 and n-1 carries E1's table onto E2's."""
+    if E1.n != E2.n:
+        return False
+    n = E1.n
+    s1, s2 = sums_dict(E1), sums_dict(E2)
+    for rest in permutations(range(1, n - 1)):
+        p = (0,) + rest + (n - 1,) if n > 1 else (0,)
+        if {(p[a], p[b]): p[k] for (a, b), k in s1.items()} == s2:
+            return True
+    return False
+
+
+def test_is_isomorphic_matches_permutation_oracle():
+    algebras = [E for _name, E in small_catalog(max_elements=7)]
+    rng = random.Random(11)
+    algebras += [random_algebra(rng, max_elements=7)[1] for _ in range(30)]
+    hard = 0      # non-isomorphic pairs that no size or sum count separates
+    for E1 in algebras:
+        for E2 in algebras:
+            verdict = is_isomorphic(E1, E2)
+            assert verdict == isomorphism_oracle(E1, E2), (E1.meta, E2.meta)
+            hard += (not verdict and E1.n == E2.n
+                     and len(E1.triples) == len(E2.triples))
+    assert hard >= 4
 
 
 def test_fuzz_mutations_detected():

@@ -12,6 +12,7 @@ import pytest
 
 from effectalg.catalog import (build_boolean, build_chain, build_product,
                                horizontal_sum, small_catalog)
+from effectalg.core import GuardExceeded
 from effectalg.fuzz import random_algebra
 from effectalg.mv import mv_operations
 from effectalg.operators import (check_esp, classify_operator, compose,
@@ -73,6 +74,16 @@ def test_search_matches_oracle_on_relabeled_tables():
     for _ in range(30):
         name, E = random_algebra(rng, max_elements=6)
         assert enumerate_endomorphisms(E) == endomorphism_oracle(E), name
+
+
+def test_boolean5_search_is_proportional_to_its_output():
+    # 3,125 atom maps; propagation leaves only the atoms free, 41,600 nodes
+    assert len(enumerate_endomorphisms(build_boolean(5), guard_nodes=50_000)) == 3125
+
+
+def test_guard_raises_instead_of_truncating():
+    with pytest.raises(GuardExceeded):
+        enumerate_endomorphisms(build_boolean(5), guard_nodes=1_000)
 
 
 def test_identity_always_found():

@@ -2,9 +2,11 @@
 
 A function body that reads a name bound nowhere (not local, not enclosing, not
 module-level, not a builtin) compiles and imports fine, and fails only when
-that line runs.  This test finds such reads in every module of the package.
+that line runs.  These tests find such reads in every module of the package,
+and the reverse: module-level imports that nothing in the module reads.
 """
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -12,6 +14,12 @@ from pathlib import Path
 import effectalg
 
 PACKAGE = Path(effectalg.__file__).parent
+
+# Imports kept on purpose although the module never reads them.
+KEPT_IMPORTS = {
+    # perfbench/tracing.py wraps effectalg.operators:is_state
+    ("operators.py", "is_state"),
+}
 
 
 def unbound_global_reads(source: str, filename: str) -> list[tuple[str, str]]:
@@ -52,6 +60,52 @@ def test_package_functions_read_only_bound_names():
     problems = {}
     for path in modules:
         found = unbound_global_reads(path.read_text(), str(path))
+        if found:
+            problems[path.name] = found
+    assert problems == {}
+
+
+def unused_imports(source: str, filename: str) -> list[str]:
+    """Names bound by a module-level import that no expression reads.
+
+    Reads are found with ``ast`` rather than ``symtable`` so that names used
+    only in annotations (strings under ``from __future__ import annotations``)
+    still count.
+    """
+    tree = ast.parse(source, filename)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_detector_catches_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import itertools\nfrom .core import GuardExceeded, homomorphisms\n\n"
+              "def f(E):\n    return sorted(homomorphisms(E, E))\n")
+    assert unused_imports(source, "probe.py") == ["GuardExceeded", "itertools"]
+
+
+def test_detector_counts_reads_in_annotations_attributes_and_nested_scopes():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nfrom typing import Optional\nfrom math import gcd as g\n\n"
+              "class C:\n    x: Optional[int] = None\n"
+              "    def m(self):\n        return lambda: g(os.path.sep.count('/'), 2)\n")
+    assert unused_imports(source, "probe.py") == []
+
+
+def test_package_modules_read_every_import():
+    problems = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":     # re-exports
+            continue
+        found = [name for name in unused_imports(path.read_text(), str(path))
+                 if (path.name, name) not in KEPT_IMPORTS]
         if found:
             problems[path.name] = found
     assert problems == {}
