@@ -40,11 +40,9 @@ def _parser() -> argparse.ArgumentParser:
     o.add_argument("--n", type=int, default=None,
                    help="also report whether each operator is n-potent")
     o.add_argument("--guard-endos", type=int, default=2_000_000)
-    o.add_argument("--seed", type=int, default=0)
 
     d = sub.add_parser("duality", help="round-trip report for a simplex file")
     d.add_argument("--input", required=True)
-    d.add_argument("--seed", type=int, default=0)
 
     ps = sub.add_parser("paper-suite", help="run the standing verification suite")
     ps.add_argument("--seed", type=int, default=0)
@@ -98,7 +96,7 @@ def cmd_operators(args) -> tuple[dict, int]:
                 args.n >= 2 and power(m, args.n) == m)
         n = prof.minimal_potency
         if n is not None and not P.empty:
-            ind = induced_state_map(E, m, P, n=n, seed=args.seed)
+            ind = induced_state_map(E, m, P, n=n)
             entry["induced_vertex_map"] = (
                 list(ind.vertex_to_vertex) if ind.vertex_to_vertex is not None else None)
         items.append(entry)
@@ -108,7 +106,7 @@ def cmd_operators(args) -> tuple[dict, int]:
 def cmd_duality(args) -> tuple[dict, int]:
     from .duality import evaluation_map, round_trip_check
     sx, g = load_simplex(args.input)
-    rep = round_trip_check(sx, g, seed=args.seed)
+    rep = round_trip_check(sx, g)
     ev = evaluation_map(sx)
     out = rep.to_dict()
     out["evaluation_bijection"] = ev.bijection

@@ -11,7 +11,6 @@ maps on weights.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -116,7 +115,7 @@ class PullbackOperator:
 
 
 def state_functor(E: FiniteEffectAlgebra, mapping: Sequence[int],
-                  n: Optional[int] = None, seed: int = 0) -> tuple[StatePolytope, InducedStateMap]:
+                  n: Optional[int] = None) -> tuple[StatePolytope, InducedStateMap]:
     """A finite state effect algebra to its polytope with the induced state map."""
     if not is_endomorphism(E, mapping):
         raise ValueError("operator must be an endomorphism")
@@ -125,7 +124,7 @@ def state_functor(E: FiniteEffectAlgebra, mapping: Sequence[int],
         if n is None:
             raise ValueError("operator has no potency; no induced finite dynamics")
     P = compute_states(E)
-    g = induced_state_map(E, mapping, P, n=n, seed=seed)
+    g = induced_state_map(E, mapping, P, n=n)
     return P, g
 
 
@@ -183,29 +182,21 @@ def induced_state_self_map(alg: AffineFunctionAlgebra, op: PullbackOperator,
 class RoundTripReport:
     passed: bool
     vertex_failures: tuple
-    probe_failures: tuple
-    potency_ok: bool
 
     def to_dict(self) -> dict:
         return {"passed": self.passed,
-                "vertex_failures": list(self.vertex_failures),
-                "probe_failures": list(self.probe_failures),
-                "potency_ok": self.potency_ok}
+                "vertex_failures": list(self.vertex_failures)}
 
 
-def _random_interior_point(rng: random.Random, m: int) -> Vec:
-    weights = [Fraction(rng.randint(1, 24)) for _ in range(m)]
-    total = sum(weights)
-    return tuple(w / total for w in weights)
-
-
-def round_trip_check(sx: FiniteSimplex, g: VertexMap, seed: int = 0,
-                     interior_points: int = 50) -> RoundTripReport:
-    """Both routes around the square p o g = g' o p, at vertices and probes.
+def round_trip_check(sx: FiniteSimplex, g: VertexMap) -> RoundTripReport:
+    """Both routes around the square p o g = g' o p, compared at the vertices.
 
     One route pushes the point forward along g and reads it as an evaluation
     state; the other turns the point into a state first and precomposes with
-    the pull-back operator.  Exact equality is required everywhere.
+    the pull-back operator.  Both routes are linear in the weight vector w, so
+    they agree on the whole simplex exactly when they agree at its vertices;
+    the tests confirm this on seeded interior points.  Potency needs no check
+    here: ``VertexMap`` already enforces g^n = g.
     """
     alg, op = affine_functor(sx, g)
     vertex_failures = []
@@ -214,20 +205,7 @@ def round_trip_check(sx: FiniteSimplex, g: VertexMap, seed: int = 0,
         rhs = induced_state_self_map(alg, op, sx.vertex_point(x))
         if lhs != rhs:
             vertex_failures.append((x, lhs, rhs))
-    rng = random.Random(seed)
-    probe_failures = []
-    for _ in range(interior_points):
-        w = _random_interior_point(rng, sx.m)
-        lhs = g.push_forward(w)
-        rhs = induced_state_self_map(alg, op, w)
-        if lhs != rhs:
-            probe_failures.append((w, lhs, rhs))
-
-    potency_ok = power(g.image, g.declared_n) == tuple(g.image)
-
-    passed = not vertex_failures and not probe_failures and potency_ok
-    return RoundTripReport(passed, tuple(vertex_failures), tuple(probe_failures),
-                           potency_ok)
+    return RoundTripReport(not vertex_failures, tuple(vertex_failures))
 
 
 @dataclass(frozen=True)
@@ -318,28 +296,18 @@ def check_state_morphism(E1: FiniteEffectAlgebra, tau1: Sequence[int],
 
 def check_simplex_morphism(sx1: FiniteSimplex, g1: VertexMap,
                            sx2: FiniteSimplex, g2: VertexMap,
-                           p: Sequence[int], seed: int = 0,
-                           interior_points: int = 10) -> MorphismReport:
-    """A vertex-to-vertex map inducing an affine map commuting with the dynamics."""
+                           p: Sequence[int]) -> MorphismReport:
+    """A vertex-to-vertex map inducing an affine map commuting with the dynamics.
+
+    The affine map sends sum_x w_x x to sum_x w_x p(x), so both routes around
+    the square, p o g1 and g2 o p, are linear in the weights and agree
+    everywhere exactly when they agree at every vertex of ``sx1``.
+    """
+    if len(g1.image) != sx1.m or len(g2.image) != sx2.m:
+        return MorphismReport(False, "vertex map does not match the simplex", None)
     if len(p) != sx1.m or any(not 0 <= v < sx2.m for v in p):
         return MorphismReport(False, "not a vertex map", None)
-
-    def push(point, image, m2):
-        out = [ZERO] * m2
-        for x, wx in enumerate(point):
-            out[image[x]] += wx
-        return tuple(out)
-
     for x in range(sx1.m):
-        lhs = p[g1.image[x]]
-        rhs = g2.image[p[x]]
-        if lhs != rhs:
+        if p[g1.image[x]] != g2.image[p[x]]:
             return MorphismReport(False, "square does not commute on vertices", (x,))
-    rng = random.Random(seed)
-    for _ in range(interior_points):
-        w = _random_interior_point(rng, sx1.m)
-        via_g1 = push(g1.push_forward(w), p, sx2.m)
-        via_g2 = g2.push_forward(push(w, p, sx2.m))
-        if via_g1 != via_g2:
-            return MorphismReport(False, "square does not commute at a probe", (w,))
     return MorphismReport(True, None, None)

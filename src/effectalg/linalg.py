@@ -81,13 +81,6 @@ def affine_parametrization(eq_rows: list[Sequence[Fraction]], eq_rhs: Sequence[F
     return tuple(c_vec), free, basis
 
 
-def rank(rows: list[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref([list(r) for r in rows])
-    return len(pivots)
-
-
 def primitive(vec: Sequence[Fraction]) -> Vec:
     """Scale a rational vector to a primitive integer vector (positive multiple)."""
     den = 1

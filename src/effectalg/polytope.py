@@ -182,13 +182,3 @@ def active_set_vertices(rows, dim: int, guard_systems: int = 2_000_000):
             verts.add(sol)
     return sorted(verts)
 
-
-def feasible_point_check(rows, point) -> bool:
-    return all(dot(c, point) >= r for c, r in dedupe_rows(rows))
-
-
-def active_rank(rows, point) -> int:
-    """Rank of the active constraints at ``point`` (== dim certifies a vertex)."""
-    from .linalg import rank
-    act = [list(c) for c, r in dedupe_rows(rows) if dot(c, point) == r]
-    return rank(act) if act else 0

@@ -207,7 +207,7 @@ def check_square_product_operators(seed: int = 0) -> CheckResult:
     p2 = classify_operator(E, t2, P)
     tuples = E.meta["tuples"]
     m1 = tuple(F(t[0], 2) for t in tuples)
-    ind = induced_state_map(E, t1, P, seed=seed)
+    ind = induced_state_map(E, t1, P)
     collapse = all(img == m1 for img in ind.vertex_images)
     passed = (p1.is_state_morphism and p1.has_esp and p2.is_state_morphism
               and p2.has_esp and collapse and len(P.vertices) == 2)
@@ -391,7 +391,7 @@ def check_round_trips(seed: int = 0) -> CheckResult:
     ]
     passed = True
     for sx, g in cases:
-        rep = round_trip_check(sx, g, seed=seed, interior_points=20)
+        rep = round_trip_check(sx, g)
         if not rep.passed:
             passed = False
     b2 = build_boolean(2)
@@ -448,10 +448,8 @@ def check_functor_contravariance(seed: int = 0) -> CheckResult:
     sx2 = FiniteSimplex(("x", "y"))
     sx3 = FiniteSimplex(("a", "b", "c"))
     g2 = VertexMap((1, 0), 3)
-    g3 = VertexMap((0, 1, 2), 2)
     p = (0, 1)     # sx2 -> sx3 vertices
-    ok2 = check_simplex_morphism(sx2, g2, sx3, VertexMap((1, 0, 2), 3), p,
-                                 seed=seed).passed
+    ok2 = check_simplex_morphism(sx2, g2, sx3, VertexMap((1, 0, 2), 3), p).passed
     passed = passed and ok2
     return CheckResult("functor_contravariance", passed, {})
 

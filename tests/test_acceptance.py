@@ -9,10 +9,13 @@ import time
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import product as iproduct
+from math import lcm
+from operator import add, le
 
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, small_catalog)
-from effectalg.duality import FiniteSimplex, VertexMap, round_trip_check
+from effectalg.duality import (FiniteSimplex, VertexMap, affine_functor,
+                               induced_state_self_map, round_trip_check)
 from effectalg.fuzz import random_algebra
 from effectalg.mv import mv_operations
 from effectalg.operators import (classify_operator, compose, coordinate_repeat_maps,
@@ -175,25 +178,75 @@ def test_a06_mv_agreement_exhaustive():
         assert total > 4_700_000
 
 
+def scaled_vertices(vertices) -> tuple[int, list[tuple[int, ...]]]:
+    """The vertices' common denominator and the vertices times it, as integers."""
+    scale = lcm(*(x.denominator for v in vertices for x in v))
+    return scale, [tuple(x.numerator * (scale // x.denominator) for x in v)
+                   for v in vertices]
+
+
+def probe_induced_map(rng, E, m, scaled, images, count: int) -> int:
+    """Check ``count`` random convex combinations q = sum_i w_i v_i of the
+    vertices against the vertex images; returns the number checked.
+
+    Exact integer arithmetic on ``scaled_vertices``, with weights w_i in
+    [1, 16].  For every probe, q o tau must equal the same combination of the
+    vertex images, and must be a state by the direct check against the sum
+    table: 0 at 0, the weight total at 1, values between them, additive on
+    every defined sum.  q o tau reads q only on the image of tau, so q is
+    formed on the image alone and the sum checks are deduplicated.  Each list
+    below holds one value per probe.
+    """
+    scale, iverts = scaled
+    weights = [[rng.getrandbits(4) + 1 for _ in range(count)] for _ in iverts]
+    totals = [scale * t for t in map(sum, zip(*weights))]
+
+    def combine(col):
+        out = [0] * count
+        for c, row in zip(col, weights):
+            if c:
+                out = list(map(add, out, map(c.__mul__, row)))
+        return out
+
+    used = sorted(set(m))
+    at = [used.index(x) for x in m]
+    q = [combine(tuple(iv[x] for iv in iverts)) for x in used]
+    image_columns = [tuple(img[a].numerator * (scale // img[a].denominator)
+                           for img in images) for a in range(E.n)]
+    combined = {col: combine(col) for col in set(image_columns)}
+    assert all(q[at[a]] == combined[col] for a, col in enumerate(image_columns))
+    assert not any(q[at[0]]) and q[at[E.n - 1]] == totals
+    assert all(min(col) >= 0 and all(map(le, col, totals)) for col in q)
+    sums = {(at[a], at[b], at[k]) for (a, b), k in sums_dict(E).items()}
+    assert all(list(map(add, q[a], q[b])) == q[k] for a, b, k in sums)
+    return len(totals)
+
+
 def test_a07_induced_maps_population():
     """Every potent endomorphism in the A05 population induces a potent affine
     self-map of the polytope whose vertex values stay inside the source value
-    sets; affinity is verified on 100 exact random convex combinations."""
+    sets.  ``induced_state_map`` decides its contract at the vertices, since
+    s -> s o tau is linear; 100 exact random convex combinations per map
+    confirm it here, against the returned vertex images and a direct state
+    check."""
     with Budget("A07 induced state maps", 30.0):
+        rng = random.Random(11)
         checked = 0
         for name, E in operator_population():
             P = compute_states(E)
             if not P.vertices:
                 continue
+            scaled = scaled_vertices(P.vertices)
             for m in enumerate_endomorphisms(E):
                 n = minimal_potency(m)
                 if n is None:
                     continue
-                ind = induced_state_map(E, m, P, n=n, seed=11, affine_probes=100)
-                assert ind.affine_probes == 100
+                ind = induced_state_map(E, m, P, n=n)
+                probes = probe_induced_map(rng, E, m, scaled, ind.vertex_images, 100)
+                assert probes == 100
                 mn = power(m, n)
-                for v in P.vertices:
-                    img = tuple(v[m[a]] for a in range(E.n))
+                for v, img in zip(P.vertices, ind.vertex_images):
+                    assert tuple(v[m[a]] for a in range(E.n)) == img
                     assert tuple(v[mn[a]] for a in range(E.n)) == img
                     assert set(img) <= set(v)
                 checked += 1
@@ -201,21 +254,31 @@ def test_a07_induced_maps_population():
 
 
 def test_a08_round_trips_all_small_simplices():
-    """p o g = g' o p at every vertex and 50 random interior rational points, for
-    every vertex self-map with g^2 = g or g^3 = g on up to 5 vertices."""
+    """p o g = g' o p for every vertex self-map with g^2 = g or g^3 = g on up to
+    5 vertices.  ``round_trip_check`` decides it at the vertices, since both
+    routes are linear in the weights; 50 random interior rational points per
+    case confirm it here."""
     with Budget("A08 duality round trips", 60.0):
-        cases = 0
+        rng = random.Random(5)
+        cases = probes = 0
         for m in range(1, 6):
             sx = FiniteSimplex(tuple(f"v{i}" for i in range(m)))
             for image in iproduct(range(m), repeat=m):
                 for n in (2, 3):
                     if power(image, n) != tuple(image):
                         continue
-                    rep = round_trip_check(sx, VertexMap(tuple(image), n),
-                                           seed=5, interior_points=50)
+                    g = VertexMap(tuple(image), n)
+                    rep = round_trip_check(sx, g)
                     assert rep.passed, (m, image, n)
+                    alg, op = affine_functor(sx, g)
+                    for _ in range(50):
+                        weights = [rng.randint(1, 24) for _ in range(m)]
+                        w = tuple(F(x, sum(weights)) for x in weights)
+                        assert g.push_forward(w) == induced_state_self_map(alg, op, w), w
+                        probes += 1
                     cases += 1
         assert cases > 500
+        assert probes == 50 * cases
 
 
 def test_a09_group_extensions():

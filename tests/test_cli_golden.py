@@ -68,7 +68,7 @@ CASES = {
     "operators-boolean3": (BOOLEAN3, ["operators", "--n", "3"], 0,
         "5e3713c7d3f0ec7bf7ad87017e8755fb74eaa40e3a45de5ceb0d7f664fbad654"),
     "duality-simplex": (SIMPLEX, ["duality"], 0,
-        "d3c5b0922a70ab5b82fee4ea68fc2be77dea92f508df8cc3f7099d6cf487087f"),
+        "25831b77b936c6222e04daf309846199dfb05935dd77586e2aea91c939103a45"),
     "paper-suite": (None, ["paper-suite"], 0,
         "9b28969a4a6a07a40c7daa9db09625001fcd4d434f5a29307e2c9becd18af16d"),
     "analyze-even4-relabeled": (EVEN4_RELABELED, ["analyze"], 0,

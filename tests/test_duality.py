@@ -116,8 +116,7 @@ def test_round_trip_exhaustive_m3():
     for image in iproduct(range(3), repeat=3):
         for n in (2, 3):
             if power(image, n) == tuple(image):
-                assert round_trip_check(sx, VertexMap(tuple(image), n),
-                                        interior_points=5).passed
+                assert round_trip_check(sx, VertexMap(tuple(image), n)).passed
 
 
 def test_embedding_intertwines():
@@ -162,6 +161,19 @@ def test_simplex_morphism_checks():
     assert check_simplex_morphism(sx2, swap2, sx3, VertexMap((1, 0, 2), 3), (0, 1)).passed
     rep = check_simplex_morphism(sx2, swap2, sx3, ident3, (0, 1))
     assert not rep.passed
+    assert rep.reason == "square does not commute on vertices"
+
+
+def test_simplex_morphism_rejects_vertex_maps_of_the_wrong_size():
+    sx2 = FiniteSimplex(("x", "y"))
+    sx3 = FiniteSimplex(("a", "b", "c"))
+    ident2 = VertexMap((0, 1), 2)
+    ident3 = VertexMap((0, 1, 2), 2)
+    for g1, g2 in ((ident3, ident3), (ident2, ident2)):
+        rep = check_simplex_morphism(sx2, g1, sx3, g2, (0, 1))
+        assert not rep.passed
+        assert rep.reason == "vertex map does not match the simplex"
+    assert check_simplex_morphism(sx2, ident2, sx3, ident3, (0, 1)).passed
 
 
 def test_pullback_preserves_joins_meets():

@@ -126,8 +126,8 @@ def test_cli_guard_error(tmp_path, capsys):
 def test_cli_deterministic_output(tmp_path, capsys):
     path = tmp_path / "sx.json"
     path.write_text(json.dumps({"vertices": ["a", "b", "c"], "g": [2, 2, 2], "n": 2}))
-    _code, out1 = run_cli(capsys, "duality", "--input", str(path), "--seed", "7")
-    _code, out2 = run_cli(capsys, "duality", "--input", str(path), "--seed", "7")
+    _code, out1 = run_cli(capsys, "duality", "--input", str(path))
+    _code, out2 = run_cli(capsys, "duality", "--input", str(path))
     assert out1 == out2
 
 

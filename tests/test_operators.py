@@ -21,7 +21,7 @@ from effectalg.operators import (check_esp, classify_operator, compose,
                                  is_endomorphism, kernel, minimal_potency,
                                  mv_operator_agreement, operator_law_report,
                                  power, scan_mv_operator_agreement)
-from effectalg.states import compute_states
+from effectalg.states import compute_states, is_state
 from effectalg.structure import enumerate_ideals
 from tables import sums_dict
 
@@ -246,12 +246,22 @@ def test_power_and_potency_identities():
     assert minimal_potency((1, 2, 2)) is None
 
 
-def test_induced_map_rejects_non_endomorphism_by_probe_and_by_vertices():
-    E = build_boolean(2)
-    P = compute_states(E)
-    bad = next(m for m in product(range(E.n), repeat=E.n)
-               if m[0] == 0 and m[-1] == E.n - 1 and not is_endomorphism(E, m))
-    with pytest.raises(AssertionError, match="probed convex combination"):
-        induced_state_map(E, bad, P)
-    with pytest.raises(AssertionError, match="vertex image violates"):
-        induced_state_map(E, bad, P, affine_probes=0)
+def test_induced_map_vertex_check_matches_state_oracle():
+    """Over every self-map fixing 0 and 1 of three small algebras,
+    ``induced_state_map`` rejects the map exactly when some vertex image
+    s o tau fails the direct state check."""
+    rejected = accepted = 0
+    for E in (build_boolean(2), build_chain(3),
+              build_product([build_chain(1), build_chain(2)])):
+        P = compute_states(E)
+        for mid in product(range(E.n), repeat=E.n - 2):
+            m = (0,) + mid + (E.n - 1,)
+            images = [tuple(v[x] for x in m) for v in P.vertices]
+            if all(is_state(E, img) for img in images):
+                induced_state_map(E, m, P)
+                accepted += 1
+            else:
+                with pytest.raises(AssertionError, match="vertex image violates"):
+                    induced_state_map(E, m, P)
+                rejected += 1
+    assert accepted and rejected

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from effectalg.polytope import (active_rank, active_set_vertices, dd_vertices,
-                                feasible_point_check)
+from effectalg.linalg import dot, rref
+from effectalg.polytope import active_set_vertices, dd_vertices
 
 
 def box_rows(d):
@@ -56,8 +56,9 @@ def test_zero_dimensional():
 def test_vertex_certificates():
     rows = box_rows(3) + [((F(1), F(1), F(1)), F(1))]
     for v in dd_vertices(rows, 3):
-        assert feasible_point_check(rows, v)
-        assert active_rank(rows, v) == 3
+        assert all(dot(c, v) >= r for c, r in rows)
+        active = [list(c) for c, r in rows if dot(c, v) == r]
+        assert len(rref(active)[1]) == 3
 
 
 coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)

@@ -109,3 +109,28 @@ def test_package_modules_read_every_import():
         if found:
             problems[path.name] = found
     assert problems == {}
+
+
+def imported_modules(source: str, filename: str) -> set[str]:
+    """Top-level names of every module imported anywhere in the source."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_detector_finds_imports_in_function_bodies():
+    source = ("from random import Random\n\n"
+              "def f():\n    import os.path\n    from .core import x\n    return x\n")
+    assert imported_modules(source, "probe.py") == {"random", "os"}
+
+
+def test_only_the_fuzzer_and_the_suite_draw_random_numbers():
+    """Exact checks decide their contracts; seeded randomness belongs to the
+    table fuzzer and the suite's sampled checks, not to a decision route."""
+    users = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if "random" in imported_modules(path.read_text(), str(path)))
+    assert users == ["fuzz.py", "suite.py"]
