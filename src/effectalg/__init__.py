@@ -4,7 +4,7 @@ Core objects: validated partial sum tables (FiniteEffectAlgebra), catalog
 constructions, exact state polytopes with extremal-state enumeration,
 endomorphism classification (state-operators and their strong / join-preserving
 variants), interval algebras over concrete po-groups, and the finite
-state-space / affine-function duality with its round-trip laws.
+state-space / affine-function duality with its functors and morphism checks.
 """
 
 from .catalog import (CatalogSpec, build_boolean, build_catalog, build_chain,
@@ -14,8 +14,7 @@ from .core import (AxiomViolation, EffectAlgebraError, FiniteEffectAlgebra,
                    GuardExceeded, derive_order, is_isomorphic, validate_axioms)
 from .duality import (AffineFunctionAlgebra, FiniteSimplex, PullbackOperator,
                       VertexMap, affine_functor, check_simplex_morphism,
-                      check_state_morphism, embedding_intertwines, evaluation_map,
-                      round_trip_check, state_functor)
+                      check_state_morphism, evaluation_map, state_functor)
 from .mv import MvStructure, mv_operations, mv_state_axioms
 from .operators import (InducedStateMap, OperatorProfile, check_esp,
                         classify_operator, coordinate_repeat_maps,
@@ -26,10 +25,9 @@ from .operators import (InducedStateMap, OperatorProfile, check_esp,
 from .pogroup import (ExtensionReport, IntervalAlgebra, PoGroupSpec,
                       extend_endomorphism, extremal_states, group_leq,
                       materialize)
-from .states import (EvaluationImage, OrderingReport, StatePolytope,
-                     clan_closure_witness, compute_states, discrete_profile,
-                     evaluation_image, is_order_determining, is_state,
-                     sampled_order_report)
+from .states import (OrderingReport, StatePolytope, clan_closure_witness,
+                     compute_states, discrete_profile, is_order_determining,
+                     is_state, sampled_order_report)
 from .structure import (StructureReport, check_interpolation, check_rdp,
                         classify_lattice, enumerate_ideals, structure_report)
 

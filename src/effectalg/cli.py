@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Subcommands: validate, analyze, states, operators (each reads a structure
+file) and paper-suite.  Every report is one JSON document.
+
 Exit codes: 0 all checks passed, 1 a check failed (including axiom violations),
 2 usage errors, malformed files, or exceeded size guards, 3 an internal error
 (an unexpected exception, reported as one line on stderr).
@@ -11,7 +14,7 @@ import argparse
 import sys
 
 from .core import AxiomViolation, GuardExceeded, raw_triples
-from .io import dump_report, load_simplex, load_structure, polytope_to_dict
+from .io import dump_report, load_structure, polytope_to_dict
 from .operators import (classify_operator, enumerate_endomorphisms, induced_state_map,
                         power)
 from .states import compute_states, discrete_profile, is_order_determining
@@ -40,9 +43,6 @@ def _parser() -> argparse.ArgumentParser:
     o.add_argument("--n", type=int, default=None,
                    help="also report whether each operator is n-potent")
     o.add_argument("--guard-endos", type=int, default=2_000_000)
-
-    d = sub.add_parser("duality", help="round-trip report for a simplex file")
-    d.add_argument("--input", required=True)
 
     ps = sub.add_parser("paper-suite", help="run the standing verification suite")
     ps.add_argument("--seed", type=int, default=0)
@@ -103,17 +103,6 @@ def cmd_operators(args) -> tuple[dict, int]:
     return {"count": len(endos), "operators": items}, 0
 
 
-def cmd_duality(args) -> tuple[dict, int]:
-    from .duality import evaluation_map, round_trip_check
-    sx, g = load_simplex(args.input)
-    rep = round_trip_check(sx, g)
-    ev = evaluation_map(sx)
-    out = rep.to_dict()
-    out["evaluation_bijection"] = ev.bijection
-    out["vertices"] = list(sx.labels)
-    return out, 0 if rep.passed and ev.bijection else 1
-
-
 def cmd_paper_suite(args) -> tuple[dict, int]:
     results = run_suite(seed=args.seed)
     failed = [r.name for r in results if not r.passed]
@@ -130,7 +119,6 @@ def main(argv=None) -> int:
         "analyze": cmd_analyze,
         "states": cmd_states,
         "operators": cmd_operators,
-        "duality": cmd_duality,
         "paper-suite": cmd_paper_suite,
     }
     try:

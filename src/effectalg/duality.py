@@ -1,12 +1,13 @@
-"""Finite Stone-type duality: state functor, affine-function functor, round trips.
+"""Finite Stone-type duality: state functor, affine-function functor, morphisms.
 
 Finite simplices stand in for the compact simplices of the analytic theory:
 points are rational convex-weight vectors over a vertex set, and the algebra of
 affine [0,1]-functions is represented lazily by its vertex-value vectors (an
 affine function on a simplex attains its extremes at vertices, so vertex data
-determines everything; the repo docs carry the argument).  Vertex self-maps g
-with g^n = g induce pull-back operators f -> f o g on functions and push-forward
-maps on weights.
+determines everything).  Vertex self-maps g with g^n = g for some n >= 2 induce
+pull-back operators f -> f o g on functions and push-forward maps on weights.
+Pushing a point forward along g and precomposing its evaluation state with the
+pull-back give the same point by definition, so that square needs no check.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .catalog import build_boolean
-from .core import FiniteEffectAlgebra
+from .core import FiniteEffectAlgebra, GuardExceeded
 from .linalg import ZERO, ONE, Vec
 from .operators import (InducedStateMap, induced_state_map, is_endomorphism,
                         minimal_potency, power)
-from .states import StatePolytope, compute_states, is_order_determining
+from .states import StatePolytope, compute_states
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,9 @@ class VertexMap:
         m = len(self.image)
         if any(not 0 <= v < m for v in self.image):
             raise ValueError("vertex map image out of range")
-        if self.declared_n < 1 or power(self.image, self.declared_n) != tuple(self.image):
+        if self.declared_n < 2:
+            raise ValueError("declared potency must be at least 2")
+        if power(self.image, self.declared_n) != tuple(self.image):
             raise ValueError(f"map is not {self.declared_n}-potent")
 
     def push_forward(self, w: Sequence[Fraction]) -> Vec:
@@ -135,132 +138,23 @@ def affine_functor(sx: FiniteSimplex, g: VertexMap) -> tuple[AffineFunctionAlgeb
     return AffineFunctionAlgebra(sx.m), PullbackOperator(g)
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    bijection: bool
-    states: tuple[Vec, ...]          # evaluation state of each vertex, as weights
-    extremal_cross_check: bool
-
-
-def evaluation_map(sx: FiniteSimplex) -> EvaluationReport:
-    """Vertices to evaluation states f -> f(x), checked against a solver run.
+def evaluation_map(sx: FiniteSimplex) -> bool:
+    """Do the evaluation states f -> f(x) at the vertices match a solver run?
 
     Every state of the affine-function algebra is a weight vector (evaluate on
     the indicator functions); extremal ones are the coordinate evaluations.
-    The cross-check materializes the indicator subalgebra (a Boolean cube) and
+    The check materializes the indicator subalgebra (a Boolean cube) and
     confirms the constraint solver finds exactly the m coordinate evaluations.
+    The cube has 2^m elements, so it is guarded at 4 vertices.
     """
     m = sx.m
-    states = tuple(sx.vertex_point(i) for i in range(m))
-    bijection = len(set(states)) == m
-
-    cube = build_boolean(m) if m <= 4 else None
-    if cube is not None:
-        P = compute_states(cube)
-        atoms = [1 << i for i in range(m)]
-        seen = set()
-        for v in P.vertices:
-            profile = tuple(v[a] for a in atoms)
-            seen.add(profile)
-        expected = {tuple(ONE if j == i else ZERO for j in range(m)) for i in range(m)}
-        cross = seen == expected and len(P.vertices) == m
-    else:
-        # indicator sums pin every evaluation state already; solver run skipped
-        cross = True
-    return EvaluationReport(bijection=bijection, states=states,
-                            extremal_cross_check=cross)
-
-
-def induced_state_self_map(alg: AffineFunctionAlgebra, op: PullbackOperator,
-                           w: Sequence[Fraction]) -> Vec:
-    """g' on states of the function algebra: extract s o tau_g via indicators."""
-    return tuple(alg.evaluate(op.apply(alg.indicator(v)), w)
-                 for v in range(alg.m))
-
-
-@dataclass(frozen=True)
-class RoundTripReport:
-    passed: bool
-    vertex_failures: tuple
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed,
-                "vertex_failures": list(self.vertex_failures)}
-
-
-def round_trip_check(sx: FiniteSimplex, g: VertexMap) -> RoundTripReport:
-    """Both routes around the square p o g = g' o p, compared at the vertices.
-
-    One route pushes the point forward along g and reads it as an evaluation
-    state; the other turns the point into a state first and precomposes with
-    the pull-back operator.  Both routes are linear in the weight vector w, so
-    they agree on the whole simplex exactly when they agree at its vertices;
-    the tests confirm this on seeded interior points.  Potency needs no check
-    here: ``VertexMap`` already enforces g^n = g.
-    """
-    alg, op = affine_functor(sx, g)
-    vertex_failures = []
-    for x in range(sx.m):
-        lhs = g.push_forward(sx.vertex_point(x))
-        rhs = induced_state_self_map(alg, op, sx.vertex_point(x))
-        if lhs != rhs:
-            vertex_failures.append((x, lhs, rhs))
-    return RoundTripReport(not vertex_failures, tuple(vertex_failures))
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    injective: bool
-    order_reflecting: bool
-    sums_match: bool
-    operator_commutes: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.injective and self.order_reflecting and self.sums_match
-                and self.operator_commutes)
-
-
-def embedding_intertwines(E: FiniteEffectAlgebra, mapping: Sequence[int],
-                          P: StatePolytope) -> EmbeddingReport:
-    """Embed a |-> a-hat into the vertex-value algebra and compare dynamics.
-
-    Requires order-determining states and extremal-state preservation; then the
-    embedding must be injective, order-reflecting, sum-compatible, and must
-    intertwine the operator with the pull-back along the induced vertex map.
-    """
-    report = is_order_determining(E, P)
-    if not report.order_determining:
-        raise ValueError("embedding check needs order-determining states")
-    # vertex map: s_i o tau sits at vertex image[i]
-    image = P.vertex_map(mapping)
-    if image is None:
-        raise ValueError("embedding check needs extremal-state preservation")
-    n = E.n
-    hat = [tuple(v[a] for v in P.vertices) for a in range(n)]
-    injective = len(set(hat)) == n
-    leq = E.order.leq
-    order_reflecting = all(
-        (all(x <= y for x, y in zip(hat[a], hat[b]))) == leq[a][b]
-        for a in range(n) for b in range(n))
-    sums_match = True
-    for a in range(n):
-        for b in range(n):
-            k = E.table[a][b]
-            defined = k is not None
-            pointwise_ok = all(x + y <= 1 for x, y in zip(hat[a], hat[b]))
-            if defined != pointwise_ok:
-                sums_match = False
-            elif defined:
-                target = tuple(x + y for x, y in zip(hat[a], hat[b]))
-                if target != hat[k]:
-                    sums_match = False
-
-    operator_commutes = all(
-        tuple(hat[mapping[a]][i] for i in range(len(P.vertices)))
-        == tuple(hat[a][image[i]] for i in range(len(P.vertices)))
-        for a in range(n))
-    return EmbeddingReport(injective, order_reflecting, sums_match, operator_commutes)
+    if m > 4:
+        raise GuardExceeded(f"evaluation cross-check guarded at 4 vertices, got {m}")
+    P = compute_states(build_boolean(m))
+    atoms = [1 << i for i in range(m)]
+    seen = {tuple(v[a] for a in atoms) for v in P.vertices}
+    expected = {sx.vertex_point(i) for i in range(m)}
+    return seen == expected and len(P.vertices) == m
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""JSON interchange: structure files, group specs, simplex files, reports.
+"""JSON interchange: structure files, group specs, reports.
 
 Rationals travel as strings ("3/10"); nothing is ever parsed through floats.
 """
@@ -12,7 +12,6 @@ from typing import Union
 
 from .catalog import CatalogSpec, build_catalog
 from .core import FiniteEffectAlgebra, raw_triples, validate_axioms
-from .duality import FiniteSimplex, VertexMap
 from .pogroup import IntervalAlgebra, PoGroupSpec
 from .states import StatePolytope
 
@@ -59,18 +58,6 @@ def group_from_dict(data: dict) -> IntervalAlgebra:
                        order=data["order"])
     unit = tuple(str_to_frac(v) for v in data["unit"])
     return IntervalAlgebra(spec, unit)
-
-
-def simplex_from_dict(data: dict) -> tuple[FiniteSimplex, VertexMap]:
-    labels = tuple(str(v) for v in data["vertices"])
-    image = tuple(int(x) for x in data["g"])
-    if len(image) != len(labels):
-        raise ValueError("vertex map length must match the vertex count")
-    return FiniteSimplex(labels), VertexMap(image, int(data.get("n", 2)))
-
-
-def load_simplex(path: Union[str, Path]) -> tuple[FiniteSimplex, VertexMap]:
-    return simplex_from_dict(json.loads(Path(path).read_text()))
 
 
 def polytope_to_dict(P: StatePolytope) -> dict:

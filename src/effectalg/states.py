@@ -3,7 +3,9 @@
 A state assigns rational values s(a) in [0,1] with s(1) = 1 and s additive on
 defined sums.  The solution set is a bounded polytope; its vertices are the
 extremal states.  All arithmetic is Fraction; floating point is forbidden here
-because vertex dedup and value-set tests need decidable equality.
+because vertex dedup and value-set tests need decidable equality.  On top of
+the polytope sit the ordering report (order determination and separation),
+discrete profiles, and the clan-closure test of the evaluation image a |-> a-hat.
 """
 
 from __future__ import annotations
@@ -189,7 +191,9 @@ def is_order_determining(E: FiniteEffectAlgebra, P: StatePolytope) -> OrderingRe
     """Does a <= b hold exactly when s(a) <= s(b) for every extremal state?
 
     Vertices suffice: every state is a convex combination of them.  Also reports
-    the weaker separation property (equal under all states implies equal).
+    the weaker separation property (equal under all states implies equal), which
+    order determination implies: equal value vectors give a <= b <= a, so a = b.
+    This is the one test of whether a |-> a-hat is an order embedding.
     """
     leq = E.order.leq
     values = [tuple(v[a] for v in P.vertices) for a in range(E.n)]
@@ -214,50 +218,6 @@ def discrete_profile(vec: Sequence[Fraction]) -> int:
     for x in vec:
         out = lcm(out, Fraction(x).denominator)
     return out
-
-
-@dataclass(frozen=True)
-class EvaluationImage:
-    """Per element a, the vector of extremal-state values (the function a-hat)."""
-
-    vectors: tuple[Vec, ...]              # indexed like E
-    kernel_pairs: tuple[tuple[int, int], ...]   # distinct elements with equal vectors
-    sum_well_defined: bool                # pointwise sums of images never clash
-
-
-def evaluation_image(E: FiniteEffectAlgebra, P: StatePolytope) -> EvaluationImage:
-    n = E.n
-    vectors = tuple(tuple(v[a] for v in P.vertices) for a in range(n))
-    kernel = tuple((a, b) for a in range(n) for b in range(a + 1, n)
-                   if vectors[a] == vectors[b])
-    by_vec: dict[tuple, set[tuple]] = {}
-    ok = True
-    for i, j, k in E.triples:
-        target = tuple(x + y for x, y in zip(vectors[i], vectors[j]))
-        by_vec.setdefault(target, set()).add(vectors[k])
-    for targets in by_vec.values():
-        if len(targets) > 1:
-            ok = False
-    return EvaluationImage(vectors=vectors, kernel_pairs=kernel, sum_well_defined=ok)
-
-
-def image_order_isomorphic(E: FiniteEffectAlgebra, P: StatePolytope) -> bool:
-    """Is a |-> a-hat injective and order-reflecting onto its image?
-
-    Computed from the image vectors alone; compared elsewhere against the
-    order-determination test, which must agree with it.
-    """
-    img = evaluation_image(E, P)
-    if img.kernel_pairs:
-        return False
-    leq = E.order.leq
-    vecs = img.vectors
-    for a in range(E.n):
-        for b in range(E.n):
-            pointwise = all(x <= y for x, y in zip(vecs[a], vecs[b]))
-            if pointwise != leq[a][b]:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -299,8 +259,7 @@ def clan_closure_witness(hat_vectors: Sequence[Vec],
 
 def finite_clan_engine(E: FiniteEffectAlgebra, P: StatePolytope):
     """hat-vectors plus exhaustive preimage search inside a finite algebra."""
-    img = evaluation_image(E, P)
-    vectors = img.vectors
+    vectors = tuple(tuple(v[a] for v in P.vertices) for a in range(E.n))
 
     def preimage(target):
         for a, v in enumerate(vectors):

@@ -7,17 +7,17 @@ raw tables list their sums out of row-major order, so witnesses that depend on
 the order of the input pairs are pinned too.
 """
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from effectalg.cli import main
+from effectalg.cli import _parser, main
 
 SQUARE = {"catalog": {"kind": "product", "factors": [{"kind": "chain", "n": 2},
                                                      {"kind": "chain", "n": 2}]}}
 BOOLEAN3 = {"catalog": {"kind": "boolean", "k": 3}}
-SIMPLEX = {"vertices": ["a", "b", "c", "d"], "g": [1, 2, 0, 3], "n": 4}
 # even_subsets(4) relabeled along [0, 5, 3, 6, 1, 4, 2, 7], sums by descending
 # value; RDP fails with witness [3, 4, 2, 5] here and [1, 6, 2, 5] in row-major order
 EVEN4_RELABELED = {
@@ -67,10 +67,8 @@ CASES = {
         "0c3974742639561de35abf8e763beb129fb631ed68868f6f6fc690cb7d944eb3"),
     "operators-boolean3": (BOOLEAN3, ["operators", "--n", "3"], 0,
         "5e3713c7d3f0ec7bf7ad87017e8755fb74eaa40e3a45de5ceb0d7f664fbad654"),
-    "duality-simplex": (SIMPLEX, ["duality"], 0,
-        "25831b77b936c6222e04daf309846199dfb05935dd77586e2aea91c939103a45"),
     "paper-suite": (None, ["paper-suite"], 0,
-        "9b28969a4a6a07a40c7daa9db09625001fcd4d434f5a29307e2c9becd18af16d"),
+        "74cd5f603f71898feeee65167f12c44915fc09f3a01e28c11562fbc0f62188f3"),
     "analyze-even4-relabeled": (EVEN4_RELABELED, ["analyze"], 0,
         "1d887e8ce8f45e22ae85254f4a20bc8ffc3097edbffadb1d658d5e8e847ad1d2"),
     "validate-square-asymmetric": (SQUARE_ASYMMETRIC, ["validate"], 1,
@@ -96,3 +94,12 @@ def test_cli_report_digest(case, tmp_path, capsys):
     code, out = cli_stdout(tmp_path, capsys, data, argv)
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_subcommand_has_a_golden_case():
+    """A subcommand without a pinned report, or a case for a subcommand that is
+    gone, fails here."""
+    subparsers = next(a for a in _parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {argv[0] for _data, argv, _code, _digest
+                                       in CASES.values()}

@@ -8,7 +8,7 @@ import pytest
 from effectalg.catalog import build_boolean, build_chain
 from effectalg.cli import main
 from effectalg.io import (group_from_dict, load_structure, polytope_to_dict,
-                          save_structure, simplex_from_dict, str_to_frac,
+                          save_structure, str_to_frac,
                           structure_from_dict, structure_to_dict)
 from effectalg.states import StatePolytope
 from tables import sums_dict
@@ -48,11 +48,6 @@ def test_group_file():
     alg = group_from_dict({"rank": 2, "scalars": "Q", "order": "strict",
                            "unit": ["1", "1"]})
     assert alg.contains(("3/10", "3/10"))
-
-
-def test_simplex_file():
-    sx, g = simplex_from_dict({"vertices": ["a", "b"], "g": [1, 0], "n": 3})
-    assert sx.m == 2 and g.declared_n == 3
 
 
 def run_cli(capsys, *argv):
@@ -101,14 +96,6 @@ def test_cli_operators(tmp_path, capsys):
     assert sorted(pots) == [2, 2, 2, 3]
 
 
-def test_cli_duality(tmp_path, capsys):
-    path = tmp_path / "swap.json"
-    path.write_text(json.dumps({"vertices": ["x", "y"], "g": [1, 0], "n": 3}))
-    code, out = run_cli(capsys, "duality", "--input", str(path))
-    assert code == 0
-    assert json.loads(out)["passed"]
-
-
 def test_cli_usage_error(tmp_path, capsys):
     code = main(["states", "--input", str(tmp_path / "missing.json")])
     assert code == 2
@@ -123,11 +110,9 @@ def test_cli_guard_error(tmp_path, capsys):
     assert out["ideals"] is None and out["ideal_count"] == -1
 
 
-def test_cli_deterministic_output(tmp_path, capsys):
-    path = tmp_path / "sx.json"
-    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "g": [2, 2, 2], "n": 2}))
-    _code, out1 = run_cli(capsys, "duality", "--input", str(path))
-    _code, out2 = run_cli(capsys, "duality", "--input", str(path))
+def test_cli_deterministic_output(capsys):
+    _code, out1 = run_cli(capsys, "paper-suite")
+    _code, out2 = run_cli(capsys, "paper-suite")
     assert out1 == out2
 
 
