@@ -1,12 +1,13 @@
 """Exact linear algebra over rationals.
 
-Everything here works on plain Python lists/tuples of Fraction; no floats.
+The elimination works on sparse integer rows; Fractions appear only in what it
+returns.  No floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -15,38 +16,32 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    acc = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            acc += x * y
-    return acc
+def _integer_row(row: Sequence[Fraction], rhs: Fraction, nvars: int) -> dict[int, int]:
+    """``row . x = rhs`` as a primitive integer dict ``{column: coefficient}``, with
+    the right-hand side stored at column ``nvars``."""
+    entries = {j: x for j, x in enumerate(row) if x}
+    if rhs:
+        entries[nvars] = rhs
+    den = lcm(*(x.denominator for x in entries.values()))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in entries.items()})
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a copy of ``rows``; returns (rref, pivot columns)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _cancel(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
+    """``pivot[col] * row - row[col] * pivot``, made primitive: zero at ``col``."""
+    a, b = pivot[col], row[col]
+    out = {j: a * x for j, x in row.items()}
+    for j, x in pivot.items():
+        v = out.get(j, 0) - b * x
+        if v:
+            out[j] = v
+        else:
+            out.pop(j, None)
+    return _primitive(out)
 
 
 def affine_parametrization(eq_rows: list[Sequence[Fraction]], eq_rhs: Sequence[Fraction],
@@ -55,44 +50,45 @@ def affine_parametrization(eq_rows: list[Sequence[Fraction]], eq_rhs: Sequence[F
 
     Returns None when inconsistent, otherwise ``(c, free_cols, basis)`` so that the
     solution set is ``x = c + sum_j t_j * basis[j]`` with one basis vector per free
-    column and ``basis[j][free_cols[j]] == 1``.
+    column and ``basis[j][free_cols[j]] == 1``: the parametrization read off the
+    reduced row echelon form of ``[A | b]``.
+
+    Elimination is incremental and sparse, on primitive integer rows, and keeps
+    every pivot row free of the other pivot columns.  A new row is reduced at
+    the pivot columns in its support; a redundant row reduces to nothing, and a
+    row left with only its right-hand side means ``0 = nonzero``.  Otherwise its
+    leading column becomes a new pivot and is cleared from the earlier pivot
+    rows.  The leading column of any vector in the row space is a pivot column
+    of its reduced row echelon form, so the pivots found are exactly those, and
+    the pivot rows are that form's rows up to scaling.
     """
-    aug = [list(row) + [rhs] for row, rhs in zip(eq_rows, eq_rhs)]
-    if not aug:
-        c = tuple(ZERO for _ in range(nvars))
-        free = list(range(nvars))
-        basis = [tuple(ONE if i == f else ZERO for i in range(nvars)) for f in free]
-        return c, free, basis
-    red, pivots = rref(aug)
-    if nvars in pivots:
-        return None  # pivot in the rhs column: 0 = nonzero
-    pivot_set = set(pivots)
-    free = [c for c in range(nvars) if c not in pivot_set]
+    pivots: dict[int, dict[int, int]] = {}
+    for row, rhs in zip(eq_rows, eq_rhs):
+        r = _integer_row(row, rhs, nvars)
+        for p in [j for j in r if j in pivots]:
+            r = _cancel(r, pivots[p], p)
+        if not r:
+            continue
+        lead = min(r)
+        if lead == nvars:
+            return None
+        for p, other in pivots.items():
+            if lead in other:
+                pivots[p] = _cancel(other, r, lead)
+        pivots[lead] = r
+    free = [j for j in range(nvars) if j not in pivots]
     c_vec = [ZERO] * nvars
-    for r, p in enumerate(pivots):
-        c_vec[p] = red[r][nvars]
+    for p, r in pivots.items():
+        c_vec[p] = Fraction(r.get(nvars, 0), r[p])
     basis = []
     for f in free:
         col = [ZERO] * nvars
         col[f] = ONE
-        for r, p in enumerate(pivots):
-            col[p] = -red[r][f]
+        for p, r in pivots.items():
+            if f in r:
+                col[p] = Fraction(-r[f], r[p])
         basis.append(tuple(col))
     return tuple(c_vec), free, basis
-
-
-def primitive(vec: Sequence[Fraction]) -> Vec:
-    """Scale a rational vector to a primitive integer vector (positive multiple)."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
 
 
 # Small dense integer-matrix helpers (used for group endomorphism extensions).

@@ -9,176 +9,201 @@ independent routes are provided:
 * ``active_set_vertices`` - brute force over all d-subsets of rows, keeping the
   feasible solutions whose active set has full rank.
 
-Both return the same lexicographically sorted vertex list on bounded inputs; the
-second is the reference oracle for the first.
+Both take and return Fractions but compute in integers: rows are scaled to
+primitive integer vectors, and Fractions are formed only for the returned
+vertices.  They return the same lexicographically sorted vertex list on
+bounded inputs; the second is the reference oracle for the first, and the two
+share no code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd, lcm
+from operator import mul
 
 from .core import GuardExceeded
-from .linalg import ZERO, ONE, dot, primitive
-
-Row = tuple[tuple[Fraction, ...], Fraction]
 
 
-def normalize_row(coeffs, rhs) -> Row:
-    """Canonical integer form of ``coeffs . t >= rhs`` (positive scaling only)."""
-    vec = primitive(tuple(coeffs) + (rhs,))
-    return vec[:-1], vec[-1]
-
-
-def dedupe_rows(rows) -> list[Row]:
-    seen = set()
-    out = []
+def _primitive_halfspaces(rows) -> list[tuple[int, ...]]:
+    """Each row ``coeffs . t >= rhs`` as the primitive integer vector
+    ``(coeffs, -rhs)``, deduplicated in first-seen order."""
+    out = {}
     for coeffs, rhs in rows:
-        key = normalize_row(coeffs, rhs)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
-
-
-def _check_constant_rows(rows):
-    """Split off rows with zero coefficients; returns (real rows, feasible)."""
-    real = []
-    for coeffs, rhs in rows:
-        if any(coeffs):
-            real.append((coeffs, rhs))
-        elif rhs > 0:
-            return [], False
-    return real, True
+        vec = (*coeffs, -rhs)
+        den = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (den // x.denominator) for x in vec]
+        g = gcd(*ints) or 1
+        out.setdefault(tuple(v // g for v in ints), None)
+    return list(out)
 
 
 def dd_vertices(rows, dim: int, guard_dim: int = 14):
-    """Vertices via double description over the homogenization cone."""
-    rows = dedupe_rows(rows)
-    rows, feasible = _check_constant_rows(rows)
-    if not feasible:
-        return []
+    """Vertices via double description over the homogenization cone.
+
+    Rays are primitive integer vectors ``(t, h)`` and satisfy row m as
+    ``m . ray >= 0``; each ray's zero set is an int bitmask over the rows seen so
+    far.  Following Fukuda & Prodon (1996), two rays are adjacent when no third
+    ray is zero wherever both are; the test runs only when their zero sets share
+    at least ``dim - 1`` rows, as ANDs of per-row bitmasks over the rays.  The
+    ray that the pair spans on the new row's hyperplane has zero set
+    ``common | bit(row)``: it is a positive combination of two rays that satisfy
+    every earlier row, so it is zero exactly where both are.
+    """
+    hom_rows = []
+    for vec in _primitive_halfspaces(rows):
+        if any(vec[:-1]):
+            hom_rows.append(vec)
+        elif vec[-1] < 0:                      # 0 >= positive rhs
+            return []
     if dim == 0:
         return [()]
     if dim > guard_dim:
         raise GuardExceeded(f"double description guarded at {guard_dim} free dimensions")
 
-    # Global row list: the box cone rows first, then the homogenized input rows.
-    # A ray y = (t, h) satisfies row m as m . y >= 0.
-    box_rows = []
+    # Global row list: the box cone rows first (row 2j is t_j >= 0, row 2j+1 is
+    # h - t_j >= 0), then the input rows that are not box rows.
+    box_rows = set()
     for j in range(dim):
-        lo = [ZERO] * (dim + 1)
-        lo[j] = ONE
-        box_rows.append(tuple(lo))                   # t_j >= 0
-        hi = [ZERO] * (dim + 1)
-        hi[j] = -ONE
-        hi[dim] = ONE
-        box_rows.append(tuple(hi))                   # h - t_j >= 0
-    hom_rows = [tuple(coeffs) + (-rhs,) for coeffs, rhs in rows]
-    all_rows = box_rows + [r for r in hom_rows if r not in set(box_rows)]
+        lo = [0] * (dim + 1)
+        lo[j] = 1
+        hi = [0] * (dim + 1)
+        hi[j] = -1
+        hi[dim] = 1
+        box_rows.update((tuple(lo), tuple(hi)))
+    new_rows = [r for r in hom_rows if r not in box_rows]
 
-    rays = [primitive(tuple(Fraction(b) for b in bits) + (ONE,))
-            for bits in product((0, 1), repeat=dim)]
+    rays = []
+    zsets = []
+    for bits in product((0, 1), repeat=dim):
+        rays.append((*bits, 1))
+        zsets.append(sum(1 << (2 * j + b) for j, b in enumerate(bits)))
 
-    def zero_set(ray, upto):
-        return frozenset(i for i in range(upto) if dot(all_rows[i], ray) == 0)
-
-    processed = len(box_rows)
-    zsets = [zero_set(r, processed) for r in rays]
-
-    for idx in range(processed, len(all_rows)):
-        m = all_rows[idx]
-        vals = [dot(m, r) for r in rays]
+    for offset, m in enumerate(new_rows):
+        bit = 1 << (2 * dim + offset)
+        support = [(c, a) for c, a in enumerate(m) if a]
+        vals = [sum(a * ray[c] for c, a in support) for ray in rays]
         if all(v >= 0 for v in vals):
-            zsets = [z | {idx} if vals[i] == 0 else z for i, z in enumerate(zsets)]
+            zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
             continue
         plus = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
-        new_rays = []
-        new_zsets = []
-        for i in plus + zero:
-            new_rays.append(rays[i])
-            new_zsets.append(zsets[i] | {idx} if vals[i] == 0 else zsets[i])
-        seen = set(new_rays)
+        new_rays = [rays[i] for i in plus]
+        new_zsets = [zsets[i] for i in plus]
+        for i, v in enumerate(vals):
+            if v == 0:
+                new_rays.append(rays[i])
+                new_zsets.append(zsets[i] | bit)
+        # For each row bit, the rays zero on it, as a bitmask over ray indices.
+        zero_rays = {}
+        every_ray = (1 << len(rays)) - 1
+        for k, z in enumerate(zsets):
+            while z:
+                low = z & -z
+                zero_rays[low] = zero_rays.get(low, 0) | (1 << k)
+                z ^= low
         for ip in plus:
+            zp = zsets[ip]
+            rp = rays[ip]
+            vp = vals[ip]
             for im in minus:
-                common = zsets[ip] & zsets[im]
-                adjacent = not any(
-                    k != ip and k != im and common <= zsets[k]
-                    for k in range(len(rays)))
-                if not adjacent:
+                common = zp & zsets[im]
+                if common.bit_count() < dim - 1:
                     continue
-                combined = primitive(tuple(
-                    vals[ip] * rays[im][c] - vals[im] * rays[ip][c]
-                    for c in range(dim + 1)))
-                if combined in seen:
+                # Adjacent when no third ray is zero on every row of ``common``.
+                pair = (1 << ip) | (1 << im)
+                shared = every_ray
+                rest = common
+                while rest and shared != pair:
+                    low = rest & -rest
+                    shared &= zero_rays[low]
+                    rest ^= low
+                if shared != pair:
                     continue
-                seen.add(combined)
-                new_rays.append(combined)
-                new_zsets.append(zero_set(combined, idx + 1))
+                vm = vals[im]
+                ray = [vp * y - vm * x for x, y in zip(rp, rays[im])]
+                g = gcd(*ray)
+                new_rays.append(tuple(x // g for x in ray))
+                new_zsets.append(common | bit)
         rays = new_rays
         zsets = new_zsets
         if not rays:
-            break
+            return []
 
     verts = set()
     for ray in rays:
         h = ray[dim]
         if h == 0:
             raise AssertionError("unbounded direction in a boxed system")
-        verts.add(tuple(x / h for x in ray[:dim]))
+        verts.add(tuple(Fraction(x, h) for x in ray[:dim]))
     return sorted(verts)
 
 
-def _solve_square(subset, dim: int):
-    """Gaussian elimination on a dim x dim system; None when singular."""
-    m = [list(coeffs) + [rhs] for coeffs, rhs in subset]
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        prow = m[col]
-        pval = prow[col]
-        for r in range(col + 1, dim):
-            f = m[r][col]
-            if f:
-                f /= pval
-                row = m[r]
-                for c2 in range(col, dim + 1):
-                    row[c2] -= f * prow[c2]
-    sol = [ZERO] * dim
+def _bareiss_solve(subset, dim: int):
+    """Fraction-free solution ``(num, den)`` of a dim x dim integer system, with
+    ``den > 0`` the absolute determinant; None when singular."""
+    m = [[*coeffs, rhs] for coeffs, rhs in subset]
+    prev = 1
+    for k in range(dim):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, dim) if m[r][k]), None)
+            if swap is None:
+                return None
+            m[k], m[swap] = m[swap], m[k]
+        pk = m[k]
+        akk = pk[k]
+        for r in range(k + 1, dim):
+            row = m[r]
+            ark = row[k]
+            for c in range(k + 1, dim + 1):
+                row[c] = (akk * row[c] - ark * pk[c]) // prev
+            row[k] = 0
+        prev = akk
+    det = m[dim - 1][dim - 1]
+    # Back substitution scaled by det: num[r] = det * x[r] is an integer (Cramer).
+    num = [0] * dim
     for r in range(dim - 1, -1, -1):
-        acc = m[r][dim]
         row = m[r]
-        for c2 in range(r + 1, dim):
-            if row[c2]:
-                acc -= row[c2] * sol[c2]
-        sol[r] = acc / row[r]
-    return tuple(sol)
+        acc = row[dim] * det - sum(row[c] * num[c] for c in range(r + 1, dim))
+        num[r] = acc // row[r]
+    if det < 0:
+        return [-x for x in num], -det
+    return num, det
 
 
 def active_set_vertices(rows, dim: int, guard_systems: int = 2_000_000):
-    """Reference oracle: solve every d-subset of rows and keep feasible basic points."""
-    rows = dedupe_rows(rows)
-    rows, feasible = _check_constant_rows(rows)
-    if not feasible:
-        return []
+    """Reference oracle: solve every d-subset of rows and keep feasible basic points.
+
+    Each d x d system is solved fraction-free (Bareiss 1968): the solution is
+    ``num / den`` with integer ``num`` and ``den > 0``, and a row is satisfied
+    when ``coeffs . num >= rhs * den``.
+    """
+    scaled = set()
+    for coeffs, rhs in rows:
+        vec = (*coeffs, rhs)
+        den = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (den // x.denominator) for x in vec]
+        g = gcd(*ints) or 1
+        scaled.add(tuple(x // g for x in ints))
+    int_rows = []
+    for *coeffs, rhs in sorted(scaled):
+        if any(coeffs):
+            int_rows.append((tuple(coeffs), rhs))
+        elif rhs > 0:
+            return []
     if dim == 0:
         return [()]
-    total = comb(len(rows), dim)
+    total = comb(len(int_rows), dim)
     if total > guard_systems:
         raise GuardExceeded(
             f"active-set oracle would solve {total} systems (guard {guard_systems})")
     verts = set()
-    for subset in combinations(rows, dim):
-        sol = _solve_square(subset, dim)
-        if sol is None:
+    for subset in combinations(int_rows, dim):
+        solved = _bareiss_solve(subset, dim)
+        if solved is None:
             continue
-        if all(dot(c, sol) >= r for c, r in rows):
-            verts.add(sol)
+        num, den = solved
+        if all(sum(map(mul, coeffs, num)) >= rhs * den for coeffs, rhs in int_rows):
+            verts.add(tuple(Fraction(x, den) for x in num))
     return sorted(verts)
-

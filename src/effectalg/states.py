@@ -2,10 +2,13 @@
 
 A state assigns rational values s(a) in [0,1] with s(1) = 1 and s additive on
 defined sums.  The solution set is a bounded polytope; its vertices are the
-extremal states.  All arithmetic is Fraction; floating point is forbidden here
-because vertex dedup and value-set tests need decidable equality.  On top of
-the polytope sit the ordering report (order determination and separation),
-discrete profiles, and the clan-closure test of the evaluation image a |-> a-hat.
+extremal states.  The kernels work on integers and sparse rows: elimination on
+sparse integer rows, double description on integer rays, and the vertex
+rebuild over one common denominator; Fractions appear only at the API
+boundary.  Floating point is forbidden here because vertex dedup and value-set
+tests need decidable equality.  On top of the polytope sit the ordering report
+(order determination and separation), discrete profiles, and the clan-closure
+test of the evaluation image a |-> a-hat.
 """
 
 from __future__ import annotations
@@ -118,8 +121,9 @@ def compute_states(E: FiniteEffectAlgebra, method: str = "dd",
 
     Gaussian elimination reduces the equalities to an affine parametrization;
     the box constraints on every coordinate become halfspaces in the free
-    variables; ``method`` picks the vertex enumerator ("dd" or "oracle").
-    An empty vertex list means the algebra admits no states at all.
+    variables; ``method`` picks the vertex enumerator ("dd" or "oracle").  The
+    vertices are rebuilt from the t-vertices in integers.  An empty vertex list
+    means the algebra admits no states at all.
     """
     n = E.n
     eq_rows, eq_rhs = state_equalities(E)
@@ -149,11 +153,22 @@ def compute_states(E: FiniteEffectAlgebra, method: str = "dd",
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    verts = set()
+    # s = c + sum_j t_j * basis[j] in integers, over the common denominator
+    # D * L of c and the basis (D) and of every t-vertex (L), so that integer
+    # tuples sort as the Fraction vertices do.
+    D = lcm(*(x.denominator for x in c), *(x.denominator for b in basis for x in b))
+    c_int = [x.numerator * (D // x.denominator) for x in c]
+    columns = [[(j, b[i].numerator * (D // b[i].denominator)) for j, b in enumerate(basis)
+                if b[i]] for i in range(n)]
+    L = lcm(*(x.denominator for t in tverts for x in t))
+    ints = []
     for t in tverts:
-        s = tuple(c[i] + sum(basis[j][i] * t[j] for j in range(d)) for i in range(n))
-        verts.add(s)
-    return StatePolytope(size=n, vertices=tuple(sorted(verts)), free_dim=d)
+        t_int = [x.numerator * (L // x.denominator) for x in t]
+        ints.append(tuple(ci * L + sum(b * t_int[j] for j, b in col)
+                          for ci, col in zip(c_int, columns)))
+    den = D * L
+    vertices = tuple(tuple(Fraction(x, den) for x in s) for s in sorted(ints))
+    return StatePolytope(size=n, vertices=vertices, free_dim=d)
 
 
 @dataclass(frozen=True)

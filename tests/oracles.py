@@ -1,4 +1,6 @@
-"""Test-side second routes for the duality layer."""
+"""Test-side second routes: the duality layer's pull-back, and dense elimination."""
+
+from fractions import Fraction
 
 
 def induced_state_self_map(alg, op, w):
@@ -6,3 +8,51 @@ def induced_state_self_map(alg, op, w):
     precomposed with the pull-back ``op`` and read back through the indicator
     functions.  The pull-back route around the square p o g = g' o p."""
     return tuple(alg.evaluate(op.apply(alg.indicator(v)), w) for v in range(alg.m))
+
+
+def rref(rows):
+    """Dense reduced row echelon form of a copy of ``rows`` over Fraction;
+    returns (rref, pivot columns)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense_affine_parametrization(eq_rows, eq_rhs, nvars):
+    """``(c, free, basis)`` of ``A x = b`` read off the dense RREF of ``[A | b]``,
+    or None when inconsistent: the oracle for ``linalg.affine_parametrization``."""
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(eq_rows, eq_rhs)]
+    red, pivots = rref(aug)
+    if nvars in pivots:
+        return None
+    free = [j for j in range(nvars) if j not in pivots]
+    c = [Fraction(0)] * nvars
+    for r, p in enumerate(pivots):
+        c[p] = red[r][nvars]
+    basis = []
+    for f in free:
+        col = [Fraction(0)] * nvars
+        col[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            col[p] = -red[r][f]
+        basis.append(tuple(col))
+    return tuple(c), free, basis

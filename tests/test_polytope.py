@@ -1,11 +1,13 @@
 """Double description vs the brute-force active-set oracle."""
 
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from effectalg.linalg import dot, rref
 from effectalg.polytope import active_set_vertices, dd_vertices
+
+from oracles import rref
 
 
 def box_rows(d):
@@ -56,8 +58,9 @@ def test_zero_dimensional():
 def test_vertex_certificates():
     rows = box_rows(3) + [((F(1), F(1), F(1)), F(1))]
     for v in dd_vertices(rows, 3):
-        assert all(dot(c, v) >= r for c, r in rows)
-        active = [list(c) for c, r in rows if dot(c, v) == r]
+        values = [(sum(x * y for x, y in zip(c, v)), r) for c, r in rows]
+        assert all(value >= r for value, r in values)
+        active = [list(c) for (c, _r), (value, r) in zip(rows, values) if value == r]
         assert len(rref(active)[1]) == 3
 
 
@@ -74,3 +77,16 @@ def test_dd_matches_oracle_random(data):
         max_size=5))
     rows = box_rows(d) + [(tuple(c), r) for c, r in extra]
     assert dd_vertices(rows, d) == active_set_vertices(rows, d)
+
+
+def test_dd_matches_oracle_on_random_cuts_in_four_and_five_dimensions():
+    """Faults in the zero-set bookkeeping of double description show only once
+    rays carry several cut rows, from dimension 4 on."""
+    rng = random.Random(20240913)
+    for _ in range(60):
+        d = rng.randint(4, 5)
+        cuts = [(tuple(F(rng.randint(-2, 2)) for _ in range(d)),
+                 F(rng.randint(-3, 2), rng.randint(1, 2)))
+                for _ in range(rng.randint(1, 6))]
+        rows = box_rows(d) + cuts
+        assert dd_vertices(rows, d) == active_set_vertices(rows, d)

@@ -7,11 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
+from effectalg.fuzz import random_algebra
+from effectalg.linalg import affine_parametrization
 from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extremal_states,
                                group_leq, strict_plane_preimage)
+from effectalg.polytope import dd_vertices
 from effectalg.states import (StatePolytope, clan_closure_witness, compute_states,
                               discrete_profile, finite_clan_engine, is_order_determining,
-                              is_state, sampled_order_report)
+                              is_state, sampled_order_report, state_equalities)
+
+from oracles import dense_affine_parametrization
 
 
 def test_chain2_single_state():
@@ -212,3 +217,79 @@ def test_dd_matches_oracle_on_catalog():
     for _name, E in small_catalog():
         assert compute_states(E, method="dd").vertices == \
             compute_states(E, method="oracle").vertices
+
+
+def test_sparse_elimination_matches_dense_rref():
+    """The sparse integer elimination returns exactly the dense RREF's
+    ``(c, free, basis)``, or None with it, on the state equalities of the
+    catalog, 200 random tables and the elimination-heavy large algebras."""
+    rng = random.Random(20240913)
+    algebras = [E for _name, E in small_catalog(9)]
+    algebras += [random_algebra(rng, max_elements=9)[1] for _ in range(200)]
+    algebras += [build_chain(48), build_boolean(6), build_even_subsets(6),
+                 horizontal_sum([build_boolean(3)] * 5)]
+    assert len(algebras) == 221
+    for E in algebras:
+        rows, rhs = state_equalities(E)
+        assert affine_parametrization(rows, rhs, E.n) == \
+            dense_affine_parametrization(rows, rhs, E.n)
+
+
+sparse_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_elimination_matches_dense_rref_on_random_systems(data):
+    """Random systems with at most 3 nonzeros per row; with ``clash`` a row is
+    repeated with a shifted right-hand side, so the system is inconsistent."""
+    nvars = data.draw(st.integers(min_value=1, max_value=6))
+    entries = st.dictionaries(st.integers(min_value=0, max_value=nvars - 1), sparse_coeff,
+                              max_size=3)
+    sparse = data.draw(st.lists(st.tuples(entries, sparse_coeff), max_size=8))
+    rows = [[row.get(j, F(0)) for j in range(nvars)] for row, _rhs in sparse]
+    rhs = [b for _row, b in sparse]
+    clash = bool(rows) and data.draw(st.booleans())
+    if clash:
+        k = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows.append(list(rows[k]))
+        rhs.append(rhs[k] + 1)
+    result = affine_parametrization(rows, rhs, nvars)
+    assert result == dense_affine_parametrization(rows, rhs, nvars)
+    if clash:
+        assert result is None
+
+
+def test_size_ceiling_chain128_and_six_boolean_cubes():
+    for E, count, free_dim in ((build_chain(128), 1, 0),
+                               (horizontal_sum([build_boolean(3)] * 6), 3 ** 6, 12)):
+        P = compute_states(E)
+        assert (len(P.vertices), P.free_dim) == (count, free_dim)
+        assert all(is_state(E, v) for v in P.vertices)
+
+
+def fraction_rebuild(E):
+    """The vertices as Fraction sums ``c + sum_j t_j * basis[j]`` over the
+    t-vertices of ``dd_vertices``: the glue of ``compute_states`` done the slow way."""
+    eq_rows, eq_rhs = state_equalities(E)
+    c, free, basis = affine_parametrization(eq_rows, eq_rhs, E.n)
+    d = len(free)
+    rows = []
+    for i in range(E.n):
+        coeffs = tuple(b[i] for b in basis)
+        if any(coeffs):
+            rows.append((coeffs, -c[i]))
+            rows.append((tuple(-x for x in coeffs), c[i] - 1))
+    verts = {tuple(c[i] + sum(basis[j][i] * t[j] for j in range(d)) for i in range(E.n))
+             for t in dd_vertices(rows, d)}
+    return tuple(sorted(verts))
+
+
+def test_integer_glue_matches_fraction_rebuild():
+    """The double-description and oracle routes share the glue, so their
+    agreement cannot catch a fault in it; this checks it on the benchmark's
+    state roster."""
+    roster = [build_chain(48), build_boolean(6), build_even_subsets(6),
+              horizontal_sum([build_boolean(3)] * 5), horizontal_sum([build_boolean(2)] * 10)]
+    for E in roster:
+        assert compute_states(E).vertices == fraction_rebuild(E)

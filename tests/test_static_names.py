@@ -134,3 +134,34 @@ def test_only_the_fuzzer_and_the_suite_draw_random_numbers():
     users = sorted(path.name for path in PACKAGE.glob("*.py")
                    if "random" in imported_modules(path.read_text(), str(path)))
     assert users == ["fuzz.py", "suite.py"]
+
+
+def float_uses(source: str, filename: str) -> list[tuple[int, str]]:
+    """(line, text) for every read of the name ``float`` and every float literal."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+    return sorted(found)
+
+
+def test_detector_catches_float_calls_and_literals():
+    source = ("from fractions import Fraction\n\n"
+              "def f(x, xs):\n    y = float(x) + 0.5\n"
+              "    return [1e3, Fraction(1, 2), '2.5', x.float, *map(float, xs)]\n")
+    assert float_uses(source, "probe.py") == [(4, "0.5"), (4, "float"), (5, "1000.0"),
+                                              (5, "float")]
+
+
+def test_state_layer_is_float_free():
+    """No float enters elimination, vertex enumeration or the state polytope:
+    vertex dedup and value-set tests need decidable equality."""
+    problems = {}
+    for name in ("linalg.py", "polytope.py", "states.py"):
+        path = PACKAGE / name
+        found = float_uses(path.read_text(), str(path))
+        if found:
+            problems[name] = found
+    assert problems == {}
