@@ -14,7 +14,7 @@ from .core import (AxiomViolation, EffectAlgebraError, FiniteEffectAlgebra,
                    GuardExceeded, derive_order, is_isomorphic, validate_axioms)
 from .duality import (AffineFunctionAlgebra, FiniteSimplex, PullbackOperator,
                       VertexMap, affine_functor, check_simplex_morphism,
-                      check_state_morphism, evaluation_map, state_functor)
+                      check_state_morphism, state_functor)
 from .mv import MvStructure, mv_operations, mv_state_axioms
 from .operators import (InducedStateMap, OperatorProfile, check_esp,
                         classify_operator, coordinate_repeat_maps,

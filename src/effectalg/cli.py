@@ -44,8 +44,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="also report whether each operator is n-potent")
     o.add_argument("--guard-endos", type=int, default=2_000_000)
 
-    ps = sub.add_parser("paper-suite", help="run the standing verification suite")
-    ps.add_argument("--seed", type=int, default=0)
+    sub.add_parser("paper-suite", help="run the standing verification suite")
     return p
 
 
@@ -104,7 +103,7 @@ def cmd_operators(args) -> tuple[dict, int]:
 
 
 def cmd_paper_suite(args) -> tuple[dict, int]:
-    results = run_suite(seed=args.seed)
+    results = run_suite()
     failed = [r.name for r in results if not r.passed]
     out = {"checks": [r.to_dict() for r in results],
            "passed": len(results) - len(failed),

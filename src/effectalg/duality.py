@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .catalog import build_boolean
-from .core import FiniteEffectAlgebra, GuardExceeded
+from .core import FiniteEffectAlgebra
 from .linalg import ZERO, ONE, Vec
 from .operators import (InducedStateMap, induced_state_map, is_endomorphism,
                         minimal_potency, power)
@@ -136,25 +135,6 @@ def affine_functor(sx: FiniteSimplex, g: VertexMap) -> tuple[AffineFunctionAlgeb
     if len(g.image) != sx.m:
         raise ValueError("vertex map does not match the simplex")
     return AffineFunctionAlgebra(sx.m), PullbackOperator(g)
-
-
-def evaluation_map(sx: FiniteSimplex) -> bool:
-    """Do the evaluation states f -> f(x) at the vertices match a solver run?
-
-    Every state of the affine-function algebra is a weight vector (evaluate on
-    the indicator functions); extremal ones are the coordinate evaluations.
-    The check materializes the indicator subalgebra (a Boolean cube) and
-    confirms the constraint solver finds exactly the m coordinate evaluations.
-    The cube has 2^m elements, so it is guarded at 4 vertices.
-    """
-    m = sx.m
-    if m > 4:
-        raise GuardExceeded(f"evaluation cross-check guarded at 4 vertices, got {m}")
-    P = compute_states(build_boolean(m))
-    atoms = [1 << i for i in range(m)]
-    seen = {tuple(v[a] for a in atoms) for v in P.vertices}
-    expected = {sx.vertex_point(i) for i in range(m)}
-    return seen == expected and len(P.vertices) == m
 
 
 @dataclass(frozen=True)

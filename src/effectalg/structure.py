@@ -57,7 +57,8 @@ def check_rdp(E: FiniteEffectAlgebra):
     """Riesz decomposition as (holds, witness), by 2x2 refinement of equal sums.
 
     The witness is an unrefinable quadruple (x1, x2, y1, y2) when the property
-    fails, else None.  ``_rdp_splitting`` is the reference formulation.
+    fails, else None.  The tests compare it with the splitting formulation:
+    every x <= y1 + y2 is x1 + (x - x1) with x1 <= y1 and x - x1 <= y2.
     """
     by_sum: dict[int, list[tuple[int, int]]] = {}
     for i, j, k in E.triples:
@@ -67,25 +68,6 @@ def check_rdp(E: FiniteEffectAlgebra):
             for y1, y2 in pairs:
                 if refine_quadruple(E, x1, x2, y1, y2) is None:
                     return False, (x1, x2, y1, y2)
-    return True, None
-
-
-def _rdp_splitting(E: FiniteEffectAlgebra):
-    """Reference formulation: every x <= y1 + y2 splits as x1 + (x - x1) with
-    x1 <= y1 and x - x1 <= y2.  Returns (holds, (x, y1, y2) or None); tests and
-    the suite compare it with ``check_rdp``.
-    """
-    leq = E.order.leq
-    sub = E.order.sub
-    for y1, y2, top in E.triples:
-        for x in range(E.n):
-            if not leq[x][top]:
-                continue
-            for x1 in range(E.n):
-                if leq[x1][x] and leq[x1][y1] and leq[sub[x][x1]][y2]:
-                    break
-            else:
-                return False, (x, y1, y2)
     return True, None
 
 

@@ -1,7 +1,8 @@
 """The standing verification suite: worked examples and invariant sweeps.
 
-Each check returns a CheckResult; the CLI aggregates them into one report with
-an exit code.  Seeded randomness only, so reports are reproducible bytes.
+Each check takes no arguments and returns a CheckResult; the CLI aggregates
+them into one report with an exit code.  Every check decides its claim on a
+fixed finite population, so reports are reproducible bytes.
 """
 
 from __future__ import annotations
@@ -9,25 +10,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from .catalog import (build_boolean, build_chain, build_even_subsets,
                       build_product, horizontal_sum, small_catalog)
-from .duality import (FiniteSimplex, VertexMap, affine_functor, check_simplex_morphism,
-                      check_state_morphism, evaluation_map)
+from .duality import (FiniteSimplex, VertexMap, check_simplex_morphism,
+                      check_state_morphism)
 from .fuzz import fuzz_mutations
-from .linalg import ZERO, ONE
-from .mv import derived_sum_matches, mv_operations
+from .linalg import ZERO, ONE, affine_parametrization
+from .mv import mv_operations
 from .operators import (check_esp, classify_operator, compose, coordinate_repeat_maps,
                         enumerate_endomorphisms, induced_state_map, kernel,
-                        minimal_potency, operator_law_report, scan_mv_operator_agreement)
+                        minimal_potency, operator_law_report, preserves_existing_joins,
+                        preserves_existing_meets, scan_mv_operator_agreement)
 from .pogroup import (IntervalAlgebra, PoGroupSpec, extend_endomorphism,
                       extremal_states, group_leq, materialize, strict_plane_preimage)
 from .states import (StatePolytope, clan_closure_witness, compute_states,
-                     discrete_profile, is_order_determining, is_state,
-                     sampled_order_report)
-from .structure import (_rdp_splitting, check_interpolation, check_rdp,
-                        classify_lattice, enumerate_ideals, verify_rdp_witness)
+                     discrete_profile, finite_clan_engine, is_order_determining,
+                     is_state, sampled_order_report)
+from .structure import (check_interpolation, check_rdp, classify_lattice,
+                        enumerate_ideals, verify_rdp_witness)
 
 F = Fraction
 
@@ -42,28 +45,11 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-def _mv_catalog(max_elements: int = 9):
-    out = []
-    for n in range(1, 9):
-        E = build_chain(n)
-        if E.n <= max_elements:
-            out.append((f"chain({n})", E))
-    for k in (1, 2, 3):
-        E = build_boolean(k)
-        if E.n <= max_elements:
-            out.append((f"boolean({k})", E))
-    for dims in [(1, 2), (2, 2), (1, 3), (1, 1, 1)]:
-        E = build_product([build_chain(d) for d in dims])
-        if E.n <= max_elements:
-            out.append(("product" + str(dims), E))
-    return out
-
-
 def strict_plane_algebra() -> IntervalAlgebra:
     return IntervalAlgebra(PoGroupSpec(2, "Q", "strict"), (1, 1))
 
 
-def check_strict_plane_order(seed: int = 0) -> CheckResult:
+def check_strict_plane_order() -> CheckResult:
     alg = strict_plane_algebra()
     spec = alg.spec
     good = []
@@ -76,7 +62,7 @@ def check_strict_plane_order(seed: int = 0) -> CheckResult:
     return CheckResult("strict_plane_order", all(good), {"checks": good})
 
 
-def check_strict_plane_clan_gap(seed: int = 0) -> CheckResult:
+def check_strict_plane_clan_gap() -> CheckResult:
     """The strict-plane interval whose evaluation image is not sum-closed."""
     alg = strict_plane_algebra()
     states = extremal_states(alg)
@@ -109,7 +95,7 @@ def check_strict_plane_clan_gap(seed: int = 0) -> CheckResult:
     return CheckResult("strict_plane_clan_gap", passed, details)
 
 
-def check_strict_plane_separating(seed: int = 0) -> CheckResult:
+def check_strict_plane_separating() -> CheckResult:
     alg = strict_plane_algebra()
     states = extremal_states(alg)
     elements = [alg.zero, alg.unit,
@@ -124,7 +110,7 @@ def check_strict_plane_separating(seed: int = 0) -> CheckResult:
                         "od_witness": rep.od_witness})
 
 
-def check_even_subsets_rdp(seed: int = 0) -> CheckResult:
+def check_even_subsets_rdp() -> CheckResult:
     e4 = build_even_subsets(4)
     holds, witness = check_rdp(e4)
     details = {"even_subsets_4": holds, "witness": witness}
@@ -142,7 +128,7 @@ def check_even_subsets_rdp(seed: int = 0) -> CheckResult:
     return CheckResult("even_subsets_rdp_gap", passed, details)
 
 
-def check_interval_rdp(seed: int = 0) -> CheckResult:
+def check_interval_rdp() -> CheckResult:
     details = {}
     passed = True
     for u in [(1,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1)]:
@@ -154,7 +140,7 @@ def check_interval_rdp(seed: int = 0) -> CheckResult:
     return CheckResult("interval_rdp", passed, details)
 
 
-def check_state_examples(seed: int = 0) -> CheckResult:
+def check_state_examples() -> CheckResult:
     c2 = build_chain(2)
     P = compute_states(c2)
     ok1 = P.vertices == ((F(0), F(1, 2), F(1)),)
@@ -172,7 +158,7 @@ def check_state_examples(seed: int = 0) -> CheckResult:
                        {"chain2": ok1, "boolean2": ok2, "square_product": ok3})
 
 
-def check_kernel_ideals(seed: int = 0) -> CheckResult:
+def check_kernel_ideals() -> CheckResult:
     passed = True
     details = {}
     for name, E in small_catalog(max_elements=8):
@@ -188,7 +174,7 @@ def check_kernel_ideals(seed: int = 0) -> CheckResult:
     return CheckResult("kernel_ideals", passed, details)
 
 
-def check_identity_operator(seed: int = 0) -> CheckResult:
+def check_identity_operator() -> CheckResult:
     passed = True
     for name, E in small_catalog():
         P = compute_states(E)
@@ -198,7 +184,10 @@ def check_identity_operator(seed: int = 0) -> CheckResult:
     return CheckResult("identity_is_state_morphism_with_esp", passed, {})
 
 
-def check_square_product_operators(seed: int = 0) -> CheckResult:
+def check_square_product_operators() -> CheckResult:
+    """Both coordinate-repeat operators on chain(2) x chain(2) are state-morphisms
+    with ESP; the polytope is the two coordinate states m1, m2, and the first
+    operator, which keeps existing joins and meets, collapses both onto m1."""
     E = build_product([build_chain(2), build_chain(2)])
     P = compute_states(E)
     t1, t2 = coordinate_repeat_maps(E)
@@ -206,17 +195,17 @@ def check_square_product_operators(seed: int = 0) -> CheckResult:
     p2 = classify_operator(E, t2, P)
     tuples = E.meta["tuples"]
     m1 = tuple(F(t[0], 2) for t in tuples)
+    m2 = tuple(F(t[1], 2) for t in tuples)
     ind = induced_state_map(E, t1, P)
     collapse = all(img == m1 for img in ind.vertex_images)
     passed = (p1.is_state_morphism and p1.has_esp and p2.is_state_morphism
-              and p2.has_esp and collapse and len(P.vertices) == 2)
-    from .operators import preserves_existing_joins, preserves_existing_meets
+              and p2.has_esp and collapse and set(P.vertices) == {m1, m2})
     passed = passed and preserves_existing_meets(E, t1) and preserves_existing_joins(E, t1)
     return CheckResult("square_product_operators", passed,
                        {"vertices": len(P.vertices), "collapse_to_m1": collapse})
 
 
-def check_operator_inclusions(seed: int = 0) -> CheckResult:
+def check_operator_inclusions() -> CheckResult:
     passed = True
     counts = {"endomorphisms": 0, "state_operators": 0, "strong": 0, "morphisms": 0}
     for name, E in small_catalog():
@@ -234,7 +223,7 @@ def check_operator_inclusions(seed: int = 0) -> CheckResult:
     return CheckResult("operator_inclusion_chain", passed, counts)
 
 
-def check_operator_laws(seed: int = 0) -> CheckResult:
+def check_operator_laws() -> CheckResult:
     passed = True
     failures = []
     for name, E in small_catalog():
@@ -251,7 +240,7 @@ def check_operator_laws(seed: int = 0) -> CheckResult:
     return CheckResult("operator_laws", passed, {"failures": failures})
 
 
-def check_chain_rigidity(seed: int = 0) -> CheckResult:
+def check_chain_rigidity() -> CheckResult:
     passed = True
     for n in range(1, 9):
         E = build_chain(n)
@@ -261,41 +250,40 @@ def check_chain_rigidity(seed: int = 0) -> CheckResult:
     return CheckResult("chains_admit_identity_only", passed, {})
 
 
-def check_mv_agreement(seed: int = 0) -> CheckResult:
+def check_mv_agreement() -> CheckResult:
+    """The exhaustive MV agreement scan on every MV algebra of the roster."""
     details = {}
     passed = True
-    for name, E in _mv_catalog(max_elements=9):
-        A = mv_operations(E)
-        P = compute_states(E)
-        stats = scan_mv_operator_agreement(A, P)
+    for name, E in small_catalog():
+        try:
+            A = mv_operations(E)
+        except ValueError:     # not lattice-ordered, or no refinement: not MV
+            continue
+        stats = scan_mv_operator_agreement(A, compute_states(E))
         details[name] = stats
         if stats["state_morphisms"] != stats["esp_confirmed"]:
             passed = False
     return CheckResult("mv_operator_agreement", passed, details)
 
 
-def check_mv_tables(seed: int = 0) -> CheckResult:
-    passed = True
-    for name, E in _mv_catalog():
-        A = mv_operations(E)
-        ok, wit = derived_sum_matches(A)
-        if not ok:
-            passed = False
+def check_mv_tables() -> CheckResult:
+    """Worked MV tables on chain(2) and chain(3); ``mv_operations`` itself
+    rejects a derived partial sum that differs from the table."""
     L2 = mv_operations(build_chain(2))
     L3 = mv_operations(build_chain(3))
-    passed = passed and L2.oplus[1][1] == 2 and L2.odot[1][1] == 0
+    passed = L2.oplus[1][1] == 2 and L2.odot[1][1] == 0
     passed = passed and L3.oplus[1][2] == 3 and L3.odot[2][2] == 1
     return CheckResult("mv_tables_and_derived_sum", passed, {})
 
 
-def check_discrete_profiles(seed: int = 0) -> CheckResult:
+def check_discrete_profiles() -> CheckResult:
     ok1 = discrete_profile((F(0), F(1, 2), F(1))) == 2
     ok2 = discrete_profile((F(0), F(0), F(1), F(1))) == 1
     ok3 = discrete_profile((F(0), F(1, 2), F(1, 3), F(1))) == 6
     return CheckResult("discrete_profiles", ok1 and ok2 and ok3, {})
 
 
-def check_extension_matrices(seed: int = 0) -> CheckResult:
+def check_extension_matrices() -> CheckResult:
     details = {}
     passed = True
     for u in [(1, 1), (2, 1)]:
@@ -330,7 +318,7 @@ def check_extension_matrices(seed: int = 0) -> CheckResult:
     return CheckResult("group_extension_matrices", passed, details)
 
 
-def check_order_determining(seed: int = 0) -> CheckResult:
+def check_order_determining() -> CheckResult:
     """Boolean cubes are order-determining and hsum(2,2) is not.  Order
     determination says a |-> a-hat is an order isomorphism onto its image,
     which gives the check its name."""
@@ -351,8 +339,7 @@ def check_order_determining(seed: int = 0) -> CheckResult:
     return CheckResult("order_determining_vs_image_iso", passed, details)
 
 
-def check_clan_closure_finite(seed: int = 0) -> CheckResult:
-    from .states import finite_clan_engine
+def check_clan_closure_finite() -> CheckResult:
     b2 = build_boolean(2)
     P = compute_states(b2)
     vectors, preimage, contains = finite_clan_engine(b2, P)
@@ -361,40 +348,7 @@ def check_clan_closure_finite(seed: int = 0) -> CheckResult:
                        {"witness": None if witness is None else witness.kind})
 
 
-def check_evaluation_maps(seed: int = 0) -> CheckResult:
-    passed = True
-    for m in range(1, 5):
-        if not evaluation_map(FiniteSimplex(tuple(f"v{i}" for i in range(m)))):
-            passed = False
-    sx = FiniteSimplex(("x", "y"))
-    alg, op = affine_functor(sx, VertexMap((0, 1), 2))
-    mid = (F(1, 2), F(1, 2))
-    probe = alg.element([F(1, 4), F(3, 4)])
-    averaged = alg.evaluate(probe, mid)
-    passed = passed and averaged == F(1, 2)
-    passed = passed and mid not in {sx.vertex_point(0), sx.vertex_point(1)}
-    return CheckResult("evaluation_maps", passed, {})
-
-
-def check_pullback_lattice_ops(seed: int = 0) -> CheckResult:
-    rng = random.Random(seed)
-    sx = FiniteSimplex(("a", "b", "c", "d"))
-    g = VertexMap((2, 2, 3, 2), 3)
-    alg, op = affine_functor(sx, g)
-    passed = True
-    for _ in range(50):
-        f = tuple(F(rng.randint(0, 12), 12) for _ in range(4))
-        h = tuple(F(rng.randint(0, 12), 12) for _ in range(4))
-        if op.apply(alg.join(f, h)) != alg.join(op.apply(f), op.apply(h)):
-            passed = False
-        if op.apply(alg.meet(f, h)) != alg.meet(op.apply(f), op.apply(h)):
-            passed = False
-    gn = op.apply(op.apply(op.apply((F(0), F(1, 3), F(2, 3), F(1)))))
-    passed = passed and gn == op.apply((F(0), F(1, 3), F(2, 3), F(1)))
-    return CheckResult("pullback_preserves_lattice_ops", passed, {})
-
-
-def check_functor_contravariance(seed: int = 0) -> CheckResult:
+def check_functor_contravariance() -> CheckResult:
     c2 = build_chain(2)
     c22 = build_product([build_chain(2), build_chain(2)])
     tuples = c22.meta["tuples"]
@@ -403,29 +357,16 @@ def check_functor_contravariance(seed: int = 0) -> CheckResult:
     t1, _ = coordinate_repeat_maps(c22)
     id2 = tuple(range(c2.n))
     ok1 = check_state_morphism(c2, id2, c22, t1, diag).passed
-    P22 = compute_states(c22)
-    P2 = compute_states(c2)
-
-    def s_functor(h, src_P, dst_E):
-        # states of the codomain pull back along h to states of the domain
-        return [tuple(v[h[a]] for a in range(len(h))) for v in src_P.vertices]
-
-    lhs = s_functor(compose(t1, diag), P22, c2)
-    mid = s_functor(t1, P22, c22)
-    rhs = [tuple(v[diag[a]] for a in range(c2.n)) for v in mid]
-    passed = ok1 and lhs == rhs
-
     sx2 = FiniteSimplex(("x", "y"))
     sx3 = FiniteSimplex(("a", "b", "c"))
     g2 = VertexMap((1, 0), 3)
     p = (0, 1)     # sx2 -> sx3 vertices
     ok2 = check_simplex_morphism(sx2, g2, sx3, VertexMap((1, 0, 2), 3), p).passed
-    passed = passed and ok2
-    return CheckResult("functor_contravariance", passed, {})
+    return CheckResult("functor_contravariance", ok1 and ok2, {})
 
 
-def check_axiom_fuzz(seed: int = 0) -> CheckResult:
-    rng = random.Random(seed)
+def check_axiom_fuzz() -> CheckResult:
+    rng = random.Random(0)
     passed = True
     totals = {"violation": 0, "valid_different": 0, "valid_same": 0}
     for name, E in small_catalog():
@@ -437,25 +378,13 @@ def check_axiom_fuzz(seed: int = 0) -> CheckResult:
     return CheckResult("axiom_fuzz", passed, totals)
 
 
-def check_cancellation_positivity(seed: int = 0) -> CheckResult:
-    passed = True
-    for name, E in small_catalog():
-        for row in E.table:
-            defined = [k for k in row if k is not None]
-            if len(set(defined)) != len(defined):
-                passed = False
-        if any(k == 0 and (a, b) != (0, 0) for a, b, k in E.triples):
-            passed = False
-    return CheckResult("cancellation_and_positivity", passed, {})
-
-
-def check_structure_invariants(seed: int = 0) -> CheckResult:
+def check_structure_invariants() -> CheckResult:
     passed = True
     details = {}
     for name, E in small_catalog():
         rdp, _ = check_rdp(E)
         interp, _ = check_interpolation(E)
-        if rdp != _rdp_splitting(E)[0] or (rdp and not interp):
+        if rdp and not interp:
             passed = False
         if rdp:
             for _ideal, flags in enumerate_ideals(E):
@@ -466,24 +395,15 @@ def check_structure_invariants(seed: int = 0) -> CheckResult:
     return CheckResult("structure_invariants", passed, details)
 
 
-def check_state_geometry(seed: int = 0) -> CheckResult:
-    rng = random.Random(seed)
+def check_state_geometry() -> CheckResult:
+    """Every vertex passes the direct state check, so every convex combination
+    does (the state conditions are linear), and no vertex is the midpoint of
+    two others."""
     passed = True
     for name, E in small_catalog():
         P = compute_states(E)
-        k = len(P.vertices)
-        if not k:
-            continue
-        for _ in range(20):
-            w = [F(rng.randint(0, 8)) for _ in range(k)]
-            if not any(w):
-                w[0] = F(1)
-            total = sum(w)
-            w = [x / total for x in w]
-            point = tuple(sum(wi * v[a] for wi, v in zip(w, P.vertices))
-                          for a in range(E.n))
-            if not is_state(E, point):
-                passed = False
+        if not all(is_state(E, v) for v in P.vertices):
+            passed = False
         for v in P.vertices:
             others = [u for u in P.vertices if u != v]
             for i, u1 in enumerate(others):
@@ -494,30 +414,29 @@ def check_state_geometry(seed: int = 0) -> CheckResult:
     return CheckResult("state_geometry", passed, {})
 
 
-def check_no_state_paths(seed: int = 0) -> CheckResult:
+def check_no_state_paths() -> CheckResult:
     empty = StatePolytope(size=3, vertices=(), free_dim=0)
     vacuous = check_esp((0, 1, 2), empty)
-    from .linalg import affine_parametrization
     inconsistent = affine_parametrization(
         [[ONE], [ONE]], [ZERO, ONE], 1)
     return CheckResult("no_state_paths", vacuous and inconsistent is None, {})
 
 
-def check_strict_cones(seed: int = 0) -> CheckResult:
-    rng = random.Random(seed)
+def check_strict_cones() -> CheckResult:
+    """Each cone is pointed: 0 <= x <= 0 only at x = 0, over the whole grid of
+    a/b with |a| <= 6 and 1 <= b <= 4 in each coordinate."""
     passed = True
+    grid = sorted({F(a, b) for a in range(-6, 7) for b in range(1, 5)})
+    zero = (F(0), F(0))
     for order in ("product", "lex", "strict"):
         spec = PoGroupSpec(2, "Q", order)
-        zero = (F(0), F(0))
-        for _ in range(100):
-            x = (F(rng.randint(-6, 6), rng.randint(1, 4)),
-                 F(rng.randint(-6, 6), rng.randint(1, 4)))
+        for x in product(grid, repeat=2):
             if group_leq(spec, zero, x) and group_leq(spec, x, zero) and x != zero:
                 passed = False
     return CheckResult("strict_cones", passed, {})
 
 
-def check_vertex_oracles(seed: int = 0) -> CheckResult:
+def check_vertex_oracles() -> CheckResult:
     passed = True
     details = {}
     for name, E in small_catalog():
@@ -529,7 +448,7 @@ def check_vertex_oracles(seed: int = 0) -> CheckResult:
     return CheckResult("vertex_oracle_agreement", passed, details)
 
 
-ALL_CHECKS: list[Callable[[int], CheckResult]] = [
+ALL_CHECKS: list[Callable[[], CheckResult]] = [
     check_strict_plane_order,
     check_strict_plane_clan_gap,
     check_strict_plane_separating,
@@ -548,11 +467,8 @@ ALL_CHECKS: list[Callable[[int], CheckResult]] = [
     check_extension_matrices,
     check_order_determining,
     check_clan_closure_finite,
-    check_evaluation_maps,
-    check_pullback_lattice_ops,
     check_functor_contravariance,
     check_axiom_fuzz,
-    check_cancellation_positivity,
     check_structure_invariants,
     check_state_geometry,
     check_no_state_paths,
@@ -561,13 +477,13 @@ ALL_CHECKS: list[Callable[[int], CheckResult]] = [
 ]
 
 
-def run_suite(seed: int = 0) -> list[CheckResult]:
+def run_suite() -> list[CheckResult]:
     """Every check in order; a check that raises is reported as failed under its
     function name, with the exception's type and message, and the rest still run."""
     results = []
     for check in ALL_CHECKS:
         try:
-            results.append(check(seed))
+            results.append(check())
         except Exception as exc:
             results.append(CheckResult(check.__name__, False,
                                        {"error": f"{type(exc).__name__}: {exc}"}))

@@ -1,4 +1,5 @@
-"""Test-side second routes: the duality layer's pull-back, and dense elimination."""
+"""Test-side second routes: the duality layer's pull-back, dense elimination,
+and the splitting formulation of refinement."""
 
 from fractions import Fraction
 
@@ -8,6 +9,25 @@ def induced_state_self_map(alg, op, w):
     precomposed with the pull-back ``op`` and read back through the indicator
     functions.  The pull-back route around the square p o g = g' o p."""
     return tuple(alg.evaluate(op.apply(alg.indicator(v)), w) for v in range(alg.m))
+
+
+def rdp_splitting(E):
+    """Refinement as splitting: every x <= y1 + y2 is x1 + (x - x1) with
+    x1 <= y1 and x - x1 <= y2.  Returns (holds, (x, y1, y2) or None); the
+    reference formulation for ``structure.check_rdp``.
+    """
+    leq = E.order.leq
+    sub = E.order.sub
+    for y1, y2, top in E.triples:
+        for x in range(E.n):
+            if not leq[x][top]:
+                continue
+            for x1 in range(E.n):
+                if leq[x1][x] and leq[x1][y1] and leq[sub[x][x1]][y2]:
+                    break
+            else:
+                return False, (x, y1, y2)
+    return True, None
 
 
 def rref(rows):

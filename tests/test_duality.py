@@ -1,14 +1,13 @@
-"""State functor, affine-function functor, evaluation map, round trips, morphisms."""
+"""State functor, affine-function functor, round trips, morphisms."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from effectalg.catalog import build_boolean, build_chain, build_product
-from effectalg.core import GuardExceeded
 from effectalg.duality import (AffineFunctionAlgebra, FiniteSimplex, VertexMap,
                                affine_functor, check_simplex_morphism,
-                               check_state_morphism, evaluation_map, state_functor)
+                               check_state_morphism, state_functor)
 from effectalg.operators import coordinate_repeat_maps
 from oracles import induced_state_self_map
 
@@ -74,16 +73,6 @@ def test_state_functor_examples():
     assert sorted(g.vertex_to_vertex) == [0, 1]
     assert g.vertex_to_vertex != (0, 1)
     assert g.potency == 3
-
-
-def test_evaluation_map_sizes():
-    for m in (1, 2, 3, 4):
-        assert evaluation_map(FiniteSimplex(tuple(f"v{i}" for i in range(m)))) is True
-
-
-def test_evaluation_map_guard_raises_instead_of_passing_unchecked():
-    with pytest.raises(GuardExceeded):
-        evaluation_map(FiniteSimplex(tuple(f"v{i}" for i in range(5))))
 
 
 def test_interior_point_is_averaged_not_extremal():

@@ -110,12 +110,6 @@ def test_cli_guard_error(tmp_path, capsys):
     assert out["ideals"] is None and out["ideal_count"] == -1
 
 
-def test_cli_deterministic_output(capsys):
-    _code, out1 = run_cli(capsys, "paper-suite")
-    _code, out2 = run_cli(capsys, "paper-suite")
-    assert out1 == out2
-
-
 def test_cli_output_file(tmp_path, capsys):
     src = tmp_path / "c3.json"
     src.write_text(json.dumps({"catalog": {"kind": "chain", "n": 3}}))
@@ -157,7 +151,7 @@ def test_cli_axiom_violation_outside_validate(tmp_path, capsys):
 def test_cli_paper_suite_reports_raising_check(capsys, monkeypatch):
     import effectalg.suite as suite
 
-    def check_broken(seed=0):
+    def check_broken():
         raise NameError("name 'gcd' is not defined")
 
     monkeypatch.setattr(suite, "ALL_CHECKS", [check_broken, suite.check_chain_rigidity])

@@ -229,12 +229,31 @@ def test_mv_agreement_single_maps():
     assert not rep2["mv_state_operator"] and not rep2["is_endomorphism"]
 
 
-def test_mv_agreement_scan_small():
-    for n in (1, 2, 3):
-        E = build_chain(n)
-        stats = scan_mv_operator_agreement(mv_operations(E), compute_states(E))
-        assert stats["endomorphisms"] == 1
-        assert stats["mv_state_operators"] == 1
+def test_mv_agreement_scan_matches_per_map_reports():
+    """The scan's inlined predicates against ``mv_operator_agreement`` map by
+    map: over every self-map fixing 0 and 1 of each MV algebra with at most 7
+    elements, both readings agree and the five counts are the scan's."""
+    algebras = 0
+    for name, E in small_catalog(max_elements=7):
+        try:
+            A = mv_operations(E)
+        except ValueError:     # not an MV algebra
+            continue
+        P = compute_states(E)
+        counts = {"scanned": 0, "endomorphisms": 0, "mv_state_operators": 0,
+                  "state_morphisms": 0, "esp_confirmed": 0}
+        for mid in product(range(E.n), repeat=E.n - 2):
+            rep = mv_operator_agreement(A, (0,) + mid + (E.n - 1,), P)
+            assert rep["mv_state_operator"] == rep["strong_state_operator"], (name, mid)
+            assert rep["mv_state_morphism"] == rep["state_morphism"], (name, mid)
+            counts["scanned"] += 1
+            counts["endomorphisms"] += rep["is_endomorphism"]
+            counts["mv_state_operators"] += rep["mv_state_operator"]
+            counts["state_morphisms"] += rep["state_morphism"]
+            counts["esp_confirmed"] += rep["state_morphism"] and rep["esp"]
+        assert scan_mv_operator_agreement(A, P) == counts, name
+        algebras += 1
+    assert algebras == 10
 
 
 def test_power_and_potency_identities():

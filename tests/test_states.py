@@ -36,6 +36,16 @@ def test_boolean2_two_dirac_vertices():
     assert all(set(v) == {F(0), F(1)} for v in P.vertices)
 
 
+def test_boolean_cube_states_are_dirac_at_the_atoms():
+    """boolean(m) has exactly m extremal states, 1 at one atom and 0 at the rest."""
+    for m in (1, 2, 3, 4):
+        P = compute_states(build_boolean(m))
+        atoms = [1 << i for i in range(m)]
+        at_atoms = sorted(tuple(v[a] for a in atoms) for v in P.vertices)
+        assert at_atoms == sorted(tuple(F(int(i == j)) for j in range(m))
+                                  for i in range(m))
+
+
 def test_square_product_vertices_are_coordinate_states():
     E = build_product([build_chain(2), build_chain(2)])
     P = compute_states(E)
