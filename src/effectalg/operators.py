@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import FiniteEffectAlgebra, homomorphisms, raw_triples
+from .core import FiniteEffectAlgebra, homomorphisms, raw_triples, validate_axioms
+from .mv import is_mv_state_morphism, mv_state_axioms
 from .states import StatePolytope
 from .states import is_state  # noqa: F401  unused here; perfbench/tracing.py wraps this attribute
+from .structure import check_rdp, classify_lattice
 
 
 def is_endomorphism(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> bool:
@@ -245,7 +247,6 @@ def coordinate_swap_map(E: FiniteEffectAlgebra) -> tuple[int, ...]:
 
 def subalgebra_table(E: FiniteEffectAlgebra, members: Sequence[int]) -> FiniteEffectAlgebra:
     """The induced algebra on a sum-closed, complement-closed subset containing 0, 1."""
-    from .core import validate_axioms
     mem = sorted(set(members))
     if mem[0] != 0 or mem[-1] != E.n - 1:
         raise ValueError("a subalgebra must contain 0 and 1 at the extremes")
@@ -262,7 +263,6 @@ def subalgebra_table(E: FiniteEffectAlgebra, members: Sequence[int]) -> FiniteEf
 
 def mv_operator_agreement(A, mapping, polytope: Optional[StatePolytope] = None) -> dict:
     """One map, both readings: MV internal-state axioms vs effect-side classes."""
-    from .mv import is_mv_state_morphism, mv_state_axioms
     E = A.base
     m = tuple(mapping)
     axioms = mv_state_axioms(A, m)
@@ -282,122 +282,42 @@ def mv_operator_agreement(A, mapping, polytope: Optional[StatePolytope] = None) 
 
 
 def scan_mv_operator_agreement(A, polytope: StatePolytope) -> dict:
-    """Exhaustive agreement check over every unary self-map of an MV algebra.
+    """Both readings of an internal state agree on every self-map of an MV algebra.
 
-    Asserts, for each map, that the MV internal-state axioms hold exactly when
-    the map is a strong state-operator of the underlying effect algebra, and
-    that idempotent MV endomorphisms coincide with join-preserving idempotent
-    effect endomorphisms (which must then preserve extremal states).
+    Asserts, map by map through ``mv_operator_agreement``, that the MV
+    internal-state axioms hold exactly when the map is a strong state-operator
+    of the underlying effect algebra, and that MV state-morphisms (idempotent
+    MV endomorphisms) are exactly the join-preserving idempotent effect
+    endomorphisms; counts those that preserve extremal states.
 
-    Maps that move 0 or 1 are covered by per-pin certificates: a violated axiom
-    instance depending only on tau(0), tau(1) disqualifies both readings at
-    once, so the per-element enumeration can pin those two values.
+    Both readings require tau(x*) = tau(x)*: on the MV side it is axiom (2),
+    on the effect side an endomorphism preserves complements.  A map that
+    breaks it fails every reading, so the readings agree there without a test,
+    and the scan walks only the star-equivariant maps: for each star orbit
+    {x, x*} with x < x*, tau(x) is any element and tau(x*) its star; a fixed
+    point of star goes to a fixed point.  Nothing is pinned: a map that moves 0
+    fails MV axiom (1) and, moving 1 with it, the effect-side tau(1) = 1.
     """
-    E = A.base
-    n = E.n
-    one = n - 1
     star = A.star
-    oplus = A.oplus
-    odot = A.odot
-    table = E.table
-
-    for t0 in range(n):
-        for t1 in range(n):
-            if t0 == 0 and t1 == one:
-                continue
-            mv_killed = t0 != 0 or star[t0] != t1
-            eff_killed = t1 != one or table[t0][t0] != t0
-            if not (mv_killed and eff_killed):
-                raise AssertionError(f"pin certificate failed at ({t0}, {t1})")
-
-    zt = tuple(tuple(odot[y][star[odot[x][y]]] for y in range(n)) for x in range(n))
-    sums_list = sorted(E.triples, key=lambda t: (t[0] == 0, t))
-    join = E.order.join
-    join_pairs = tuple((a, b, join[a][b]) for a in range(n) for b in range(a, n)
-                       if join[a][b] is not None)
-    rng_n = range(n)
-
-    def ax2(m):
-        for x in rng_n:
-            if m[star[x]] != star[m[x]]:
-                return False
-        return True
-
-    def ax34(m):
-        for x in rng_n:
-            mx = m[x]
-            zx = zt[x]
-            orow = oplus[x]
-            omx = oplus[mx]
-            for y in rng_n:
-                if m[orow[y]] != omx[m[zx[y]]]:
-                    return False
-        for x in rng_n:
-            omx = oplus[m[x]]
-            for y in rng_n:
-                v = omx[m[y]]
-                if m[v] != v:
-                    return False
-        return True
-
-    def endo(m):
-        for i, j, k in sums_list:
-            if table[m[i]][m[j]] != m[k]:
-                return False
-        return True
-
-    def strong31(m):
-        for a in rng_n:
-            ja = join[m[a]]
-            for b in range(a, n):
-                v = ja[m[b]]
-                if v is not None and m[v] != v:
-                    return False
-        return True
-
-    def oplus_pres(m):
-        for x in rng_n:
-            orow = oplus[x]
-            omx = oplus[m[x]]
-            for y in rng_n:
-                if m[orow[y]] != omx[m[y]]:
-                    return False
-        return True
-
-    def joins_pres(m):
-        for a, b, j in join_pairs:
-            if join[m[a]][m[b]] != m[j]:
-                return False
-        return True
-
-    stats = {"scanned": 0, "endomorphisms": 0, "mv_state_operators": 0,
-             "state_morphisms": 0, "esp_confirmed": 0}
-    prefix = (0,)
-    suffix = (one,)
-    for mid in itertools.product(rng_n, repeat=n - 2):
-        m = prefix + mid + suffix
-        stats["scanned"] += 1
-        a2 = ax2(m)
-        en = endo(m)
-        mv_state = a2 and ax34(m)
-        strong = en and strong31(m)
-        if mv_state != strong:
+    n = len(star)
+    fixed = [x for x in range(n) if x == star[x]]
+    reps = [x for x in range(n) if x <= star[x]]     # one element of each orbit
+    stats = dict.fromkeys(("scanned", "endomorphisms", "mv_state_operators",
+                           "state_morphisms", "esp_confirmed"), 0)
+    for images in itertools.product(*(range(n) if x < star[x] else fixed for x in reps)):
+        m = [0] * n
+        for x, y in zip(reps, images):
+            m[x], m[star[x]] = y, star[y]
+        rep = mv_operator_agreement(A, m, polytope)
+        if rep["mv_state_operator"] != rep["strong_state_operator"]:
             raise AssertionError(f"state-operator readings disagree at {m}")
-        if en:
-            stats["endomorphisms"] += 1
-        if mv_state:
-            stats["mv_state_operators"] += 1
-        if a2 or en:
-            idem = all(m[m[x]] == m[x] for x in rng_n)
-            mv_morph = a2 and idem and (m[0] == 0) and oplus_pres(m)
-            eff_morph = en and idem and joins_pres(m)
-            if mv_morph != eff_morph:
-                raise AssertionError(f"state-morphism readings disagree at {m}")
-            if eff_morph:
-                stats["state_morphisms"] += 1
-                if not check_esp(m, polytope):
-                    raise AssertionError(f"state-morphism without ESP at {m}")
-                stats["esp_confirmed"] += 1
+        if rep["mv_state_morphism"] != rep["state_morphism"]:
+            raise AssertionError(f"state-morphism readings disagree at {m}")
+        stats["scanned"] += 1
+        stats["endomorphisms"] += rep["is_endomorphism"]
+        stats["mv_state_operators"] += rep["mv_state_operator"]
+        stats["state_morphisms"] += rep["state_morphism"]
+        stats["esp_confirmed"] += rep["state_morphism"] and rep["esp"]
     return stats
 
 
@@ -420,7 +340,6 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
     informational entry records whether all existing meets happen to be
     preserved (not asserted anywhere).
     """
-    from .structure import check_rdp
     m = tuple(mapping)
     if compose(m, m) != m:
         raise ValueError("law report expects an idempotent endomorphism")
@@ -510,7 +429,6 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
                     "faithful_implies_strong", "linear_faithful_identity"):
             out[key] = LawResult(False, None)
 
-    from .structure import classify_lattice
     if classify_lattice(E) in ("antilattice", "both"):
         holds = preserves_existing_joins(E, m) and preserves_existing_meets(E, m)
         out["antilattice_preserves_joins_meets"] = LawResult(True, holds)

@@ -208,10 +208,12 @@ def is_order_determining(E: FiniteEffectAlgebra, P: StatePolytope) -> OrderingRe
     Vertices suffice: every state is a convex combination of them.  Also reports
     the weaker separation property (equal under all states implies equal), which
     order determination implies: equal value vectors give a <= b <= a, so a = b.
-    This is the one test of whether a |-> a-hat is an order embedding.
+    This is the one test of whether a |-> a-hat is an order embedding.  The
+    values are read from ``P.int_vertices``: scaling every vertex by the same
+    positive ``P.scale`` keeps every comparison.
     """
     leq = E.order.leq
-    values = [tuple(v[a] for v in P.vertices) for a in range(E.n)]
+    values = [tuple(iv[a] for iv in P.int_vertices) for a in range(E.n)]
     return _order_report(values, lambda a, b: leq[a][b])
 
 

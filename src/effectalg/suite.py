@@ -251,7 +251,8 @@ def check_chain_rigidity() -> CheckResult:
 
 
 def check_mv_agreement() -> CheckResult:
-    """The exhaustive MV agreement scan on every MV algebra of the roster."""
+    """The MV agreement scan on every MV algebra of the roster: every
+    star-equivariant self-map, the only maps either reading can accept."""
     details = {}
     passed = True
     for name, E in small_catalog():
@@ -348,7 +349,9 @@ def check_clan_closure_finite() -> CheckResult:
                        {"witness": None if witness is None else witness.kind})
 
 
-def check_functor_contravariance() -> CheckResult:
+def check_morphism_squares() -> CheckResult:
+    """One state-morphism square (chain(2) into chain(2) x chain(2)) and one
+    simplex-morphism square commute."""
     c2 = build_chain(2)
     c22 = build_product([build_chain(2), build_chain(2)])
     tuples = c22.meta["tuples"]
@@ -362,7 +365,7 @@ def check_functor_contravariance() -> CheckResult:
     g2 = VertexMap((1, 0), 3)
     p = (0, 1)     # sx2 -> sx3 vertices
     ok2 = check_simplex_morphism(sx2, g2, sx3, VertexMap((1, 0, 2), 3), p).passed
-    return CheckResult("functor_contravariance", ok1 and ok2, {})
+    return CheckResult("morphism_squares", ok1 and ok2, {})
 
 
 def check_axiom_fuzz() -> CheckResult:
@@ -467,7 +470,7 @@ ALL_CHECKS: list[Callable[[], CheckResult]] = [
     check_extension_matrices,
     check_order_determining,
     check_clan_closure_finite,
-    check_functor_contravariance,
+    check_morphism_squares,
     check_axiom_fuzz,
     check_structure_invariants,
     check_state_geometry,

@@ -68,7 +68,7 @@ CASES = {
     "operators-boolean3": (BOOLEAN3, ["operators", "--n", "3"], 0,
         "5e3713c7d3f0ec7bf7ad87017e8755fb74eaa40e3a45de5ceb0d7f664fbad654"),
     "paper-suite": (None, ["paper-suite"], 0,
-        "4b0398e3c30d0507f587b5436f2f51fc2f9071f8c96fefd5369a9946dea11c92"),
+        "81a65431458e400f003534d22092f3ae4c39802329f71ae6fb7148b64258b20f"),
     "analyze-even4-relabeled": (EVEN4_RELABELED, ["analyze"], 0,
         "1d887e8ce8f45e22ae85254f4a20bc8ffc3097edbffadb1d658d5e8e847ad1d2"),
     "validate-square-asymmetric": (SQUARE_ASYMMETRIC, ["validate"], 1,

@@ -10,19 +10,19 @@ from itertools import product
 
 import pytest
 
-from effectalg.catalog import (build_boolean, build_chain, build_product,
-                               horizontal_sum, small_catalog)
+from effectalg.catalog import build_boolean, build_chain, build_product, small_catalog
 from effectalg.core import GuardExceeded
 from effectalg.fuzz import random_algebra
 from effectalg.mv import mv_operations
 from effectalg.operators import (check_esp, classify_operator, compose,
                                  coordinate_repeat_maps, coordinate_swap_map,
                                  enumerate_endomorphisms, induced_state_map,
-                                 is_endomorphism, kernel, minimal_potency,
+                                 is_endomorphism, minimal_potency,
                                  mv_operator_agreement, operator_law_report,
                                  power, scan_mv_operator_agreement)
 from effectalg.states import compute_states, is_state
-from effectalg.structure import enumerate_ideals
+from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
+                             check_operator_laws)
 from tables import sums_dict
 
 
@@ -125,22 +125,16 @@ def test_complement_swap_is_3_potent_not_state_operator():
 
 
 def test_kernels_are_tau_ideals():
-    for _name, E in small_catalog(max_elements=8):
-        ideal_sets = {frozenset(i) for i, _f in enumerate_ideals(E)}
-        for m in enumerate_endomorphisms(E):
-            ker = kernel(E, m)
-            assert frozenset(ker) in ideal_sets
-            assert all(m[a] in ker for a in ker)
+    result = check_kernel_ideals()
+    assert result.passed and result.details == {}
 
 
 def test_inclusion_chain():
-    for _name, E in small_catalog():
-        for m in enumerate_endomorphisms(E):
-            prof = classify_operator(E, m)
-            if prof.is_state_morphism:
-                assert prof.is_strong
-            if prof.is_strong:
-                assert prof.is_state_operator
+    # state-morphism => strong => state-operator, over small_catalog()
+    result = check_operator_inclusions()
+    assert result.passed
+    assert result.details == {"endomorphisms": 591, "state_operators": 117,
+                              "strong": 117, "morphisms": 43}
 
 
 def test_induced_map_collapses_to_m1():
@@ -208,14 +202,8 @@ def test_law_report_requires_idempotence():
 
 
 def test_laws_hold_across_catalog():
-    for _name, E in small_catalog():
-        for m in enumerate_endomorphisms(E):
-            if compose(m, m) != m:
-                continue
-            for law, res in operator_law_report(E, m).items():
-                if law == "all_meets_preserved_info":
-                    continue
-                assert not (res.applicable and res.holds is False), (law, m)
+    result = check_operator_laws()
+    assert result.passed and result.details == {"failures": []}
 
 
 def test_mv_agreement_single_maps():
@@ -230,9 +218,11 @@ def test_mv_agreement_single_maps():
 
 
 def test_mv_agreement_scan_matches_per_map_reports():
-    """The scan's inlined predicates against ``mv_operator_agreement`` map by
-    map: over every self-map fixing 0 and 1 of each MV algebra with at most 7
-    elements, both readings agree and the five counts are the scan's."""
+    """The scan's domain against a brute force over every self-map fixing 0 and
+    1 of each MV algebra with at most 7 elements: a map that is not
+    star-equivariant fails every reading, both readings agree on every map, the
+    four counts are the scan's, and the scan visits n maps per star pair and
+    f per fixed point of star, where f is the number of those fixed points."""
     algebras = 0
     for name, E in small_catalog(max_elements=7):
         try:
@@ -240,18 +230,25 @@ def test_mv_agreement_scan_matches_per_map_reports():
         except ValueError:     # not an MV algebra
             continue
         P = compute_states(E)
-        counts = {"scanned": 0, "endomorphisms": 0, "mv_state_operators": 0,
+        star = A.star
+        counts = {"endomorphisms": 0, "mv_state_operators": 0,
                   "state_morphisms": 0, "esp_confirmed": 0}
         for mid in product(range(E.n), repeat=E.n - 2):
-            rep = mv_operator_agreement(A, (0,) + mid + (E.n - 1,), P)
-            assert rep["mv_state_operator"] == rep["strong_state_operator"], (name, mid)
-            assert rep["mv_state_morphism"] == rep["state_morphism"], (name, mid)
-            counts["scanned"] += 1
+            m = (0,) + mid + (E.n - 1,)
+            rep = mv_operator_agreement(A, m, P)
+            if any(m[star[x]] != star[m[x]] for x in range(E.n)):
+                assert not (rep["mv_state_operator"] or rep["is_endomorphism"]
+                            or rep["mv_state_morphism"]), (name, m)
+            assert rep["mv_state_operator"] == rep["strong_state_operator"], (name, m)
+            assert rep["mv_state_morphism"] == rep["state_morphism"], (name, m)
             counts["endomorphisms"] += rep["is_endomorphism"]
             counts["mv_state_operators"] += rep["mv_state_operator"]
             counts["state_morphisms"] += rep["state_morphism"]
             counts["esp_confirmed"] += rep["state_morphism"] and rep["esp"]
-        assert scan_mv_operator_agreement(A, P) == counts, name
+        pairs = sum(x < star[x] for x in range(E.n))
+        fixed = sum(x == star[x] for x in range(E.n))
+        scanned = E.n ** pairs * fixed ** fixed
+        assert scan_mv_operator_agreement(A, P) == {"scanned": scanned, **counts}, name
         algebras += 1
     assert algebras == 10
 

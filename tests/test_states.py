@@ -15,6 +15,7 @@ from effectalg.polytope import dd_vertices
 from effectalg.states import (StatePolytope, clan_closure_witness, compute_states,
                               discrete_profile, finite_clan_engine, is_order_determining,
                               is_state, sampled_order_report, state_equalities)
+from effectalg.suite import check_state_geometry
 
 from oracles import dense_affine_parametrization
 
@@ -82,14 +83,8 @@ def test_convex_combinations_are_states(data):
 
 
 def test_no_vertex_is_a_midpoint():
-    for _name, E in small_catalog():
-        P = compute_states(E)
-        verts = P.vertices
-        for v in verts:
-            for i, u1 in enumerate(verts):
-                for u2 in verts[i + 1:]:
-                    if u1 != v and u2 != v:
-                        assert tuple((x + y) / 2 for x, y in zip(u1, u2)) != v
+    result = check_state_geometry()
+    assert result.passed and result.details == {}
 
 
 def test_vertex_lookup_matches_fraction_scan():
@@ -221,12 +216,6 @@ def test_lex_interval_states_are_first_coordinate():
         states, lambda x, y: group_leq(alg.spec, x, y))
     assert not rep.separating
     assert not rep.order_determining
-
-
-def test_dd_matches_oracle_on_catalog():
-    for _name, E in small_catalog():
-        assert compute_states(E, method="dd").vertices == \
-            compute_states(E, method="oracle").vertices
 
 
 def test_sparse_elimination_matches_dense_rref():

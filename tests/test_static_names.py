@@ -128,6 +128,34 @@ def test_detector_finds_imports_in_function_bodies():
     assert imported_modules(source, "probe.py") == {"random", "os"}
 
 
+def function_level_imports(source: str, filename: str) -> list[tuple[int, str]]:
+    """(line, function) for every import statement inside a function body."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {(inner.lineno, node.name) for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    return sorted(found)
+
+
+def test_detector_catches_imports_in_functions_and_methods():
+    source = ("import os\n\n"
+              "def f():\n    import json\n    return json\n\n"
+              "class C:\n    def m(self):\n        from .core import x\n        return x\n")
+    assert function_level_imports(source, "probe.py") == [(4, "f"), (9, "m")]
+
+
+def test_package_imports_only_at_module_level():
+    """A module's dependencies are all in its header; there is no import cycle
+    that a deferred import would have to break."""
+    problems = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = function_level_imports(path.read_text(), str(path))
+        if found:
+            problems[path.name] = found
+    assert problems == {}
+
+
 def test_only_the_fuzzer_and_the_suite_draw_random_numbers():
     """Exact checks decide their contracts; seeded randomness belongs to the
     table fuzzer and the suite's sampled checks, not to a decision route."""
