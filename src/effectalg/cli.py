@@ -93,9 +93,8 @@ def cmd_operators(args) -> tuple[dict, int]:
         if args.n is not None:
             entry["classification"][f"is_{args.n}_potent"] = (
                 args.n >= 2 and power(m, args.n) == m)
-        n = prof.minimal_potency
-        if n is not None and not P.empty:
-            ind = induced_state_map(E, m, P, n=n)
+        if prof.minimal_potency is not None and not P.empty:
+            ind = induced_state_map(E, m, P)
             entry["induced_vertex_map"] = (
                 list(ind.vertex_to_vertex) if ind.vertex_to_vertex is not None else None)
         items.append(entry)

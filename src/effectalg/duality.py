@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 
 from .core import FiniteEffectAlgebra
 from .linalg import ZERO, ONE, Vec
-from .operators import (InducedStateMap, induced_state_map, is_endomorphism,
-                        minimal_potency, power)
+from .operators import InducedStateMap, induced_state_map, power
 from .states import StatePolytope, compute_states
 
 
@@ -116,17 +115,17 @@ class PullbackOperator:
         return tuple(f[self.g.image[v]] for v in range(len(self.g.image)))
 
 
-def state_functor(E: FiniteEffectAlgebra, mapping: Sequence[int],
-                  n: Optional[int] = None) -> tuple[StatePolytope, InducedStateMap]:
-    """A finite state effect algebra to its polytope with the induced state map."""
-    if not is_endomorphism(E, mapping):
-        raise ValueError("operator must be an endomorphism")
-    if n is None:
-        n = minimal_potency(mapping)
-        if n is None:
-            raise ValueError("operator has no potency; no induced finite dynamics")
+def state_functor(E: FiniteEffectAlgebra,
+                  mapping: Sequence[int]) -> tuple[StatePolytope, InducedStateMap]:
+    """A finite state effect algebra to its polytope with the induced state map.
+
+    Raises ValueError unless the map is an endomorphism (``induced_state_map``
+    enforces that) with a potency.
+    """
     P = compute_states(E)
-    g = induced_state_map(E, mapping, P, n=n)
+    g = induced_state_map(E, mapping, P)
+    if g.potency is None:
+        raise ValueError("operator has no potency; no induced finite dynamics")
     return P, g
 
 

@@ -89,28 +89,3 @@ def affine_parametrization(eq_rows: list[Sequence[Fraction]], eq_rhs: Sequence[F
                 col[p] = Fraction(-r[f], r[p])
         basis.append(tuple(col))
     return tuple(c_vec), free, basis
-
-
-# Small dense integer-matrix helpers (used for group endomorphism extensions).
-
-def mat_identity(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-def mat_mul(a, b):
-    k = len(a)
-    n = len(b[0])
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(n))
-                 for i in range(k))
-
-def mat_pow(a, e: int):
-    result = mat_identity(len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
-
-def mat_vec(a, x):
-    return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in a)

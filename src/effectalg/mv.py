@@ -1,10 +1,13 @@
 """Total MV operations on lattice-ordered catalog algebras with refinement.
 
 A finite lattice-ordered effect algebra with the Riesz decomposition property
-carries a unique MV structure: x (+) y = x + (y ^ x'), star is the complement,
-and the remaining operations follow by De Morgan.  The derived partial sum
-(defined iff x <= y*) must reproduce the original table exactly; this is
-checked at construction time.
+is an MV-effect algebra (Dvurecenskij & Pulmannova, New Trends in Quantum
+Structures, 2000, ch. 1): it carries a unique MV structure with
+x (+) y = x + (y ^ x'), star the complement, and the remaining operations by
+De Morgan, and the partial sum derived from it (defined iff x <= y*) is the
+original table.  ``mv_operations`` checks the two hypotheses and builds the
+tables; the MV identities are the theorem's conclusion, not rechecked there.
+``derived_sum_matches`` states the last one as a check for the suite and tests.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ class MvStructure:
 
 
 def mv_operations(E: FiniteEffectAlgebra) -> MvStructure:
-    """Build the MV operation tables; rejects algebras that are not MV.
+    """Build the MV operation tables; raises ValueError unless E is MV.
 
-    Requires a lattice order and refinement; raises ValueError otherwise.
+    E is MV exactly when its order is a lattice and it has refinement.
     """
     if classify_lattice(E) not in ("lattice", "both"):
         raise ValueError("not an MV algebra: the order is not a lattice")
@@ -41,31 +44,11 @@ def mv_operations(E: FiniteEffectAlgebra) -> MvStructure:
     oplus = [[row[meet[y][star[x]]] for y in range(n)] for x, row in enumerate(E.table)]
     odot = [[star[oplus[star[x]][star[y]]] for y in range(n)] for x in range(n)]
     ominus = [[odot[x][star[y]] for y in range(n)] for x in range(n)]
-
-    for x in range(n):
-        if oplus[x][0] != x or oplus[0][x] != x:
-            raise AssertionError("oplus lost its unit")
-        if star[star[x]] != x:
-            raise AssertionError("star is not an involution")
-        if oplus[x][n - 1] != n - 1:
-            raise AssertionError("oplus must absorb the top")
-        for y in range(n):
-            if oplus[x][y] != oplus[y][x]:
-                raise AssertionError("oplus must be commutative")
-            lhs = oplus[x][star[oplus[x][star[y]]]]
-            rhs = oplus[y][star[oplus[y][star[x]]]]
-            if lhs != rhs:
-                raise AssertionError("Lukasiewicz axiom failed")
-
-    A = MvStructure(base=E,
-                    oplus=tuple(tuple(r) for r in oplus),
-                    odot=tuple(tuple(r) for r in odot),
-                    ominus=tuple(tuple(r) for r in ominus),
-                    star=tuple(star))
-    ok, wit = derived_sum_matches(A)
-    if not ok:
-        raise AssertionError(f"derived partial sum disagrees with the table at {wit}")
-    return A
+    return MvStructure(base=E,
+                       oplus=tuple(tuple(r) for r in oplus),
+                       odot=tuple(tuple(r) for r in odot),
+                       ominus=tuple(tuple(r) for r in ominus),
+                       star=tuple(star))
 
 
 def derived_sum_matches(A: MvStructure):

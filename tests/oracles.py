@@ -1,5 +1,5 @@
 """Test-side second routes: the duality layer's pull-back, dense elimination,
-and the splitting formulation of refinement."""
+the splitting formulation of refinement, and integer matrix products."""
 
 from fractions import Fraction
 
@@ -76,3 +76,9 @@ def dense_affine_parametrization(eq_rows, eq_rhs, nvars):
             col[p] = -red[r][f]
         basis.append(tuple(col))
     return tuple(c), free, basis
+
+
+def mat_mul(a, b):
+    """The product of two integer matrices given as row sequences, as row tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)

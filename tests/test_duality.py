@@ -69,7 +69,7 @@ def test_state_functor_examples():
     assert g.vertex_to_vertex in ((0, 0), (1, 1))
 
     swap = (0, 2, 1, 3)
-    P, g = state_functor(b2, swap, n=3)
+    P, g = state_functor(b2, swap)
     assert sorted(g.vertex_to_vertex) == [0, 1]
     assert g.vertex_to_vertex != (0, 1)
     assert g.potency == 3

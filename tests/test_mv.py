@@ -1,9 +1,12 @@
 """MV operation tables on the lattice-ordered catalog algebras."""
 
+import random
+
 import pytest
 
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
-                               build_product, horizontal_sum)
+                               build_product, horizontal_sum, small_catalog)
+from effectalg.fuzz import random_algebra
 from effectalg.mv import (derived_sum_matches, is_mv_endomorphism,
                           is_mv_state_morphism, mv_operations, mv_state_axioms)
 
@@ -38,6 +41,35 @@ def test_derived_sum_reproduces_table():
         A = mv_operations(E)
         ok, witness = derived_sum_matches(A)
         assert ok, witness
+
+
+def test_mv_identities_on_population():
+    """On every MV algebra among the catalog up to 9 elements and 200 seeded
+    random tables: 0 is the unit of (+), 1 absorbs, (+) commutes, star is an
+    involution, the Lukasiewicz axiom holds, and the derived partial sum is the
+    table.  ``mv_operations`` builds the tables without rechecking these."""
+    rng = random.Random(20240913)
+    population = [E for _name, E in small_catalog(max_elements=9)]
+    population += [random_algebra(rng, max_elements=9)[1] for _ in range(200)]
+    built = 0
+    for E in population:
+        try:
+            A = mv_operations(E)
+        except ValueError:     # not lattice-ordered, or no refinement: not MV
+            continue
+        n, oplus, star = E.n, A.oplus, A.star
+        for x in range(n):
+            assert oplus[x][0] == x == oplus[0][x]
+            assert oplus[x][n - 1] == n - 1
+            assert star[star[x]] == x
+            for y in range(n):
+                assert oplus[x][y] == oplus[y][x]
+                assert (oplus[x][star[oplus[x][star[y]]]]
+                        == oplus[y][star[oplus[y][star[x]]]])
+        ok, witness = derived_sum_matches(A)
+        assert ok, witness
+        built += 1
+    assert built
 
 
 def test_non_mv_inputs_rejected():

@@ -153,7 +153,8 @@ def test_induced_map_of_swap_exchanges_vertices():
     E = build_product([build_chain(2), build_chain(2)])
     P = compute_states(E)
     swap = coordinate_swap_map(E)
-    ind = induced_state_map(E, swap, P, n=3)
+    ind = induced_state_map(E, swap, P)
+    assert ind.potency == minimal_potency(swap) == 3
     assert sorted(ind.vertex_to_vertex) == [0, 1]
     assert ind.vertex_to_vertex != (0, 1)
 
@@ -264,20 +265,23 @@ def test_power_and_potency_identities():
 
 def test_induced_map_vertex_check_matches_state_oracle():
     """Over every self-map fixing 0 and 1 of three small algebras,
-    ``induced_state_map`` rejects the map exactly when some vertex image
-    s o tau fails the direct state check."""
+    ``induced_state_map`` accepts exactly the endomorphisms of the brute-force
+    oracle; every vertex image it returns is v o tau and a state by the direct
+    check, and every other map raises ValueError."""
     rejected = accepted = 0
     for E in (build_boolean(2), build_chain(3),
               build_product([build_chain(1), build_chain(2)])):
         P = compute_states(E)
+        endos = set(endomorphism_oracle(E))
         for mid in product(range(E.n), repeat=E.n - 2):
             m = (0,) + mid + (E.n - 1,)
-            images = [tuple(v[x] for x in m) for v in P.vertices]
-            if all(is_state(E, img) for img in images):
-                induced_state_map(E, m, P)
+            if m in endos:
+                ind = induced_state_map(E, m, P)
+                assert ind.vertex_images == tuple(tuple(v[x] for x in m) for v in P.vertices)
+                assert all(is_state(E, img) for img in ind.vertex_images)
                 accepted += 1
             else:
-                with pytest.raises(AssertionError, match="vertex image violates"):
+                with pytest.raises(ValueError, match="not an endomorphism"):
                     induced_state_map(E, m, P)
                 rejected += 1
     assert accepted and rejected

@@ -6,11 +6,13 @@ import pytest
 
 from effectalg.catalog import build_boolean, build_chain
 from effectalg.core import GuardExceeded, is_isomorphic
-from effectalg.operators import enumerate_endomorphisms, minimal_potency
+from effectalg.operators import (enumerate_endomorphisms, induced_state_map,
+                                 is_endomorphism, minimal_potency)
 from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extend_endomorphism,
-                               extremal_states, greedy_interval_decomposition,
-                               group_leq, materialize)
+                               extremal_states, group_leq, materialize)
+from effectalg.states import compute_states
 from effectalg.structure import check_rdp
+from oracles import mat_mul
 
 
 def test_strict_order_comparisons():
@@ -105,12 +107,6 @@ def test_extremal_states_families():
     assert len(extremal_states(lex)) == 1
 
 
-def test_greedy_decomposition():
-    parts = greedy_interval_decomposition((1, 1), (2, 3))
-    assert [tuple(p) for p in parts] == [(1, 1), (1, 1), (0, 1)]
-    assert not greedy_interval_decomposition((2, 2), (0, 0))
-
-
 def test_extension_identity_swap_repeat():
     alg = IntervalAlgebra(PoGroupSpec(2, "Z", "product"), (1, 1))
     E = materialize(alg)
@@ -124,25 +120,46 @@ def test_extension_identity_swap_repeat():
     assert rep.matrix == ((1, 0), (0, 1))
     rep = extend_endomorphism(alg, E, swap)
     assert rep.matrix == ((0, 1), (1, 0))
-    assert rep.potency == 3 and rep.matrix_potent
+    assert rep.potency == 3
     rep = extend_endomorphism(alg, E, repeat)
     assert rep.matrix == ((1, 0), (1, 0))
-    assert rep.potency == 2 and rep.matrix_potent
+    assert rep.potency == 2
 
 
 def test_every_potent_endomorphism_extends():
+    """The matrix reproduces the table map on every point of [0, u], has no
+    negative entries, and keeps the table map's potency."""
     for u in [(1, 1), (2, 1)]:
         alg = IntervalAlgebra(PoGroupSpec(2, "Z", "product"), u)
         E = materialize(alg)
+        coords = E.meta["coords"]
         count = 0
         for m in enumerate_endomorphisms(E):
             n = minimal_potency(m)
             if n is None:
                 continue
-            rep = extend_endomorphism(alg, E, m, n)
-            assert rep.matrix_potent
-            assert rep.cone_preserved
-            assert rep.restriction_matches
-            assert rep.decomposition_consistent
+            M = extend_endomorphism(alg, E, m).matrix
+            for i, p in enumerate(coords):
+                assert mat_mul(M, [[c] for c in p]) == tuple((c,) for c in coords[m[i]])
+            assert all(v >= 0 for row in M for v in row)
+            Mn = M
+            for _ in range(n - 1):
+                Mn = mat_mul(Mn, M)
+            assert Mn == M
             count += 1
         assert count >= 1
+
+
+def test_non_endomorphism_rejected():
+    """On the unit box, a map fixing 0 and 1 that sends both atoms to (0, 1)
+    loses the sum (0, 1) + (1, 0) = (1, 1); neither the group extension nor the
+    induced state map accepts it."""
+    alg = IntervalAlgebra(PoGroupSpec(2, "Z", "product"), (1, 1))
+    E = materialize(alg)
+    coords = E.meta["coords"]
+    m = tuple(coords.index((0, 1)) if 0 < i < E.n - 1 else i for i in range(E.n))
+    assert m[0] == 0 and m[-1] == E.n - 1 and not is_endomorphism(E, m)
+    with pytest.raises(ValueError, match="not an endomorphism"):
+        extend_endomorphism(alg, E, m)
+    with pytest.raises(ValueError, match="not an endomorphism"):
+        induced_state_map(E, m, compute_states(E))
