@@ -41,6 +41,8 @@ class CatalogSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "CatalogSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"a catalog spec is an object, got {d!r}")
         kind = d.get("kind")
         if kind == "boolean":
             return CatalogSpec("boolean", k=int(d["k"]))

@@ -5,7 +5,9 @@ convention index 0 is the zero element and index n-1 is the unit.  The partial s
 is stored once, as an immutable dense table ``table[a][b]`` (None where a + b is
 undefined) plus the list of its defined sums; only ``validate_axioms`` builds it.
 Asymmetric input is rejected rather than repaired so that corrupted tables fail
-loudly.
+loudly.  Associativity is checked only on the triples whose left association
+(a + b) + c is defined, |L| work rather than n^3: once the table is symmetric,
+every failing triple (a, b, c) or its mirror (c, b, a) is one of them.
 """
 
 from __future__ import annotations
@@ -121,25 +123,40 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
                     meta: Optional[dict] = None) -> FiniteEffectAlgebra:
     """Validate a raw partial sum table and return the algebra.
 
+    Each entry is an (i, j, k) sequence of ints in 0..n-1, read as i + j = k;
+    ``labels``, when given, has one entry per element (ValueError otherwise).
     Checks, in order: table shape, commutativity (i), the unit law (iv), unique
-    complements against index n-1 (iii), and partial associativity as a
-    biconditional over all triples (ii).  Raises
-    AxiomViolation naming the first failure with a witness: the first offending
-    entry in input order for the table, (i) and (iv), the lexicographically
-    first triple for (ii).
+    complements against index n-1 (iii), and partial associativity (ii): for
+    every triple, (a + b) + c is defined exactly when a + (b + c) is, and then
+    they are equal.  (ii) scans L = {(a, b, c) : a + b and (a + b) + c
+    defined}, where b + c and a + (b + c) must be defined and equal to
+    (a + b) + c.  That is enough: by (i), (c, b, a) fails exactly when
+    (a, b, c) does, with the two associations swapped, and a failure has at
+    least one side defined, so it or its mirror lies in L.
+
+    Raises AxiomViolation naming the first failure with a witness: the first
+    offending entry in input order for the table, (i) and (iv), the
+    lexicographically first failing triple for (ii), which is the least of the
+    failures found in L and their mirrors.
     """
     if n < 1:
         raise AxiomViolation("table", (n,), "need at least one element")
+    if labels is not None and len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} elements")
     entries = list(triples)
     one = n - 1
     rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     upper = []     # each defined pair once, i <= j, in order of first appearance
     for t in entries:
+        if not isinstance(t, (tuple, list)):
+            raise AxiomViolation("table", (t,), "entries must be (i, j, k) triples")
         if len(t) != 3:
             raise AxiomViolation("table", tuple(t), "entries must be (i, j, k) triples")
         i, j, k = t
         for x in (i, j, k):
-            if not isinstance(x, int) or not (0 <= x < n):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise AxiomViolation("table", (i, j, k), "indices must be ints")
+            if not 0 <= x < n:
                 raise AxiomViolation("table", (i, j, k), "index out of range")
         prev = rows[i][j]
         if prev is None:
@@ -166,19 +183,29 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
                                  "complement must exist and be unique")
         complements.append(partners[0])
 
-    # (a + b) + c against a + (b + c), for every c at once: the rows agree
-    # exactly when both sides are undefined or equal at each c.
-    undefined = [None] * n
+    # (ii) on L, with defined_at[x] the columns where row x is defined; each
+    # failure outside L is the mirror (c, b, a) of one inside it.
+    defined_at = [[c for c, k in enumerate(row) if k is not None] for row in rows]
+    first = None
     for a, row_a in enumerate(rows):
-        for b, ab in enumerate(row_a):
-            left = undefined if ab is None else rows[ab]
-            right = [None if bc is None else row_a[bc] for bc in rows[b]]
-            if left != right:
-                c = next(c for c in range(n) if left[c] != right[c])
-                if (left[c] is None) != (right[c] is None):
-                    raise AxiomViolation("ii", (a, b, c),
-                                         "one association defined, the other not")
-                raise AxiomViolation("ii", (a, b, c), "associated sums differ")
+        for b in defined_at[a]:
+            ab = row_a[b]
+            row_b, row_ab = rows[b], rows[ab]
+            for c in defined_at[ab]:
+                bc = row_b[c]
+                if bc is None or row_a[bc] != row_ab[c]:
+                    found = min((a, b, c), (c, b, a))
+                    if first is None or found < first:
+                        first = found
+                    break
+    if first is not None:
+        a, b, c = first
+        ab, bc = rows[a][b], rows[b][c]
+        left = None if ab is None else rows[ab][c]
+        right = None if bc is None else rows[a][bc]
+        if (left is None) != (right is None):
+            raise AxiomViolation("ii", first, "one association defined, the other not")
+        raise AxiomViolation("ii", first, "associated sums differ")
 
     frozen_meta = {key: tuple(v) if isinstance(v, list) else v
                    for key, v in (meta or {}).items()}

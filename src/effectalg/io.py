@@ -35,14 +35,23 @@ def structure_to_dict(E: FiniteEffectAlgebra) -> dict:
 
 
 def structure_from_dict(data: dict) -> FiniteEffectAlgebra:
+    """The algebra of a structure file: a catalog spec, or a raw table whose
+    entries ``validate_axioms`` checks as given, with no coercion."""
+    if not isinstance(data, dict):
+        raise ValueError("a structure file holds one JSON object")
     if "catalog" in data:
         return build_catalog(CatalogSpec.from_dict(data["catalog"]))
-    n = int(data["n"])
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError("'n' must be an integer")
     if data.get("zero", 0) != 0 or data.get("one", n - 1) != n - 1:
         raise ValueError("structure files put zero at index 0 and the unit at n-1")
-    triples = [tuple(int(x) for x in t) for t in data["sums"]]
-    labels = data.get("labels")
-    return validate_axioms(n, triples, labels)
+    sums, labels = data["sums"], data.get("labels")
+    if not isinstance(sums, list):
+        raise ValueError("'sums' must be a list of [i, j, k] entries")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError("'labels' must be a list")
+    return validate_axioms(n, sums, labels)
 
 
 def load_structure(path: Union[str, Path]) -> FiniteEffectAlgebra:

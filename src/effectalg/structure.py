@@ -37,19 +37,17 @@ def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int, y2: int)
     """A 2x2 refinement of x1 + x2 = y1 + y2, or None.
 
     Searches c11 <= x1, y1 and completes the other three cells by subtraction.
+    Once y1 - c11 <= x2 the square closes: x1 + x2 = y1 + (c12 + c22) by
+    associativity, so c12 + c22 = y2 by cancellation.
     """
     leq = E.order.leq
     sub = E.order.sub
     for c11 in range(E.n):
         if not (leq[c11][x1] and leq[c11][y1]):
             continue
-        c12 = sub[x1][c11]
         c21 = sub[y1][c11]
-        if not leq[c21][x2]:
-            continue
-        c22 = sub[x2][c21]
-        if E.table[c12][c22] == y2:
-            return (c11, c12, c21, c22)
+        if leq[c21][x2]:
+            return (c11, sub[x1][c11], c21, sub[x2][c21])
     return None
 
 

@@ -1,5 +1,6 @@
-"""Test-side second routes: the duality layer's pull-back, dense elimination,
-the splitting formulation of refinement, and integer matrix products."""
+"""Test-side second routes: the duality layer's pull-back, whole-row partial
+associativity, dense elimination, the splitting formulation of refinement, and
+integer matrix products."""
 
 from fractions import Fraction
 
@@ -9,6 +10,29 @@ def induced_state_self_map(alg, op, w):
     precomposed with the pull-back ``op`` and read back through the indicator
     functions.  The pull-back route around the square p o g = g' o p."""
     return tuple(alg.evaluate(op.apply(alg.indicator(v)), w) for v in range(alg.m))
+
+
+def dense_associativity_violation(n, triples):
+    """Partial associativity (ii) by whole rows, n^3 work: for each pair (a, b)
+    in order, the row of a + b against a + (b + c) for every c at once.  Takes a
+    raw table that passes the table check and (i).  Returns (witness, message)
+    for the lexicographically first failing triple, or None; the reference for
+    the (ii) step of ``core.validate_axioms``.
+    """
+    rows = [[None] * n for _ in range(n)]
+    for i, j, k in triples:
+        rows[i][j] = k
+    undefined = [None] * n
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
+            left = undefined if ab is None else rows[ab]
+            right = [None if bc is None else row_a[bc] for bc in rows[b]]
+            if left != right:
+                c = next(c for c in range(n) if left[c] != right[c])
+                if (left[c] is None) != (right[c] is None):
+                    return (a, b, c), "one association defined, the other not"
+                return (a, b, c), "associated sums differ"
+    return None
 
 
 def rdp_splitting(E):

@@ -10,7 +10,9 @@ import pytest
 from effectalg.catalog import build_boolean, build_chain, build_product, small_catalog
 from effectalg.core import AxiomViolation, is_isomorphic, raw_triples, validate_axioms
 from effectalg.fuzz import _mutate, fuzz_mutations, permute_algebra, random_algebra
+from oracles import dense_associativity_violation
 from tables import sums_dict
+from test_acceptance import Budget
 
 
 def chain3_triples():
@@ -74,6 +76,44 @@ def test_contradictory_entry_rejected():
     with pytest.raises(AxiomViolation) as exc:
         validate_axioms(4, triples)
     assert exc.value.axiom == "table"
+
+
+def test_associativity_witness_matches_dense_oracle():
+    """The (ii) step scans only triples whose left association is defined and
+    takes each failure's mirror into account; the whole-row oracle scans all
+    n^3.  On seeded edits of the catalog and of random tables, every table that
+    reaches (ii) gets the same verdict, witness and message from both."""
+    rng = random.Random(5)
+    bases = [E for _name, E in small_catalog(max_elements=9)]
+    bases += [random_algebra(rng)[1] for _ in range(60)]
+    failures = mirrored = 0
+    for E in bases:
+        base = raw_triples(E)
+        for _ in range(300):
+            triples, _kind = _mutate(rng, E.n, base)
+            try:
+                validate_axioms(E.n, triples)
+                got = None
+            except AxiomViolation as violation:
+                if violation.axiom != "ii":
+                    continue
+                got = (violation.witness, violation.message)
+            assert got == dense_associativity_violation(E.n, triples), (E.meta, triples)
+            if got is not None:
+                failures += 1
+                sums = {(i, j): k for i, j, k in triples}
+                a, b, c = got[0]
+                mirrored += (sums.get((a, b)), c) not in sums
+    assert failures >= 6000
+    assert mirrored >= 3000
+
+
+def test_boolean10_validates_within_budget():
+    """|L| = 4^10 triples instead of n^3 = 8^10: about 13 s before the sparse scan."""
+    with Budget("boolean(10) build and validation", 5.0):
+        E = build_boolean(10)
+    assert E.n == 1024
+    assert len(E.triples) == (3 ** 10 + 1) // 2 == 29525
 
 
 def test_derived_order_chain2():

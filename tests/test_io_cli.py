@@ -75,6 +75,38 @@ def test_cli_validate_reports_axiom(tmp_path, capsys):
     assert not report["valid"] and report["axiom"] == "i"
 
 
+CHAIN2 = [[0, 0, 0], [0, 1, 1], [0, 2, 2], [1, 0, 1], [1, 1, 2], [2, 0, 2]]
+
+
+def _chain2_with(**fields):
+    return {"n": 3, "zero": 0, "one": 2, "sums": CHAIN2, **fields}
+
+
+@pytest.mark.parametrize("data, code, axiom", [
+    ([1, 2], 2, None),
+    (_chain2_with(sums=None), 2, None),
+    (_chain2_with(sums=CHAIN2 + [5]), 1, "table"),
+    ({"catalog": 5}, 2, None),
+    ({"catalog": {"kind": "product", "factors": [5]}}, 2, None),
+    (_chain2_with(labels=5), 2, None),
+    (_chain2_with(labels=["a"]), 2, None),
+    (_chain2_with(n=3.0), 2, None),
+    (_chain2_with(sums=[[1, 0, 1.9] if t == [1, 0, 1] else t for t in CHAIN2]), 1, "table"),
+    (_chain2_with(sums=[[0, True, 1] if t == [0, 1, 1] else t for t in CHAIN2]), 1, "table"),
+], ids=["top-level-list", "sums-null", "bare-int-entry", "catalog-int", "catalog-factor-int",
+        "labels-int", "labels-short", "n-float", "float-index", "bool-index"])
+def test_cli_malformed_structure(tmp_path, capsys, data, code, axiom):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    got, out = run_cli(capsys, "validate", "--input", str(path))
+    assert got == code
+    if axiom is None:
+        assert out == ""
+    else:
+        report = json.loads(out)
+        assert not report["valid"] and report["axiom"] == axiom
+
+
 def test_cli_states(tmp_path, capsys):
     path = tmp_path / "c2.json"
     path.write_text(json.dumps({"catalog": {"kind": "chain", "n": 2}}))
