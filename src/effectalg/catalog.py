@@ -11,6 +11,9 @@ from typing import Optional
 from .core import FiniteEffectAlgebra, raw_triples, validate_axioms
 
 
+SIZE_KEYS = {"boolean": "k", "chain": "n", "even_subsets": "m"}
+
+
 @dataclass(frozen=True)
 class CatalogSpec:
     """A recipe for one catalog algebra.
@@ -27,12 +30,9 @@ class CatalogSpec:
     chains: Optional[tuple[int, ...]] = None
 
     def to_dict(self) -> dict:
-        if self.kind == "boolean":
-            return {"kind": "boolean", "k": self.k}
-        if self.kind == "chain":
-            return {"kind": "chain", "n": self.n}
-        if self.kind == "even_subsets":
-            return {"kind": "even_subsets", "m": self.m}
+        if self.kind in SIZE_KEYS:
+            key = SIZE_KEYS[self.kind]
+            return {"kind": self.kind, key: getattr(self, key)}
         if self.kind == "product":
             return {"kind": "product", "factors": [f.to_dict() for f in self.factors]}
         if self.kind == "mv_product":
@@ -41,21 +41,31 @@ class CatalogSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "CatalogSpec":
+        """The spec of a JSON object, without coercion: sizes must be ints (not
+        bools), ``factors`` and ``chains`` lists."""
         if not isinstance(d, dict):
             raise ValueError(f"a catalog spec is an object, got {d!r}")
         kind = d.get("kind")
-        if kind == "boolean":
-            return CatalogSpec("boolean", k=int(d["k"]))
-        if kind == "chain":
-            return CatalogSpec("chain", n=int(d["n"]))
-        if kind == "even_subsets":
-            return CatalogSpec("even_subsets", m=int(d["m"]))
+        if kind in SIZE_KEYS:
+            return CatalogSpec(kind, **{SIZE_KEYS[kind]: _size(d[SIZE_KEYS[kind]])})
         if kind == "product":
             return CatalogSpec("product",
-                               factors=tuple(CatalogSpec.from_dict(f) for f in d["factors"]))
+                               factors=tuple(CatalogSpec.from_dict(f) for f in _list(d, "factors")))
         if kind == "mv_product":
-            return CatalogSpec("mv_product", chains=tuple(int(x) for x in d["chains"]))
+            return CatalogSpec("mv_product", chains=tuple(_size(x) for x in _list(d, "chains")))
         raise ValueError(f"unknown catalog kind {kind!r}")
+
+
+def _size(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"catalog sizes must be integers, got {x!r}")
+    return x
+
+
+def _list(d: dict, key: str) -> list:
+    if not isinstance(d[key], list):
+        raise ValueError(f"catalog {key!r} must be a list, got {d[key]!r}")
+    return d[key]
 
 
 def build_boolean(k: int) -> FiniteEffectAlgebra:
@@ -171,21 +181,10 @@ def build_catalog(spec: CatalogSpec) -> FiniteEffectAlgebra:
 
 def small_catalog(max_elements: int = 9) -> list[tuple[str, FiniteEffectAlgebra]]:
     """The standing roster of named catalog algebras with at most ``max_elements``."""
-    out = []
-    for n in range(1, 9):
-        E = build_chain(n)
-        if E.n <= max_elements:
-            out.append((f"chain({n})", E))
-    for k in range(1, 4):
-        E = build_boolean(k)
-        if E.n <= max_elements:
-            out.append((f"boolean({k})", E))
-    for dims in [(1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1)]:
-        E = build_product([build_chain(d) for d in dims])
-        if E.n <= max_elements:
-            name = "product(" + ",".join(f"chain({d})" for d in dims) + ")"
-            out.append((name, E))
-    E = build_even_subsets(4)
-    if E.n <= max_elements:
-        out.append(("even_subsets(4)", E))
-    return out
+    roster = [(f"chain({n})", build_chain(n)) for n in range(1, 9)]
+    roster += [(f"boolean({k})", build_boolean(k)) for k in range(1, 4)]
+    roster += [("product(" + ",".join(f"chain({d})" for d in dims) + ")",
+                build_product([build_chain(d) for d in dims]))
+               for dims in [(1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1)]]
+    roster.append(("even_subsets(4)", build_even_subsets(4)))
+    return [(name, E) for name, E in roster if E.n <= max_elements]

@@ -36,13 +36,15 @@ class StructureReport:
 def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int, y2: int):
     """A 2x2 refinement of x1 + x2 = y1 + y2, or None.
 
-    Searches c11 <= x1, y1 and completes the other three cells by subtraction.
-    Once y1 - c11 <= x2 the square closes: x1 + x2 = y1 + (c12 + c22) by
-    associativity, so c12 + c22 = y2 by cancellation.
+    A cell c11 <= x1, y1 with y1 - c11 <= x2 closes the square by subtraction
+    (c12 + c22 = y2 by associativity and cancellation).  Any such c11 is below
+    m = x1 ^ y1 and y1 - m <= y1 - c11 <= x2, subtraction being antitone in
+    what is subtracted: m alone decides if it exists, else every c11 is tried.
     """
     leq = E.order.leq
     sub = E.order.sub
-    for c11 in range(E.n):
+    m = E.order.meet[x1][y1]
+    for c11 in range(E.n) if m is None else (m,):
         if not (leq[c11][x1] and leq[c11][y1]):
             continue
         c21 = sub[y1][c11]
@@ -54,17 +56,23 @@ def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int, y2: int)
 def check_rdp(E: FiniteEffectAlgebra):
     """Riesz decomposition as (holds, witness), by 2x2 refinement of equal sums.
 
-    The witness is an unrefinable quadruple (x1, x2, y1, y2) when the property
-    fails, else None.  The tests compare it with the splitting formulation:
-    every x <= y1 + y2 is x1 + (x - x1) with x1 <= y1 and x - x1 <= y2.
+    The witness is the first unrefinable quadruple (x1, x2, y1, y2), pairs in
+    triple order, else None.  The meet test of ``refine_quadruple`` is inlined;
+    that function runs only when x1 ^ y1 does not exist.  Only pairs p < q of
+    a sum are walked: a quadruple refines iff its transpose (y1, y2, x1, x2)
+    does, and p = q refines by c11 = x1, so the first failure has p < q.
     """
+    leq, sub, meet = E.order.leq, E.order.sub, E.order.meet
     by_sum: dict[int, list[tuple[int, int]]] = {}
     for i, j, k in E.triples:
         by_sum.setdefault(k, []).append((i, j))
-    for k, pairs in by_sum.items():
-        for x1, x2 in pairs:
-            for y1, y2 in pairs:
-                if refine_quadruple(E, x1, x2, y1, y2) is None:
+    for pairs in by_sum.values():
+        for a, (x1, x2) in enumerate(pairs):
+            meet_x1 = meet[x1]
+            for y1, y2 in pairs[a + 1:]:
+                m = meet_x1[y1]
+                if (not leq[sub[y1][m]][x2] if m is not None
+                        else refine_quadruple(E, x1, x2, y1, y2) is None):
                     return False, (x1, x2, y1, y2)
     return True, None
 
@@ -137,17 +145,10 @@ def enumerate_ideals(E: FiniteEffectAlgebra, tau=None, guard_elements: int = 16)
         if not mask & 1:  # 0 belongs to every ideal
             continue
         members = [a for a in range(n) if mask >> a & 1]
-        ok = all(not leq[b][a] or mask >> b & 1 for a in members for b in range(n))
-        if ok:
-            for a in members:
-                for b in members:
-                    k = E.table[a][b]
-                    if k is not None and not mask >> k & 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+        if not all(not leq[b][a] or mask >> b & 1 for a in members for b in range(n)):
+            continue
+        sums = (E.table[a][b] for a in members for b in members)
+        if all(k is None or mask >> k & 1 for k in sums):
             flags = {"riesz": is_riesz_ideal(E, members)}
             if tau is not None:
                 flags["tau_ideal"] = all(mask >> tau[a] & 1 for a in members)

@@ -1,6 +1,6 @@
 """Test-side second routes: the duality layer's pull-back, whole-row partial
-associativity, dense elimination, the splitting formulation of refinement, and
-integer matrix products."""
+associativity, dense elimination, the splitting formulation of refinement, the
+all-pairs refinement scan, and integer matrix products."""
 
 from fractions import Fraction
 
@@ -51,6 +51,27 @@ def rdp_splitting(E):
                     break
             else:
                 return False, (x, y1, y2)
+    return True, None
+
+
+def full_scan_rdp(E):
+    """Refinement by every ordered pair of pairs of each sum and every c11:
+    (x1, x2, y1, y2) refines iff some c11 <= x1, y1 has y1 - c11 <= x2.  Sums
+    in order of first appearance in ``E.triples``, pairs in triple order.
+    Returns (holds, first unrefinable quadruple or None); the reference for the
+    witness of ``structure.check_rdp``.
+    """
+    leq = E.order.leq
+    sub = E.order.sub
+    by_sum = {}
+    for i, j, k in E.triples:
+        by_sum.setdefault(k, []).append((i, j))
+    for pairs in by_sum.values():
+        for x1, x2 in pairs:
+            for y1, y2 in pairs:
+                if not any(leq[c][x1] and leq[c][y1] and leq[sub[y1][c]][x2]
+                           for c in range(E.n)):
+                    return False, (x1, x2, y1, y2)
     return True, None
 
 

@@ -93,8 +93,15 @@ def _chain2_with(**fields):
     (_chain2_with(n=3.0), 2, None),
     (_chain2_with(sums=[[1, 0, 1.9] if t == [1, 0, 1] else t for t in CHAIN2]), 1, "table"),
     (_chain2_with(sums=[[0, True, 1] if t == [0, 1, 1] else t for t in CHAIN2]), 1, "table"),
+    ({"catalog": {"kind": "boolean", "k": 2.9}}, 2, None),
+    ({"catalog": {"kind": "chain", "n": True}}, 2, None),
+    ({"catalog": {"kind": "mv_product", "chains": [2, "3"]}}, 2, None),
+    ({"catalog": {"kind": "boolean", "k": None}}, 2, None),
+    ({"catalog": {"kind": "product", "factors": 5}}, 2, None),
 ], ids=["top-level-list", "sums-null", "bare-int-entry", "catalog-int", "catalog-factor-int",
-        "labels-int", "labels-short", "n-float", "float-index", "bool-index"])
+        "labels-int", "labels-short", "n-float", "float-index", "bool-index",
+        "catalog-k-float", "catalog-n-bool", "catalog-chains-str", "catalog-k-null",
+        "catalog-factors-int"])
 def test_cli_malformed_structure(tmp_path, capsys, data, code, axiom):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

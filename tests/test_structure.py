@@ -7,13 +7,16 @@ with no shared code with the library path.
 import random
 from itertools import product
 
+from effectalg import structure
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
-from effectalg.fuzz import random_algebra
+from effectalg.core import AxiomViolation, raw_triples, validate_axioms
+from effectalg.fuzz import _mutate, random_algebra
 from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
                                  enumerate_ideals, is_riesz_ideal, verify_rdp_witness)
-from oracles import rdp_splitting
+from oracles import full_scan_rdp, rdp_splitting
 from tables import sums_dict
+from test_acceptance import Budget
 
 
 def rdp_oracle(E):
@@ -72,6 +75,86 @@ def test_rdp_matches_splitting_reference():
             failures += 1
             assert verify_rdp_witness(E, witness)
     assert failures  # both verdicts occur
+
+
+def wright_triangle():
+    """Three Boolean blocks with atoms {0, 1, 2}, {2, 3, 4} and {4, 5, 0}, pasted
+    in a loop: an orthoalgebra that is not a lattice.  Index 1 + x is atom x,
+    7 + x its complement x', and 13 the unit.  The coatoms 0' = 1 + 2 and
+    2' = 0 + 1 have the lower bounds 1 and 4 but no meet, yet 0' + 0 = 2' + 2
+    refines, with atoms c11 = 1, c12 = 2, c21 = 0 and c22 the zero."""
+    blocks = ((0, 1, 2), (2, 3, 4), (4, 5, 0))
+
+    def element(block, mask):
+        part = [x for i, x in enumerate(block) if mask >> i & 1]
+        if len(part) == 1:
+            return 1 + part[0]
+        if len(part) == 2:
+            return 7 + next(x for x in block if x not in part)
+        return 0 if not part else 13
+
+    triples = {(element(b, s), element(b, t), element(b, s | t))
+               for b in blocks for s in range(8) for t in range(8) if not s & t}
+    return validate_axioms(14, sorted(triples))
+
+
+def test_rdp_witness_matches_full_scan(monkeypatch):
+    """Verdict and first witness against the all-pairs, all-c11 scan on the
+    catalog up to 9 elements, 200 seeded random tables, the tables
+    ``validate_axioms`` accepts among seeded raw-table edits, two non-lattices,
+    and seeded relabellings of even_subsets(6) and the Wright triangle with
+    their table rows shuffled.  The last group reaches quadruples whose x1 and
+    y1 have no meet, where ``check_rdp`` falls back to trying every c11; in the
+    Wright triangle some of them refine."""
+    catalog = [E for _name, E in small_catalog(max_elements=9)]
+    population = list(catalog)
+    rng = random.Random(20240913)
+    population += [random_algebra(rng, max_elements=9)[1] for _ in range(200)]
+    for E in catalog:
+        for _ in range(300):
+            triples, _kind = _mutate(rng, E.n, raw_triples(E))
+            try:
+                population.append(validate_axioms(E.n, triples))
+            except AxiomViolation:
+                pass
+    population += [build_even_subsets(6), horizontal_sum([build_boolean(3)] * 3)]
+    for E in (build_even_subsets(6), wright_triangle()):
+        for _ in range(100):
+            perm = [0] + rng.sample(range(1, E.n - 1), E.n - 2) + [E.n - 1]
+            triples = [(perm[i], perm[j], perm[k]) for i, j, k in raw_triples(E)]
+            rng.shuffle(triples)
+            population.append(validate_axioms(E.n, triples))
+
+    fallbacks = []
+    refine = structure.refine_quadruple
+
+    def counted_refine(E, x1, x2, y1, y2):
+        assert E.order.meet[x1][y1] is None
+        fallbacks.append(refine(E, x1, x2, y1, y2))
+        return fallbacks[-1]
+
+    monkeypatch.setattr(structure, "refine_quadruple", counted_refine)
+    failures = fallback_algebras = refined_fallbacks = 0
+    for E in population:
+        fallbacks.clear()
+        got = check_rdp(E)
+        assert got == full_scan_rdp(E)
+        failures += not got[0]
+        fallback_algebras += bool(fallbacks)
+        refined_fallbacks += sum(c is not None for c in fallbacks)
+    assert failures >= 250
+    assert fallback_algebras >= 10
+    assert refined_fallbacks >= 3
+
+
+def test_rdp_size_ceiling_within_budget():
+    """12-16 s on boolean(10) and 10-11 s on chain(512) with the all-pairs,
+    all-c11 scan, on a 2-CPU host."""
+    for name, E in (("boolean(10)", build_boolean(10)), ("chain(512)", build_chain(512))):
+        E.order  # derived outside the timing
+        with Budget(f"check_rdp on {name}", 3.0):
+            holds, witness = check_rdp(E)
+        assert holds and witness is None
 
 
 def test_rdp_catalog():
