@@ -15,8 +15,7 @@ import sys
 
 from .core import AxiomViolation, GuardExceeded, raw_triples
 from .io import dump_report, load_structure, polytope_to_dict
-from .operators import (classify_operator, enumerate_endomorphisms, induced_state_map,
-                        power)
+from .operators import classify_operator, enumerate_endomorphisms, is_n_potent
 from .states import compute_states, discrete_profile, is_order_determining
 from .structure import structure_report
 from .suite import run_suite
@@ -91,12 +90,11 @@ def cmd_operators(args) -> tuple[dict, int]:
         prof = classify_operator(E, m, P)
         entry = prof.to_dict()
         if args.n is not None:
-            entry["classification"][f"is_{args.n}_potent"] = (
-                args.n >= 2 and power(m, args.n) == m)
+            entry["classification"][f"is_{args.n}_potent"] = is_n_potent(
+                prof.minimal_potency, args.n)
         if prof.minimal_potency is not None and not P.empty:
-            ind = induced_state_map(E, m, P)
-            entry["induced_vertex_map"] = (
-                list(ind.vertex_to_vertex) if ind.vertex_to_vertex is not None else None)
+            vmap = P.vertex_map(m)
+            entry["induced_vertex_map"] = None if vmap is None else list(vmap)
         items.append(entry)
     return {"count": len(endos), "operators": items}, 0
 

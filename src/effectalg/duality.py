@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .core import FiniteEffectAlgebra
 from .linalg import ZERO, ONE, Vec
-from .operators import InducedStateMap, induced_state_map, power
+from .operators import InducedStateMap, induced_state_map, is_n_potent, minimal_potency
 from .states import StatePolytope, compute_states
 
 
@@ -49,7 +49,7 @@ class VertexMap:
             raise ValueError("vertex map image out of range")
         if self.declared_n < 2:
             raise ValueError("declared potency must be at least 2")
-        if power(self.image, self.declared_n) != tuple(self.image):
+        if not is_n_potent(minimal_potency(self.image), self.declared_n):
             raise ValueError(f"map is not {self.declared_n}-potent")
 
     def push_forward(self, w: Sequence[Fraction]) -> Vec:

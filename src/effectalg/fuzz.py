@@ -20,14 +20,18 @@ from .pogroup import IntervalAlgebra, PoGroupSpec, materialize
 
 
 def permute_algebra(E: FiniteEffectAlgebra, perm: list[int]) -> FiniteEffectAlgebra:
-    """Relabel elements along a permutation fixing 0 and n-1."""
+    """Relabel elements along a permutation fixing 0 and n-1.
+
+    Element a becomes perm[a]; its label and its entries of the element-indexed
+    ``meta`` lists (a product's ``tuples``, an interval's ``coords``) move with it.
+    """
     if perm[0] != 0 or perm[E.n - 1] != E.n - 1:
         raise ValueError("permutation must fix the distinguished indices")
     triples = [(perm[i], perm[j], perm[k]) for i, j, k in raw_triples(E)]
-    labels = [None] * E.n
-    for a in range(E.n):
-        labels[perm[a]] = E.labels[a]
-    return validate_axioms(E.n, triples, labels, meta=E.meta)
+    order = sorted(range(E.n), key=perm.__getitem__)      # order[perm[a]] == a
+    meta = {key: [v[a] for a in order] if key in ("tuples", "coords") else v
+            for key, v in E.meta.items()}
+    return validate_axioms(E.n, triples, [E.labels[a] for a in order], meta=meta)
 
 
 def random_algebra(rng: random.Random, max_elements: int = 9) -> tuple[str, FiniteEffectAlgebra]:

@@ -1,29 +1,19 @@
 """Exact linear algebra over rationals.
 
-The elimination works on sparse integer rows; Fractions appear only in what it
-returns.  No floats.
+The elimination takes sparse integer rows and works on them as primitive
+integer vectors; Fractions appear only in what it returns.  No floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _integer_row(row: Sequence[Fraction], rhs: Fraction, nvars: int) -> dict[int, int]:
-    """``row . x = rhs`` as a primitive integer dict ``{column: coefficient}``, with
-    the right-hand side stored at column ``nvars``."""
-    entries = {j: x for j, x in enumerate(row) if x}
-    if rhs:
-        entries[nvars] = rhs
-    den = lcm(*(x.denominator for x in entries.values()))
-    return _primitive({j: x.numerator * (den // x.denominator) for j, x in entries.items()})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -44,16 +34,18 @@ def _cancel(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, i
     return _primitive(out)
 
 
-def affine_parametrization(eq_rows: list[Sequence[Fraction]], eq_rhs: Sequence[Fraction],
+def affine_parametrization(eq_rows: Sequence[dict[int, int]], eq_rhs: Sequence[int],
                            nvars: int):
-    """Solve ``A x = b`` exactly.
+    """Solve ``A x = b`` exactly, for integer rows given as sparse dicts
+    ``{column: coefficient}`` with no zero coefficient, and integer ``b``.
 
     Returns None when inconsistent, otherwise ``(c, free_cols, basis)`` so that the
     solution set is ``x = c + sum_j t_j * basis[j]`` with one basis vector per free
     column and ``basis[j][free_cols[j]] == 1``: the parametrization read off the
     reduced row echelon form of ``[A | b]``.
 
-    Elimination is incremental and sparse, on primitive integer rows, and keeps
+    Each row is made primitive with its right-hand side stored at column
+    ``nvars``.  Elimination is incremental and sparse, and keeps
     every pivot row free of the other pivot columns.  A new row is reduced at
     the pivot columns in its support; a redundant row reduces to nothing, and a
     row left with only its right-hand side means ``0 = nonzero``.  Otherwise its
@@ -64,7 +56,7 @@ def affine_parametrization(eq_rows: list[Sequence[Fraction]], eq_rhs: Sequence[F
     """
     pivots: dict[int, dict[int, int]] = {}
     for row, rhs in zip(eq_rows, eq_rhs):
-        r = _integer_row(row, rhs, nvars)
+        r = _primitive({**row, nvars: rhs} if rhs else row)
         for p in [j for j in r if j in pivots]:
             r = _cancel(r, pivots[p], p)
         if not r:

@@ -56,6 +56,16 @@ def minimal_potency(mapping: Sequence[int]) -> Optional[int]:
     return None
 
 
+def is_n_potent(potency: Optional[int], n: int) -> bool:
+    """Is a map with ``minimal_potency`` ``potency`` n-potent, mapping^n == mapping?
+
+    With p the least such power, the powers from the map on repeat with period
+    p - 1, so mapping^n == mapping exactly when n - 1 is a multiple of p - 1;
+    no power returns when p is None.
+    """
+    return n >= 2 and potency is not None and (n - 1) % (potency - 1) == 0
+
+
 def kernel(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> tuple[int, ...]:
     return tuple(a for a in range(E.n) if mapping[a] == 0)
 

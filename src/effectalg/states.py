@@ -2,25 +2,27 @@
 
 A state assigns rational values s(a) in [0,1] with s(1) = 1 and s additive on
 defined sums.  The solution set is a bounded polytope; its vertices are the
-extremal states.  The kernels work on integers and sparse rows: elimination on
-sparse integer rows, double description on integer rays, and the vertex
-rebuild over one common denominator; Fractions appear only at the API
-boundary.  Floating point is forbidden here because vertex dedup and value-set
-tests need decidable equality.  On top of the polytope sit the ordering report
-(order determination and separation), discrete profiles, and the clan-closure
-test of the evaluation image a |-> a-hat.
+extremal states.  The layer works in sparse primitive integers from the sum
+table up: integer equality rows, one integer column per coordinate of the
+parametrization, integer halfspaces and rays; Fractions appear only in
+returned values.  Floating point is forbidden here because vertex dedup and
+value-set tests need decidable equality.  On top of the polytope sit the
+ordering report (order determination and separation), discrete profiles, and
+the clan-closure test of the evaluation image a |-> a-hat.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .core import FiniteEffectAlgebra
-from .linalg import ZERO, ONE, Vec, affine_parametrization
+from .linalg import ONE, Vec, affine_parametrization
 from .polytope import active_set_vertices, dd_vertices
 
 
@@ -81,27 +83,19 @@ class StatePolytope:
 
 
 def state_equalities(E: FiniteEffectAlgebra):
-    """Equality system (rows, rhs) over s_0..s_{n-1} defining states."""
-    n = E.n
-    rows = []
-    rhs = []
-    r0 = [ZERO] * n
-    r0[0] = ONE
-    rows.append(r0)
-    rhs.append(ZERO)
-    r1 = [ZERO] * n
-    r1[n - 1] = ONE
-    rows.append(r1)
-    rhs.append(ONE)
+    """Equality system (rows, rhs) over s_0..s_{n-1} defining states.
+
+    Each row is a sparse integer dict ``{column: coefficient}`` and each
+    right-hand side an int: s_0 = 0, s_{n-1} = 1, then s_i + s_j - s_k = 0 for
+    every defined sum i + j = k.  No row is zero: k has coefficient -1 unless
+    k is i or j, and then the other index keeps +1.
+    """
+    rows = [{0: 1}, {E.n - 1: 1}]
     for i, j, k in E.triples:
-        row = [ZERO] * n
-        row[i] += ONE
-        row[j] += ONE
-        row[k] -= ONE
-        if any(row):
-            rows.append(row)
-            rhs.append(ZERO)
-    return rows, rhs
+        row = Counter((i, j))
+        row[k] -= 1
+        rows.append({c: x for c, x in row.items() if x})
+    return rows, [0, 1] + [0] * len(E.triples)
 
 
 def is_state(E: FiniteEffectAlgebra, vec: Sequence[Fraction]) -> bool:
@@ -119,11 +113,14 @@ def compute_states(E: FiniteEffectAlgebra, method: str = "dd",
                    guard_dim: int = 14) -> StatePolytope:
     """Enumerate all extremal states.
 
-    Gaussian elimination reduces the equalities to an affine parametrization;
-    the box constraints on every coordinate become halfspaces in the free
-    variables; ``method`` picks the vertex enumerator ("dd" or "oracle").  The
-    vertices are rebuilt from the t-vertices in integers.  An empty vertex list
-    means the algebra admits no states at all.
+    Gaussian elimination reduces the integer equalities to an affine
+    parametrization s = c + sum_j t_j * basis[j]; over the common denominator D
+    of c and the basis, each coordinate becomes one integer column, and the box
+    constraints 0 <= s_i <= 1 become integer halfspaces in the free variables;
+    ``method`` picks the vertex enumerator ("dd" or "oracle").  The vertices are
+    rebuilt from the t-vertices with the same columns, and Fractions appear
+    only in the returned vertices.  An empty vertex list means the algebra
+    admits no states at all.
     """
     n = E.n
     eq_rows, eq_rhs = state_equalities(E)
@@ -133,18 +130,18 @@ def compute_states(E: FiniteEffectAlgebra, method: str = "dd",
     c, free, basis = param
     d = len(free)
 
+    # D * s_i = c_int[i] + columns[i] . t
+    D = lcm(*(x.denominator for x in c), *(x.denominator for b in basis for x in b))
+    c_int = [x.numerator * (D // x.denominator) for x in c]
+    columns = [tuple(b[i].numerator * (D // b[i].denominator) for b in basis)
+               for i in range(n)]
     rows = []
-    feasible = True
-    for i in range(n):
-        coeffs = tuple(basis[j][i] for j in range(d))
-        if any(coeffs):
-            rows.append((coeffs, -c[i]))                      # s_i >= 0
-            rows.append((tuple(-x for x in coeffs), c[i] - 1))  # s_i <= 1
-        elif c[i] < 0 or c[i] > 1:
-            feasible = False
-            break
-    if not feasible:
-        return StatePolytope(size=n, vertices=(), free_dim=d)
+    for col, ci in zip(columns, c_int):
+        if any(col):
+            rows.append((col, -ci))                        # s_i >= 0
+            rows.append((tuple(-x for x in col), ci - D))  # s_i <= 1
+        elif ci < 0 or ci > D:
+            return StatePolytope(size=n, vertices=(), free_dim=d)
 
     if method == "dd":
         tverts = dd_vertices(rows, d, guard_dim=guard_dim)
@@ -153,18 +150,13 @@ def compute_states(E: FiniteEffectAlgebra, method: str = "dd",
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    # s = c + sum_j t_j * basis[j] in integers, over the common denominator
-    # D * L of c and the basis (D) and of every t-vertex (L), so that integer
-    # tuples sort as the Fraction vertices do.
-    D = lcm(*(x.denominator for x in c), *(x.denominator for b in basis for x in b))
-    c_int = [x.numerator * (D // x.denominator) for x in c]
-    columns = [[(j, b[i].numerator * (D // b[i].denominator)) for j, b in enumerate(basis)
-                if b[i]] for i in range(n)]
+    # Over D * L, with L the common denominator of every t-vertex, so that
+    # integer tuples sort as the Fraction vertices do.
     L = lcm(*(x.denominator for t in tverts for x in t))
     ints = []
     for t in tverts:
         t_int = [x.numerator * (L // x.denominator) for x in t]
-        ints.append(tuple(ci * L + sum(b * t_int[j] for j, b in col)
+        ints.append(tuple(ci * L + sum(map(mul, col, t_int))
                           for ci, col in zip(c_int, columns)))
     den = D * L
     vertices = tuple(tuple(Fraction(x, den) for x in s) for s in sorted(ints))

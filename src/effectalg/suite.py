@@ -18,7 +18,7 @@ from .catalog import (build_boolean, build_chain, build_even_subsets,
 from .duality import (FiniteSimplex, VertexMap, check_simplex_morphism,
                       check_state_morphism)
 from .fuzz import fuzz_mutations
-from .linalg import ZERO, ONE, affine_parametrization
+from .linalg import affine_parametrization
 from .mv import derived_sum_matches, mv_operations
 from .operators import (check_esp, classify_operator, compose, coordinate_repeat_maps,
                         enumerate_endomorphisms, induced_state_map, kernel,
@@ -417,8 +417,7 @@ def check_state_geometry() -> CheckResult:
 def check_no_state_paths() -> CheckResult:
     empty = StatePolytope(size=3, vertices=(), free_dim=0)
     vacuous = check_esp((0, 1, 2), empty)
-    inconsistent = affine_parametrization(
-        [[ONE], [ONE]], [ZERO, ONE], 1)
+    inconsistent = affine_parametrization([{0: 1}, {0: 1}], [0, 1], 1)
     return CheckResult("no_state_paths", vacuous and inconsistent is None, {})
 
 

@@ -10,6 +10,9 @@ import pytest
 from effectalg.catalog import build_boolean, build_chain, build_product, small_catalog
 from effectalg.core import AxiomViolation, is_isomorphic, raw_triples, validate_axioms
 from effectalg.fuzz import _mutate, fuzz_mutations, permute_algebra, random_algebra
+from effectalg.operators import (coordinate_repeat_maps, enumerate_endomorphisms,
+                                 is_endomorphism)
+from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, extend_endomorphism, materialize
 from oracles import dense_associativity_violation
 from tables import sums_dict
 from test_acceptance import Budget
@@ -294,3 +297,33 @@ def test_algebra_cannot_be_mutated():
     with pytest.raises(FrozenInstanceError):
         o.sub = ()
     assert not hasattr(E, "sums")
+
+
+def relabeled_map(perm, mapping):
+    """The map that ``mapping`` becomes on ``permute_algebra(E, perm)``."""
+    out = [None] * len(perm)
+    for a, b in enumerate(mapping):
+        out[perm[a]] = perm[b]
+    return tuple(out)
+
+
+def test_permute_algebra_moves_element_indexed_meta():
+    """``coords`` and ``tuples`` follow their elements, so the functions that read
+    them answer on a relabeled copy as on the original."""
+    alg = IntervalAlgebra(PoGroupSpec(2, "Z", "product"), (2, 1))
+    E = materialize(alg)
+    perm = [0, 2, 1, 4, 3, 5]
+    E2 = permute_algebra(E, perm)
+    assert [E2.meta["coords"][perm[a]] for a in range(E.n)] == list(E.meta["coords"])
+    maps = [m for m in enumerate_endomorphisms(E)
+            if extend_endomorphism(alg, E, m).matrix == ((0, 2), (0, 1))]
+    assert maps
+    for m in maps:
+        assert extend_endomorphism(alg, E2, relabeled_map(perm, m)).matrix == ((0, 2), (0, 1))
+
+    C = build_product([build_chain(2), build_chain(2)])
+    perm = [0, 3, 1, 4, 2, 5, 6, 7, 8]
+    C2 = permute_algebra(C, perm)
+    for tau, tau2 in zip(coordinate_repeat_maps(C), coordinate_repeat_maps(C2)):
+        assert is_endomorphism(C2, tau2)
+        assert tau2 == relabeled_map(perm, tau)

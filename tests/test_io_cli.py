@@ -12,6 +12,7 @@ from effectalg.io import (group_from_dict, load_structure, polytope_to_dict,
                           structure_from_dict, structure_to_dict)
 from effectalg.states import StatePolytope
 from tables import sums_dict
+from test_acceptance import Budget
 
 
 def test_rational_strings():
@@ -133,6 +134,20 @@ def test_cli_operators(tmp_path, capsys):
     assert report["count"] == 4
     pots = [op["classification"]["minimal_potency"] for op in report["operators"]]
     assert sorted(pots) == [2, 2, 2, 3]
+
+
+def test_cli_operators_large_n(tmp_path, capsys):
+    """``--n`` is decided from the minimal potency, not by n compositions: on
+    boolean(3) with n = 10**6, n - 1 = 999,999 is odd and a multiple of 3, so
+    the maps of potency 2 and 4 are n-potent and those of potency 3 are not."""
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps({"catalog": {"kind": "boolean", "k": 3}}))
+    with Budget("operators --n 1000000 on boolean(3)", 1.0):
+        code, out = run_cli(capsys, "operators", "--input", str(path), "--n", "1000000")
+    assert code == 0
+    verdicts = {(c["minimal_potency"], c["is_1000000_potent"])
+                for c in (op["classification"] for op in json.loads(out)["operators"])}
+    assert verdicts == {(2, True), (3, False), (4, True), (None, False)}
 
 
 def test_cli_usage_error(tmp_path, capsys):

@@ -17,7 +17,7 @@ from effectalg.mv import mv_operations
 from effectalg.operators import (check_esp, classify_operator, compose,
                                  coordinate_repeat_maps, coordinate_swap_map,
                                  enumerate_endomorphisms, induced_state_map,
-                                 is_endomorphism, minimal_potency,
+                                 is_endomorphism, is_n_potent, minimal_potency,
                                  mv_operator_agreement, operator_law_report,
                                  power, scan_mv_operator_agreement)
 from effectalg.states import compute_states, is_state
@@ -285,3 +285,15 @@ def test_induced_map_vertex_check_matches_state_oracle():
                     induced_state_map(E, m, P)
                 rejected += 1
     assert accepted and rejected
+
+
+def test_is_n_potent_matches_power():
+    """The closed form from the minimal potency agrees with n compositions for n
+    from 0 to 12, on every endomorphism of the small catalog and on every self-map
+    of a four-element set (cycles of length 1 to 4, with and without tails)."""
+    maps = [m for _name, E in small_catalog() for m in enumerate_endomorphisms(E)]
+    maps += list(product(range(4), repeat=4))
+    for m in maps:
+        p = minimal_potency(m)
+        for n in range(13):
+            assert is_n_potent(p, n) == (n >= 2 and power(m, n) == m), (m, n)

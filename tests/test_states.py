@@ -218,43 +218,68 @@ def test_lex_interval_states_are_first_coordinate():
     assert not rep.order_determining
 
 
+def elimination_roster():
+    """The acceptance operator population (the catalog up to 9 elements and 200
+    seeded random tables) plus the elimination-heavy large algebras."""
+    rng = random.Random(20240913)
+    algebras = [E for _name, E in small_catalog(9)]
+    algebras += [random_algebra(rng, max_elements=9)[1] for _ in range(200)]
+    algebras += [build_chain(48), build_boolean(6), build_even_subsets(6)]
+    assert len(algebras) == 220
+    return algebras
+
+
+def dense(rows, nvars):
+    return [[row.get(j, 0) for j in range(nvars)] for row in rows]
+
+
+def test_state_equalities_are_sparse_nonzero_int_rows():
+    """One row for s_0 = 0, one for s_1 = 1 and one per defined sum, each a
+    nonempty dict of nonzero ints, with int right-hand sides."""
+    for E in elimination_roster():
+        rows, rhs = state_equalities(E)
+        assert len(rows) == len(rhs) == 2 + len(E.triples)
+        assert rows[:2] == [{0: 1}, {E.n - 1: 1}] and rhs[:2] == [0, 1]
+        assert not any(rhs[2:])
+        for row, b in zip(rows, rhs):
+            assert row and type(b) is int
+            assert all(type(x) is int and x for x in row.values())
+
+
 def test_sparse_elimination_matches_dense_rref():
     """The sparse integer elimination returns exactly the dense RREF's
     ``(c, free, basis)``, or None with it, on the state equalities of the
     catalog, 200 random tables and the elimination-heavy large algebras."""
-    rng = random.Random(20240913)
-    algebras = [E for _name, E in small_catalog(9)]
-    algebras += [random_algebra(rng, max_elements=9)[1] for _ in range(200)]
-    algebras += [build_chain(48), build_boolean(6), build_even_subsets(6),
-                 horizontal_sum([build_boolean(3)] * 5)]
-    assert len(algebras) == 221
-    for E in algebras:
+    for E in elimination_roster() + [horizontal_sum([build_boolean(3)] * 5)]:
         rows, rhs = state_equalities(E)
         assert affine_parametrization(rows, rhs, E.n) == \
-            dense_affine_parametrization(rows, rhs, E.n)
+            dense_affine_parametrization(dense(rows, E.n), rhs, E.n)
 
 
-sparse_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+sparse_coeff = st.integers(min_value=-3, max_value=3)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sparse_elimination_matches_dense_rref_on_random_systems(data):
-    """Random systems with at most 3 nonzeros per row; with ``clash`` a row is
-    repeated with a shifted right-hand side, so the system is inconsistent."""
+    """Random integer systems with at most 3 nonzeros per row, each row and its
+    right-hand side times a common ``factor`` so that ``_primitive`` divides;
+    with ``clash`` a row is repeated with a shifted right-hand side, so the
+    system is inconsistent."""
     nvars = data.draw(st.integers(min_value=1, max_value=6))
-    entries = st.dictionaries(st.integers(min_value=0, max_value=nvars - 1), sparse_coeff,
-                              max_size=3)
-    sparse = data.draw(st.lists(st.tuples(entries, sparse_coeff), max_size=8))
-    rows = [[row.get(j, F(0)) for j in range(nvars)] for row, _rhs in sparse]
-    rhs = [b for _row, b in sparse]
+    entries = st.dictionaries(st.integers(min_value=0, max_value=nvars - 1),
+                              sparse_coeff.filter(bool), max_size=3)
+    sparse = data.draw(st.lists(st.tuples(entries, sparse_coeff, st.integers(1, 4)),
+                                max_size=8))
+    rows = [{j: factor * x for j, x in row.items()} for row, _b, factor in sparse]
+    rhs = [factor * b for _row, b, factor in sparse]
     clash = bool(rows) and data.draw(st.booleans())
     if clash:
         k = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
-        rows.append(list(rows[k]))
+        rows.append(dict(rows[k]))
         rhs.append(rhs[k] + 1)
     result = affine_parametrization(rows, rhs, nvars)
-    assert result == dense_affine_parametrization(rows, rhs, nvars)
+    assert result == dense_affine_parametrization(dense(rows, nvars), rhs, nvars)
     if clash:
         assert result is None
 
