@@ -40,7 +40,7 @@ def _parser() -> argparse.ArgumentParser:
     o = sub.add_parser("operators", help="enumerate and classify endomorphisms")
     o.add_argument("--input", required=True)
     o.add_argument("--n", type=int, default=None,
-                   help="also report whether each operator is n-potent")
+                   help="also report whether each operator is n-potent (n >= 2)")
     o.add_argument("--guard-endos", type=int, default=2_000_000)
 
     sub.add_parser("paper-suite", help="run the standing verification suite")
@@ -82,6 +82,8 @@ def cmd_states(args) -> tuple[dict, int]:
 
 
 def cmd_operators(args) -> tuple[dict, int]:
+    if args.n is not None and args.n < 2:
+        raise ValueError(f"--n must be at least 2, got {args.n}")
     E = load_structure(args.input)
     P = compute_states(E)
     endos = enumerate_endomorphisms(E, guard_nodes=args.guard_endos)

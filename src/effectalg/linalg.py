@@ -1,13 +1,15 @@
-"""Exact linear algebra over rationals.
+"""Exact linear algebra in integers.
 
-The elimination takes sparse integer rows and works on them as primitive
-integer vectors; Fractions appear only in what it returns.  No floats.
+The elimination takes sparse integer rows, works on them as primitive integer
+vectors and returns its parametrization in integers over one common
+denominator.  ``Vec``, ``ZERO`` and ``ONE`` are the rational vectors and
+constants of the layers that read states as Fractions.  No floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -39,10 +41,12 @@ def affine_parametrization(eq_rows: Sequence[dict[int, int]], eq_rhs: Sequence[i
     """Solve ``A x = b`` exactly, for integer rows given as sparse dicts
     ``{column: coefficient}`` with no zero coefficient, and integer ``b``.
 
-    Returns None when inconsistent, otherwise ``(c, free_cols, basis)`` so that the
-    solution set is ``x = c + sum_j t_j * basis[j]`` with one basis vector per free
-    column and ``basis[j][free_cols[j]] == 1``: the parametrization read off the
-    reduced row echelon form of ``[A | b]``.
+    Returns None when inconsistent, otherwise ``(c, free_cols, columns, den)``,
+    all integers, so that the solution set is
+    ``den * x_i = c[i] + sum_j columns[i][j] * t_j`` with one parameter per free
+    column and ``columns[free_cols[j]][j] == den``: the parametrization read off
+    the reduced row echelon form of ``[A | b]``, over ``den``, the lcm of the
+    pivot coefficients.
 
     Each row is made primitive with its right-hand side stored at column
     ``nvars``.  Elimination is incremental and sparse, and keeps
@@ -69,15 +73,13 @@ def affine_parametrization(eq_rows: Sequence[dict[int, int]], eq_rhs: Sequence[i
                 pivots[p] = _cancel(other, r, lead)
         pivots[lead] = r
     free = [j for j in range(nvars) if j not in pivots]
-    c_vec = [ZERO] * nvars
+    den = lcm(*(r[p] for p, r in pivots.items()))
+    c = [0] * nvars
+    columns = [[0] * len(free) for _ in range(nvars)]
+    for j, f in enumerate(free):
+        columns[f][j] = den
     for p, r in pivots.items():
-        c_vec[p] = Fraction(r.get(nvars, 0), r[p])
-    basis = []
-    for f in free:
-        col = [ZERO] * nvars
-        col[f] = ONE
-        for p, r in pivots.items():
-            if f in r:
-                col[p] = Fraction(-r[f], r[p])
-        basis.append(tuple(col))
-    return tuple(c_vec), free, basis
+        m = den // r[p]        # r[p] x_p + sum_f r[f] t_f = r[nvars], times m
+        c[p] = m * r.get(nvars, 0)
+        columns[p] = [-m * r.get(f, 0) for f in free]
+    return c, free, columns, den

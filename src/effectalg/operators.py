@@ -59,9 +59,10 @@ def minimal_potency(mapping: Sequence[int]) -> Optional[int]:
 def is_n_potent(potency: Optional[int], n: int) -> bool:
     """Is a map with ``minimal_potency`` ``potency`` n-potent, mapping^n == mapping?
 
-    With p the least such power, the powers from the map on repeat with period
-    p - 1, so mapping^n == mapping exactly when n - 1 is a multiple of p - 1;
-    no power returns when p is None.
+    n-potency is defined for n >= 2 (mapping^1 == mapping holds for every map);
+    below that the answer is False.  With p the least such power, the powers
+    from the map on repeat with period p - 1, so mapping^n == mapping exactly
+    when n - 1 is a multiple of p - 1; no power returns when p is None.
     """
     return n >= 2 and potency is not None and (n - 1) % (potency - 1) == 0
 

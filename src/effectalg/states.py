@@ -2,10 +2,11 @@
 
 A state assigns rational values s(a) in [0,1] with s(1) = 1 and s additive on
 defined sums.  The solution set is a bounded polytope; its vertices are the
-extremal states.  The layer works in sparse primitive integers from the sum
-table up: integer equality rows, one integer column per coordinate of the
-parametrization, integer halfspaces and rays; Fractions appear only in
-returned values.  Floating point is forbidden here because vertex dedup and
+extremal states.  The layer works in integers from the sum table to the
+polytope: sparse integer equality rows, an integer parametrization over one
+denominator, integer halfspaces and rays, and integer vertices over their
+least common denominator; Fractions are built only when ``P.vertices`` is
+read.  Floating point is forbidden here because vertex dedup and
 value-set tests need decidable equality.  On top of the polytope sit the
 ordering report (order determination and separation), discrete profiles, and
 the clan-closure test of the evaluation image a |-> a-hat.
@@ -17,44 +18,40 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .core import FiniteEffectAlgebra
 from .linalg import ONE, Vec, affine_parametrization
-from .polytope import active_set_vertices, dd_vertices
+from .polytope import dd_vertices
 
 
 @dataclass(frozen=True)
 class StatePolytope:
-    """Exact state polytope: vertex list (sorted lexicographically) plus shape data.
+    """Exact state polytope: the vertices as integer tuples over one common
+    denominator, sorted lexicographically, plus shape data.
 
-    The only code that knows how vertices are looked up: on first use it scales
-    them once to integer tuples over their common denominator ``scale`` and
-    indexes those tuples, so finding the vertex equal to a state is one exact
-    dict lookup.
+    ``scale`` is the least common denominator of the vertex coordinates, so
+    vertex k is ``int_vertices[k] / scale``.  The only code that knows how
+    vertices are looked up: it indexes the integer tuples, so finding the
+    vertex equal to a state is one exact dict lookup.
     """
 
     size: int                      # ambient dimension = |E|
-    vertices: tuple[Vec, ...]
+    int_vertices: tuple[tuple[int, ...], ...]
+    scale: int
     free_dim: int
 
     @property
     def empty(self) -> bool:
-        return not self.vertices
+        return not self.int_vertices
 
     @cached_property
-    def scale(self) -> int:
-        """Common denominator of every vertex coordinate."""
-        return lcm(*(x.denominator for v in self.vertices for x in v))
-
-    @cached_property
-    def int_vertices(self) -> tuple[tuple[int, ...], ...]:
-        """The vertices times ``scale``, as integer tuples."""
+    def vertices(self) -> tuple[Vec, ...]:
+        """The vertices as Fraction tuples, built on first read."""
         scale = self.scale
-        return tuple(tuple(x.numerator * (scale // x.denominator) for x in v)
-                     for v in self.vertices)
+        return tuple(tuple(Fraction(x, scale) for x in v) for v in self.int_vertices)
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -109,58 +106,44 @@ def is_state(E: FiniteEffectAlgebra, vec: Sequence[Fraction]) -> bool:
     return all(vec[i] + vec[j] == vec[k] for i, j, k in E.triples)
 
 
-def compute_states(E: FiniteEffectAlgebra, method: str = "dd",
-                   guard_dim: int = 14) -> StatePolytope:
+def compute_states(E: FiniteEffectAlgebra) -> StatePolytope:
     """Enumerate all extremal states.
 
-    Gaussian elimination reduces the integer equalities to an affine
-    parametrization s = c + sum_j t_j * basis[j]; over the common denominator D
-    of c and the basis, each coordinate becomes one integer column, and the box
-    constraints 0 <= s_i <= 1 become integer halfspaces in the free variables;
-    ``method`` picks the vertex enumerator ("dd" or "oracle").  The vertices are
-    rebuilt from the t-vertices with the same columns, and Fractions appear
-    only in the returned vertices.  An empty vertex list means the algebra
-    admits no states at all.
+    Sparse elimination reduces the integer equalities to the integer affine
+    parametrization ``den * s_i = c[i] + columns[i] . t``; the box constraints
+    0 <= s_i <= 1 become integer halfspaces in the free variables, and double
+    description returns the t-vertices as primitive rays ``(t, h)``.  With L the
+    lcm of their h, each vertex is rebuilt in integers as
+    ``s * den * L = c * L + (L / h) * (columns . t)`` and divided by the gcd of
+    ``den * L`` and every coordinate, so that ``scale`` is the least common
+    denominator.  An empty vertex list means the algebra admits no states at
+    all.
     """
     n = E.n
     eq_rows, eq_rhs = state_equalities(E)
     param = affine_parametrization(eq_rows, eq_rhs, n)
     if param is None:
-        return StatePolytope(size=n, vertices=(), free_dim=0)
-    c, free, basis = param
+        return StatePolytope(size=n, int_vertices=(), scale=1, free_dim=0)
+    c, free, columns, den = param
     d = len(free)
-
-    # D * s_i = c_int[i] + columns[i] . t
-    D = lcm(*(x.denominator for x in c), *(x.denominator for b in basis for x in b))
-    c_int = [x.numerator * (D // x.denominator) for x in c]
-    columns = [tuple(b[i].numerator * (D // b[i].denominator) for b in basis)
-               for i in range(n)]
     rows = []
-    for col, ci in zip(columns, c_int):
+    for col, ci in zip(columns, c):
         if any(col):
-            rows.append((col, -ci))                        # s_i >= 0
-            rows.append((tuple(-x for x in col), ci - D))  # s_i <= 1
-        elif ci < 0 or ci > D:
-            return StatePolytope(size=n, vertices=(), free_dim=d)
+            rows.append((col, -ci))                          # s_i >= 0
+            rows.append(([-x for x in col], ci - den))       # s_i <= 1
+        elif ci < 0 or ci > den:
+            return StatePolytope(size=n, int_vertices=(), scale=1, free_dim=d)
 
-    if method == "dd":
-        tverts = dd_vertices(rows, d, guard_dim=guard_dim)
-    elif method == "oracle":
-        tverts = active_set_vertices(rows, d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    # Over D * L, with L the common denominator of every t-vertex, so that
-    # integer tuples sort as the Fraction vertices do.
-    L = lcm(*(x.denominator for t in tverts for x in t))
+    rays = dd_vertices(rows, d)
+    L = lcm(*(ray[d] for ray in rays))
     ints = []
-    for t in tverts:
-        t_int = [x.numerator * (L // x.denominator) for x in t]
-        ints.append(tuple(ci * L + sum(map(mul, col, t_int))
-                          for ci, col in zip(c_int, columns)))
-    den = D * L
-    vertices = tuple(tuple(Fraction(x, den) for x in s) for s in sorted(ints))
-    return StatePolytope(size=n, vertices=vertices, free_dim=d)
+    for ray in rays:
+        k = L // ray[d]
+        t = [k * x for x in ray[:d]]
+        ints.append(tuple(ci * L + sum(map(mul, col, t)) for ci, col in zip(c, columns)))
+    g = gcd(den * L, *(x for s in ints for x in s))
+    int_vertices = tuple(sorted(tuple(x // g for x in s) for s in ints))
+    return StatePolytope(size=n, int_vertices=int_vertices, scale=den * L // g, free_dim=d)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
 """Test-side second routes: the duality layer's pull-back, whole-row partial
-associativity, dense elimination, the splitting formulation of refinement, the
-all-pairs refinement scan, and integer matrix products."""
+associativity, dense elimination, active-set vertex enumeration, the splitting
+formulation of refinement, the all-pairs refinement scan, and integer matrix
+products."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb, gcd
+from operator import mul
+
+from effectalg.core import GuardExceeded
 
 
 def induced_state_self_map(alg, op, w):
@@ -121,6 +127,88 @@ def dense_affine_parametrization(eq_rows, eq_rhs, nvars):
             col[p] = -red[r][f]
         basis.append(tuple(col))
     return tuple(c), free, basis
+
+
+def fraction_parametrization(result):
+    """The integer result ``(c, free, columns, den)`` of
+    ``linalg.affine_parametrization`` read as Fractions, in the
+    ``(c, free, basis)`` form of ``dense_affine_parametrization``; None stays None."""
+    if result is None:
+        return None
+    c, free, columns, den = result
+    basis = [tuple(Fraction(col[j], den) for col in columns) for j in range(len(free))]
+    return tuple(Fraction(x, den) for x in c), free, basis
+
+
+def _bareiss_solve(subset, dim: int):
+    """Fraction-free solution ``(num, den)`` of a dim x dim integer system, with
+    ``den > 0`` the absolute determinant; None when singular."""
+    m = [[*coeffs, rhs] for coeffs, rhs in subset]
+    prev = 1
+    for k in range(dim):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, dim) if m[r][k]), None)
+            if swap is None:
+                return None
+            m[k], m[swap] = m[swap], m[k]
+        pk = m[k]
+        akk = pk[k]
+        for r in range(k + 1, dim):
+            row = m[r]
+            ark = row[k]
+            for c in range(k + 1, dim + 1):
+                row[c] = (akk * row[c] - ark * pk[c]) // prev
+            row[k] = 0
+        prev = akk
+    det = m[dim - 1][dim - 1]
+    # Back substitution scaled by det: num[r] = det * x[r] is an integer (Cramer).
+    num = [0] * dim
+    for r in range(dim - 1, -1, -1):
+        row = m[r]
+        acc = row[dim] * det - sum(row[c] * num[c] for c in range(r + 1, dim))
+        num[r] = acc // row[r]
+    if det < 0:
+        return [-x for x in num], -det
+    return num, det
+
+
+def active_set_vertices(rows, dim: int, guard_systems: int = 2_000_000):
+    """Vertices of the integer system ``coeffs . t >= rhs`` by brute force over
+    all d-subsets of rows, keeping the feasible solutions whose active set has
+    full rank: the oracle for ``polytope.dd_vertices``, returning the same
+    sorted primitive integer rays ``(t, h)``.
+
+    Each d x d system is solved fraction-free (Bareiss 1968): the solution is
+    ``num / den`` with integer ``num`` and ``den > 0``, and a row is satisfied
+    when ``coeffs . num >= rhs * den``.
+    """
+    scaled = set()
+    for coeffs, rhs in rows:
+        vec = (*coeffs, rhs)
+        g = gcd(*vec) or 1
+        scaled.add(tuple(x // g for x in vec))
+    int_rows = []
+    for *coeffs, rhs in sorted(scaled):
+        if any(coeffs):
+            int_rows.append((tuple(coeffs), rhs))
+        elif rhs > 0:
+            return []
+    if dim == 0:
+        return [(1,)]
+    total = comb(len(int_rows), dim)
+    if total > guard_systems:
+        raise GuardExceeded(
+            f"active-set oracle would solve {total} systems (guard {guard_systems})")
+    verts = set()
+    for subset in combinations(int_rows, dim):
+        solved = _bareiss_solve(subset, dim)
+        if solved is None:
+            continue
+        num, den = solved
+        if all(sum(map(mul, coeffs, num)) >= rhs * den for coeffs, rhs in int_rows):
+            g = gcd(den, *num)
+            verts.add(tuple(x // g for x in (*num, den)))
+    return sorted(verts)
 
 
 def mat_mul(a, b):

@@ -68,7 +68,7 @@ CASES = {
     "operators-boolean3": (BOOLEAN3, ["operators", "--n", "3"], 0,
         "5e3713c7d3f0ec7bf7ad87017e8755fb74eaa40e3a45de5ceb0d7f664fbad654"),
     "paper-suite": (None, ["paper-suite"], 0,
-        "81a65431458e400f003534d22092f3ae4c39802329f71ae6fb7148b64258b20f"),
+        "ed0b1e2f0052d415c6f359e2a871bab6fc18746d9a45b4d6ac534f9a3786df53"),
     "analyze-even4-relabeled": (EVEN4_RELABELED, ["analyze"], 0,
         "1d887e8ce8f45e22ae85254f4a20bc8ffc3097edbffadb1d658d5e8e847ad1d2"),
     "validate-square-asymmetric": (SQUARE_ASYMMETRIC, ["validate"], 1,

@@ -16,7 +16,8 @@ from test_acceptance import Budget
 
 
 def test_rational_strings():
-    P = StatePolytope(size=3, vertices=((F(0), F(3, 10), F(1)),), free_dim=1)
+    P = StatePolytope(size=3, int_vertices=((0, 3, 10),), scale=10, free_dim=1)
+    assert P.vertices == ((F(0), F(3, 10), F(1)),)
     assert polytope_to_dict(P)["vertices"] == [["0", "3/10", "1"]]
     assert str_to_frac("3/10") == F(3, 10)
     assert str_to_frac("2") == F(2)
@@ -148,6 +149,19 @@ def test_cli_operators_large_n(tmp_path, capsys):
     verdicts = {(c["minimal_potency"], c["is_1000000_potent"])
                 for c in (op["classification"] for op in json.loads(out)["operators"])}
     assert verdicts == {(2, True), (3, False), (4, True), (None, False)}
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_cli_operators_rejects_n_below_two(n, tmp_path, capsys):
+    """n-potency is defined for n >= 2: a smaller ``--n`` is a usage error, not
+    a report that calls the identity not 1-potent."""
+    path = tmp_path / "b1.json"
+    path.write_text(json.dumps({"catalog": {"kind": "boolean", "k": 1}}))
+    code = main(["operators", "--input", str(path), "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --n must be at least 2, got {n}\n"
 
 
 def test_cli_usage_error(tmp_path, capsys):

@@ -168,7 +168,7 @@ def test_identity_induces_identity():
 
 def test_esp_vacuous_without_states():
     from effectalg.states import StatePolytope
-    empty = StatePolytope(size=4, vertices=(), free_dim=0)
+    empty = StatePolytope(size=4, int_vertices=(), scale=1, free_dim=0)
     assert check_esp((0, 1, 2, 3), empty)
 
 

@@ -1,64 +1,78 @@
-"""Double description vs the brute-force active-set oracle."""
+"""Double description vs the brute-force active-set oracle, on integer rows."""
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
-from effectalg.polytope import active_set_vertices, dd_vertices
+from effectalg.polytope import dd_vertices
 
-from oracles import rref
+from oracles import active_set_vertices, rref
 
 
 def box_rows(d):
     rows = []
     for j in range(d):
-        lo = [F(0)] * d
-        lo[j] = F(1)
-        rows.append((tuple(lo), F(0)))
-        hi = [F(0)] * d
-        hi[j] = F(-1)
-        rows.append((tuple(hi), F(-1)))
+        lo = [0] * d
+        lo[j] = 1
+        rows.append((tuple(lo), 0))
+        hi = [0] * d
+        hi[j] = -1
+        rows.append((tuple(hi), -1))
     return rows
+
+
+def integer_row(coeffs, rhs):
+    """A Fraction row ``coeffs . t >= rhs`` times the lcm of its denominators."""
+    m = lcm(*(F(x).denominator for x in (*coeffs, rhs)))
+    return tuple(int(x * m) for x in coeffs), int(rhs * m)
 
 
 def test_unit_square():
     rows = box_rows(2)
     verts = dd_vertices(rows, 2)
-    assert len(verts) == 4
+    assert verts == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
     assert verts == active_set_vertices(rows, 2)
 
 
 def test_cut_corner():
-    rows = box_rows(2) + [((F(-1), F(-1)), F(-3, 2))]
+    rows = box_rows(2) + [((-2, -2), -3)]
     verts = dd_vertices(rows, 2)
     assert len(verts) == 5
-    assert (F(1, 2), F(1)) in verts
+    assert (1, 2, 2) in verts
     assert verts == active_set_vertices(rows, 2)
 
 
 def test_infeasible():
-    rows = box_rows(2) + [((F(1), F(0)), F(2))]
+    rows = box_rows(2) + [((1, 0), 2)]
     assert dd_vertices(rows, 2) == []
     assert active_set_vertices(rows, 2) == []
 
 
 def test_degenerate_segment():
-    rows = box_rows(2) + [((F(1), F(1)), F(1)), ((F(-1), F(-1)), F(-1))]
+    rows = box_rows(2) + [((1, 1), 1), ((-1, -1), -1)]
     verts = dd_vertices(rows, 2)
-    assert verts == [(F(0), F(1)), (F(1), F(0))]
+    assert verts == [(0, 1, 1), (1, 0, 1)]
     assert verts == active_set_vertices(rows, 2)
 
 
 def test_zero_dimensional():
-    assert dd_vertices([], 0) == [()]
-    assert dd_vertices([((), F(1))], 0) == []
+    assert dd_vertices([], 0) == [(1,)]
+    assert dd_vertices([((), 1)], 0) == []
+
+
+def test_rays_are_sorted_distinct_primitive_with_positive_h():
+    rows = box_rows(2) + [((3, 1), 1), ((-1, -3), -2)]
+    rays = dd_vertices(rows, 2)
+    assert rays == sorted(set(rays)) == active_set_vertices(rows, 2)
+    assert all(ray[-1] > 0 and gcd(*ray) == 1 for ray in rays)
 
 
 def test_vertex_certificates():
-    rows = box_rows(3) + [((F(1), F(1), F(1)), F(1))]
-    for v in dd_vertices(rows, 3):
-        values = [(sum(x * y for x, y in zip(c, v)), r) for c, r in rows]
+    rows = box_rows(3) + [((1, 1, 1), 1)]
+    for *t, h in dd_vertices(rows, 3):
+        values = [(sum(x * y for x, y in zip(c, t)), r * h) for c, r in rows]
         assert all(value >= r for value, r in values)
         active = [list(c) for (c, _r), (value, r) in zip(rows, values) if value == r]
         assert len(rref(active)[1]) == 3
@@ -75,7 +89,7 @@ def test_dd_matches_oracle_random(data):
         st.tuples(st.lists(coeff, min_size=d, max_size=d),
                   st.fractions(min_value=-4, max_value=4, max_denominator=3)),
         max_size=5))
-    rows = box_rows(d) + [(tuple(c), r) for c, r in extra]
+    rows = box_rows(d) + [integer_row(c, r) for c, r in extra]
     assert dd_vertices(rows, d) == active_set_vertices(rows, d)
 
 
@@ -85,8 +99,8 @@ def test_dd_matches_oracle_on_random_cuts_in_four_and_five_dimensions():
     rng = random.Random(20240913)
     for _ in range(60):
         d = rng.randint(4, 5)
-        cuts = [(tuple(F(rng.randint(-2, 2)) for _ in range(d)),
-                 F(rng.randint(-3, 2), rng.randint(1, 2)))
+        cuts = [integer_row([rng.randint(-2, 2) for _ in range(d)],
+                            F(rng.randint(-3, 2), rng.randint(1, 2)))
                 for _ in range(rng.randint(1, 6))]
         rows = box_rows(d) + cuts
         assert dd_vertices(rows, d) == active_set_vertices(rows, d)

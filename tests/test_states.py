@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,7 @@ from effectalg.states import (StatePolytope, clan_closure_witness, compute_state
                               is_state, sampled_order_report, state_equalities)
 from effectalg.suite import check_state_geometry
 
-from oracles import dense_affine_parametrization
+from oracles import dense_affine_parametrization, fraction_parametrization
 
 
 def test_chain2_single_state():
@@ -202,7 +203,7 @@ def test_complement_closure_always_holds_on_interval():
 
 
 def test_empty_polytope_reports_no_states():
-    P = StatePolytope(size=3, vertices=(), free_dim=0)
+    P = StatePolytope(size=3, int_vertices=(), scale=1, free_dim=0)
     assert P.empty
     assert P.vertex_index((F(0), F(0), F(1))) is None
 
@@ -247,12 +248,12 @@ def test_state_equalities_are_sparse_nonzero_int_rows():
 
 
 def test_sparse_elimination_matches_dense_rref():
-    """The sparse integer elimination returns exactly the dense RREF's
-    ``(c, free, basis)``, or None with it, on the state equalities of the
+    """The sparse integer elimination, read as Fractions, is exactly the dense
+    RREF's ``(c, free, basis)``, or None with it, on the state equalities of the
     catalog, 200 random tables and the elimination-heavy large algebras."""
     for E in elimination_roster() + [horizontal_sum([build_boolean(3)] * 5)]:
         rows, rhs = state_equalities(E)
-        assert affine_parametrization(rows, rhs, E.n) == \
+        assert fraction_parametrization(affine_parametrization(rows, rhs, E.n)) == \
             dense_affine_parametrization(dense(rows, E.n), rhs, E.n)
 
 
@@ -279,7 +280,8 @@ def test_sparse_elimination_matches_dense_rref_on_random_systems(data):
         rows.append(dict(rows[k]))
         rhs.append(rhs[k] + 1)
     result = affine_parametrization(rows, rhs, nvars)
-    assert result == dense_affine_parametrization(dense(rows, nvars), rhs, nvars)
+    assert fraction_parametrization(result) == \
+        dense_affine_parametrization(dense(rows, nvars), rhs, nvars)
     if clash:
         assert result is None
 
@@ -293,19 +295,22 @@ def test_size_ceiling_chain128_and_six_boolean_cubes():
 
 
 def fraction_rebuild(E):
-    """The vertices as Fraction sums ``c + sum_j t_j * basis[j]`` over the
-    t-vertices of ``dd_vertices``: the glue of ``compute_states`` done the slow way."""
+    """The vertices as Fraction sums ``c + sum_j t_j * basis[j]``, with the
+    integer parametrization and the rays of ``dd_vertices`` read as Fractions:
+    the glue of ``compute_states`` done the slow way."""
     eq_rows, eq_rhs = state_equalities(E)
-    c, free, basis = affine_parametrization(eq_rows, eq_rhs, E.n)
+    param = affine_parametrization(eq_rows, eq_rhs, E.n)
+    c_int, free, columns, den = param
+    c, _free, basis = fraction_parametrization(param)
     d = len(free)
     rows = []
-    for i in range(E.n):
-        coeffs = tuple(b[i] for b in basis)
-        if any(coeffs):
-            rows.append((coeffs, -c[i]))
-            rows.append((tuple(-x for x in coeffs), c[i] - 1))
+    for col, ci in zip(columns, c_int):
+        if any(col):
+            rows.append((col, -ci))
+            rows.append(([-x for x in col], ci - den))
+    points = [tuple(F(x, ray[d]) for x in ray[:d]) for ray in dd_vertices(rows, d)]
     verts = {tuple(c[i] + sum(basis[j][i] * t[j] for j in range(d)) for i in range(E.n))
-             for t in dd_vertices(rows, d)}
+             for t in points}
     return tuple(sorted(verts))
 
 
@@ -317,3 +322,17 @@ def test_integer_glue_matches_fraction_rebuild():
               horizontal_sum([build_boolean(3)] * 5), horizontal_sum([build_boolean(2)] * 10)]
     for E in roster:
         assert compute_states(E).vertices == fraction_rebuild(E)
+
+
+def test_integer_vertices_over_least_common_denominator():
+    """``scale`` is the least common denominator of the vertex coordinates, the
+    integer vertices are sorted and distinct, and ``P.vertices`` reads them as
+    Fractions over ``scale``."""
+    roster = elimination_roster() + [horizontal_sum([build_boolean(3)] * 5),
+                                     horizontal_sum([build_boolean(2)] * 10)]
+    for E in roster:
+        P = compute_states(E)
+        assert gcd(P.scale, *(x for v in P.int_vertices for x in v)) == 1
+        assert list(P.int_vertices) == sorted(set(P.int_vertices))
+        assert P.vertices == tuple(tuple(F(x, P.scale) for x in v)
+                                   for v in P.int_vertices)

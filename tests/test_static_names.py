@@ -193,3 +193,9 @@ def test_state_layer_is_float_free():
         if found:
             problems[name] = found
     assert problems == {}
+
+
+def test_polytope_imports_nothing_from_fractions():
+    """Vertex enumeration takes integer rows and returns integer rays."""
+    path = PACKAGE / "polytope.py"
+    assert "fractions" not in imported_modules(path.read_text(), str(path))
