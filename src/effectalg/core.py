@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -45,12 +47,24 @@ Table = tuple[tuple[Optional[int], ...], ...]
 
 @dataclass(frozen=True)
 class OrderData:
-    """Derived order-theoretic structure of a validated algebra."""
+    """Derived order-theoretic structure of a validated algebra.
+
+    ``meet`` is the one lattice table.  The complement is an order-reversing
+    involution, so a v b exists exactly when a' ^ b' does, and then
+    a v b = (a' ^ b')'; ``join`` is that De Morgan view, built on first read.
+    ``complements`` is the algebra's own tuple, not a copy.
+    """
 
     leq: tuple[tuple[bool, ...], ...]        # leq[a][b] iff a <= b
     sub: Table                               # sub[b][a] = b - a for a <= b, else None
-    join: Table
     meet: Table
+    complements: tuple[int, ...]
+
+    @cached_property
+    def join(self) -> Table:
+        c = self.complements
+        return tuple(tuple(None if m is None else c[m] for m in map(row.__getitem__, c))
+                     for row in map(self.meet.__getitem__, c))
 
 
 @dataclass(frozen=True)
@@ -227,35 +241,34 @@ def raw_triples(E: FiniteEffectAlgebra) -> list[tuple[int, int, int]]:
 
 
 def derive_order(E: FiniteEffectAlgebra) -> OrderData:
-    """Derived order, subtraction, and join/meet tables.
+    """Derived order, subtraction and the meet table, in one pass over the triples.
 
     a <= b iff a + c = b for some c.  ``validate_axioms`` has established the
     axioms, so this is a partial order with bottom 0 and top 1 and every
-    difference b - a is unique; nothing here checks that again.
+    difference b - a is unique; nothing here checks that again.  x = a ^ b iff
+    its down-set is their common down-set; meets are looked up on the upper
+    triangle and mirrored.  No join table is built: a v b = (a' ^ b')'.
     """
     n = E.n
     leq = [[False] * n for _ in range(n)]
-    sub: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    sub = [[None] * n for _ in range(n)]
+    down = [0] * n
+    bit = [1 << a for a in range(n)]
     for a, c, b in E.triples:
         leq[a][b] = leq[c][b] = True
-        sub[b][a] = c
-        sub[b][c] = a
+        row = sub[b]
+        row[a] = c
+        row[c] = a
+        down[b] |= bit[a] | bit[c]
+    # Freed before the meet rows, the lists add nothing to the collections those trigger.
+    leq, sub = tuple(map(tuple, leq)), tuple(map(tuple, sub))
 
-    # x is the join of a and b iff its up-set is exactly their common up-set;
-    # meets dually, with down-sets.
-    up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
-    down = [sum(1 << b for b in range(n) if leq[b][a]) for a in range(n)]
-    by_up = {mask: a for a, mask in enumerate(up)}
-    by_down = {mask: a for a, mask in enumerate(down)}
-    join = [[by_up.get(up[a] & up[b]) for b in range(n)] for a in range(n)]
-    meet = [[by_down.get(down[a] & down[b]) for b in range(n)] for a in range(n)]
-
-    return OrderData(
-        leq=tuple(tuple(r) for r in leq),
-        sub=tuple(tuple(r) for r in sub),
-        join=tuple(tuple(r) for r in join),
-        meet=tuple(tuple(r) for r in meet),
-    )
+    get = {mask: a for a, mask in enumerate(down)}.get
+    meet: list[tuple[Optional[int], ...]] = []
+    for a, mask in enumerate(down):
+        meet.append((*map(itemgetter(a), meet),
+                     *map(get, map(mask.__and__, islice(down, a, None)))))
+    return OrderData(leq=leq, sub=sub, meet=tuple(meet), complements=E.complements)
 
 
 def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,

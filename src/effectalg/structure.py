@@ -90,45 +90,40 @@ def check_interpolation(E: FiniteEffectAlgebra):
     """Finite interpolation: x1, x2 <= y1, y2 admits a z between.
 
     On a finite poset this is the full content of the countable version.
-    Returns (holds, witness quadruple or None).
+    Returns (holds, witness quadruple or None), the witness being the first
+    failure with x1 <= x2 and y1 <= y2 as indices, in index order.
+
+    Interpolation holds exactly when E is a lattice.  If x1 v x2 exists it lies
+    between.  If not, the common upper bounds of x1 and x2 (1 among them) have
+    no least element; were every two of them above a third, this finite set
+    would be directed downward and have one.  So the first failing pair is the
+    first one without a join, read through the meet as x1' ^ x2', and only its
+    upper bounds are scanned for the witness.
     """
-    n = E.n
-    leq = E.order.leq
-    up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
-    down = [sum(1 << b for b in range(n) if leq[b][a]) for a in range(n)]
+    n, c, leq, meet = E.n, E.complements, E.order.leq, E.order.meet
     for x1 in range(n):
+        row = meet[c[x1]]
         for x2 in range(x1, n):
-            cover = up[x1] & up[x2]
-            ys = [y for y in range(n) if cover >> y & 1]
-            for i, y1 in enumerate(ys):
-                for y2 in ys[i:]:
-                    if not cover & down[y1] & down[y2]:
-                        return False, (x1, x2, y1, y2)
+            if row[c[x2]] is None:
+                ys = [y for y in range(n) if leq[x1][y] and leq[x2][y]]
+                down = {y: sum(1 << z for z in ys if leq[z][y]) for y in ys}
+                return False, next((x1, x2, y1, y2) for i, y1 in enumerate(ys)
+                                   for y2 in ys[i:] if not down[y1] & down[y2])
     return True, None
 
 
 def classify_lattice(E: FiniteEffectAlgebra) -> str:
-    """Classify into lattice / antilattice / both / neither from the order tables."""
-    n = E.n
-    o = E.order
-    is_lattice = True
-    is_anti = True
-    for a in range(n):
-        for b in range(a + 1, n):
-            comparable = o.leq[a][b] or o.leq[b][a]
-            has_join = o.join[a][b] is not None
-            has_meet = o.meet[a][b] is not None
-            if not (has_join and has_meet):
-                is_lattice = False
-            if not comparable and (has_join or has_meet):
-                is_anti = False
-    if is_lattice and is_anti:
-        return "both"
-    if is_lattice:
-        return "lattice"
-    if is_anti:
-        return "antilattice"
-    return "neither"
+    """Classify into lattice / antilattice / both / neither from the meet table.
+
+    With a top, all meets give all joins; and an incomparable pair has a join
+    iff its complements, also incomparable, have a meet.  So E is a lattice iff
+    every meet exists, an antilattice iff no incomparable pair has a meet.
+    """
+    n, leq, meet = E.n, E.order.leq, E.order.meet
+    is_lattice = all(None not in row for row in meet)
+    is_anti = not any(meet[a][b] is not None and not (leq[a][b] or leq[b][a])
+                      for a in range(n) for b in range(a + 1, n))
+    return ("neither", "antilattice", "lattice", "both")[2 * is_lattice + is_anti]
 
 
 def enumerate_ideals(E: FiniteEffectAlgebra, tau=None, guard_elements: int = 16):

@@ -1,7 +1,8 @@
 """Test-side second routes: the duality layer's pull-back, whole-row partial
 associativity, dense elimination, active-set vertex enumeration, the splitting
-formulation of refinement, the all-pairs refinement scan, and integer matrix
-products."""
+formulation of refinement, the all-pairs refinement scan, integer matrix
+products, the up-set/down-set order tables, the all-pairs interpolation scan
+and the lattice class read from both join and meet tables."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -215,3 +216,61 @@ def mat_mul(a, b):
     """The product of two integer matrices given as row sequences, as row tuples."""
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
                  for row in a)
+
+
+def updown_order(E):
+    """``(leq, sub, join, meet)`` of a validated algebra as dense tuples: the
+    order and subtraction from the triples, then x = a v b iff the up-set of x
+    is exactly the common up-set of a and b, and meets dually with down-sets.
+    The n^2-scan reference for ``core.derive_order`` and ``OrderData.join``.
+    """
+    n = E.n
+    leq = [[False] * n for _ in range(n)]
+    sub = [[None] * n for _ in range(n)]
+    for a, c, b in E.triples:
+        leq[a][b] = leq[c][b] = True
+        sub[b][a] = c
+        sub[b][c] = a
+    up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
+    down = [sum(1 << b for b in range(n) if leq[b][a]) for a in range(n)]
+    by_up = {mask: a for a, mask in enumerate(up)}
+    by_down = {mask: a for a, mask in enumerate(down)}
+    join = [[by_up.get(up[a] & up[b]) for b in range(n)] for a in range(n)]
+    meet = [[by_down.get(down[a] & down[b]) for b in range(n)] for a in range(n)]
+    return tuple(tuple(tuple(r) for r in t) for t in (leq, sub, join, meet))
+
+
+def scan_interpolation(E):
+    """Interpolation by every pair x1 <= x2 (indices) and every pair y1 <= y2 of
+    their common upper bounds, asking for a z with x1, x2 <= z <= y1, y2.
+    Returns (holds, first failing (x1, x2, y1, y2) or None); the O(n^4)
+    reference for ``structure.check_interpolation``.
+    """
+    n = E.n
+    leq = E.order.leq
+    up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
+    down = [sum(1 << b for b in range(n) if leq[b][a]) for a in range(n)]
+    for x1 in range(n):
+        for x2 in range(x1, n):
+            cover = up[x1] & up[x2]
+            ys = [y for y in range(n) if cover >> y & 1]
+            for i, y1 in enumerate(ys):
+                for y2 in ys[i:]:
+                    if not cover & down[y1] & down[y2]:
+                        return False, (x1, x2, y1, y2)
+    return True, None
+
+
+def dense_lattice_class(E):
+    """"lattice", "antilattice", "both" or "neither" from the join and meet
+    tables of ``updown_order``, every pair a < b asked for both: the reference
+    for ``structure.classify_lattice``."""
+    leq, _sub, join, meet = updown_order(E)
+    is_lattice = is_anti = True
+    for a in range(E.n):
+        for b in range(a + 1, E.n):
+            bounds = (join[a][b] is not None, meet[a][b] is not None)
+            is_lattice = is_lattice and all(bounds)
+            is_anti = is_anti and (leq[a][b] or leq[b][a] or not any(bounds))
+    return {(True, True): "both", (True, False): "lattice",
+            (False, True): "antilattice", (False, False): "neither"}[is_lattice, is_anti]

@@ -39,7 +39,7 @@ class Budget:
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.perf_counter() - self.start
         status = "PASS" if exc_type is None else "FAIL"
-        print(f"{self.name} {status} ({elapsed:.2f}s / budget {self.seconds:.0f}s)")
+        print(f"{self.name} {status} ({elapsed:.2f}s / budget {self.seconds:g}s)")
         if exc_type is None:
             assert elapsed < self.seconds, f"{self.name} exceeded its {self.seconds}s budget"
         return False

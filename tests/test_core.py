@@ -7,14 +7,16 @@ from itertools import permutations
 
 import pytest
 
-from effectalg.catalog import build_boolean, build_chain, build_product, small_catalog
-from effectalg.core import AxiomViolation, is_isomorphic, raw_triples, validate_axioms
+from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
+                               build_product, small_catalog)
+from effectalg.core import (AxiomViolation, derive_order, is_isomorphic, raw_triples,
+                            validate_axioms)
 from effectalg.fuzz import _mutate, fuzz_mutations, permute_algebra, random_algebra
 from effectalg.operators import (coordinate_repeat_maps, enumerate_endomorphisms,
                                  is_endomorphism)
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, extend_endomorphism, materialize
-from oracles import dense_associativity_violation
-from tables import sums_dict
+from oracles import dense_associativity_violation, updown_order
+from tables import sums_dict, wright_triangle
 from test_acceptance import Budget
 
 
@@ -207,6 +209,31 @@ def test_subtraction_unique():
                 c = E.order.sub[b][a]
                 assert diffs == ([] if c is None else [c])
                 assert E.order.leq[a][b] == bool(diffs)
+
+
+def test_derive_order_matches_updown_oracle():
+    """leq, sub, the meet table and the De Morgan join view against the
+    up-set/down-set scan, on the order population, a non-lattice orthoalgebra,
+    two algebras without interpolation and the two size-ceiling algebras."""
+    population = list(order_population())
+    population += [wright_triangle(), build_even_subsets(6), build_even_subsets(8),
+                   build_boolean(10), build_chain(512)]
+    partial = 0
+    for E in population:
+        o = E.order
+        assert (o.leq, o.sub, o.join, o.meet) == updown_order(E), E.meta
+        assert o.complements is E.complements
+        partial += any(None in row for row in o.meet)
+    assert partial >= 3
+
+
+def test_derive_order_size_ceiling_within_budget():
+    """About 0.8 s on boolean(10) and 0.25 s on chain(512) with the
+    up-set/down-set scan, on a 2-CPU host."""
+    for name, E, seconds in (("boolean(10)", build_boolean(10), 1.0),
+                             ("chain(512)", build_chain(512), 0.5)):
+        with Budget(f"derive_order on {name}", seconds):
+            derive_order(E)
 
 
 def test_isomorphism_examples():

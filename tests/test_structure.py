@@ -11,12 +11,13 @@ from effectalg import structure
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
 from effectalg.core import AxiomViolation, raw_triples, validate_axioms
-from effectalg.fuzz import _mutate, random_algebra
+from effectalg.fuzz import _mutate, permute_algebra, random_algebra
 from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
                                  enumerate_ideals, is_riesz_ideal, verify_rdp_witness)
-from oracles import full_scan_rdp, rdp_splitting
-from tables import sums_dict
+from oracles import dense_lattice_class, full_scan_rdp, rdp_splitting, scan_interpolation
+from tables import sums_dict, wright_triangle
 from test_acceptance import Budget
+from test_core import order_population
 
 
 def rdp_oracle(E):
@@ -75,27 +76,6 @@ def test_rdp_matches_splitting_reference():
             failures += 1
             assert verify_rdp_witness(E, witness)
     assert failures  # both verdicts occur
-
-
-def wright_triangle():
-    """Three Boolean blocks with atoms {0, 1, 2}, {2, 3, 4} and {4, 5, 0}, pasted
-    in a loop: an orthoalgebra that is not a lattice.  Index 1 + x is atom x,
-    7 + x its complement x', and 13 the unit.  The coatoms 0' = 1 + 2 and
-    2' = 0 + 1 have the lower bounds 1 and 4 but no meet, yet 0' + 0 = 2' + 2
-    refines, with atoms c11 = 1, c12 = 2, c21 = 0 and c22 the zero."""
-    blocks = ((0, 1, 2), (2, 3, 4), (4, 5, 0))
-
-    def element(block, mask):
-        part = [x for i, x in enumerate(block) if mask >> i & 1]
-        if len(part) == 1:
-            return 1 + part[0]
-        if len(part) == 2:
-            return 7 + next(x for x in block if x not in part)
-        return 0 if not part else 13
-
-    triples = {(element(b, s), element(b, t), element(b, s | t))
-               for b in blocks for s in range(8) for t in range(8) if not s & t}
-    return validate_axioms(14, sorted(triples))
 
 
 def test_rdp_witness_matches_full_scan(monkeypatch):
@@ -178,6 +158,54 @@ def test_interpolation_examples():
     assert leq[x1][y1] and leq[x1][y2] and leq[x2][y1] and leq[x2][y2]
     assert not any(leq[x1][z] and leq[x2][z] and leq[z][y1] and leq[z][y2]
                    for z in range(E.n))
+
+
+def test_interpolation_matches_full_scan():
+    """Verdict and first witness against the all-pairs scan, interpolation
+    exactly on lattices, and the lattice class against the join and meet
+    tables.  The inputs are the order population, the Wright triangle,
+    even_subsets(6) and (8), three Boolean blocks glued at 0 and 1, boolean(6),
+    chain(64) and relabeled chains, plus inputs without interpolation:
+    relabelings of even_subsets(6), its products with chains, horizontal sums
+    holding the Wright triangle, and seeded raw-table edits that validation
+    accepts."""
+    rng = random.Random(16)
+    population = list(order_population())
+    population += [wright_triangle(), build_even_subsets(6), build_even_subsets(8),
+                   horizontal_sum([build_boolean(3)] * 3), build_boolean(6), build_chain(64)]
+    population += [permute_algebra(build_chain(6), [0] + rng.sample(range(1, 6), 5) + [6])
+                   for _ in range(3)]
+    e6 = build_even_subsets(6)
+    population += [permute_algebra(e6, [0] + rng.sample(range(1, 31), 30) + [31])
+                   for _ in range(10)]
+    population += [build_product([e6, build_chain(k)]) for k in (1, 2, 3)]
+    population += [horizontal_sum([wright_triangle(), B]) for B in
+                   (build_chain(2), build_boolean(2), build_boolean(3), wright_triangle())]
+    for _name, E in small_catalog(max_elements=9):
+        for _ in range(300):
+            triples, _kind = _mutate(rng, E.n, raw_triples(E))
+            try:
+                population.append(validate_axioms(E.n, triples))
+            except AxiomViolation:
+                pass
+    failures = 0
+    for E in population:
+        got = check_interpolation(E)
+        assert got == scan_interpolation(E), E.meta
+        lattice_class = classify_lattice(E)
+        assert lattice_class == dense_lattice_class(E), E.meta
+        assert got[0] == (lattice_class in ("lattice", "both"))
+        failures += not got[0]
+    assert failures >= 20
+
+
+def test_interpolation_size_ceiling_within_budget():
+    """1.1 s on boolean(8) and 1.6 s on chain(128) with the all-pairs scan,
+    on a 2-CPU host."""
+    for name, E in (("boolean(8)", build_boolean(8)), ("chain(128)", build_chain(128))):
+        E.order  # derived outside the timing
+        with Budget(f"check_interpolation on {name}", 0.5):
+            assert check_interpolation(E) == (True, None)
 
 
 def test_rdp_implies_interpolation_on_catalog():
