@@ -77,7 +77,7 @@ def enumerate_endomorphisms(E: FiniteEffectAlgebra,
     return sorted(homomorphisms(E, E, guard_nodes=guard_nodes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorProfile:
     mapping: tuple[int, ...]
     is_state_operator: bool          # tau^2 = tau
@@ -104,14 +104,13 @@ class OperatorProfile:
 
 
 def is_strong_operator(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> bool:
-    """tau(tau(a) v tau(b)) = tau(a) v tau(b) whenever that join exists."""
+    """tau(tau(a) v tau(b)) = tau(a) v tau(b) whenever that join exists; the
+    symmetric join table is read once per unordered pair of image elements."""
     join = E.order.join
-    for a in range(E.n):
-        ta = mapping[a]
-        for b in range(a, E.n):
-            j = join[ta][mapping[b]]
-            if j is not None and mapping[j] != j:
-                return False
+    for ta, tb in itertools.combinations_with_replacement(set(mapping), 2):
+        j = join[ta][tb]
+        if j is not None and mapping[j] != j:
+            return False
     return True
 
 
@@ -169,17 +168,27 @@ def classify_operator(E: FiniteEffectAlgebra, mapping: Sequence[int],
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InducedStateMap:
     """Precomposition with an endomorphism tau, restricted to the polytope vertices.
 
     The map s -> s o tau is linear in s, so its images at the vertices fix it on
-    the whole polytope: sum_i w_i v_i goes to sum_i w_i (v_i o tau).
+    the whole polytope: sum_i w_i v_i goes to sum_i w_i (v_i o tau).  The record
+    holds ints only: tau and the polytope's integer vertices fix every image, and
+    ``vertex_images`` builds the Fraction tuples from them on each read.
     """
 
-    vertex_images: tuple[tuple[Fraction, ...], ...]
+    mapping: tuple[int, ...]
+    polytope: StatePolytope
     vertex_to_vertex: Optional[tuple[int, ...]]   # set when every image is a vertex
     potency: Optional[int]                        # the minimal potency of tau
+
+    @property
+    def vertex_images(self) -> tuple[tuple[Fraction, ...], ...]:
+        """v o tau for every vertex v of the polytope, in vertex order."""
+        scale = self.polytope.scale
+        return tuple(tuple(Fraction(iv[x], scale) for x in self.mapping)
+                     for iv in self.polytope.int_vertices)
 
 
 def induced_state_map(E: FiniteEffectAlgebra, mapping: Sequence[int],
@@ -196,11 +205,8 @@ def induced_state_map(E: FiniteEffectAlgebra, mapping: Sequence[int],
     m = tuple(mapping)
     if not is_endomorphism(E, m):
         raise ValueError("not an endomorphism; the induced state map is undefined")
-    return InducedStateMap(
-        vertex_images=tuple(tuple(v[x] for x in m) for v in P.vertices),
-        vertex_to_vertex=P.vertex_map(m),
-        potency=minimal_potency(m),
-    )
+    return InducedStateMap(mapping=m, polytope=P, vertex_to_vertex=P.vertex_map(m),
+                           potency=minimal_potency(m))
 
 
 def coordinate_repeat_maps(E: FiniteEffectAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -300,11 +306,14 @@ def scan_mv_operator_agreement(A, polytope: StatePolytope) -> dict:
     return stats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LawResult:
     applicable: bool
     holds: Optional[bool]
     witness: Optional[tuple] = None
+
+
+NOT_APPLICABLE = LawResult(False, None)   # immutable, so every report shares it
 
 
 def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
@@ -367,8 +376,8 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
                     holds, wit = False, (a, b, mt)
         out["strong_fixes_image_meets"] = LawResult(True, holds, wit)
     else:
-        out["strong_joins_land_in_image"] = LawResult(False, None)
-        out["strong_fixes_image_meets"] = LawResult(False, None)
+        out["strong_joins_land_in_image"] = NOT_APPLICABLE
+        out["strong_fixes_image_meets"] = NOT_APPLICABLE
 
     rdp, _w = check_rdp(E)
     if rdp and sub_ok:
@@ -376,7 +385,7 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
         sub_rdp, sub_w = check_rdp(sub)
         out["image_inherits_rdp"] = LawResult(True, sub_rdp, sub_w)
     else:
-        out["image_inherits_rdp"] = LawResult(False, None)
+        out["image_inherits_rdp"] = NOT_APPLICABLE
 
     faithful = kernel(E, m) == (0,)
     if faithful:
@@ -402,17 +411,17 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
             ident = m == tuple(range(n))
             out["linear_faithful_identity"] = LawResult(True, ident)
         else:
-            out["linear_faithful_identity"] = LawResult(False, None)
+            out["linear_faithful_identity"] = NOT_APPLICABLE
     else:
         for key in ("faithful_strictly_monotone", "faithful_fixed_or_incomparable",
                     "faithful_implies_strong", "linear_faithful_identity"):
-            out[key] = LawResult(False, None)
+            out[key] = NOT_APPLICABLE
 
     if classify_lattice(E) in ("antilattice", "both"):
         holds = preserves_existing_joins(E, m) and preserves_existing_meets(E, m)
         out["antilattice_preserves_joins_meets"] = LawResult(True, holds)
     else:
-        out["antilattice_preserves_joins_meets"] = LawResult(False, None)
+        out["antilattice_preserves_joins_meets"] = NOT_APPLICABLE
 
     out["all_meets_preserved_info"] = LawResult(True, preserves_existing_meets(E, m))
     return out

@@ -5,11 +5,13 @@ defined sums.  The solution set is a bounded polytope; its vertices are the
 extremal states.  The layer works in integers from the sum table to the
 polytope: sparse integer equality rows, an integer parametrization over one
 denominator, integer halfspaces and rays, and integer vertices over their
-least common denominator; Fractions are built only when ``P.vertices`` is
-read.  Floating point is forbidden here because vertex dedup and
-value-set tests need decidable equality.  On top of the polytope sit the
-ordering report (order determination and separation), discrete profiles, and
-the clan-closure test of the evaluation image a |-> a-hat.
+least common denominator, which vertex lookup and the ordering report read.
+Fractions appear only where state values leave the layer or enter it:
+``P.vertices``, ``vertex_index``, ``discrete_profile`` and the clan-closure
+engine.  Floating point is forbidden here because vertex dedup and value-set
+tests need decidable equality.  On top of the polytope sit the ordering report
+(order determination and separation), discrete profiles, and the clan-closure
+test of the evaluation image a |-> a-hat.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 from .core import FiniteEffectAlgebra
@@ -68,15 +70,11 @@ class StatePolytope:
 
     def vertex_map(self, mapping: Sequence[int]) -> Optional[tuple[int, ...]]:
         """For every vertex s, the index of the vertex s o mapping; None when some
-        s o mapping is not a vertex."""
-        index = self._index
-        out = []
-        for iv in self.int_vertices:
-            i = index.get(tuple([iv[a] for a in mapping]))
-            if i is None:
-                return None
-            out.append(i)
-        return tuple(out)
+        s o mapping is not a vertex.  A one-index ``itemgetter`` returns a scalar,
+        which misses as the 1-tuple would: the algebra whose 0 is its 1 has no
+        states, so every key has ``size`` >= 2 entries."""
+        out = tuple(map(self._index.get, map(itemgetter(*mapping), self.int_vertices)))
+        return None if None in out else out
 
 
 def state_equalities(E: FiniteEffectAlgebra):

@@ -1,8 +1,9 @@
 """Test-side second routes: the duality layer's pull-back, whole-row partial
 associativity, dense elimination, active-set vertex enumeration, the splitting
 formulation of refinement, the all-pairs refinement scan, integer matrix
-products, the up-set/down-set order tables, the all-pairs interpolation scan
-and the lattice class read from both join and meet tables."""
+products, the up-set/down-set order tables, the all-pairs interpolation scan,
+the lattice class read from both join and meet tables and the all-pairs
+strong-operator test."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -274,3 +275,17 @@ def dense_lattice_class(E):
             is_anti = is_anti and (leq[a][b] or leq[b][a] or not any(bounds))
     return {(True, True): "both", (True, False): "lattice",
             (False, True): "antilattice", (False, False): "neither"}[is_lattice, is_anti]
+
+
+def all_pairs_strong_operator(E, mapping):
+    """tau(tau(a) v tau(b)) = tau(a) v tau(b) whenever that join exists, tested
+    at every index pair a <= b: the n^2/2 reference for
+    ``operators.is_strong_operator``, which scans pairs of image elements."""
+    join = E.order.join
+    for a in range(E.n):
+        ta = mapping[a]
+        for b in range(a, E.n):
+            j = join[ta][mapping[b]]
+            if j is not None and mapping[j] != j:
+                return False
+    return True

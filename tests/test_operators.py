@@ -6,6 +6,7 @@ enumerator.
 """
 
 import random
+from dataclasses import astuple
 from itertools import product
 
 import pytest
@@ -14,16 +15,18 @@ from effectalg.catalog import build_boolean, build_chain, build_product, small_c
 from effectalg.core import GuardExceeded
 from effectalg.fuzz import random_algebra
 from effectalg.mv import mv_operations
-from effectalg.operators import (check_esp, classify_operator, compose,
+from effectalg.operators import (NOT_APPLICABLE, check_esp, classify_operator, compose,
                                  coordinate_repeat_maps, coordinate_swap_map,
                                  enumerate_endomorphisms, induced_state_map,
-                                 is_endomorphism, is_n_potent, minimal_potency,
-                                 mv_operator_agreement, operator_law_report,
-                                 power, scan_mv_operator_agreement)
+                                 is_endomorphism, is_n_potent, is_strong_operator,
+                                 minimal_potency, mv_operator_agreement,
+                                 operator_law_report, power, scan_mv_operator_agreement)
 from effectalg.states import compute_states, is_state
 from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
                              check_operator_laws)
+from oracles import all_pairs_strong_operator
 from tables import sums_dict
+from test_acceptance import operator_population
 
 
 def endomorphism_oracle(E):
@@ -297,3 +300,49 @@ def test_is_n_potent_matches_power():
         p = minimal_potency(m)
         for n in range(13):
             assert is_n_potent(p, n) == (n >= 2 and power(m, n) == m), (m, n)
+
+
+def test_strong_operator_matches_all_pairs_oracle():
+    """The image-pair test agrees with the all-pairs oracle on every
+    endomorphism of the A05 population and on 40 random unit-fixing self-maps
+    of each algebra of up to six elements; both verdicts occur in each set."""
+    verdicts = {True: 0, False: 0}
+    for _name, E in operator_population():
+        for m in enumerate_endomorphisms(E):
+            got = is_strong_operator(E, m)
+            assert got == all_pairs_strong_operator(E, m), (E.labels, m)
+            verdicts[got] += 1
+    assert all(verdicts.values())
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for name, E in small_catalog(6):
+        n = E.n
+        for _ in range(40):
+            m = (0, *(rng.randrange(n) for _ in range(n - 2)), n - 1)
+            got = is_strong_operator(E, m)
+            assert got == all_pairs_strong_operator(E, m), (name, m)
+            verdicts[got] += 1
+    assert all(verdicts.values())
+
+
+def test_operator_records_are_slotted_and_int_only():
+    """The per-map records carry no instance dict; an induced map holds only
+    ints (its Fraction images are built on read), yet equality still tells
+    apart maps with different vertex images; reports share NOT_APPLICABLE."""
+    E = build_product([build_chain(2), build_chain(2)])
+    P = compute_states(E)
+    t1, t2 = coordinate_repeat_maps(E)
+    ind1, ind2 = induced_state_map(E, t1, P), induced_state_map(E, t2, P)
+    law = operator_law_report(E, t1)
+    for record in (classify_operator(E, t1, P), ind1, *law.values()):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def leaves(x):
+        return [y for z in x for y in leaves(z)] if isinstance(x, tuple) else [x]
+    assert all(type(x) is int or x is None for x in leaves(astuple(ind1)))
+    assert ind1.vertex_images != ind2.vertex_images
+    assert ind1 != ind2
+    assert ind1 == induced_state_map(E, t1, P)
+    assert hash(ind1) == hash(induced_state_map(E, t1, P))
+    assert any(v is NOT_APPLICABLE for v in law.values())
+    assert all(v is NOT_APPLICABLE for v in law.values() if not v.applicable)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
+from effectalg.core import validate_axioms
 from effectalg.fuzz import random_algebra
 from effectalg.linalg import affine_parametrization
 from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extremal_states,
@@ -109,6 +110,18 @@ def test_vertex_lookup_matches_fraction_scan():
         for m in maps:
             found = [scan(P, tuple(v[a] for a in m)) for v in P.vertices]
             assert P.vertex_map(m) == (None if None in found else tuple(found))
+
+
+def test_vertex_map_on_one_element_mappings():
+    """A one-element mapping makes ``itemgetter`` return a scalar.  The only
+    self-map of that length belongs to the algebra whose 0 is its 1, which has
+    no states, so nothing is looked up; on a polytope with vertices the scalar
+    misses exactly as the 1-tuple would."""
+    E = validate_axioms(1, [(0, 0, 0)], ["0"])
+    P = compute_states(E)
+    assert P.empty and P.vertex_map((0,)) == ()
+    P = compute_states(build_chain(2))
+    assert all(P.vertex_map((a,)) is None for a in range(3))
 
 
 def test_order_determining_catalog():
