@@ -41,7 +41,9 @@ def _parser() -> argparse.ArgumentParser:
     o.add_argument("--input", required=True)
     o.add_argument("--n", type=int, default=None,
                    help="also report whether each operator is n-potent (n >= 2)")
-    o.add_argument("--guard-endos", type=int, default=2_000_000)
+    o.add_argument("--guard-endos", type=int, default=2_000_000,
+                   help="most search nodes (images tried) the endomorphism search "
+                        "may visit; exceeding it exits with code 2")
 
     sub.add_parser("paper-suite", help="run the standing verification suite")
     return p

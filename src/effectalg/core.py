@@ -276,92 +276,90 @@ def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
                   guard_nodes: int = 2_000_000) -> Iterator[tuple[int, ...]]:
     """Every map f with f(1) = 1 and f(i) + f(j) = f(k) on every sum triple of E1.
 
-    Backtracking with forward checking (Haralick & Elliott 1980) on one rule:
-    once two entries of a triple (i, j, k) have images, the third is forced,
-    through E2's table or its subtraction, and a clash or an undefined entry
-    prunes the branch.  Complements and the order follow, since a + a' = 1 and
-    d + (e - d) = e are triples too.  Free elements are tried in order of
-    height; each tried image is one node against ``guard_nodes``.  Each map is
-    yielded once; ``injective`` keeps only one-to-one maps.
+    Backtracking with forward checking (Haralick & Elliott 1980), compiled once
+    per call.  In a sum triple (i, j, k), an entry that occurs once is forced
+    when the other two are set: f(k) = f(i) + f(j), f(i) = f(k) - f(j) or
+    f(j) = f(k) - f(i); so i + i = k does not force i, nor 0 + j = j force j.
+    Which entries are forced depends only on which elements are set, never on
+    their images, so the search follows one schedule: a root level that sets
+    f(1) = 1, then a level for each element still unset, in order of height.
+    A level lists its forced steps (x, rows, a, b), meaning
+    f(x) = rows[f(a)][f(b)] with ``rows`` E2's table or its subtraction, then
+    the triples it completes; each triple of E1 is one step or one check.
+    Each image tried for a level's element is one node against
+    ``guard_nodes``; an undefined step, a failed check or, with ``injective``,
+    a repeated image prunes it.  Deeper levels overwrite their entries before
+    reading them, so backtracking undoes nothing.  Each map is yielded once.
     """
     n, m = E1.n, E2.n
-    table, sub = E2.table, E2.order.sub
+    table, sub, leq = E2.table, E2.order.sub, E1.order.leq
     watch: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for t in E1.triples:
         for e in set(t):
             watch[e].append(t)
-    leq = E1.order.leq
-    free = sorted(range(n), key=lambda a: (sum(leq[b][a] for b in range(n)), a))
-    img = [-1] * n
-    used = [False] * m
-    trail: list[int] = []
+    order = sorted(range(n), key=lambda a: (sum(leq[b][a] for b in range(n)), a))
+    known = [False] * n
+    spent: set[tuple[int, int, int]] = set()      # triples already scheduled
+    levels = []
+    for e in (n - 1, *order):
+        if known[e]:
+            continue
+        known[e] = True
+        new, steps, checks = [e], [], []
+        for x in new:                              # grows as steps force elements
+            for t in watch[x]:
+                i, j, k = t
+                si, sj, sk = known[i], known[j], known[k]
+                if t in spent or not (si and sj or sk and (si or sj)):
+                    continue                       # a triple acts once two slots are set
+                spent.add(t)
+                if si and sj and sk:
+                    checks.append(t)
+                    continue
+                step = ((k, table, i, j) if si and sj else
+                        (j, sub, k, i) if si else (i, sub, k, j))
+                steps.append(step)
+                known[step[0]] = True
+                new.append(step[0])
+        levels.append((steps, checks, new))
+    last = len(levels) - 1
+    img = [0] * n
+    used: set[int] = set()
     nodes = 0
 
-    def assign(e: int, v: int) -> bool:
-        """Set f(e) = v and everything it forces; False on a clash."""
-        pending = [(e, v)]
-        while pending:
-            x, fx = pending.pop()
-            if img[x] >= 0:
-                if img[x] != fx:
-                    return False
-                continue
-            if injective:
-                if used[fx]:
-                    return False
-                used[fx] = True
-            img[x] = fx
-            trail.append(x)
-            for i, j, k in watch[x]:
-                fi, fj, fk = img[i], img[j], img[k]
-                if fk < 0:
-                    if fi >= 0 and fj >= 0:
-                        forced = (k, table[fi][fj])
-                    else:
-                        continue
-                elif fi < 0:
-                    if fj >= 0:
-                        forced = (i, sub[fk][fj])
-                    else:
-                        continue
-                elif fj < 0:
-                    forced = (j, sub[fk][fi])
-                elif table[fi][fj] == fk:
-                    continue
-                else:
-                    return False
-                if forced[1] is None:
-                    return False
-                pending.append(forced)
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            x = trail.pop()
-            used[img[x]] = False
-            img[x] = -1
-
-    def search(pos: int) -> Iterator[tuple[int, ...]]:
+    def search(d: int) -> Iterator[tuple[int, ...]]:
         nonlocal nodes
-        while pos < n and img[free[pos]] >= 0:
-            pos += 1
-        if pos == n:
-            yield tuple(img)
-            return
-        e = free[pos]
-        for v in range(m):
-            if injective and used[v]:
+        steps, checks, new = levels[d]
+        e = new[0]
+        for v in range(m) if d else (m - 1,):
+            if injective and v in used:
                 continue
-            nodes += 1
-            if nodes > guard_nodes:
-                raise GuardExceeded(f"homomorphism search guarded at {guard_nodes} nodes")
-            mark = len(trail)
-            if assign(e, v):
-                yield from search(pos + 1)
-            undo(mark)
+            if d:
+                nodes += 1
+                if nodes > guard_nodes:
+                    raise GuardExceeded(f"homomorphism search guarded at {guard_nodes} nodes")
+            img[e] = v
+            for x, rows, a, b in steps:
+                fx = rows[img[a]][img[b]]
+                if fx is None:
+                    break
+                img[x] = fx
+            else:
+                if any(table[img[i]][img[j]] != img[k] for i, j, k in checks):
+                    continue
+                if injective:
+                    images = set(map(img.__getitem__, new))
+                    if len(images) < len(new) or not used.isdisjoint(images):
+                        continue
+                    used.update(images)
+                if d < last:
+                    yield from search(d + 1)
+                else:
+                    yield tuple(img)
+                if injective:
+                    used.difference_update(images)
 
-    if assign(n - 1, m - 1):
-        yield from search(0)
+    yield from search(0)
 
 
 def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:

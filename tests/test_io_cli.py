@@ -178,6 +178,14 @@ def test_cli_guard_error(tmp_path, capsys):
     assert out["ideals"] is None and out["ideal_count"] == -1
 
 
+def test_cli_endomorphism_guard_exits_2(tmp_path, capsys):
+    path = tmp_path / "b5.json"
+    path.write_text(json.dumps({"catalog": {"kind": "boolean", "k": 5}}))
+    assert main(["operators", "--input", str(path), "--guard-endos", "41599"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "guarded at 41599 nodes" in captured.err
+
+
 def test_cli_output_file(tmp_path, capsys):
     src = tmp_path / "c3.json"
     src.write_text(json.dumps({"catalog": {"kind": "chain", "n": 3}}))

@@ -1,19 +1,20 @@
 """Endomorphism enumeration, classification, induced state maps, operator laws.
 
-Independent oracle: a blunt scan of all n^n total maps checking the
-homomorphism conditions directly, with no shared code with the backtracking
-enumerator.
+Independent oracle: a blunt scan of every total map that fixes the unit,
+checking the homomorphism conditions directly, with no shared code with the
+backtracking enumerator.
 """
 
 import random
 from dataclasses import astuple
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from effectalg.catalog import build_boolean, build_chain, build_product, small_catalog
-from effectalg.core import GuardExceeded
-from effectalg.fuzz import random_algebra
+from effectalg.catalog import (build_boolean, build_chain, build_product, horizontal_sum,
+                               small_catalog)
+from effectalg.core import GuardExceeded, homomorphisms
+from effectalg.fuzz import permute_algebra, random_algebra
 from effectalg.mv import mv_operations
 from effectalg.operators import (NOT_APPLICABLE, check_esp, classify_operator, compose,
                                  coordinate_repeat_maps, coordinate_swap_map,
@@ -26,24 +27,23 @@ from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
                              check_operator_laws)
 from oracles import all_pairs_strong_operator
 from tables import sums_dict
-from test_acceptance import operator_population
+from test_acceptance import Budget, operator_population
+
+
+def homomorphism_oracle(E1, E2):
+    """Every total map E1 -> E2 fixing the unit, checked as a homomorphism the
+    long way."""
+    found = []
+    sums1, sums2 = sums_dict(E1), sums_dict(E2)
+    for head in product(range(E2.n), repeat=E1.n - 1):
+        m = (*head, E2.n - 1)
+        if all(sums2.get((m[i], m[j])) == m[k] for (i, j), k in sums1.items()):
+            found.append(m)
+    return sorted(found)
 
 
 def endomorphism_oracle(E):
-    """Every total map, checked as a homomorphism the long way."""
-    found = []
-    sums = sums_dict(E)
-    for m in product(range(E.n), repeat=E.n):
-        if m[E.n - 1] != E.n - 1:
-            continue
-        ok = True
-        for (i, j), k in sums.items():
-            if sums.get((m[i], m[j])) != m[k]:
-                ok = False
-                break
-        if ok:
-            found.append(m)
-    return sorted(found)
+    return homomorphism_oracle(E, E)
 
 
 def test_boolean2_census_matches_oracle():
@@ -80,8 +80,42 @@ def test_search_matches_oracle_on_relabeled_tables():
 
 
 def test_boolean5_search_is_proportional_to_its_output():
-    # 3,125 atom maps; propagation leaves only the atoms free, 41,600 nodes
-    assert len(enumerate_endomorphisms(build_boolean(5), guard_nodes=50_000)) == 3125
+    """3,125 maps of the five atoms; each atom is one level of the schedule and
+    everything else is forced, so the search takes exactly 41,600 nodes.  The
+    120 automorphisms take 8,310: images already taken are skipped uncounted."""
+    E = build_boolean(5)
+    assert len(enumerate_endomorphisms(E, guard_nodes=41_600)) == 3125
+    with pytest.raises(GuardExceeded):
+        enumerate_endomorphisms(E, guard_nodes=41_599)
+    assert len(list(homomorphisms(E, E, injective=True, guard_nodes=8_310))) == 120
+    with pytest.raises(GuardExceeded):
+        list(homomorphisms(E, E, injective=True, guard_nodes=8_309))
+
+
+def test_boolean6_search_within_budget():
+    """6^6 maps of the six atoms in 1,312,960 nodes; about 8 s before the
+    forcing was compiled into a schedule."""
+    E = build_boolean(6)
+    with Budget("boolean(6) endomorphism search", 4.0):
+        endos = enumerate_endomorphisms(E)
+    assert len(endos) == 6 ** 6 == 46_656
+
+
+def test_injective_search_matches_oracle():
+    """One-to-one maps only.  A forced image may repeat one set at an earlier
+    level, which some relabelings of a horizontal sum of chains reach, or one
+    set at its own level, which maps into other algebras reach."""
+    rng = random.Random(11)
+    catalog = list(small_catalog(max_elements=6))
+    cases = catalog + [random_algebra(rng, max_elements=6) for _ in range(30)]
+    hsum = horizontal_sum([build_chain(4), build_chain(2)])
+    cases += [(f"hsum(4, 2)#{perm}", permute_algebra(hsum, [0, *perm, 5]))
+              for perm in permutations(range(1, 5))]
+    pairs = [(name, E, E) for name, E in cases]
+    pairs += [(f"{a} -> {b}", E1, E2) for a, E1 in catalog for b, E2 in catalog]
+    for name, E1, E2 in pairs:
+        one_to_one = [m for m in homomorphism_oracle(E1, E2) if len(set(m)) == E1.n]
+        assert sorted(homomorphisms(E1, E2, injective=True)) == one_to_one, name
 
 
 def test_guard_raises_instead_of_truncating():
