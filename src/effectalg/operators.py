@@ -126,18 +126,6 @@ def preserves_existing_joins(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> 
     return True
 
 
-def preserves_existing_meets(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> bool:
-    meet = E.order.meet
-    for a in range(E.n):
-        for b in range(a, E.n):
-            m = meet[a][b]
-            if m is None:
-                continue
-            if meet[mapping[a]][mapping[b]] != mapping[m]:
-                return False
-    return True
-
-
 def check_esp(mapping: Sequence[int], P: StatePolytope) -> bool:
     """Extremal-state preservation: s o tau lands on a vertex for every vertex s.
 
@@ -417,11 +405,13 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
                     "faithful_implies_strong", "linear_faithful_identity"):
             out[key] = NOT_APPLICABLE
 
+    # An endomorphism keeps complements, and a ^ b = (a' v b')', so it keeps
+    # every existing meet exactly when it keeps every existing join.
+    joins_kept = preserves_existing_joins(E, m)
     if classify_lattice(E) in ("antilattice", "both"):
-        holds = preserves_existing_joins(E, m) and preserves_existing_meets(E, m)
-        out["antilattice_preserves_joins_meets"] = LawResult(True, holds)
+        out["antilattice_preserves_joins_meets"] = LawResult(True, joins_kept)
     else:
         out["antilattice_preserves_joins_meets"] = NOT_APPLICABLE
 
-    out["all_meets_preserved_info"] = LawResult(True, preserves_existing_meets(E, m))
+    out["all_meets_preserved_info"] = LawResult(True, joins_kept)
     return out

@@ -1,22 +1,20 @@
-"""Exact vertex enumeration for rational polytopes inside the unit box.
+"""Exact vertex enumeration for bounded rational polytopes in the orthant.
 
-Input is a system of integer halfspaces ``coeffs . t >= rhs`` over t in
-[0,1]^d (callers must include the box rows; every feasible point must lie in
-the unit box).  ``dd_vertices`` enumerates the vertices by incremental double
-description on the homogenization cone, seeded with the box cone over [0,1]^d,
-and returns them as primitive integer rays: integers in and out.  The
-brute-force active-set oracle that checks it lives with the tests
-(``tests/oracles.py``).
+Input is a system of integer halfspaces ``coeffs . t >= rhs`` in d variables
+that includes t_j >= 0 for every j and bounds the polytope.  ``dd_vertices``
+enumerates the vertices by incremental double description on the
+homogenization cone, seeded with the orthant cone t >= 0, h >= 0, and returns
+them as primitive integer rays: integers in and out.  The brute-force
+active-set oracle that checks it lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
 
 from .core import GuardExceeded
 
-GUARD_DIM = 14
+GUARD_DIM = 16
 
 
 def _primitive_halfspaces(rows) -> list[tuple[int, ...]]:
@@ -33,15 +31,18 @@ def _primitive_halfspaces(rows) -> list[tuple[int, ...]]:
 def dd_vertices(rows, dim: int):
     """Vertices via double description over the homogenization cone, as the
     sorted, distinct, primitive integer rays ``(t_1, ..., t_d, h)`` with
-    ``h > 0``: the vertex is ``t / h``.
+    ``h > 0``: the vertex is ``t / h``.  The rows must include t_j >= 0 for
+    every j (``ValueError`` otherwise) and bound the polytope.
 
-    Every ray satisfies row m as ``m . ray >= 0``; each ray's zero set is an
-    int bitmask over the rows seen so far.  Following Fukuda & Prodon (1996), two rays are adjacent when no third
-    ray is zero wherever both are; the test runs only when their zero sets share
-    at least ``dim - 1`` rows, as ANDs of per-row bitmasks over the rays.  The
-    ray that the pair spans on the new row's hyperplane has zero set
-    ``common | bit(row)``: it is a positive combination of two rays that satisfy
-    every earlier row, so it is zero exactly where both are.
+    Following Fukuda & Prodon (1996), the cone starts as the orthant
+    t >= 0, h >= 0 and takes the other rows in input order.  Every ray satisfies
+    row m as ``m . ray >= 0``; each ray's zero set is an int bitmask over the
+    rows seen so far.  Two rays are adjacent when no third ray is zero wherever
+    both are; the test runs only when their zero sets share at least ``dim - 1``
+    rows, as ANDs of per-row bitmasks over the rays.  The ray that the pair
+    spans on the new row's hyperplane has zero set ``common | bit(row)``: it is
+    a positive combination of two rays that satisfy every earlier row, so it is
+    zero exactly where both are.
     """
     hom_rows = []
     for vec in _primitive_halfspaces(rows):
@@ -54,26 +55,17 @@ def dd_vertices(rows, dim: int):
     if dim > GUARD_DIM:
         raise GuardExceeded(f"double description guarded at {GUARD_DIM} free dimensions")
 
-    # Global row list: the box cone rows first (row 2j is t_j >= 0, row 2j+1 is
-    # h - t_j >= 0), then the input rows that are not box rows.
-    box_rows = set()
-    for j in range(dim):
-        lo = [0] * (dim + 1)
-        lo[j] = 1
-        hi = [0] * (dim + 1)
-        hi[j] = -1
-        hi[dim] = 1
-        box_rows.update((tuple(lo), tuple(hi)))
-    new_rows = [r for r in hom_rows if r not in box_rows]
-
-    rays = []
-    zsets = []
-    for bits in product((0, 1), repeat=dim):
-        rays.append((*bits, 1))
-        zsets.append(sum(1 << (2 * j + b) for j, b in enumerate(bits)))
+    # Seed rows: row j < dim is t_j >= 0, row dim is h >= 0.  The orthant is
+    # self-dual: ray j is e_j too, zero on every seed row but its own.
+    rays = [tuple(int(c == j) for c in range(dim + 1)) for j in range(dim + 1)]
+    seed_rows = set(rays[:dim])
+    if not seed_rows.issubset(hom_rows):
+        raise ValueError("rows must include t_j >= 0 for every j")
+    new_rows = [r for r in hom_rows if r not in seed_rows]
+    zsets = [(2 << dim) - 1 - (1 << j) for j in range(dim + 1)]
 
     for offset, m in enumerate(new_rows):
-        bit = 1 << (2 * dim + offset)
+        bit = 1 << (dim + 1 + offset)
         support = [(c, a) for c, a in enumerate(m) if a]
         vals = [sum(a * ray[c] for c, a in support) for ray in rays]
         if all(v >= 0 for v in vals):
@@ -124,5 +116,5 @@ def dd_vertices(rows, dim: int):
             return []
 
     if any(ray[dim] == 0 for ray in rays):
-        raise AssertionError("unbounded direction in a boxed system")
+        raise AssertionError("unbounded direction: the rows do not bound the polytope")
     return sorted(set(rays))

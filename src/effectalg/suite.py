@@ -23,7 +23,7 @@ from .mv import derived_sum_matches, mv_operations
 from .operators import (check_esp, classify_operator, compose, coordinate_repeat_maps,
                         enumerate_endomorphisms, induced_state_map, kernel,
                         minimal_potency, operator_law_report, preserves_existing_joins,
-                        preserves_existing_meets, scan_mv_operator_agreement)
+                        scan_mv_operator_agreement)
 from .pogroup import (IntervalAlgebra, PoGroupSpec, extend_endomorphism,
                       extremal_states, group_leq, materialize, strict_plane_preimage)
 from .states import (StatePolytope, clan_closure_witness, compute_states,
@@ -200,7 +200,7 @@ def check_square_product_operators() -> CheckResult:
     collapse = all(img == m1 for img in ind.vertex_images)
     passed = (p1.is_state_morphism and p1.has_esp and p2.is_state_morphism
               and p2.has_esp and collapse and set(P.vertices) == {m1, m2})
-    passed = passed and preserves_existing_meets(E, t1) and preserves_existing_joins(E, t1)
+    passed = passed and preserves_existing_joins(E, t1)
     return CheckResult("square_product_operators", passed,
                        {"vertices": len(P.vertices), "collapse_to_m1": collapse})
 

@@ -2,8 +2,8 @@
 associativity, dense elimination, active-set vertex enumeration, the splitting
 formulation of refinement, the all-pairs refinement scan, integer matrix
 products, the up-set/down-set order tables, the all-pairs interpolation scan,
-the lattice class read from both join and meet tables and the all-pairs
-strong-operator test."""
+the lattice class read from both join and meet tables, the all-pairs
+strong-operator test and the meet-preservation test."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -287,5 +287,20 @@ def all_pairs_strong_operator(E, mapping):
         for b in range(a, E.n):
             j = join[ta][mapping[b]]
             if j is not None and mapping[j] != j:
+                return False
+    return True
+
+
+def preserves_existing_meets(E, mapping):
+    """tau(a ^ b) = tau(a) ^ tau(b) whenever a ^ b exists, read from the meet
+    table: the reference for ``operators.preserves_existing_joins`` standing in
+    for meets, which holds for every map that keeps complements."""
+    meet = E.order.meet
+    for a in range(E.n):
+        for b in range(a, E.n):
+            m = meet[a][b]
+            if m is None:
+                continue
+            if meet[mapping[a]][mapping[b]] != mapping[m]:
                 return False
     return True

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from effectalg.catalog import build_boolean, build_chain
+from effectalg.catalog import build_boolean, build_chain, horizontal_sum
 from effectalg.cli import main
 from effectalg.io import (group_from_dict, load_structure, polytope_to_dict,
                           save_structure, str_to_frac,
@@ -184,6 +184,14 @@ def test_cli_endomorphism_guard_exits_2(tmp_path, capsys):
     assert main(["operators", "--input", str(path), "--guard-endos", "41599"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "guarded at 41599 nodes" in captured.err
+
+
+def test_cli_double_description_guard_exits_2(tmp_path, capsys):
+    path = tmp_path / "hsum17.json"
+    path.write_text(json.dumps(structure_to_dict(horizontal_sum([build_boolean(2)] * 17))))
+    assert main(["states", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "guarded at 16 free dimensions" in captured.err
 
 
 def test_cli_output_file(tmp_path, capsys):

@@ -21,11 +21,12 @@ from effectalg.operators import (NOT_APPLICABLE, check_esp, classify_operator, c
                                  enumerate_endomorphisms, induced_state_map,
                                  is_endomorphism, is_n_potent, is_strong_operator,
                                  minimal_potency, mv_operator_agreement,
-                                 operator_law_report, power, scan_mv_operator_agreement)
+                                 operator_law_report, power, preserves_existing_joins,
+                                 scan_mv_operator_agreement)
 from effectalg.states import compute_states, is_state
 from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
                              check_operator_laws)
-from oracles import all_pairs_strong_operator
+from oracles import all_pairs_strong_operator, preserves_existing_meets
 from tables import sums_dict
 from test_acceptance import Budget, operator_population
 
@@ -355,6 +356,20 @@ def test_strong_operator_matches_all_pairs_oracle():
             m = (0, *(rng.randrange(n) for _ in range(n - 2)), n - 1)
             got = is_strong_operator(E, m)
             assert got == all_pairs_strong_operator(E, m), (name, m)
+            verdicts[got] += 1
+    assert all(verdicts.values())
+
+
+def test_meet_preservation_matches_join_preservation():
+    """An endomorphism keeps complements, so it keeps every existing meet
+    exactly when it keeps every existing join; checked against the meet-table
+    oracle on every endomorphism of the A05 population, where both verdicts
+    occur."""
+    verdicts = {True: 0, False: 0}
+    for _name, E in operator_population():
+        for m in enumerate_endomorphisms(E):
+            got = preserves_existing_joins(E, m)
+            assert got == preserves_existing_meets(E, m), (E.labels, m)
             verdicts[got] += 1
     assert all(verdicts.values())
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from effectalg.polytope import dd_vertices
@@ -55,6 +56,17 @@ def test_degenerate_segment():
     verts = dd_vertices(rows, 2)
     assert verts == [(0, 1, 1), (1, 0, 1)]
     assert verts == active_set_vertices(rows, 2)
+
+
+def test_rows_must_include_every_lower_bound():
+    """Without t_1 >= 0 the orthant seed is not a cone of the rows."""
+    with pytest.raises(ValueError, match="t_j >= 0"):
+        dd_vertices([((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)], 2)
+
+
+def test_rows_must_bound_the_polytope():
+    with pytest.raises(AssertionError, match="unbounded direction"):
+        dd_vertices([((1, 0), 0), ((0, 1), 0)], 2)
 
 
 def test_zero_dimensional():

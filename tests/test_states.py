@@ -4,22 +4,24 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
-from effectalg.core import validate_axioms
+from effectalg.core import GuardExceeded, validate_axioms
 from effectalg.fuzz import random_algebra
 from effectalg.linalg import affine_parametrization
 from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extremal_states,
                                group_leq, strict_plane_preimage)
-from effectalg.polytope import dd_vertices
+from effectalg.polytope import GUARD_DIM, dd_vertices
 from effectalg.states import (StatePolytope, clan_closure_witness, compute_states,
                               discrete_profile, finite_clan_engine, is_order_determining,
                               is_state, sampled_order_report, state_equalities)
 from effectalg.suite import check_state_geometry
 
 from oracles import dense_affine_parametrization, fraction_parametrization
+from test_acceptance import Budget
 
 
 def test_chain2_single_state():
@@ -305,6 +307,21 @@ def test_size_ceiling_chain128_and_six_boolean_cubes():
         P = compute_states(E)
         assert (len(P.vertices), P.free_dim) == (count, free_dim)
         assert all(is_state(E, v) for v in P.vertices)
+    E = horizontal_sum([build_boolean(3)] * 7)
+    with Budget("seven boolean(3) cubes", 3.0):
+        P = compute_states(E)
+    assert (len(P.vertices), P.free_dim) == (3 ** 7, 14)
+    assert all(is_state(E, v) for v in P.vertices)
+
+
+def test_double_description_guard():
+    """Seventeen boolean(2) blocks summed horizontally have one free dimension
+    each, one past the guard, which raises before any ray is built."""
+    E = horizontal_sum([build_boolean(2)] * 17)
+    assert (E.n, GUARD_DIM) == (36, 16)
+    with Budget("guarded double description", 0.5):
+        with pytest.raises(GuardExceeded, match="guarded at 16 free dimensions"):
+            compute_states(E)
 
 
 def fraction_rebuild(E):
