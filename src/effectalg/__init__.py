@@ -18,10 +18,9 @@ from .duality import (AffineFunctionAlgebra, FiniteSimplex, PullbackOperator,
 from .mv import MvStructure, mv_operations, mv_state_axioms
 from .operators import (InducedStateMap, OperatorProfile, check_esp,
                         classify_operator, coordinate_repeat_maps,
-                        coordinate_swap_map, enumerate_endomorphisms,
-                        induced_state_map, is_endomorphism, minimal_potency,
-                        mv_operator_agreement, operator_law_report,
-                        scan_mv_operator_agreement)
+                        enumerate_endomorphisms, induced_state_map,
+                        is_endomorphism, minimal_potency, mv_operator_agreement,
+                        operator_law_report, scan_mv_operator_agreement)
 from .pogroup import (ExtensionReport, IntervalAlgebra, PoGroupSpec,
                       extend_endomorphism, extremal_states, group_leq,
                       materialize)

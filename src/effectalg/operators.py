@@ -86,7 +86,7 @@ class OperatorProfile:
     is_state_morphism: bool
     is_faithful: bool
     kernel: tuple[int, ...]
-    has_esp: Optional[bool]          # None when no polytope was supplied
+    has_esp: bool
 
     def to_dict(self) -> dict:
         return {
@@ -135,24 +135,23 @@ def check_esp(mapping: Sequence[int], P: StatePolytope) -> bool:
 
 
 def classify_operator(E: FiniteEffectAlgebra, mapping: Sequence[int],
-                      polytope: Optional[StatePolytope] = None) -> OperatorProfile:
+                      P: StatePolytope) -> OperatorProfile:
+    """Every class of an endomorphism, decided here and nowhere else."""
     m = tuple(mapping)
     if not is_endomorphism(E, m):
         raise ValueError("not an endomorphism; classification undefined")
-    idem = compose(m, m) == m
-    strong = is_strong_operator(E, m)
-    morphism = idem and preserves_existing_joins(E, m)
+    potency = minimal_potency(m)
+    idem = potency == 2
     ker = kernel(E, m)
-    esp = check_esp(m, polytope) if polytope is not None else None
     return OperatorProfile(
         mapping=m,
         is_state_operator=idem,
-        minimal_potency=minimal_potency(m),
-        is_strong=strong,
-        is_state_morphism=morphism,
+        minimal_potency=potency,
+        is_strong=is_strong_operator(E, m),
+        is_state_morphism=idem and preserves_existing_joins(E, m),
         is_faithful=ker == (0,),
         kernel=ker,
-        has_esp=esp,
+        has_esp=check_esp(m, P),
     )
 
 
@@ -209,15 +208,6 @@ def coordinate_repeat_maps(E: FiniteEffectAlgebra) -> tuple[tuple[int, ...], tup
     return tau1, tau2
 
 
-def coordinate_swap_map(E: FiniteEffectAlgebra) -> tuple[int, ...]:
-    tuples = E.meta.get("tuples")
-    sizes = E.meta.get("factor_sizes")
-    if not tuples or not sizes or len(sizes) != 2 or sizes[0] != sizes[1]:
-        raise ValueError("needs a product of two identical factors")
-    index = {t: i for i, t in enumerate(tuples)}
-    return tuple(index[(b, a)] for (a, b) in tuples)
-
-
 def subalgebra_table(E: FiniteEffectAlgebra, members: Sequence[int]) -> FiniteEffectAlgebra:
     """The induced algebra on a sum-closed, complement-closed subset containing 0, 1."""
     mem = sorted(set(members))
@@ -234,27 +224,28 @@ def subalgebra_table(E: FiniteEffectAlgebra, members: Sequence[int]) -> FiniteEf
     return validate_axioms(len(mem), triples, labels)
 
 
-def mv_operator_agreement(A, mapping, polytope: Optional[StatePolytope] = None) -> dict:
-    """One map, both readings: MV internal-state axioms vs effect-side classes."""
-    E = A.base
+def mv_operator_agreement(A, mapping, P: StatePolytope) -> dict:
+    """One map, both readings: MV internal-state axioms vs effect-side classes.
+
+    The effect-side classes are ``classify_operator``'s; a map that is not an
+    endomorphism is in none of them and has no ESP verdict.
+    """
     m = tuple(mapping)
     axioms = mv_state_axioms(A, m)
-    endo = is_endomorphism(E, m)
-    idem = compose(m, m) == m
-    report = {
+    endo = is_endomorphism(A.base, m)
+    prof = classify_operator(A.base, m, P) if endo else None
+    return {
         "axioms": axioms,
         "mv_state_operator": all(axioms.values()),
         "is_endomorphism": endo,
-        "strong_state_operator": endo and is_strong_operator(E, m),
+        "strong_state_operator": endo and prof.is_strong,
         "mv_state_morphism": is_mv_state_morphism(A, m),
-        "state_morphism": endo and idem and preserves_existing_joins(E, m),
+        "state_morphism": endo and prof.is_state_morphism,
+        "esp": prof.has_esp if endo else None,
     }
-    if polytope is not None:
-        report["esp"] = check_esp(m, polytope) if endo else None
-    return report
 
 
-def scan_mv_operator_agreement(A, polytope: StatePolytope) -> dict:
+def scan_mv_operator_agreement(A, P: StatePolytope) -> dict:
     """Both readings of an internal state agree on every self-map of an MV algebra.
 
     Asserts, map by map through ``mv_operator_agreement``, that the MV
@@ -281,7 +272,7 @@ def scan_mv_operator_agreement(A, polytope: StatePolytope) -> dict:
         m = [0] * n
         for x, y in zip(reps, images):
             m[x], m[star[x]] = y, star[y]
-        rep = mv_operator_agreement(A, m, polytope)
+        rep = mv_operator_agreement(A, m, P)
         if rep["mv_state_operator"] != rep["strong_state_operator"]:
             raise AssertionError(f"state-operator readings disagree at {m}")
         if rep["mv_state_morphism"] != rep["state_morphism"]:
@@ -301,76 +292,47 @@ class LawResult:
     witness: Optional[tuple] = None
 
 
-NOT_APPLICABLE = LawResult(False, None)   # immutable, so every report shares it
+# Immutable, so every report shares them.
+NOT_APPLICABLE = LawResult(False, None)
+HOLDS = LawResult(True, True)
 
 
 def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
-    """Structural laws of an idempotent endomorphism, one verdict per law.
+    """Structural laws of an idempotent endomorphism tau, one verdict per law.
 
-    Laws: the image is the fixed-point set and a subalgebra (with strong
-    operators keeping existing joins of image elements inside it); RDP passes to
-    the image; faithful operators are strictly monotone and fix-or-incomparable;
+    Four entries hold by definition and are reported without a scan:
+    - ``image_is_fixed_point_set``: tau(tau(a)) = tau(a), so tau fixes its
+      image, and a fixed point is its own image.
+    - ``image_is_subalgebra``: tau keeps 0, 1 and complements, and for image
+      points a + b = tau(a) + tau(b) = tau(a + b) wherever a + b is defined.
+    - ``strong_joins_land_in_image`` (strong tau only): the join of two image
+      points is fixed, which is the loop of ``is_strong_operator``.
+    - ``strong_fixes_image_meets`` (strong tau only): a ^ b = (a' v b')', and
+      a', b' are image points too, so their join is fixed and so is its
+      complement.
+
+    The rest are checked: RDP passes to the image; faithful operators are
+    strictly monotone and fix-or-incomparable; faithful idempotents are strong;
     on linear algebras faithful forces the identity; on antilattices every
-    endomorphism preserves existing joins and meets; faithful idempotents are
-    strong; strong operators fix existing meets of image elements.  An extra
-    informational entry records whether all existing meets happen to be
-    preserved (not asserted anywhere).
+    endomorphism preserves existing joins and meets.  An extra informational
+    entry records whether all existing meets happen to be preserved (not
+    asserted anywhere).
     """
     m = tuple(mapping)
-    if compose(m, m) != m:
+    if not is_endomorphism(E, m) or compose(m, m) != m:
         raise ValueError("law report expects an idempotent endomorphism")
     n = E.n
     leq = E.order.leq
-    join = E.order.join
-    meet = E.order.meet
-    out: dict[str, LawResult] = {}
-
-    image = sorted({m[a] for a in range(n)})
-    fixed = sorted(a for a in range(n) if m[a] == a)
-    out["image_is_fixed_point_set"] = LawResult(True, image == fixed,
-                                                None if image == fixed else (image, fixed))
-
-    sub_ok = True
-    wit = None
-    for a in image:
-        if E.complements[a] not in image:
-            sub_ok, wit = False, (a,)
-            break
-        for b in image:
-            k = E.table[a][b]
-            if k is not None and k not in image:
-                sub_ok, wit = False, (a, b, k)
-                break
-        if not sub_ok:
-            break
-    out["image_is_subalgebra"] = LawResult(True, sub_ok, wit)
-
     strong = is_strong_operator(E, m)
-    if strong:
-        holds = True
-        wit = None
-        for a in range(n):
-            for b in range(a, n):
-                j = join[m[a]][m[b]]
-                if j is not None and j not in image:
-                    holds, wit = False, (a, b, j)
-        out["strong_joins_land_in_image"] = LawResult(True, holds, wit)
-        holds = True
-        wit = None
-        for a in range(n):
-            for b in range(a, n):
-                mt = meet[m[a]][m[b]]
-                if mt is not None and m[mt] != mt:
-                    holds, wit = False, (a, b, mt)
-        out["strong_fixes_image_meets"] = LawResult(True, holds, wit)
-    else:
-        out["strong_joins_land_in_image"] = NOT_APPLICABLE
-        out["strong_fixes_image_meets"] = NOT_APPLICABLE
+    out: dict[str, LawResult] = {
+        "image_is_fixed_point_set": HOLDS,
+        "image_is_subalgebra": HOLDS,
+        "strong_joins_land_in_image": HOLDS if strong else NOT_APPLICABLE,
+        "strong_fixes_image_meets": HOLDS if strong else NOT_APPLICABLE,
+    }
 
-    rdp, _w = check_rdp(E)
-    if rdp and sub_ok:
-        sub = subalgebra_table(E, image)
-        sub_rdp, sub_w = check_rdp(sub)
+    if check_rdp(E)[0]:
+        sub_rdp, sub_w = check_rdp(subalgebra_table(E, set(m)))
         out["image_inherits_rdp"] = LawResult(True, sub_rdp, sub_w)
     else:
         out["image_inherits_rdp"] = NOT_APPLICABLE

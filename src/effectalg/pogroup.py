@@ -18,6 +18,7 @@ from .linalg import Vec
 from .operators import is_endomorphism, minimal_potency
 
 ORDERS = ("product", "lex", "strict")
+GUARD_ELEMENTS = 4096   # most lattice points ``materialize`` builds a table for
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class IntervalAlgebra:
         return tuple(u - p for u, p in zip(self.unit, self.spec.element(x)))
 
 
-def materialize(alg: IntervalAlgebra, guard_elements: int = 4096) -> FiniteEffectAlgebra:
+def materialize(alg: IntervalAlgebra) -> FiniteEffectAlgebra:
     """Finite table for a product-ordered integer interval [0, u].
 
     Elements are the lattice points, ordered lexicographically (zero first, unit
@@ -99,8 +100,8 @@ def materialize(alg: IntervalAlgebra, guard_elements: int = 4096) -> FiniteEffec
     count = 1
     for c in u:
         count *= c + 1
-    if count > guard_elements:
-        raise GuardExceeded(f"interval holds {count} points (guard {guard_elements})")
+    if count > GUARD_ELEMENTS:
+        raise GuardExceeded(f"interval holds {count} points (guard {GUARD_ELEMENTS})")
     points = list(iter_product(*[range(c + 1) for c in u]))
     index = {p: i for i, p in enumerate(points)}
     triples = []

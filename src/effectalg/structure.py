@@ -126,10 +126,10 @@ def classify_lattice(E: FiniteEffectAlgebra) -> str:
     return ("neither", "antilattice", "lattice", "both")[2 * is_lattice + is_anti]
 
 
-def enumerate_ideals(E: FiniteEffectAlgebra, tau=None, guard_elements: int = 16):
+def enumerate_ideals(E: FiniteEffectAlgebra, guard_elements: int = 16):
     """All ideals (downward closed, closed under defined sums), with flags.
 
-    Each entry is (ideal tuple, {"riesz": bool, "tau_ideal": bool|None}).
+    Each entry is (ideal tuple, {"riesz": bool}).
     """
     n = E.n
     if n > guard_elements:
@@ -144,10 +144,7 @@ def enumerate_ideals(E: FiniteEffectAlgebra, tau=None, guard_elements: int = 16)
             continue
         sums = (E.table[a][b] for a in members for b in members)
         if all(k is None or mask >> k & 1 for k in sums):
-            flags = {"riesz": is_riesz_ideal(E, members)}
-            if tau is not None:
-                flags["tau_ideal"] = all(mask >> tau[a] & 1 for a in members)
-            ideals.append((tuple(members), flags))
+            ideals.append((tuple(members), {"riesz": is_riesz_ideal(E, members)}))
     return ideals
 
 

@@ -3,7 +3,8 @@ associativity, dense elimination, active-set vertex enumeration, the splitting
 formulation of refinement, the all-pairs refinement scan, integer matrix
 products, the up-set/down-set order tables, the all-pairs interpolation scan,
 the lattice class read from both join and meet tables, the all-pairs
-strong-operator test and the meet-preservation test."""
+strong-operator test, the meet-preservation test and the scans of the four
+operator laws that hold by definition."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -304,3 +305,59 @@ def preserves_existing_meets(E, mapping):
             if meet[mapping[a]][mapping[b]] != mapping[m]:
                 return False
     return True
+
+
+def image_fixed_point_scan(E, m):
+    """(holds, witness): the image of an idempotent is its fixed-point set."""
+    n = E.n
+    image = sorted({m[a] for a in range(n)})
+    fixed = sorted(a for a in range(n) if m[a] == a)
+    return image == fixed, None if image == fixed else (image, fixed)
+
+
+def image_subalgebra_scan(E, m):
+    """(holds, witness): the image is closed under complements and defined sums."""
+    image = sorted({m[a] for a in range(E.n)})
+    sub_ok = True
+    wit = None
+    for a in image:
+        if E.complements[a] not in image:
+            sub_ok, wit = False, (a,)
+            break
+        for b in image:
+            k = E.table[a][b]
+            if k is not None and k not in image:
+                sub_ok, wit = False, (a, b, k)
+                break
+        if not sub_ok:
+            break
+    return sub_ok, wit
+
+
+def strong_joins_scan(E, m):
+    """(holds, witness): existing joins of image elements lie in the image."""
+    n = E.n
+    join = E.order.join
+    image = sorted({m[a] for a in range(n)})
+    holds = True
+    wit = None
+    for a in range(n):
+        for b in range(a, n):
+            j = join[m[a]][m[b]]
+            if j is not None and j not in image:
+                holds, wit = False, (a, b, j)
+    return holds, wit
+
+
+def strong_meets_scan(E, m):
+    """(holds, witness): existing meets of image elements are fixed points."""
+    n = E.n
+    meet = E.order.meet
+    holds = True
+    wit = None
+    for a in range(n):
+        for b in range(a, n):
+            mt = meet[m[a]][m[b]]
+            if mt is not None and m[mt] != mt:
+                holds, wit = False, (a, b, mt)
+    return holds, wit

@@ -16,8 +16,8 @@ from effectalg.catalog import (build_boolean, build_chain, build_product, horizo
 from effectalg.core import GuardExceeded, homomorphisms
 from effectalg.fuzz import permute_algebra, random_algebra
 from effectalg.mv import mv_operations
-from effectalg.operators import (NOT_APPLICABLE, check_esp, classify_operator, compose,
-                                 coordinate_repeat_maps, coordinate_swap_map,
+from effectalg.operators import (HOLDS, NOT_APPLICABLE, check_esp, classify_operator,
+                                 compose, coordinate_repeat_maps,
                                  enumerate_endomorphisms, induced_state_map,
                                  is_endomorphism, is_n_potent, is_strong_operator,
                                  minimal_potency, mv_operator_agreement,
@@ -26,7 +26,8 @@ from effectalg.operators import (NOT_APPLICABLE, check_esp, classify_operator, c
 from effectalg.states import compute_states, is_state
 from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
                              check_operator_laws)
-from oracles import all_pairs_strong_operator, preserves_existing_meets
+from oracles import (all_pairs_strong_operator, image_fixed_point_scan, image_subalgebra_scan,
+                     preserves_existing_meets, strong_joins_scan, strong_meets_scan)
 from tables import sums_dict
 from test_acceptance import Budget, operator_population
 
@@ -45,6 +46,13 @@ def homomorphism_oracle(E1, E2):
 
 def endomorphism_oracle(E):
     return homomorphism_oracle(E, E)
+
+
+def swap_map(E):
+    """(a, b) -> (b, a) on a square product F x F."""
+    tuples = E.meta["tuples"]
+    index = {t: i for i, t in enumerate(tuples)}
+    return tuple(index[(b, a)] for (a, b) in tuples)
 
 
 def test_boolean2_census_matches_oracle():
@@ -133,7 +141,7 @@ def test_square_product_operator_census():
     E = build_product([build_chain(2), build_chain(2)])
     endos = enumerate_endomorphisms(E)
     t1, t2 = coordinate_repeat_maps(E)
-    swap = coordinate_swap_map(E)
+    swap = swap_map(E)
     ident = tuple(range(E.n))
     assert sorted(endos) == sorted([ident, t1, t2, swap])
 
@@ -146,7 +154,7 @@ def test_classification_on_square_product():
         prof = classify_operator(E, t, P)
         assert prof.is_state_operator and prof.is_strong
         assert prof.is_state_morphism and prof.has_esp
-    swap = coordinate_swap_map(E)
+    swap = swap_map(E)
     prof = classify_operator(E, swap, P)
     assert not prof.is_state_operator
     assert prof.minimal_potency == 3
@@ -190,7 +198,7 @@ def test_induced_map_collapses_to_m1():
 def test_induced_map_of_swap_exchanges_vertices():
     E = build_product([build_chain(2), build_chain(2)])
     P = compute_states(E)
-    swap = coordinate_swap_map(E)
+    swap = swap_map(E)
     ind = induced_state_map(E, swap, P)
     assert ind.potency == minimal_potency(swap) == 3
     assert sorted(ind.vertex_to_vertex) == [0, 1]
@@ -238,6 +246,51 @@ def test_law_report_requires_idempotence():
     E = build_boolean(2)
     with pytest.raises(ValueError):
         operator_law_report(E, (0, 2, 1, 3))
+
+
+def test_law_report_requires_an_endomorphism():
+    """(0, 0, 0, 3) on boolean(2) is idempotent but breaks 1 + 2 = 3."""
+    E = build_boolean(2)
+    m = (0, 0, 0, 3)
+    assert compose(m, m) == m and not is_endomorphism(E, m)
+    with pytest.raises(ValueError):
+        operator_law_report(E, m)
+
+
+LAW_KEYS = ("image_is_fixed_point_set", "image_is_subalgebra",
+            "strong_joins_land_in_image", "strong_fixes_image_meets",
+            "image_inherits_rdp", "faithful_strictly_monotone",
+            "faithful_fixed_or_incomparable", "faithful_implies_strong",
+            "linear_faithful_identity", "antilattice_preserves_joins_meets",
+            "all_meets_preserved_info")
+
+
+def test_definitional_laws_match_their_scans():
+    """Over every idempotent endomorphism of the A05 population, the four laws
+    that the report states without a scan hold by the scans, and the report
+    gives them as HOLDS, or NOT_APPLICABLE for the two strong-only laws
+    exactly when the map is not strong; every report has the same eleven keys,
+    in the same order, which the benchmark's operators digest also pins."""
+    algebras = maps = strong_maps = 0
+    for _name, E in operator_population():
+        algebras += 1
+        for m in enumerate_endomorphisms(E):
+            if compose(m, m) != m:
+                continue
+            report = operator_law_report(E, m)
+            assert tuple(report) == LAW_KEYS, tuple(report)
+            for scan in (image_fixed_point_scan, image_subalgebra_scan,
+                         strong_joins_scan, strong_meets_scan):
+                assert scan(E, m) == (True, None), (E.labels, m, scan.__name__)
+            assert report["image_is_fixed_point_set"] is HOLDS
+            assert report["image_is_subalgebra"] is HOLDS
+            strong = is_strong_operator(E, m)
+            expected = HOLDS if strong else NOT_APPLICABLE
+            assert report["strong_joins_land_in_image"] is expected
+            assert report["strong_fixes_image_meets"] is expected
+            maps += 1
+            strong_maps += strong
+    assert (algebras, maps, strong_maps) == (217, 3052, 3052)
 
 
 def test_laws_hold_across_catalog():

@@ -252,12 +252,3 @@ def test_rdp_makes_every_ideal_riesz():
             for ideal, flags in enumerate_ideals(E):
                 assert flags["riesz"]
                 assert is_riesz_ideal(E, ideal)
-
-
-def test_tau_ideal_flag():
-    E = build_boolean(2)
-    tau = (0, 0, 3, 3)
-    flagged = enumerate_ideals(E, tau=tau)
-    by_members = {i: f for i, f in flagged}
-    assert by_members[(0, 1)]["tau_ideal"]       # the kernel of tau
-    assert not by_members[(0, 2)]["tau_ideal"]   # tau maps 2 to 3, outside
