@@ -4,8 +4,9 @@ A state assigns rational values s(a) in [0,1] with s(1) = 1 and s additive on
 defined sums.  The solution set is a bounded polytope; its vertices are the
 extremal states.  The layer works in integers from the sum table to the
 polytope: sparse integer equality rows, an integer parametrization over one
-denominator, integer halfspaces and rays, and integer vertices over their
-least common denominator, which vertex lookup and the ordering report read.
+denominator, integer halfspaces and rays, and integer vertices over their least
+common denominator, rebuilt one coordinate for all vertices at a time, which
+vertex lookup and the ordering report read; the report works on bitmasks.
 Fractions appear only where state values leave the layer or enter it:
 ``P.vertices``, ``vertex_index``, ``discrete_profile`` and the clan-closure
 engine.  Floating point is forbidden here because vertex dedup and value-set
@@ -20,8 +21,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import add, and_, ge, itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 from .core import FiniteEffectAlgebra
@@ -111,11 +113,11 @@ def compute_states(E: FiniteEffectAlgebra) -> StatePolytope:
     parametrization ``den * s_i = c[i] + columns[i] . t``; the box constraints
     0 <= s_i <= 1 become integer halfspaces in the free variables, and double
     description returns the t-vertices as primitive rays ``(t, h)``.  With L the
-    lcm of their h, each vertex is rebuilt in integers as
-    ``s * den * L = c * L + (L / h) * (columns . t)`` and divided by the gcd of
-    ``den * L`` and every coordinate, so that ``scale`` is the least common
-    denominator.  An empty vertex list means the algebra admits no states at
-    all.
+    lcm of their h, coordinate i of every vertex is rebuilt at once in integers,
+    ``s_i * den * L = c_i * L + sum_j a_ij * (L / h) * t_j`` over the nonzero
+    ``a_ij = columns[i][j]``, then divided by the gcd of ``den * L`` and every
+    coordinate when it exceeds 1, so that ``scale`` is the least common
+    denominator.  An empty vertex list means the algebra admits no states.
     """
     n = E.n
     eq_rows, eq_rhs = state_equalities(E)
@@ -134,14 +136,19 @@ def compute_states(E: FiniteEffectAlgebra) -> StatePolytope:
 
     rays = dd_vertices(rows, d)
     L = lcm(*(ray[d] for ray in rays))
-    ints = []
-    for ray in rays:
-        k = L // ray[d]
-        t = [k * x for x in ray[:d]]
-        ints.append(tuple(ci * L + sum(map(mul, col, t)) for ci, col in zip(c, columns)))
-    g = gcd(den * L, *(x for s in ints for x in s))
-    int_vertices = tuple(sorted(tuple(x // g for x in s) for s in ints))
-    return StatePolytope(size=n, int_vertices=int_vertices, scale=den * L // g, free_dim=d)
+    ks = [L // ray[d] for ray in rays]
+    kt = [list(map(mul, ks, map(itemgetter(j), rays))) for j in range(d)]
+    coords = []
+    for ci, col in zip(c, columns):
+        v = [ci * L] * len(rays)
+        for a, ktj in compress(zip(col, kt), col):
+            v = map(add, v, map(mul, ktj, repeat(a)))
+        coords.append(list(v))
+    g = gcd(den * L, *map(gcd, *coords))
+    if g > 1:
+        coords = [[x // g for x in v] for v in coords]
+    return StatePolytope(size=n, int_vertices=tuple(sorted(zip(*coords))),
+                         scale=den * L // g, free_dim=d)
 
 
 @dataclass(frozen=True)
@@ -152,25 +159,34 @@ class OrderingReport:
     sep_witness: Optional[tuple]    # (a, b): a != b with identical state values
 
 
-def _order_report(values: Sequence[tuple], leq: Callable[[int, int], bool]) -> OrderingReport:
-    """Order determination and separation from each element's state values.
+def _first_pair(masks: Sequence[int]) -> Optional[tuple]:
+    """The first (a, b) in row-major order with bit b set in ``masks[a]``, or None."""
+    return next(((a, (m & -m).bit_length() - 1) for a, m in enumerate(masks) if m), None)
 
-    ``values[a]`` lists element a's value at every state; ``leq(a, b)`` is the
-    order on element indices.  A pair ordered in the algebra but not by some
-    state means the "states" are not states, so it raises.
+
+def _order_report(states: Sequence[tuple], leq: Sequence[Sequence[bool]]) -> OrderingReport:
+    """Order determination and separation from each state's values, on bitmasks.
+
+    ``states[s][a]`` is element a's value at state s; ``leq[a][b]`` is the order
+    on element indices.  At each state, element a gets the mask of the elements
+    whose value is at least its own; ANDed over the states, these are the
+    statewise up-sets.  Each one against its ``leq`` row gives order
+    determination and its first witness in row-major order; a and b have equal
+    values where each lies in the other's up-set.  A pair ordered in the algebra
+    but not by some state means the "states" are not states, so it raises.
     """
-    od_w = None
-    sep_w = None
-    for a, va in enumerate(values):
-        for b, vb in enumerate(values):
-            statewise = all(x <= y for x, y in zip(va, vb))
-            actual = leq(a, b)
-            if statewise and not actual and od_w is None:
-                od_w = (a, b)
-            if actual and not statewise:
-                raise AssertionError(f"states fail monotonicity at ({a}, {b})")
-            if a < b and sep_w is None and va == vb:
-                sep_w = (a, b)
+    bits = [1 << a for a in range(len(leq))]
+    up = [sum(bits)] * len(bits)
+    for vals in states:
+        at_least = {x: sum(compress(bits, map(ge, vals, repeat(x)))) for x in set(vals)}
+        up = list(map(and_, up, map(at_least.__getitem__, vals)))
+    rows = [sum(compress(bits, row)) for row in leq]
+    bad = _first_pair([r & ~u for r, u in zip(rows, up)])
+    if bad:
+        raise AssertionError(f"states fail monotonicity at {bad}")
+    od_w = _first_pair([u & ~r for u, r in zip(up, rows)])
+    sep_w = next(((a, b) for a, u in enumerate(up) for b in range(a + 1, len(up))
+                  if u >> b & 1 and up[b] >> a & 1), None)
     return OrderingReport(order_determining=od_w is None, separating=sep_w is None,
                           od_witness=od_w, sep_witness=sep_w)
 
@@ -181,13 +197,11 @@ def is_order_determining(E: FiniteEffectAlgebra, P: StatePolytope) -> OrderingRe
     Vertices suffice: every state is a convex combination of them.  Also reports
     the weaker separation property (equal under all states implies equal), which
     order determination implies: equal value vectors give a <= b <= a, so a = b.
-    This is the one test of whether a |-> a-hat is an order embedding.  The
-    values are read from ``P.int_vertices``: scaling every vertex by the same
-    positive ``P.scale`` keeps every comparison.
+    This is the one test of whether a |-> a-hat is an order embedding.  Each
+    vertex of ``P.int_vertices`` is one state's values, read against the rows of
+    ``E.order.leq``: scaling by ``P.scale`` keeps every comparison.
     """
-    leq = E.order.leq
-    values = [tuple(iv[a] for iv in P.int_vertices) for a in range(E.n)]
-    return _order_report(values, lambda a, b: leq[a][b])
+    return _order_report(P.int_vertices, E.order.leq)
 
 
 def sampled_order_report(elements: Sequence, state_fns: Sequence[Callable],
@@ -196,10 +210,11 @@ def sampled_order_report(elements: Sequence, state_fns: Sequence[Callable],
 
     Used for interval algebras that cannot be materialized; ``elements`` are
     ambient values, ``state_fns`` evaluate states on them, ``leq_fn`` is the
-    ambient order.  Witnesses are index pairs into ``elements``.
+    ambient order, tabulated on every ordered pair for the bitmask report of
+    ``is_order_determining``.  Witnesses are index pairs into ``elements``.
     """
-    values = [tuple(s(a) for s in state_fns) for a in elements]
-    return _order_report(values, lambda i, j: leq_fn(elements[i], elements[j]))
+    states = [tuple(map(s, elements)) for s in state_fns]
+    return _order_report(states, [[leq_fn(x, y) for y in elements] for x in elements])
 
 
 def discrete_profile(vec: Sequence[Fraction]) -> int:

@@ -3,8 +3,8 @@ associativity, dense elimination, active-set vertex enumeration, the splitting
 formulation of refinement, the all-pairs refinement scan, integer matrix
 products, the up-set/down-set order tables, the all-pairs interpolation scan,
 the lattice class read from both join and meet tables, the all-pairs
-strong-operator test, the meet-preservation test and the scans of the four
-operator laws that hold by definition."""
+strong-operator test, the meet-preservation test, the scans of the four
+operator laws that hold by definition and the all-pairs ordering report."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +12,7 @@ from math import comb, gcd
 from operator import mul
 
 from effectalg.core import GuardExceeded
+from effectalg.states import OrderingReport
 
 
 def induced_state_self_map(alg, op, w):
@@ -361,3 +362,26 @@ def strong_meets_scan(E, m):
             if mt is not None and m[mt] != mt:
                 holds, wit = False, (a, b, mt)
     return holds, wit
+
+
+def all_pairs_order_report(values, leq):
+    """Order determination and separation by comparing every ordered pair of
+    value vectors: ``values[a]`` lists element a's value at every state and
+    ``leq(a, b)`` is the order on element indices.  Raises at the first pair in
+    row-major order that the algebra orders and some state does not.  The
+    reference for the bitmask report behind ``states.is_order_determining`` and
+    ``states.sampled_order_report``."""
+    od_w = None
+    sep_w = None
+    for a, va in enumerate(values):
+        for b, vb in enumerate(values):
+            statewise = all(x <= y for x, y in zip(va, vb))
+            actual = leq(a, b)
+            if statewise and not actual and od_w is None:
+                od_w = (a, b)
+            if actual and not statewise:
+                raise AssertionError(f"states fail monotonicity at ({a}, {b})")
+            if a < b and sep_w is None and va == vb:
+                sep_w = (a, b)
+    return OrderingReport(order_determining=od_w is None, separating=sep_w is None,
+                          od_witness=od_w, sep_witness=sep_w)

@@ -13,7 +13,9 @@ import json
 
 import pytest
 
+from effectalg.catalog import build_boolean, build_chain, horizontal_sum
 from effectalg.cli import _parser, main
+from effectalg.io import structure_to_dict
 
 SQUARE = {"catalog": {"kind": "product", "factors": [{"kind": "chain", "n": 2},
                                                      {"kind": "chain", "n": 2}]}}
@@ -53,11 +55,17 @@ SQUARE_ASYMMETRIC = {
              [6, 4, 1], [4, 6, 1], [2, 7, 1], [1, 0, 1], [0, 1, 1], [0, 0, 0]],
     "labels": SQUARE_LABELS,
 }
+# 29 elements and 81 vertices over scale 6, separating but not order
+# determining (first witness (25, 27)): four boolean(3) cubes, chain(2), chain(3)
+HSUM = structure_to_dict(horizontal_sum([build_boolean(3)] * 4
+                                        + [build_chain(2), build_chain(3)]))
 
 # name: (input, arguments, exit code, SHA-256 of stdout)
 CASES = {
     "states-square": (SQUARE, ["states"], 0,
         "d19f66db000e2afcb7cd2bca6a553b7c49005bdec1a172f1a3b3e11c49263098"),
+    "states-hsum": (HSUM, ["states"], 0,
+        "a142ddbbbda17e32eb4184b33bd8f0c0457d1988050cd0c5b3fda178e477483a"),
     "operators-square": (SQUARE, ["operators", "--n", "3"], 0,
         "4a89cb64c0afaea544e719fe477fbd29a8d0908db1193919477133adef8ebb47"),
     "analyze-boolean3": (BOOLEAN3, ["analyze"], 0,

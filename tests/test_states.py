@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +20,9 @@ from effectalg.states import (StatePolytope, clan_closure_witness, compute_state
                               is_state, sampled_order_report, state_equalities)
 from effectalg.suite import check_state_geometry
 
-from oracles import dense_affine_parametrization, fraction_parametrization
-from test_acceptance import Budget
+from oracles import (all_pairs_order_report, dense_affine_parametrization,
+                     fraction_parametrization)
+from test_acceptance import Budget, operator_population
 
 
 def test_chain2_single_state():
@@ -234,6 +235,64 @@ def test_lex_interval_states_are_first_coordinate():
     assert not rep.order_determining
 
 
+def state_roster():
+    """The benchmark's ``states`` roster."""
+    return [build_chain(48), build_boolean(6), build_even_subsets(6),
+            horizontal_sum([build_boolean(3)] * 5), horizontal_sum([build_boolean(2)] * 10)]
+
+
+def ordering_population():
+    """The A05 population (the catalog up to 9 elements and 200 seeded random
+    tables), 200 random tables of up to 12 elements from the held-out seed 4242
+    and the benchmark's state roster."""
+    rng = random.Random(4242)
+    algebras = [E for _name, E in operator_population()]
+    algebras += [random_algebra(rng, max_elements=12)[1] for _ in range(200)]
+    return algebras + state_roster()
+
+
+def test_ordering_report_matches_all_pairs_oracle():
+    """The bitmask report equals the all-pairs loop on both verdicts and both
+    witnesses, through ``is_order_determining`` on the integer vertices and
+    through ``sampled_order_report`` on their Fractions; the population holds
+    algebras that are not order determining and algebras that are not
+    separating."""
+    misses = {"order_determining": 0, "separating": 0}
+    for E in ordering_population():
+        P = compute_states(E)
+        leq = E.order.leq
+        values = [tuple(v[a] for v in P.vertices) for a in range(E.n)]
+        expected = all_pairs_order_report(values, lambda a, b: leq[a][b])
+        assert is_order_determining(E, P) == expected
+        assert sampled_order_report(range(E.n), [v.__getitem__ for v in P.vertices],
+                                    lambda a, b: leq[a][b]) == expected
+        if not P.empty:
+            misses["order_determining"] += not expected.order_determining
+            misses["separating"] += not expected.separating
+    assert all(misses.values()), misses
+
+
+def test_ordering_report_raises_on_a_non_state_vertex():
+    """A vertex that swaps the values of two ordered middle elements is not a
+    state: both routes raise at the same first pair that it fails to keep."""
+    for E in (build_chain(3), build_boolean(3), horizontal_sum([build_chain(2), build_chain(3)])):
+        P = compute_states(E)
+        v = list(P.int_vertices[-1])
+        a, b = next((a, b) for a in range(1, E.n - 1) for b in range(1, E.n - 1)
+                    if E.order.leq[a][b] and v[a] < v[b])
+        v[a], v[b] = v[b], v[a]
+        fake = StatePolytope(size=E.n, int_vertices=P.int_vertices + (tuple(v),),
+                             scale=P.scale, free_dim=P.free_dim)
+        values = [tuple(iv[x] for iv in fake.int_vertices) for x in range(E.n)]
+        with pytest.raises(AssertionError) as expected:
+            all_pairs_order_report(values, lambda x, y: E.order.leq[x][y])
+        with pytest.raises(AssertionError) as got:
+            is_order_determining(E, fake)
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(AssertionError, match=r"^states fail monotonicity at \(1, 2\)$"):
+        is_order_determining(build_chain(3), StatePolytope(4, ((0, 2, 1, 3),), 3, 0))
+
+
 def elimination_roster():
     """The acceptance operator population (the catalog up to 9 elements and 200
     seeded random tables) plus the elimination-heavy large algebras."""
@@ -327,9 +386,13 @@ def test_double_description_guard():
 def fraction_rebuild(E):
     """The vertices as Fraction sums ``c + sum_j t_j * basis[j]``, with the
     integer parametrization and the rays of ``dd_vertices`` read as Fractions:
-    the glue of ``compute_states`` done the slow way."""
+    the glue of ``compute_states`` done the slow way.  Also returns ``den * L``,
+    the denominator that the integer glue reduces by a gcd, with L the lcm of
+    the rays' h; ``((), None)`` when there are no states."""
     eq_rows, eq_rhs = state_equalities(E)
     param = affine_parametrization(eq_rows, eq_rhs, E.n)
+    if param is None:
+        return (), None
     c_int, free, columns, den = param
     c, _free, basis = fraction_parametrization(param)
     d = len(free)
@@ -338,20 +401,31 @@ def fraction_rebuild(E):
         if any(col):
             rows.append((col, -ci))
             rows.append(([-x for x in col], ci - den))
-    points = [tuple(F(x, ray[d]) for x in ray[:d]) for ray in dd_vertices(rows, d)]
+        elif not 0 <= ci <= den:
+            return (), None
+    rays = dd_vertices(rows, d)
+    points = [tuple(F(x, ray[d]) for x in ray[:d]) for ray in rays]
     verts = {tuple(c[i] + sum(basis[j][i] * t[j] for j in range(d)) for i in range(E.n))
              for t in points}
-    return tuple(sorted(verts))
+    return tuple(sorted(verts)), den * lcm(*(ray[d] for ray in rays))
 
 
 def test_integer_glue_matches_fraction_rebuild():
     """The double-description and oracle routes share the glue, so their
-    agreement cannot catch a fault in it; this checks it on the benchmark's
-    state roster."""
-    roster = [build_chain(48), build_boolean(6), build_even_subsets(6),
-              horizontal_sum([build_boolean(3)] * 5), horizontal_sum([build_boolean(2)] * 10)]
-    for E in roster:
-        assert compute_states(E).vertices == fraction_rebuild(E)
+    agreement cannot catch a fault in it; this checks it on the A05 population
+    and the benchmark's state roster.  Every branch of the integer rebuild is
+    met: free dimension 0, a scale above 1 and a gcd reduction that divides
+    (``scale`` below ``den * L``)."""
+    branches = set()
+    for E in [E for _name, E in operator_population()] + state_roster():
+        P = compute_states(E)
+        vertices, den_l = fraction_rebuild(E)
+        assert P.vertices == vertices
+        if not P.empty:
+            branches |= {name for name, hit in (("d = 0", P.free_dim == 0),
+                                                ("scale > 1", P.scale > 1),
+                                                ("g > 1", P.scale < den_l)) if hit}
+    assert branches == {"d = 0", "scale > 1", "g > 1"}
 
 
 def test_integer_vertices_over_least_common_denominator():
