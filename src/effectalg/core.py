@@ -127,10 +127,6 @@ class FiniteEffectAlgebra:
         """Defined sums as (i, j, k) with i <= j, sorted."""
         return sorted(self.triples)
 
-    def is_linear(self) -> bool:
-        o = self.order.leq
-        return all(o[a][b] or o[b][a] for a in range(self.n) for b in range(self.n))
-
 
 def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
                     labels: Optional[list[str]] = None,

@@ -11,7 +11,7 @@ a bug and is reported separately.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
 
 from .catalog import (build_boolean, build_chain, build_even_subsets,
                       build_product, horizontal_sum)
@@ -68,28 +68,6 @@ def random_algebra(rng: random.Random, max_elements: int = 9) -> tuple[str, Fini
         return f"{name}#perm", permute_algebra(E, perm)
 
 
-@dataclass(frozen=True)
-class MutationOutcome:
-    kind: str              # what was edited
-    result: str            # "violation", "valid_different", "valid_same"
-    axiom: str | None      # which axiom rejected the edit, when one did
-
-
-@dataclass(frozen=True)
-class FuzzReport:
-    outcomes: tuple[MutationOutcome, ...]
-
-    @property
-    def silent_passes(self) -> int:
-        return sum(1 for o in self.outcomes if o.result == "valid_same")
-
-    def counts(self) -> dict:
-        out = {"violation": 0, "valid_different": 0, "valid_same": 0}
-        for o in self.outcomes:
-            out[o.result] += 1
-        return out
-
-
 def _mutate(rng: random.Random, n: int, triples: list[tuple[int, int, int]]):
     """One random raw-table edit; returns (new triples, description)."""
     choice = rng.random()
@@ -127,19 +105,20 @@ def _mutate(rng: random.Random, n: int, triples: list[tuple[int, int, int]]):
 
 
 def fuzz_mutations(E: FiniteEffectAlgebra, rng: random.Random,
-                   count: int = 50) -> FuzzReport:
+                   count: int = 50) -> Counter:
+    """Outcome counts of ``count`` random edits of E's raw table: "violation"
+    (the validator names an axiom), "valid_different" or "valid_same" (a silent
+    acceptance of the unchanged table).  No-op edits are not counted."""
     base = raw_triples(E)
-    outcomes = []
+    outcomes = Counter()
     for _ in range(count):
         triples, kind = _mutate(rng, E.n, base)
         if kind == "noop":
             continue
         try:
             mutated = validate_axioms(E.n, triples)
-        except AxiomViolation as violation:
-            outcomes.append(MutationOutcome(kind, "violation", violation.axiom))
+        except AxiomViolation:
+            outcomes["violation"] += 1
             continue
-        same = mutated.table == E.table
-        outcomes.append(MutationOutcome(
-            kind, "valid_same" if same else "valid_different", None))
-    return FuzzReport(tuple(outcomes))
+        outcomes["valid_same" if mutated.table == E.table else "valid_different"] += 1
+    return outcomes

@@ -1,27 +1,17 @@
-"""JSON interchange: structure files, group specs, reports.
+"""JSON interchange: structure files and reports.
 
-Rationals travel as strings ("3/10"); nothing is ever parsed through floats.
+Rationals are written as strings ("3/10"), never as floats.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
 from .catalog import CatalogSpec, build_catalog
 from .core import FiniteEffectAlgebra, raw_triples, validate_axioms
-from .pogroup import IntervalAlgebra, PoGroupSpec
 from .states import StatePolytope
-
-
-def str_to_frac(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
-    raise ValueError(f"expected a rational as 'p/q' or int, got {s!r}")
 
 
 def structure_to_dict(E: FiniteEffectAlgebra) -> dict:
@@ -56,17 +46,6 @@ def structure_from_dict(data: dict) -> FiniteEffectAlgebra:
 
 def load_structure(path: Union[str, Path]) -> FiniteEffectAlgebra:
     return structure_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_structure(E: FiniteEffectAlgebra, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(structure_to_dict(E), indent=2, sort_keys=True))
-
-
-def group_from_dict(data: dict) -> IntervalAlgebra:
-    spec = PoGroupSpec(rank=int(data["rank"]), scalars=data["scalars"],
-                       order=data["order"])
-    unit = tuple(str_to_frac(v) for v in data["unit"])
-    return IntervalAlgebra(spec, unit)
 
 
 def polytope_to_dict(P: StatePolytope) -> dict:

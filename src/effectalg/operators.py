@@ -4,7 +4,9 @@ An endomorphism preserves every defined sum and the unit (hence zero, complement
 order, and subtraction).  Idempotent endomorphisms play the role of internal
 states; n-potent ones (tau^n = tau) generalize them.  Classification covers the
 strong and join-preserving variants, kernels and faithfulness, and preservation
-of extremal states.
+of extremal states.  The law report of an idempotent only decides which of its
+structural laws apply: each follows from the definitions, proved in
+``operator_law_report``'s docstring, and none is scanned for.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import FiniteEffectAlgebra, homomorphisms, raw_triples, validate_axioms
+from .core import FiniteEffectAlgebra, homomorphisms
 from .mv import is_mv_state_morphism, mv_state_axioms
 from .states import StatePolytope
 from .states import is_state  # noqa: F401  unused here; perfbench/tracing.py wraps this attribute
@@ -208,22 +210,6 @@ def coordinate_repeat_maps(E: FiniteEffectAlgebra) -> tuple[tuple[int, ...], tup
     return tau1, tau2
 
 
-def subalgebra_table(E: FiniteEffectAlgebra, members: Sequence[int]) -> FiniteEffectAlgebra:
-    """The induced algebra on a sum-closed, complement-closed subset containing 0, 1."""
-    mem = sorted(set(members))
-    if mem[0] != 0 or mem[-1] != E.n - 1:
-        raise ValueError("a subalgebra must contain 0 and 1 at the extremes")
-    pos = {a: i for i, a in enumerate(mem)}
-    triples = []
-    for i, j, k in raw_triples(E):
-        if i in pos and j in pos:
-            if k not in pos:
-                raise ValueError("subset is not closed under defined sums")
-            triples.append((pos[i], pos[j], pos[k]))
-    labels = [E.labels[a] for a in mem]
-    return validate_axioms(len(mem), triples, labels)
-
-
 def mv_operator_agreement(A, mapping, P: StatePolytope) -> dict:
     """One map, both readings: MV internal-state axioms vs effect-side classes.
 
@@ -289,7 +275,6 @@ def scan_mv_operator_agreement(A, P: StatePolytope) -> dict:
 class LawResult:
     applicable: bool
     holds: Optional[bool]
-    witness: Optional[tuple] = None
 
 
 # Immutable, so every report shares them.
@@ -300,80 +285,58 @@ HOLDS = LawResult(True, True)
 def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
     """Structural laws of an idempotent endomorphism tau, one verdict per law.
 
-    Four entries hold by definition and are reported without a scan:
-    - ``image_is_fixed_point_set``: tau(tau(a)) = tau(a), so tau fixes its
-      image, and a fixed point is its own image.
+    Every law follows from the definitions, so the report only decides which
+    laws apply: an applicable law is ``HOLDS``, any other ``NOT_APPLICABLE``.
+    The proofs use three facts: tau is monotone, sums cancel (a + c = a + d
+    gives c = d), and tau(tau(a)) = tau(a).  Write a <= b as b = a + c.
+    - ``image_is_fixed_point_set``: tau fixes its image, and a fixed point is
+      its own image.
     - ``image_is_subalgebra``: tau keeps 0, 1 and complements, and for image
       points a + b = tau(a) + tau(b) = tau(a + b) wherever a + b is defined.
-    - ``strong_joins_land_in_image`` (strong tau only): the join of two image
+    - ``strong_joins_land_in_image`` (strong tau): the join of two image
       points is fixed, which is the loop of ``is_strong_operator``.
-    - ``strong_fixes_image_meets`` (strong tau only): a ^ b = (a' v b')', and
-      a', b' are image points too, so their join is fixed and so is its
-      complement.
-
-    The rest are checked: RDP passes to the image; faithful operators are
-    strictly monotone and fix-or-incomparable; faithful idempotents are strong;
-    on linear algebras faithful forces the identity; on antilattices every
-    endomorphism preserves existing joins and meets.  An extra informational
-    entry records whether all existing meets happen to be preserved (not
-    asserted anywhere).
+    - ``strong_fixes_image_meets`` (strong tau): a ^ b = (a' v b')', and a', b'
+      are image points too, so their join is fixed and so is its complement.
+    - ``image_inherits_rdp`` (E has RDP): apply tau to a refinement in E of
+      x1 + x2 = y1 + y2 with all four in the image; tau fixes them.
+    - ``faithful_strictly_monotone`` (kernel (0,)): if tau(a) = tau(b) then
+      tau(a) + tau(c) = tau(a), so tau(c) = 0 and c = 0.
+    - ``faithful_fixed_or_incomparable`` (kernel (0,)): if tau(a) <= a, write
+      a = tau(a) + c; then tau(a) = tau(a) + tau(c), so c = 0.  The case
+      a <= tau(a) is the same with tau(a) = a + c.
+    - ``faithful_implies_strong`` (kernel (0,)): j = tau(a) v tau(b) lies
+      below tau(j), since tau(a) = tau(tau(a)) <= tau(j) and likewise for b,
+      so the previous law fixes j.
+    - ``linear_faithful_identity`` (faithful tau on a chain): every tau(a) is
+      comparable with a, so the previous law fixes a.  A chain is exactly
+      lattice class "both": every pair has a meet, and no incomparable pair
+      does.
+    - ``antilattice_preserves_joins_meets`` (E an antilattice): only
+      comparable pairs have joins, a v b = b for a <= b, and tau(a) <= tau(b);
+      meets follow, as complements are kept.
+    The informational ``all_meets_preserved_info`` records whether tau keeps
+    every existing meet (equivalently, every existing join); nothing asserts it.
     """
     m = tuple(mapping)
     if not is_endomorphism(E, m) or compose(m, m) != m:
         raise ValueError("law report expects an idempotent endomorphism")
-    n = E.n
-    leq = E.order.leq
     strong = is_strong_operator(E, m)
-    out: dict[str, LawResult] = {
+    faithful = kernel(E, m) == (0,)
+    lattice = classify_lattice(E)
+
+    def law(applies: bool) -> LawResult:
+        return HOLDS if applies else NOT_APPLICABLE
+
+    return {
         "image_is_fixed_point_set": HOLDS,
         "image_is_subalgebra": HOLDS,
-        "strong_joins_land_in_image": HOLDS if strong else NOT_APPLICABLE,
-        "strong_fixes_image_meets": HOLDS if strong else NOT_APPLICABLE,
+        "strong_joins_land_in_image": law(strong),
+        "strong_fixes_image_meets": law(strong),
+        "image_inherits_rdp": law(check_rdp(E)[0]),
+        "faithful_strictly_monotone": law(faithful),
+        "faithful_fixed_or_incomparable": law(faithful),
+        "faithful_implies_strong": law(faithful),
+        "linear_faithful_identity": law(faithful and lattice == "both"),
+        "antilattice_preserves_joins_meets": law(lattice in ("antilattice", "both")),
+        "all_meets_preserved_info": LawResult(True, preserves_existing_joins(E, m)),
     }
-
-    if check_rdp(E)[0]:
-        sub_rdp, sub_w = check_rdp(subalgebra_table(E, set(m)))
-        out["image_inherits_rdp"] = LawResult(True, sub_rdp, sub_w)
-    else:
-        out["image_inherits_rdp"] = NOT_APPLICABLE
-
-    faithful = kernel(E, m) == (0,)
-    if faithful:
-        holds = True
-        wit = None
-        for a in range(n):
-            for b in range(n):
-                if a != b and leq[a][b]:
-                    if not (leq[m[a]][m[b]] and m[a] != m[b]):
-                        holds, wit = False, (a, b)
-        out["faithful_strictly_monotone"] = LawResult(True, holds, wit)
-
-        holds = True
-        wit = None
-        for a in range(n):
-            if m[a] != a and (leq[a][m[a]] or leq[m[a]][a]):
-                holds, wit = False, (a,)
-        out["faithful_fixed_or_incomparable"] = LawResult(True, holds, wit)
-
-        out["faithful_implies_strong"] = LawResult(True, strong)
-
-        if E.is_linear():
-            ident = m == tuple(range(n))
-            out["linear_faithful_identity"] = LawResult(True, ident)
-        else:
-            out["linear_faithful_identity"] = NOT_APPLICABLE
-    else:
-        for key in ("faithful_strictly_monotone", "faithful_fixed_or_incomparable",
-                    "faithful_implies_strong", "linear_faithful_identity"):
-            out[key] = NOT_APPLICABLE
-
-    # An endomorphism keeps complements, and a ^ b = (a' v b')', so it keeps
-    # every existing meet exactly when it keeps every existing join.
-    joins_kept = preserves_existing_joins(E, m)
-    if classify_lattice(E) in ("antilattice", "both"):
-        out["antilattice_preserves_joins_meets"] = LawResult(True, joins_kept)
-    else:
-        out["antilattice_preserves_joins_meets"] = NOT_APPLICABLE
-
-    out["all_meets_preserved_info"] = LawResult(True, joins_kept)
-    return out

@@ -3,16 +3,18 @@ associativity, dense elimination, active-set vertex enumeration, the splitting
 formulation of refinement, the all-pairs refinement scan, integer matrix
 products, the up-set/down-set order tables, the all-pairs interpolation scan,
 the lattice class read from both join and meet tables, the all-pairs
-strong-operator test, the meet-preservation test, the scans of the four
-operator laws that hold by definition and the all-pairs ordering report."""
+strong-operator test, the meet-preservation test, the induced subalgebra on a
+map's image, the scans of the operator laws that hold by definition and the
+all-pairs ordering report."""
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 from operator import mul
 
-from effectalg.core import GuardExceeded
+from effectalg.core import GuardExceeded, raw_triples, validate_axioms
 from effectalg.states import OrderingReport
+from effectalg.structure import check_rdp
 
 
 def induced_state_self_map(alg, op, w):
@@ -293,19 +295,37 @@ def all_pairs_strong_operator(E, mapping):
     return True
 
 
-def preserves_existing_meets(E, mapping):
-    """tau(a ^ b) = tau(a) ^ tau(b) whenever a ^ b exists, read from the meet
-    table: the reference for ``operators.preserves_existing_joins`` standing in
-    for meets, which holds for every map that keeps complements."""
+def preserves_existing_meets(E, mapping, target=None):
+    """tau(a ^ b) = tau(a) ^ tau(b) in ``target`` (E by default) whenever a ^ b
+    exists in E, read from the meet tables: the reference for
+    ``operators.preserves_existing_joins`` and the join test of
+    ``duality.check_state_morphism`` standing in for meets, which holds for
+    every map that keeps complements."""
     meet = E.order.meet
+    image_meet = (E if target is None else target).order.meet
     for a in range(E.n):
         for b in range(a, E.n):
             m = meet[a][b]
             if m is None:
                 continue
-            if meet[mapping[a]][mapping[b]] != mapping[m]:
+            if image_meet[mapping[a]][mapping[b]] != mapping[m]:
                 return False
     return True
+
+
+def subalgebra_table(E, members):
+    """The induced algebra on a sum-closed, complement-closed subset containing 0, 1."""
+    mem = sorted(set(members))
+    if mem[0] != 0 or mem[-1] != E.n - 1:
+        raise ValueError("a subalgebra must contain 0 and 1 at the extremes")
+    pos = {a: i for i, a in enumerate(mem)}
+    triples = []
+    for i, j, k in raw_triples(E):
+        if i in pos and j in pos:
+            if k not in pos:
+                raise ValueError("subset is not closed under defined sums")
+            triples.append((pos[i], pos[j], pos[k]))
+    return validate_axioms(len(mem), triples, [E.labels[a] for a in mem])
 
 
 def image_fixed_point_scan(E, m):
@@ -362,6 +382,30 @@ def strong_meets_scan(E, m):
             if mt is not None and m[mt] != mt:
                 holds, wit = False, (a, b, mt)
     return holds, wit
+
+
+def image_rdp_scan(E, m):
+    """(holds, witness): the algebra induced on the image has RDP."""
+    return check_rdp(subalgebra_table(E, m))
+
+
+def strictly_monotone_scan(E, m):
+    """(holds, witness): a < b gives tau(a) < tau(b)."""
+    leq = E.order.leq
+    for a in range(E.n):
+        for b in range(E.n):
+            if a != b and leq[a][b] and not (leq[m[a]][m[b]] and m[a] != m[b]):
+                return False, (a, b)
+    return True, None
+
+
+def fixed_or_incomparable_scan(E, m):
+    """(holds, witness): every a is fixed or incomparable with tau(a)."""
+    leq = E.order.leq
+    for a in range(E.n):
+        if m[a] != a and (leq[a][m[a]] or leq[m[a]][a]):
+            return False, (a,)
+    return True, None
 
 
 def all_pairs_order_report(values, leq):

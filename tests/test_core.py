@@ -274,10 +274,9 @@ def test_is_isomorphic_matches_permutation_oracle():
 def test_fuzz_mutations_detected():
     rng = random.Random(1)
     for _name, E in small_catalog():
-        report = fuzz_mutations(E, rng, count=50)
-        assert report.silent_passes == 0
-        counts = report.counts()
-        assert counts["violation"] + counts["valid_different"] == len(report.outcomes)
+        counts = fuzz_mutations(E, rng, count=50)
+        assert set(counts) <= {"violation", "valid_different"}   # no "valid_same"
+        assert 0 < counts.total() <= 50
 
 
 def test_random_algebras_validate():

@@ -1,15 +1,17 @@
 """State functor, affine-function functor, round trips, morphisms."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
-from effectalg.catalog import build_boolean, build_chain, build_product
+from effectalg.catalog import build_boolean, build_chain, build_product, small_catalog
+from effectalg.core import homomorphisms
 from effectalg.duality import (AffineFunctionAlgebra, FiniteSimplex, VertexMap,
                                affine_functor, check_simplex_morphism,
                                check_state_morphism, state_functor)
 from effectalg.operators import coordinate_repeat_maps
-from oracles import induced_state_self_map
+from oracles import induced_state_self_map, preserves_existing_meets
 
 
 def test_vertex_map_potency_enforced():
@@ -132,6 +134,32 @@ def test_state_morphism_checks():
     assert rep.reason == "operator square does not commute"
     tuples = c22.meta["tuples"]
     assert tuples[rep.witness[0]] == (0, 1)
+
+
+def test_state_morphism_join_test_implies_meets():
+    """With identity operators, ``check_state_morphism`` passes exactly the
+    homomorphisms that keep existing joins and existing meets, over every map
+    fixing 0 and 1 between two algebras of ``small_catalog(6)``; its one lattice
+    test reads joins, and the meets come from the oracle."""
+    algebras = [E for _name, E in small_catalog(6)]
+    verdicts = {"passed": 0, "lattice_fails": 0, "not_homomorphism": 0}
+    for E1 in algebras:
+        join1 = E1.order.join
+        ident = tuple(range(E1.n))
+        for E2 in algebras:
+            join2 = E2.order.join
+            homs = set(homomorphisms(E1, E2))
+            for middle in product(range(E2.n), repeat=E1.n - 2):
+                h = (0, *middle, E2.n - 1)
+                joins_kept = all(join1[a][b] is None or join2[h[a]][h[b]] == h[join1[a][b]]
+                                 for a in ident for b in ident)
+                lattice_kept = joins_kept and preserves_existing_meets(E1, h, E2)
+                got = check_state_morphism(E1, ident, E2, tuple(range(E2.n)), h).passed
+                assert got == (h in homs and lattice_kept), (E1.labels, E2.labels, h)
+                key = ("not_homomorphism" if h not in homs
+                       else "passed" if lattice_kept else "lattice_fails")
+                verdicts[key] += 1
+    assert all(verdicts.values()), verdicts
 
 
 def test_simplex_morphism_checks():

@@ -7,9 +7,7 @@ import pytest
 
 from effectalg.catalog import build_boolean, build_chain, horizontal_sum
 from effectalg.cli import main
-from effectalg.io import (group_from_dict, load_structure, polytope_to_dict,
-                          save_structure, str_to_frac,
-                          structure_from_dict, structure_to_dict)
+from effectalg.io import polytope_to_dict, structure_from_dict, structure_to_dict
 from effectalg.states import StatePolytope
 from tables import sums_dict
 from test_acceptance import Budget
@@ -19,18 +17,11 @@ def test_rational_strings():
     P = StatePolytope(size=3, int_vertices=((0, 3, 10),), scale=10, free_dim=1)
     assert P.vertices == ((F(0), F(3, 10), F(1)),)
     assert polytope_to_dict(P)["vertices"] == [["0", "3/10", "1"]]
-    assert str_to_frac("3/10") == F(3, 10)
-    assert str_to_frac("2") == F(2)
-    assert str_to_frac(1) == F(1)
-    with pytest.raises(ValueError):
-        str_to_frac(0.5)
 
 
-def test_structure_round_trip(tmp_path):
+def test_structure_round_trip():
     E = build_boolean(2)
-    path = tmp_path / "b2.json"
-    save_structure(E, path)
-    again = load_structure(path)
+    again = structure_from_dict(structure_to_dict(E))
     assert sums_dict(again) == sums_dict(E) and again.labels == E.labels
 
 
@@ -44,12 +35,6 @@ def test_index_convention_enforced():
     data["one"] = 0
     with pytest.raises(ValueError):
         structure_from_dict(data)
-
-
-def test_group_file():
-    alg = group_from_dict({"rank": 2, "scalars": "Q", "order": "strict",
-                           "unit": ["1", "1"]})
-    assert alg.contains(("3/10", "3/10"))
 
 
 def run_cli(capsys, *argv):

@@ -26,8 +26,11 @@ from effectalg.operators import (HOLDS, NOT_APPLICABLE, check_esp, classify_oper
 from effectalg.states import compute_states, is_state
 from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
                              check_operator_laws)
-from oracles import (all_pairs_strong_operator, image_fixed_point_scan, image_subalgebra_scan,
-                     preserves_existing_meets, strong_joins_scan, strong_meets_scan)
+from effectalg.structure import classify_lattice
+from oracles import (all_pairs_strong_operator, dense_lattice_class, fixed_or_incomparable_scan,
+                     image_fixed_point_scan, image_rdp_scan, image_subalgebra_scan,
+                     preserves_existing_meets, rdp_splitting, strictly_monotone_scan,
+                     strong_joins_scan, strong_meets_scan)
 from tables import sums_dict
 from test_acceptance import Budget, operator_population
 
@@ -265,32 +268,81 @@ LAW_KEYS = ("image_is_fixed_point_set", "image_is_subalgebra",
             "all_meets_preserved_info")
 
 
+# The scan of each law, as (holds, witness), run only where the law applies.
+LAW_SCANS = {
+    "image_is_fixed_point_set": image_fixed_point_scan,
+    "image_is_subalgebra": image_subalgebra_scan,
+    "strong_joins_land_in_image": strong_joins_scan,
+    "strong_fixes_image_meets": strong_meets_scan,
+    "image_inherits_rdp": image_rdp_scan,
+    "faithful_strictly_monotone": strictly_monotone_scan,
+    "faithful_fixed_or_incomparable": fixed_or_incomparable_scan,
+    "faithful_implies_strong": lambda E, m: (all_pairs_strong_operator(E, m), None),
+    "linear_faithful_identity": lambda E, m: (m == tuple(range(E.n)), None),
+    "antilattice_preserves_joins_meets": lambda E, m: (
+        preserves_existing_joins(E, m) and preserves_existing_meets(E, m), None),
+}
+
+
 def test_definitional_laws_match_their_scans():
-    """Over every idempotent endomorphism of the A05 population, the four laws
-    that the report states without a scan hold by the scans, and the report
-    gives them as HOLDS, or NOT_APPLICABLE for the two strong-only laws
-    exactly when the map is not strong; every report has the same eleven keys,
-    in the same order, which the benchmark's operators digest also pins."""
-    algebras = maps = strong_maps = 0
+    """Over every idempotent endomorphism of the A05 population, each of the
+    ten laws that the report states without a scan holds by its scan wherever
+    it applies, and the report gives it as HOLDS there and NOT_APPLICABLE
+    elsewhere.  Applicability is decided here by the oracles: the all-pairs
+    strong test, the kernel, RDP by splitting and the dense lattice class.
+    Every report has the same eleven keys, in the same order, which the
+    benchmark's operators digest also pins.  The counts pin how often the
+    conditional laws apply to a map other than the identity."""
+    counts = dict.fromkeys(("algebras", "maps", "strong", "faithful_moved",
+                            "rdp_moved", "faithful_on_chains"), 0)
     for _name, E in operator_population():
-        algebras += 1
+        counts["algebras"] += 1
+        rdp = rdp_splitting(E)[0]
+        lattice = dense_lattice_class(E)
+        ident = tuple(range(E.n))
         for m in enumerate_endomorphisms(E):
             if compose(m, m) != m:
                 continue
             report = operator_law_report(E, m)
             assert tuple(report) == LAW_KEYS, tuple(report)
-            for scan in (image_fixed_point_scan, image_subalgebra_scan,
-                         strong_joins_scan, strong_meets_scan):
-                assert scan(E, m) == (True, None), (E.labels, m, scan.__name__)
-            assert report["image_is_fixed_point_set"] is HOLDS
-            assert report["image_is_subalgebra"] is HOLDS
-            strong = is_strong_operator(E, m)
-            expected = HOLDS if strong else NOT_APPLICABLE
-            assert report["strong_joins_land_in_image"] is expected
-            assert report["strong_fixes_image_meets"] is expected
-            maps += 1
-            strong_maps += strong
-    assert (algebras, maps, strong_maps) == (217, 3052, 3052)
+            strong = all_pairs_strong_operator(E, m)
+            faithful = [a for a in ident if m[a] == 0] == [0]
+            applies = dict.fromkeys(LAW_SCANS, True)
+            applies.update({
+                "strong_joins_land_in_image": strong,
+                "strong_fixes_image_meets": strong,
+                "image_inherits_rdp": rdp,
+                "faithful_strictly_monotone": faithful,
+                "faithful_fixed_or_incomparable": faithful,
+                "faithful_implies_strong": faithful,
+                "linear_faithful_identity": faithful and lattice == "both",
+                "antilattice_preserves_joins_meets": lattice in ("antilattice", "both"),
+            })
+            for law, scan in LAW_SCANS.items():
+                if applies[law]:
+                    assert scan(E, m) == (True, None), (E.labels, m, law)
+                    assert report[law] is HOLDS, (E.labels, m, law)
+                else:
+                    assert report[law] is NOT_APPLICABLE, (E.labels, m, law)
+            counts["maps"] += 1
+            counts["strong"] += strong
+            counts["faithful_moved"] += faithful and m != ident
+            counts["rdp_moved"] += rdp and m != ident
+            counts["faithful_on_chains"] += applies["linear_faithful_identity"]
+    assert counts == {"algebras": 217, "maps": 3052, "strong": 3052, "faithful_moved": 903,
+                      "rdp_moved": 182, "faithful_on_chains": 61}
+
+
+def test_chains_are_exactly_lattice_class_both():
+    """A chain is a lattice with no incomparable pair, and conversely: over the
+    A05 population, ``classify_lattice`` reads "both" exactly on the chains."""
+    chains = 0
+    for _name, E in operator_population():
+        leq = E.order.leq
+        chain = all(leq[a][b] or leq[b][a] for a in range(E.n) for b in range(E.n))
+        assert (classify_lattice(E) == "both") == chain, E.labels
+        chains += chain
+    assert chains == 61
 
 
 def test_laws_hold_across_catalog():
