@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import FiniteEffectAlgebra, homomorphisms
@@ -44,18 +45,26 @@ def power(mapping: Sequence[int], e: int) -> tuple[int, ...]:
 
 
 def minimal_potency(mapping: Sequence[int]) -> Optional[int]:
-    """Least n >= 2 with mapping^n == mapping, or None if no power returns."""
+    """Least n >= 2 with mapping^n == mapping, or None if no power returns.
+
+    Read off the cycles: mapping^n = mapping with n >= 2 makes mapping^(n-1)
+    fix every image point, so the mapping permutes its image; and if it does,
+    with order r there, mapping^n = mapping exactly when r divides n - 1.  The
+    least n is then 1 + the lcm of the cycle lengths on the image.
+    """
     m = tuple(mapping)
-    seen = {}
-    cur = m
-    k = 1
-    while cur not in seen:
-        seen[cur] = k
-        cur = compose(m, cur)
-        k += 1
-        if cur == m:
-            return k
-    return None
+    image = set(m)
+    if len({m[x] for x in image}) < len(image):
+        return None
+    order, seen = 1, set()
+    for x in image:
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x = m[x]
+            length += 1
+        order = lcm(order, length or 1)
+    return order + 1
 
 
 def is_n_potent(potency: Optional[int], n: int) -> bool:

@@ -2,11 +2,18 @@
 
 A state assigns rational values s(a) in [0,1] with s(1) = 1 and s additive on
 defined sums.  The solution set is a bounded polytope; its vertices are the
-extremal states.  The layer works in integers from the sum table to the
-polytope: sparse integer equality rows, an integer parametrization over one
-denominator, integer halfspaces and rays, and integer vertices over their least
-common denominator, rebuilt one coordinate for all vertices at a time, which
-vertex lookup and the ordering report read; the report works on bitmasks.
+extremal states.  ``compute_states`` first splits the algebra into horizontal
+summands, whose state space is the product of theirs, and at central elements
+into direct factors, whose extremal states are the union of theirs, lifted.  A
+finite RDP algebra is a product of chains, each with one state, so its state
+space is a simplex: the finite case of the paper's duality between RDP effect
+algebras and Bauer simplices.  Only the indecomposable parts go through
+elimination and double description.  The layer works in integers from the sum
+table to the polytope: sparse integer equality rows, an integer parametrization
+over one denominator, integer halfspaces and rays, and integer vertices over
+their least common denominator, rebuilt and assembled one coordinate for all
+vertices at a time, which vertex lookup and the ordering report read; the
+report works on bitmasks.
 Fractions appear only where state values leave the layer or enter it:
 ``P.vertices``, ``vertex_index``, ``discrete_profile`` and the clan-closure
 engine.  Floating point is forbidden here because vertex dedup and value-set
@@ -17,18 +24,19 @@ test of the evaluation image a |-> a-hat.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress, repeat
-from math import gcd, lcm
+from itertools import chain, compress, repeat
+from math import gcd, lcm, prod
 from operator import add, and_, ge, itemgetter, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import FiniteEffectAlgebra
+from .core import FiniteEffectAlgebra, GuardExceeded
 from .linalg import ONE, Vec, affine_parametrization
 from .polytope import dd_vertices
+
+GUARD_VERTICES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -89,9 +97,9 @@ def state_equalities(E: FiniteEffectAlgebra):
     """
     rows = [{0: 1}, {E.n - 1: 1}]
     for i, j, k in E.triples:
-        row = Counter((i, j))
-        row[k] -= 1
-        rows.append({c: x for c, x in row.items() if x})
+        row = {i: 2} if i == j else {i: 1, j: 1}
+        row[k] = row.get(k, 0) - 1
+        rows.append(row if row[k] else {c: x for c, x in row.items() if x})
     return rows, [0, 1] + [0] * len(E.triples)
 
 
@@ -107,7 +115,167 @@ def is_state(E: FiniteEffectAlgebra, vec: Sequence[Fraction]) -> bool:
 
 
 def compute_states(E: FiniteEffectAlgebra) -> StatePolytope:
-    """Enumerate all extremal states.
+    """Enumerate all extremal states, part by part.
+
+    E is split into horizontal-sum blocks, the connected components of its
+    middle elements under the sum triples, and at central elements c, where E
+    is isomorphic to [0, c] x [0, c'] (Greechie, Foulis & Pulmannova, The center
+    of an effect algebra, 1995), recursively; elimination and double
+    description run only on the indecomposable parts (``_part_polytope``).  The pieces assemble in integers over the lcm of
+    their scales, which is the least common denominator again:
+
+    * a state of a horizontal sum is a state on each block, chosen freely, so
+      the vertices are the products of the blocks' vertices and ``free_dim``
+      is the sum of theirs;
+    * a state of [0, c] x [0, c'] is a convex combination of one state on each
+      factor, so the vertices are the union of the factors' vertices lifted by
+      s(x) = t(x ^ c), and ``free_dim`` is the sum of theirs plus one.
+
+    A finite algebra with RDP is a product of chains, each with one state, so
+    its central split ends in chains and its state space is a simplex: the
+    finite case of the paper's duality between RDP effect algebras and Bauer
+    simplices.  If some part has no states the whole algebra is run as one
+    part, which keeps the free dimension of its (empty) polytope.  An assembled
+    vertex count above ``GUARD_VERTICES`` raises ``GuardExceeded`` before it is
+    built; ``GUARD_DIM`` applies to each part.
+    """
+    P = _split_polytope(E, range(E.n), E.triples)
+    return _part_polytope(E) if P is None else P
+
+
+class _Part(NamedTuple):
+    """An indecomposable part as elimination reads it: ``n`` indices, 0 first and
+    the part's unit last, and its sum triples over them."""
+
+    n: int
+    triples: list[tuple[int, int, int]]
+
+
+def _split_polytope(E: FiniteEffectAlgebra, members: Sequence[int],
+                    triples: Sequence[tuple[int, int, int]]) -> Optional[StatePolytope]:
+    """The polytope of the part of E on ``members`` (indices of E, 0 first and the
+    part's unit last) with the sum triples ``triples``, over the positions of
+    ``members``; None when a split leaves a part without states.  E's order
+    tables hold for every part: a part's down-sets are E's, so its meets are
+    E's, and the complement of x in the part is u - x for its unit u.
+    """
+    blocks = _blocks(members, triples)
+    if blocks:
+        parts = [(m, _split_polytope(E, m, t)) for m, t in blocks]
+        if any(P is None or P.empty for _m, P in parts):
+            return None
+        return _sum_polytope(members, parts)
+    sub_u, meet = E.order.sub[members[-1]], E.order.meet
+    c = next((c for c in members[1:-1]
+              if meet[c][sub_u[c]] == 0 and _is_central(E, members, c)), None)
+    if c is None:
+        if len(members) < E.n:
+            local = {x: i for i, x in enumerate(members)}
+            E = _Part(len(members), [(local[i], local[j], local[k]) for i, j, k in triples])
+        return _part_polytope(E)
+    leq = E.order.leq
+    factors = []
+    for a in (c, sub_u[c]):
+        m = [0, *(x for x in members[1:-1] if x != a and leq[x][a]), a]
+        P = _split_polytope(E, m, [t for t in triples if leq[t[2]][a]])
+        if P is None or P.empty:
+            return None
+        factors.append((a, m, P))
+    return _product_polytope(E, members, factors)
+
+
+def _blocks(members: Sequence[int], triples) -> list[tuple[list[int], list[tuple]]]:
+    """The horizontal-sum blocks of a part as (members, triples), or [] when it
+    has fewer than two.  Middle elements i, j and k of a triple i + j = k join
+    one block, merging the smaller block into the larger; 0 + 0 = 0 and
+    0 + u = u belong to every block, and every other triple to the block of
+    its second entry, since triples list i <= j and 0 is index 0."""
+    u = members[-1]
+    owner = {x: [x] for x in members[1:-1]}
+    for i, j, k in triples:
+        if i:
+            for x in (j, k) if k != u else (j,):
+                a, b = owner[i], owner[x]
+                if a is not b:
+                    if len(a) < len(b):
+                        a, b = b, a
+                    a += b
+                    for y in b:
+                        owner[y] = a
+    comps = {id(s): s for s in owner.values()}
+    if len(comps) < 2:
+        return []
+    common, own = [], {key: [] for key in comps}
+    for t in triples:
+        s = owner.get(t[1])
+        (common if s is None else own[id(s)]).append(t)
+    return [([0, *sorted(s), u], common + own[key]) for key, s in comps.items()]
+
+
+def _is_central(E: FiniteEffectAlgebra, members: Sequence[int], c: int) -> bool:
+    """Is c central in the part: is (a, b) |-> a + b a sum-preserving bijection
+    [0, c] x [0, c'] -> part?  O(n): it is exactly when every x is
+    (x ^ c) + (x ^ c'), both meets existing.
+
+    That makes the map onto, and c ^ c' = 0, as c = c + (c ^ c'); so callers may
+    try only sharp c.  It makes c principal: for a, b <= c with a + b defined,
+    b' >= c' splits as t + c' with t = b' ^ c, so c = b + t >= b + a, as a <= t.
+    Likewise c'.  So for x + y = z, A = (x ^ c) + (y ^ c) <= c and
+    B = (x ^ c') + (y ^ c') <= c' sum to z, and A <= z ^ c, B <= z ^ c' with
+    (z ^ c) + (z ^ c') = z give z ^ c = A by cancellation: x |-> x ^ c is
+    additive, and so is x |-> x ^ c'.  The pair of them undoes the map, as
+    (a + b) ^ c = a + (b ^ c) = a for b <= c'; and sums in [0, c] x [0, c'] go
+    through by associativity.
+    """
+    table, meet = E.table, E.order.meet
+    p, q = meet[c], meet[E.order.sub[members[-1]][c]]
+    return all(p[x] is not None and q[x] is not None and table[p[x]][q[x]] == x
+               for x in members)
+
+
+def _guard_vertices(count: int) -> None:
+    if count > GUARD_VERTICES:
+        raise GuardExceeded(f"state polytope guarded at {GUARD_VERTICES} vertices")
+
+
+def _sum_polytope(members: Sequence[int], parts) -> StatePolytope:
+    """Every choice of one vertex per block, built a column at a time: with the
+    blocks in order, block b's vertex index is (r // inner) % N_b at row r,
+    where ``inner`` is the product of the earlier blocks' counts."""
+    L = lcm(*(P.scale for _m, P in parts))
+    total = prod(len(P.int_vertices) for _m, P in parts)
+    _guard_vertices(total)
+    cols = {members[0]: [0] * total, members[-1]: [L] * total}
+    inner = 1
+    for m, P in parts:
+        count, k = len(P.int_vertices), L // P.scale
+        for x, col in zip(m[1:-1], list(zip(*P.int_vertices))[1:-1]):
+            runs = chain.from_iterable(map(repeat, [k * v for v in col], repeat(inner)))
+            cols[x] = list(runs) * (total // (count * inner))
+        inner *= count
+    return StatePolytope(size=len(members),
+                         int_vertices=tuple(sorted(zip(*map(cols.__getitem__, members)))),
+                         scale=L, free_dim=sum(P.free_dim for _m, P in parts))
+
+
+def _product_polytope(E: FiniteEffectAlgebra, members: Sequence[int], factors) -> StatePolytope:
+    """The vertices of each factor [0, a], lifted by s(x) = t(x ^ a): column x is
+    the first factor's column at x ^ c followed by the second's at x ^ c'."""
+    L = lcm(*(P.scale for _a, _m, P in factors))
+    _guard_vertices(sum(len(P.int_vertices) for _a, _m, P in factors))
+    lifts = []
+    for a, m, P in factors:
+        k = L // P.scale
+        col = dict(zip(m, ([k * v for v in vs] for vs in zip(*P.int_vertices))))
+        lifts.append(map(col.__getitem__, map(E.order.meet[a].__getitem__, members)))
+    return StatePolytope(size=len(members),
+                         int_vertices=tuple(sorted(zip(*map(add, *lifts)))),
+                         scale=L, free_dim=sum(P.free_dim for _a, _m, P in factors) + 1)
+
+
+def _part_polytope(E) -> StatePolytope:
+    """Elimination and double description on one part, or on a whole algebra:
+    anything with ``n`` and ``triples``.
 
     Sparse elimination reduces the integer equalities to the integer affine
     parametrization ``den * s_i = c[i] + columns[i] . t``; the box constraints
@@ -117,7 +285,7 @@ def compute_states(E: FiniteEffectAlgebra) -> StatePolytope:
     ``s_i * den * L = c_i * L + sum_j a_ij * (L / h) * t_j`` over the nonzero
     ``a_ij = columns[i][j]``, then divided by the gcd of ``den * L`` and every
     coordinate when it exceeds 1, so that ``scale`` is the least common
-    denominator.  An empty vertex list means the algebra admits no states.
+    denominator.  An empty vertex list means the part admits no states.
     """
     n = E.n
     eq_rows, eq_rhs = state_equalities(E)
@@ -176,9 +344,13 @@ def _order_report(states: Sequence[tuple], leq: Sequence[Sequence[bool]]) -> Ord
     but not by some state means the "states" are not states, so it raises.
     """
     bits = [1 << a for a in range(len(leq))]
-    up = [sum(bits)] * len(bits)
+    every = sum(bits)
+    up = [every] * len(bits)
     for vals in states:
-        at_least = {x: sum(compress(bits, map(ge, vals, repeat(x)))) for x in set(vals)}
+        low = min(vals, default=None)           # every element is at least the least
+        at_least = {x: sum(compress(bits, map(ge, vals, repeat(x))))
+                    for x in set(vals) if x != low}
+        at_least[low] = every
         up = list(map(and_, up, map(at_least.__getitem__, vals)))
     rows = [sum(compress(bits, row)) for row in leq]
     bad = _first_pair([r & ~u for r, u in zip(rows, up)])

@@ -4,8 +4,10 @@ formulation of refinement, the all-pairs refinement scan, integer matrix
 products, the up-set/down-set order tables, the all-pairs interpolation scan,
 the lattice class read from both join and meet tables, the all-pairs
 strong-operator test, the meet-preservation test, the induced subalgebra on a
-map's image, the scans of the operator laws that hold by definition and the
-all-pairs ordering report."""
+map's image, the scans of the operator laws that hold by definition, the
+all-pairs ordering report, the potency by repeated composition, the
+brute-force central-element test and the state polytope of a whole algebra
+run as one part."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +15,8 @@ from math import comb, gcd
 from operator import mul
 
 from effectalg.core import GuardExceeded, raw_triples, validate_axioms
-from effectalg.states import OrderingReport
+from effectalg.operators import compose
+from effectalg.states import OrderingReport, _part_polytope
 from effectalg.structure import check_rdp
 
 
@@ -429,3 +432,47 @@ def all_pairs_order_report(values, leq):
                 sep_w = (a, b)
     return OrderingReport(order_determining=od_w is None, separating=sep_w is None,
                           od_witness=od_w, sep_witness=sep_w)
+
+
+def composition_potency(mapping):
+    """Least n >= 2 with mapping^n == mapping by composing until a power
+    repeats, or None if the mapping never returns."""
+    m = tuple(mapping)
+    seen = {}
+    cur = m
+    k = 1
+    while cur not in seen:
+        seen[cur] = k
+        cur = compose(m, cur)
+        k += 1
+        if cur == m:
+            return k
+    return None
+
+
+def brute_force_central(E, c):
+    """Is (a, b) |-> a + b a sum-preserving bijection [0, c] x [0, c'] -> E?
+    Sums in the factors are E's sums that stay below c and c'; the map must
+    make a pair of pairs summable exactly when their images are, and send the
+    sum to the sum."""
+    cc = E.complements[c]
+    below = [[a for a in range(E.n) if E.leq(a, top)] for top in (c, cc)]
+    phi = {(a, b): E.table[a][b] for a in below[0] for b in below[1]}
+    if None in phi.values() or sorted(phi.values()) != list(range(E.n)):
+        return False
+    for (a1, b1), x in phi.items():
+        for (a2, b2), y in phi.items():
+            sa, sb = E.table[a1][a2], E.table[b1][b2]
+            summable = (sa is not None and E.leq(sa, c)
+                        and sb is not None and E.leq(sb, cc))
+            if summable != (E.table[x][y] is not None):
+                return False
+            if summable and phi[(sa, sb)] != E.table[x][y]:
+                return False
+    return True
+
+
+def whole_algebra_states(E):
+    """Elimination and double description on all of E as one part, with no
+    split into horizontal summands or central factors."""
+    return _part_polytope(E)

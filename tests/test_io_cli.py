@@ -8,8 +8,8 @@ import pytest
 from effectalg.catalog import build_boolean, build_chain, horizontal_sum
 from effectalg.cli import main
 from effectalg.io import polytope_to_dict, structure_from_dict, structure_to_dict
-from effectalg.states import StatePolytope
-from tables import sums_dict
+from effectalg.states import GUARD_VERTICES, StatePolytope
+from tables import greechie_chain, sums_dict
 from test_acceptance import Budget
 
 
@@ -172,8 +172,20 @@ def test_cli_endomorphism_guard_exits_2(tmp_path, capsys):
 
 
 def test_cli_double_description_guard_exits_2(tmp_path, capsys):
+    """The 17 blocks' 2^17 extremal states are over the vertex guard."""
+    assert GUARD_VERTICES == 2 ** 16
     path = tmp_path / "hsum17.json"
     path.write_text(json.dumps(structure_to_dict(horizontal_sum([build_boolean(2)] * 17))))
+    assert main(["states", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "guarded at 65536 vertices" in captured.err
+
+
+def test_cli_free_dimension_guard_exits_2(tmp_path, capsys):
+    """A Greechie chain of 16 boolean(3) blocks does not split, and its free
+    dimension 17 is over the double-description guard."""
+    path = tmp_path / "greechie16.json"
+    path.write_text(json.dumps(structure_to_dict(greechie_chain(16))))
     assert main(["states", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "guarded at 16 free dimensions" in captured.err

@@ -27,8 +27,8 @@ from effectalg.states import compute_states, is_state
 from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
                              check_operator_laws)
 from effectalg.structure import classify_lattice
-from oracles import (all_pairs_strong_operator, dense_lattice_class, fixed_or_incomparable_scan,
-                     image_fixed_point_scan, image_rdp_scan, image_subalgebra_scan,
+from oracles import (all_pairs_strong_operator, composition_potency, dense_lattice_class,
+                     fixed_or_incomparable_scan, image_fixed_point_scan, image_rdp_scan, image_subalgebra_scan,
                      preserves_existing_meets, rdp_splitting, strictly_monotone_scan,
                      strong_joins_scan, strong_meets_scan)
 from tables import sums_dict
@@ -440,6 +440,24 @@ def test_is_n_potent_matches_power():
         p = minimal_potency(m)
         for n in range(13):
             assert is_n_potent(p, n) == (n >= 2 and power(m, n) == m), (m, n)
+
+
+def test_minimal_potency_matches_composition_oracle():
+    """The cycle rule agrees with composing until a power repeats on every
+    endomorphism of the A05 population and on seeded random self-maps of one to
+    nine points, most of them not endomorphisms of anything, (1, 2, 2) among
+    them; both a potency and None occur."""
+    maps = [m for _name, E in operator_population() for m in enumerate_endomorphisms(E)]
+    assert len(maps) == 18560
+    rng = random.Random(29)
+    randoms = [(1, 2, 2)] + [tuple(rng.randrange(n) for _ in range(n))
+                             for n in range(1, 10) for _ in range(400)]
+    verdicts = set()
+    for m in maps + randoms:
+        p = minimal_potency(m)
+        assert p == composition_potency(m), m
+        verdicts.add(p is None)
+    assert verdicts == {True, False}
 
 
 def test_strong_operator_matches_all_pairs_oracle():

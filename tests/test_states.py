@@ -15,13 +15,16 @@ from effectalg.linalg import affine_parametrization
 from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extremal_states,
                                group_leq, strict_plane_preimage)
 from effectalg.polytope import GUARD_DIM, dd_vertices
-from effectalg.states import (StatePolytope, clan_closure_witness, compute_states,
-                              discrete_profile, finite_clan_engine, is_order_determining,
-                              is_state, sampled_order_report, state_equalities)
+from effectalg.states import (GUARD_VERTICES, StatePolytope, _is_central,
+                              clan_closure_witness, compute_states, discrete_profile,
+                              finite_clan_engine, is_order_determining, is_state,
+                              sampled_order_report, state_equalities)
 from effectalg.suite import check_state_geometry
 
-from oracles import (all_pairs_order_report, dense_affine_parametrization,
-                     fraction_parametrization)
+from oracles import (all_pairs_order_report, brute_force_central,
+                     dense_affine_parametrization, fraction_parametrization,
+                     whole_algebra_states)
+from tables import greechie_chain, wright_triangle
 from test_acceptance import Budget, operator_population
 
 
@@ -374,13 +377,128 @@ def test_size_ceiling_chain128_and_six_boolean_cubes():
 
 
 def test_double_description_guard():
-    """Seventeen boolean(2) blocks summed horizontally have one free dimension
-    each, one past the guard, which raises before any ray is built."""
+    """Seventeen boolean(2) blocks summed horizontally have 2^17 extremal
+    states, past the vertex guard, which raises before their product is built;
+    sixteen blocks give exactly ``GUARD_VERTICES``."""
     E = horizontal_sum([build_boolean(2)] * 17)
-    assert (E.n, GUARD_DIM) == (36, 16)
+    assert (E.n, GUARD_VERTICES) == (36, 2 ** 16)
+    with Budget("guarded vertex assembly", 0.5):
+        with pytest.raises(GuardExceeded, match="guarded at 65536 vertices"):
+            compute_states(E)
+    E = horizontal_sum([build_boolean(2)] * 16)
+    with Budget("sixteen boolean(2) blocks", 2.0):
+        P = compute_states(E)
+    assert (len(P.int_vertices), P.free_dim) == (GUARD_VERTICES, 16)
+
+
+def test_free_dimension_guard_on_an_indecomposable_algebra():
+    """A Greechie chain of sixteen boolean(3) blocks has no horizontal summand
+    and no central element, so it is one part, with free dimension 17: one past
+    ``GUARD_DIM``, which raises before any ray is built."""
+    E = greechie_chain(16)
+    assert (E.n, GUARD_DIM) == (68, 16)
     with Budget("guarded double description", 0.5):
         with pytest.raises(GuardExceeded, match="guarded at 16 free dimensions"):
             compute_states(E)
+
+
+def split_population():
+    """The A05 population, the k x boolean(3) sums for k <= 7, the 10 x
+    boolean(2) sum, boolean(6), chain(4)^3, even_subsets(4)^2, sums of products,
+    products of sums, a product without all meets and the smaller pasted
+    tables."""
+    b2, b3, c2 = build_boolean(2), build_boolean(3), build_chain(2)
+    algebras = [E for _name, E in operator_population()]
+    algebras += [horizontal_sum([b3] * k) for k in range(1, 8)]
+    algebras += [horizontal_sum([b2] * 10), build_boolean(6),
+                 build_product([build_chain(4)] * 3),
+                 build_product([build_even_subsets(4)] * 2),
+                 horizontal_sum([build_product([c2, b2]), build_chain(3),
+                                 build_product([build_chain(1)] * 3)]),
+                 build_product([horizontal_sum([b2, c2]), horizontal_sum([b2] * 3)]),
+                 build_product([horizontal_sum([build_product([b2, c2]), b3]), c2]),
+                 build_product([wright_triangle(), build_chain(1)]),
+                 greechie_chain(2), greechie_chain(5), wright_triangle()]
+    return algebras
+
+
+def test_split_matches_the_whole_algebra_run(monkeypatch):
+    """Splitting into horizontal summands and central factors changes no output:
+    vertices, scale and free dimension equal elimination and double
+    description on the whole algebra as one part.  The parts that reach
+    elimination are the indecomposable ones: boolean(6) runs six two-element
+    chains, and hsum(boolean(2), chain(2)) x hsum(3 x boolean(2)) eight of
+    them and chain(2)."""
+    for E in split_population():
+        assert compute_states(E) == whole_algebra_states(E), E
+    sizes = []
+
+    def recorded(X):
+        sizes.append(X.n)
+        return whole_algebra_states(X)
+    monkeypatch.setattr("effectalg.states._part_polytope", recorded)
+    b2 = build_boolean(2)
+    compute_states(build_boolean(6))
+    assert sizes == [2] * 6
+    sizes.clear()
+    compute_states(build_product([horizontal_sum([b2, build_chain(2)]),
+                                  horizontal_sum([b2] * 3)]))
+    assert sorted(sizes) == [2] * 8 + [3]
+
+
+def test_central_test_matches_brute_force():
+    """``_is_central`` agrees with the brute-force bijection test on every middle
+    element of the A05 population and of products, sums and pasted tables;
+    every central c is sharp, so the split may try only sharp candidates."""
+    b2, c2 = build_boolean(2), build_chain(2)
+    algebras = [E for _name, E in operator_population()]
+    algebras += [build_product([c2, b2]), build_product([horizontal_sum([b2] * 2), c2]),
+                 horizontal_sum([build_product([c2, b2]), b2]), greechie_chain(2),
+                 greechie_chain(3), wright_triangle(),
+                 build_product([wright_triangle(), build_chain(1)])]
+    verdicts = {True: 0, False: 0}
+    for E in algebras:
+        for c in range(1, E.n - 1):
+            got = _is_central(E, range(E.n), c)
+            assert got == brute_force_central(E, c), (E, c)
+            assert not got or E.meet(c, E.complement(c)) == 0
+            verdicts[got] += 1
+    assert all(verdicts.values())
+
+
+def test_a_part_without_states_runs_the_whole_algebra(monkeypatch):
+    """When a split leaves a part with no states, the result is the run on the
+    whole algebra, which keeps its free dimension; here the parts of
+    chain(2) x boolean(2) are made to report no states."""
+    E = build_product([build_chain(2), build_boolean(2)])
+
+    def parts_without_states(X):
+        return whole_algebra_states(X) if X is E else StatePolytope(X.n, (), 1, 0)
+    monkeypatch.setattr("effectalg.states._part_polytope", parts_without_states)
+    assert compute_states(E) == whole_algebra_states(E)
+
+
+def int_states(E, P) -> bool:
+    """Every integer vertex is a state over ``P.scale``, checked on the triples."""
+    return all(v[0] == 0 and v[-1] == P.scale and 0 <= min(v) and max(v) <= P.scale
+               and all(v[i] + v[j] == v[k] for i, j, k in E.triples)
+               for v in P.int_vertices)
+
+
+def test_split_runs_past_the_whole_algebra_guards():
+    """The 8 x boolean(3) sum (d = 16; seconds as one part) and
+    hsum(9 x boolean(2))^2 (d = 19, over ``GUARD_DIM`` as one part) finish
+    within a second each."""
+    b2, b3 = build_boolean(2), build_boolean(3)
+    for name, E, want in (
+            ("eight boolean(3) cubes", horizontal_sum([b3] * 8), (50, 3 ** 8, 16)),
+            ("hsum(9 x boolean(2)) squared",
+             build_product([horizontal_sum([b2] * 9)] * 2), (400, 2 ** 10, 19))):
+        E.order
+        with Budget(name, 1.0):
+            P = compute_states(E)
+        assert (E.n, len(P.int_vertices), P.free_dim) == want
+        assert int_states(E, P)
 
 
 def fraction_rebuild(E):
