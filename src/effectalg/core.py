@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 
 class EffectAlgebraError(Exception):
@@ -43,6 +43,7 @@ class AxiomViolation(EffectAlgebraError):
 
 
 Table = tuple[tuple[Optional[int], ...], ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,10 @@ class OrderData:
     @cached_property
     def join(self) -> Table:
         c = self.complements
-        return tuple(tuple(None if m is None else c[m] for m in map(row.__getitem__, c))
-                     for row in map(self.meet.__getitem__, c))
+        get = dict(enumerate(c)).get             # None, a missing meet, is no key
+        # A one-index itemgetter returns a scalar; the one-element row is its own permutation.
+        permute = itemgetter(*c) if len(c) > 1 else tuple
+        return tuple(tuple(map(get, permute(row))) for row in map(self.meet.__getitem__, c))
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,9 @@ class FiniteEffectAlgebra:
     ``triples`` lists every defined sum once as (i, j, k) with i <= j, in the
     order validation first received the pair.  ``complements[a]`` is the unique
     a' with a + a' = 1.  Every field is immutable; ``meta`` is read-only.
+    Because the algebra never changes, ``verdict`` keeps the answer of any
+    check that reads nothing else, and ``order`` and ``nonzero_triples`` are
+    built on first read.
     """
 
     n: int
@@ -106,6 +112,27 @@ class FiniteEffectAlgebra:
     @cached_property
     def order(self) -> OrderData:
         return derive_order(self)
+
+    @cached_property
+    def nonzero_triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The triples i + j = k with i != 0, in triple order.  A map that fixes
+        0 keeps every other sum 0 + a = a, so these are all a check must read."""
+        return tuple(t for t in self.triples if t[0])
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        return {}
+
+    def verdict(self, check: Callable[[FiniteEffectAlgebra], T]) -> T:
+        """``check(self)``, computed on the first call and kept on the algebra.
+
+        For checks that depend on the algebra alone, such as its lattice class
+        or RDP, read once per algebra by code that runs once per map.
+        """
+        verdicts = self._verdicts
+        if check not in verdicts:
+            verdicts[check] = check(self)
+        return verdicts[check]
 
     def leq(self, a: int, b: int) -> bool:
         return self.order.leq[a][b]
@@ -267,30 +294,21 @@ def derive_order(E: FiniteEffectAlgebra) -> OrderData:
     return OrderData(leq=leq, sub=sub, meet=tuple(meet), complements=E.complements)
 
 
-def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
-                  injective: bool = False,
-                  guard_nodes: int = 2_000_000) -> Iterator[tuple[int, ...]]:
-    """Every map f with f(1) = 1 and f(i) + f(j) = f(k) on every sum triple of E1.
+def search_schedule(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> list[tuple]:
+    """The levels that ``homomorphisms`` walks, as (steps, checks, new) triples.
 
-    Backtracking with forward checking (Haralick & Elliott 1980), compiled once
-    per call.  In a sum triple (i, j, k), an entry that occurs once is forced
-    when the other two are set: f(k) = f(i) + f(j), f(i) = f(k) - f(j) or
-    f(j) = f(k) - f(i); so i + i = k does not force i, nor 0 + j = j force j.
-    Which entries are forced depends only on which elements are set, never on
-    their images, so the search follows one schedule: a root level that sets
-    f(1) = 1, then a level for each element still unset, in order of height.
-    A level lists its forced steps (x, rows, a, b), meaning
-    f(x) = rows[f(a)][f(b)] with ``rows`` E2's table or its subtraction, then
-    the triples it completes; each triple of E1 is one step or one check.
-    Each image tried for a level's element is one node against
-    ``guard_nodes``; an undefined step, a failed check or, with ``injective``,
-    a repeated image prunes it.  Deeper levels overwrite their entries before
-    reading them, so backtracking undoes nothing.  Each map is yielded once.
+    ``new[0]`` is the level's element (the unit at the root level), then the
+    elements its steps force; a step (x, rows, a, b) sets f(x) = rows[f(a)][f(b)]
+    with ``rows`` E2's table or its subtraction, and a check (i, j, k) tests
+    f(i) + f(j) = f(k).  The triples read are E1's ``nonzero_triples`` and the
+    one triple 0 + 1 = 1, which at the root forces f(0) = 1 - 1 = 0.  Once
+    f(0) = 0, every sum 0 + a = a holds whatever f(a) is, so a zero sum could
+    only ever be a check that never fails; none is scheduled.
     """
-    n, m = E1.n, E2.n
+    n = E1.n
     table, sub, leq = E2.table, E2.order.sub, E1.order.leq
     watch: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for t in E1.triples:
+    for t in ((0, n - 1, n - 1), *E1.nonzero_triples):
         for e in set(t):
             watch[e].append(t)
     order = sorted(range(n), key=lambda a: (sum(leq[b][a] for b in range(n)), a))
@@ -318,6 +336,32 @@ def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
                 known[step[0]] = True
                 new.append(step[0])
         levels.append((steps, checks, new))
+    return levels
+
+
+def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
+                  injective: bool = False,
+                  guard_nodes: int = 2_000_000) -> Iterator[tuple[int, ...]]:
+    """Every map f with f(1) = 1 and f(i) + f(j) = f(k) on every sum triple of E1.
+
+    Backtracking with forward checking (Haralick & Elliott 1980), compiled once
+    per call by ``search_schedule``.  In a sum triple (i, j, k), an entry that
+    occurs once is forced when the other two are set: f(k) = f(i) + f(j),
+    f(i) = f(k) - f(j) or f(j) = f(k) - f(i); so i + i = k does not force i.
+    Which entries are forced depends only on which elements are set, never on
+    their images, so the search follows one schedule: a root level that sets
+    f(1) = 1 and so f(0) = 0, then a level for each element still unset, in
+    order of height.  A level runs its forced steps, then checks the triples
+    it completes; each nonzero triple of E1 is one step or one check, and the
+    zero sums 0 + a = a, which hold for every f with f(0) = 0, are neither.
+    Each image tried for a level's element is one node against
+    ``guard_nodes``; an undefined step, a failed check or, with ``injective``,
+    a repeated image prunes it.  Deeper levels overwrite their entries before
+    reading them, so backtracking undoes nothing.  Each map is yielded once.
+    """
+    n, m = E1.n, E2.n
+    table = E2.table
+    levels = search_schedule(E1, E2)
     last = len(levels) - 1
     img = [0] * n
     used: set[int] = set()
@@ -341,19 +385,21 @@ def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
                     break
                 img[x] = fx
             else:
-                if any(table[img[i]][img[j]] != img[k] for i, j, k in checks):
-                    continue
-                if injective:
-                    images = set(map(img.__getitem__, new))
-                    if len(images) < len(new) or not used.isdisjoint(images):
-                        continue
-                    used.update(images)
-                if d < last:
-                    yield from search(d + 1)
+                for i, j, k in checks:
+                    if table[img[i]][img[j]] != img[k]:
+                        break
                 else:
-                    yield tuple(img)
-                if injective:
-                    used.difference_update(images)
+                    if injective:
+                        images = set(map(img.__getitem__, new))
+                        if len(images) < len(new) or not used.isdisjoint(images):
+                            continue
+                        used.update(images)
+                    if d < last:
+                        yield from search(d + 1)
+                    else:
+                        yield tuple(img)
+                    if injective:
+                        used.difference_update(images)
 
     yield from search(0)
 

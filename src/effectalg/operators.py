@@ -7,6 +7,15 @@ strong and join-preserving variants, kernels and faithfulness, and preservation
 of extremal states.  The law report of an idempotent only decides which of its
 structural laws apply: each follows from the definitions, proved in
 ``operator_law_report``'s docstring, and none is scanned for.
+
+Each map is read as cheaply as its definitions allow.  An endomorphism fixes 0
+(0 + 0 = 0 gives f(0) + f(0) = f(0), so f(0) = 0), and a map that fixes 0
+keeps every sum 0 + a = a, so ``is_endomorphism`` checks only the sums with a
+nonzero first entry.  Potency is read off the image.  A strong operator is
+idempotent: the pair (a, a) has the join tau(a), so tau(tau(a)) = tau(a); the
+strong test runs only on idempotents.  Verdicts that depend on the algebra
+alone, its lattice class and RDP, are computed once per algebra
+(``FiniteEffectAlgebra.verdict``), not once per map.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import not_
 from typing import Optional, Sequence
 
 from .core import FiniteEffectAlgebra, homomorphisms
@@ -25,15 +35,21 @@ from .structure import check_rdp, classify_lattice
 
 
 def is_endomorphism(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> bool:
+    """Does the self-map keep 0, 1 and every defined sum?  Given f(0) = 0 the
+    zero sums 0 + a = a hold, so only ``E.nonzero_triples`` are read."""
     m = tuple(mapping)
-    if len(m) != E.n or m[E.n - 1] != E.n - 1 or not all(0 <= x < E.n for x in m):
+    n = E.n
+    if len(m) != n or m[0] != 0 or m[-1] != n - 1 or min(m) < 0 or max(m) >= n:
         return False
     table = E.table
-    return all(table[m[i]][m[j]] == m[k] for i, j, k in E.triples)
+    for i, j, k in E.nonzero_triples:
+        if table[m[i]][m[j]] != m[k]:
+            return False
+    return True
 
 
 def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    return tuple(outer[x] for x in inner)
+    return tuple(map(outer.__getitem__, inner))
 
 
 def power(mapping: Sequence[int], e: int) -> tuple[int, ...]:
@@ -50,20 +66,25 @@ def minimal_potency(mapping: Sequence[int]) -> Optional[int]:
     Read off the cycles: mapping^n = mapping with n >= 2 makes mapping^(n-1)
     fix every image point, so the mapping permutes its image; and if it does,
     with order r there, mapping^n = mapping exactly when r divides n - 1.  The
-    least n is then 1 + the lcm of the cycle lengths on the image.
+    least n is then 1 + the lcm of the cycle lengths on the image.  A map that
+    fixes its image is idempotent, potency 2, and needs no walk.
     """
     m = tuple(mapping)
-    image = set(m)
-    if len({m[x] for x in image}) < len(image):
+    image = tuple(set(m))
+    moved = tuple(map(m.__getitem__, image))
+    if moved == image:
+        return 2
+    if len(set(moved)) < len(image):
         return None
     order, seen = 1, set()
     for x in image:
-        length = 0
-        while x not in seen:
-            seen.add(x)
-            x = m[x]
-            length += 1
-        order = lcm(order, length or 1)
+        if x not in seen:
+            length = 0
+            while x not in seen:
+                seen.add(x)
+                x = m[x]
+                length += 1
+            order = lcm(order, length)
     return order + 1
 
 
@@ -79,7 +100,7 @@ def is_n_potent(potency: Optional[int], n: int) -> bool:
 
 
 def kernel(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a for a in range(E.n) if mapping[a] == 0)
+    return tuple(itertools.compress(range(E.n), map(not_, mapping)))
 
 
 def enumerate_endomorphisms(E: FiniteEffectAlgebra,
@@ -147,7 +168,11 @@ def check_esp(mapping: Sequence[int], P: StatePolytope) -> bool:
 
 def classify_operator(E: FiniteEffectAlgebra, mapping: Sequence[int],
                       P: StatePolytope) -> OperatorProfile:
-    """Every class of an endomorphism, decided here and nowhere else."""
+    """Every class of an endomorphism, decided here and nowhere else.
+
+    Only an idempotent can be strong (the join of tau(a) with itself is
+    tau(a)), so the strong test runs on idempotents alone.
+    """
     m = tuple(mapping)
     if not is_endomorphism(E, m):
         raise ValueError("not an endomorphism; classification undefined")
@@ -158,7 +183,7 @@ def classify_operator(E: FiniteEffectAlgebra, mapping: Sequence[int],
         mapping=m,
         is_state_operator=idem,
         minimal_potency=potency,
-        is_strong=is_strong_operator(E, m),
+        is_strong=idem and is_strong_operator(E, m),
         is_state_morphism=idem and preserves_existing_joins(E, m),
         is_faithful=ker == (0,),
         kernel=ker,
@@ -322,16 +347,18 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
       does.
     - ``antilattice_preserves_joins_meets`` (E an antilattice): only
       comparable pairs have joins, a v b = b for a <= b, and tau(a) <= tau(b);
-      meets follow, as complements are kept.
+      meets follow, as complements are kept.  A finite antilattice is a chain
+      (``classify_lattice``), so this applies on class "both".
     The informational ``all_meets_preserved_info`` records whether tau keeps
     every existing meet (equivalently, every existing join); nothing asserts it.
+    The lattice class and RDP are E's own, read once per algebra.
     """
     m = tuple(mapping)
     if not is_endomorphism(E, m) or compose(m, m) != m:
         raise ValueError("law report expects an idempotent endomorphism")
     strong = is_strong_operator(E, m)
     faithful = kernel(E, m) == (0,)
-    lattice = classify_lattice(E)
+    lattice = E.verdict(classify_lattice)
 
     def law(applies: bool) -> LawResult:
         return HOLDS if applies else NOT_APPLICABLE
@@ -341,7 +368,7 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
         "image_is_subalgebra": HOLDS,
         "strong_joins_land_in_image": law(strong),
         "strong_fixes_image_meets": law(strong),
-        "image_inherits_rdp": law(check_rdp(E)[0]),
+        "image_inherits_rdp": law(E.verdict(check_rdp)[0]),
         "faithful_strictly_monotone": law(faithful),
         "faithful_fixed_or_incomparable": law(faithful),
         "faithful_implies_strong": law(faithful),

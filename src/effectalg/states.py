@@ -157,8 +157,11 @@ def _split_polytope(E: FiniteEffectAlgebra, members: Sequence[int],
     part's unit last) with the sum triples ``triples``, over the positions of
     ``members``; None when a split leaves a part without states.  E's order
     tables hold for every part: a part's down-sets are E's, so its meets are
-    E's, and the complement of x in the part is u - x for its unit u.
+    E's, and the complement of x in the part is u - x for its unit u.  The
+    two-element chain {0, u} has one state, (0, 1), and is returned directly.
     """
+    if len(members) == 2:
+        return StatePolytope(size=2, int_vertices=((0, 1),), scale=1, free_dim=0)
     blocks = _blocks(members, triples)
     if blocks:
         parts = [(m, _split_polytope(E, m, t)) for m, t in blocks]

@@ -61,6 +61,7 @@ def check_rdp(E: FiniteEffectAlgebra):
     that function runs only when x1 ^ y1 does not exist.  Only pairs p < q of
     a sum are walked: a quadruple refines iff its transpose (y1, y2, x1, x2)
     does, and p = q refines by c11 = x1, so the first failure has p < q.
+    The verdict depends on E alone; per-map code reads it through ``E.verdict``.
     """
     leq, sub, meet = E.order.leq, E.order.sub, E.order.meet
     by_sum: dict[int, list[tuple[int, int]]] = {}
@@ -118,6 +119,12 @@ def classify_lattice(E: FiniteEffectAlgebra) -> str:
     With a top, all meets give all joins; and an incomparable pair has a join
     iff its complements, also incomparable, have a meet.  So E is a lattice iff
     every meet exists, an antilattice iff no incomparable pair has a meet.
+
+    A finite antilattice is a chain, class "both": the common lower bounds of
+    an incomparable pair without a meet have two maximal elements, an
+    incomparable pair with strictly fewer common lower bounds, and this
+    descent ends at a pair with a meet.  The class depends on E alone; per-map
+    code reads it through ``E.verdict``.
     """
     n, leq, meet = E.n, E.order.leq, E.order.meet
     is_lattice = all(None not in row for row in meet)

@@ -2,7 +2,8 @@
 associativity, dense elimination, active-set vertex enumeration, the splitting
 formulation of refinement, the all-pairs refinement scan, integer matrix
 products, the up-set/down-set order tables, the all-pairs interpolation scan,
-the lattice class read from both join and meet tables, the all-pairs
+the join table built entry by entry, the lattice class read from both join
+and meet tables, the endomorphism test on every sum triple, the all-pairs
 strong-operator test, the meet-preservation test, the induced subalgebra on a
 map's image, the scans of the operator laws that hold by definition, the
 all-pairs ordering report, the potency by repeated composition, the
@@ -248,6 +249,14 @@ def updown_order(E):
     return tuple(tuple(tuple(r) for r in t) for t in (leq, sub, join, meet))
 
 
+def entrywise_join(order):
+    """a v b = (a' ^ b')' entry by entry, a Python test per entry: the reference
+    for ``OrderData.join``, which maps whole rows."""
+    c = order.complements
+    return tuple(tuple(None if m is None else c[m] for m in map(row.__getitem__, c))
+                 for row in map(order.meet.__getitem__, c))
+
+
 def scan_interpolation(E):
     """Interpolation by every pair x1 <= x2 (indices) and every pair y1 <= y2 of
     their common upper bounds, asking for a z with x1, x2 <= z <= y1, y2.
@@ -282,6 +291,16 @@ def dense_lattice_class(E):
             is_anti = is_anti and (leq[a][b] or leq[b][a] or not any(bounds))
     return {(True, True): "both", (True, False): "lattice",
             (False, True): "antilattice", (False, False): "neither"}[is_lattice, is_anti]
+
+
+def full_triple_endomorphism(E, mapping):
+    """A self-map of E's indices that keeps 1 and every sum triple, the zero
+    sums 0 + a = a included: the reference for ``operators.is_endomorphism``,
+    which reads only the triples with a nonzero first entry."""
+    m = tuple(mapping)
+    if len(m) != E.n or any(not 0 <= x < E.n for x in m) or m[E.n - 1] != E.n - 1:
+        return False
+    return all(E.table[m[i]][m[j]] == m[k] for i, j, k in E.triples)
 
 
 def all_pairs_strong_operator(E, mapping):

@@ -10,14 +10,14 @@ import pytest
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, small_catalog)
 from effectalg.core import (AxiomViolation, derive_order, is_isomorphic, raw_triples,
-                            validate_axioms)
+                            search_schedule, validate_axioms)
 from effectalg.fuzz import _mutate, fuzz_mutations, permute_algebra, random_algebra
 from effectalg.operators import (coordinate_repeat_maps, enumerate_endomorphisms,
                                  is_endomorphism)
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, extend_endomorphism, materialize
-from oracles import dense_associativity_violation, updown_order
+from oracles import dense_associativity_violation, entrywise_join, updown_order
 from tables import sums_dict, wright_triangle
-from test_acceptance import Budget
+from test_acceptance import Budget, operator_population
 
 
 def chain3_triples():
@@ -225,6 +225,49 @@ def test_derive_order_matches_updown_oracle():
         assert o.complements is E.complements
         partial += any(None in row for row in o.meet)
     assert partial >= 3
+
+
+def test_join_view_matches_entrywise_oracle():
+    """The row-mapped De Morgan view equals the entry-by-entry one, None for
+    every missing join, on the A05 population, the Wright triangle, two
+    algebras with partial meets, boolean(8) and the one-element algebra."""
+    population = [E for _name, E in operator_population()]
+    population += [wright_triangle(), build_even_subsets(6), build_even_subsets(8),
+                   build_boolean(8), validate_axioms(1, [(0, 0, 0)])]
+    partial = 0
+    for E in population:
+        o = E.order
+        assert o.join == entrywise_join(o), E.meta
+        partial += any(None in row for row in o.join)
+    assert partial == 3
+
+
+def test_verdict_is_computed_once_per_algebra():
+    calls = []
+
+    def check(E):
+        calls.append(E)
+        return len(calls)
+    E, F = build_chain(3), build_chain(3)
+    assert [E.verdict(check), E.verdict(check), F.verdict(check)] == [1, 1, 2]
+    assert calls == [E, F] and calls[0] is E
+
+
+def test_search_schedule_reads_only_nonzero_sums():
+    """boolean(5) has 122 sum triples, 32 of them zero sums 0 + a = a.  The
+    schedule holds the 90 others and 0 + 1 = 1, which forces f(0) = 0 at the
+    root: 27 steps and 64 checks over five levels (the root, then four atoms;
+    the fifth atom is the complement of their sum)."""
+    E = build_boolean(5)
+    assert (len(E.triples), len(E.nonzero_triples)) == (122, 90)
+    assert E.nonzero_triples == tuple(t for t in E.triples if t[0] != 0)
+    levels = search_schedule(E, E)
+    assert [(len(steps), len(checks)) for steps, checks, _new in levels] == [
+        (1, 0), (1, 0), (3, 2), (7, 12), (15, 50)]
+    assert levels[0][0] == [(0, E.order.sub, E.n - 1, E.n - 1)]
+    scheduled = [t for _steps, checks, _new in levels for t in checks]
+    assert all(t[0] for t in scheduled)
+    assert len(scheduled) == len(set(scheduled)) == 64
 
 
 def test_derive_order_size_ceiling_within_budget():

@@ -6,13 +6,15 @@ backtracking enumerator.
 """
 
 import random
+from collections import Counter
 from dataclasses import astuple
 from itertools import permutations, product
 
 import pytest
 
-from effectalg.catalog import (build_boolean, build_chain, build_product, horizontal_sum,
-                               small_catalog)
+from effectalg import operators
+from effectalg.catalog import (build_boolean, build_chain, build_even_subsets, build_product,
+                               horizontal_sum, small_catalog)
 from effectalg.core import GuardExceeded, homomorphisms
 from effectalg.fuzz import permute_algebra, random_algebra
 from effectalg.mv import mv_operations
@@ -26,12 +28,13 @@ from effectalg.operators import (HOLDS, NOT_APPLICABLE, check_esp, classify_oper
 from effectalg.states import compute_states, is_state
 from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
                              check_operator_laws)
-from effectalg.structure import classify_lattice
+from effectalg.structure import check_rdp, classify_lattice
 from oracles import (all_pairs_strong_operator, composition_potency, dense_lattice_class,
-                     fixed_or_incomparable_scan, image_fixed_point_scan, image_rdp_scan, image_subalgebra_scan,
+                     fixed_or_incomparable_scan, full_triple_endomorphism,
+                     image_fixed_point_scan, image_rdp_scan, image_subalgebra_scan,
                      preserves_existing_meets, rdp_splitting, strictly_monotone_scan,
                      strong_joins_scan, strong_meets_scan)
-from tables import sums_dict
+from tables import paste_boolean_cubes, sums_dict, wright_triangle
 from test_acceptance import Budget, operator_population
 
 
@@ -284,18 +287,18 @@ LAW_SCANS = {
 }
 
 
-def test_definitional_laws_match_their_scans():
-    """Over every idempotent endomorphism of the A05 population, each of the
-    ten laws that the report states without a scan holds by its scan wherever
-    it applies, and the report gives it as HOLDS there and NOT_APPLICABLE
-    elsewhere.  Applicability is decided here by the oracles: the all-pairs
-    strong test, the kernel, RDP by splitting and the dense lattice class.
-    Every report has the same eleven keys, in the same order, which the
-    benchmark's operators digest also pins.  The counts pin how often the
-    conditional laws apply to a map other than the identity."""
+def law_report_counts(algebras):
+    """Check every law report on the idempotent endomorphisms of ``algebras``
+    against the scans and count what applied.  Each of the ten laws that the
+    report states without a scan holds by its scan wherever it applies, and
+    the report gives it as HOLDS there and NOT_APPLICABLE elsewhere.
+    Applicability is decided here by the oracles: the all-pairs strong test,
+    the kernel, RDP by splitting and the dense lattice class, which the
+    algebra's cached class must equal.  Every report has the same eleven keys,
+    in the same order, which the benchmark's operators digest also pins."""
     counts = dict.fromkeys(("algebras", "maps", "strong", "faithful_moved",
                             "rdp_moved", "faithful_on_chains"), 0)
-    for _name, E in operator_population():
+    for E in algebras:
         counts["algebras"] += 1
         rdp = rdp_splitting(E)[0]
         lattice = dense_lattice_class(E)
@@ -329,8 +332,76 @@ def test_definitional_laws_match_their_scans():
             counts["faithful_moved"] += faithful and m != ident
             counts["rdp_moved"] += rdp and m != ident
             counts["faithful_on_chains"] += applies["linear_faithful_identity"]
+        assert E.verdict(classify_lattice) == lattice, E.labels
+        assert E.verdict(check_rdp)[0] == rdp, E.labels
+    return counts
+
+
+def test_definitional_laws_match_their_scans():
+    """``law_report_counts`` over the A05 population.  The counts pin how often
+    the conditional laws apply to a map other than the identity."""
+    counts = law_report_counts(E for _name, E in operator_population())
     assert counts == {"algebras": 217, "maps": 3052, "strong": 3052, "faithful_moved": 903,
                       "rdp_moved": 182, "faithful_on_chains": 61}
+
+
+def not_lattices():
+    """Algebras of lattice class "neither", small enough to enumerate: the
+    Wright triangle, four Boolean blocks pasted in a square, and a catalog
+    product and horizontal sum with the triangle as a factor or block."""
+    W = wright_triangle()
+    return {"wright_triangle": W,
+            "square": paste_boolean_cubes(((0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)), 8),
+            "wright_triangle x chain(1)": build_product([W, build_chain(1)]),
+            "hsum(wright_triangle, boolean(2))": horizontal_sum([W, build_boolean(2)])}
+
+
+def test_definitional_laws_on_algebras_that_are_not_lattices():
+    """The A05 population holds only the classes "lattice" and "both".  On four
+    algebras of class "neither" the cached class is pinned against the dense
+    oracle, and ``law_report_counts`` checks every report against the scans.
+    None has RDP, and 16 idempotents there are not strong."""
+    algebras = not_lattices()
+    for name, E in algebras.items():
+        assert (classify_lattice(E), dense_lattice_class(E)) == ("neither", "neither"), name
+    counts = law_report_counts(algebras.values())
+    assert counts == {"algebras": 4, "maps": 540, "strong": 524, "faithful_moved": 55,
+                      "rdp_moved": 0, "faithful_on_chains": 0}
+
+
+def test_finite_antilattices_are_chains():
+    """A finite algebra is never a proper antilattice: ``classify_lattice``
+    never reads "antilattice", here on the A05 population, the non-lattices
+    above and even_subsets(6), each against the dense oracle."""
+    algebras = [E for _name, E in operator_population()]
+    algebras += [*not_lattices().values(), build_even_subsets(6)]
+    classes = Counter()
+    for E in algebras:
+        got = E.verdict(classify_lattice)
+        assert got == dense_lattice_class(E), E.labels
+        classes[got] += 1
+    assert classes == {"lattice": 156, "both": 61, "neither": 5}
+
+
+def test_law_report_reads_lattice_class_and_rdp_once_per_algebra(monkeypatch):
+    calls = Counter()
+
+    def counted(check):
+        def wrapper(E):
+            calls[check.__name__] += 1
+            return check(E)
+        return wrapper
+    monkeypatch.setattr(operators, "classify_lattice", counted(classify_lattice))
+    monkeypatch.setattr(operators, "check_rdp", counted(check_rdp))
+    algebras = [build_boolean(3), build_chain(4), wright_triangle()]
+    reports = 0
+    for E in algebras:
+        for m in enumerate_endomorphisms(E):
+            if compose(m, m) == m:
+                operator_law_report(E, m)
+                reports += 1
+    assert reports > 3 * len(algebras)
+    assert calls == {"classify_lattice": 3, "check_rdp": 3}
 
 
 def test_chains_are_exactly_lattice_class_both():
@@ -458,6 +529,62 @@ def test_minimal_potency_matches_composition_oracle():
         assert p == composition_potency(m), m
         verdicts.add(p is None)
     assert verdicts == {True, False}
+
+
+def self_maps(E, rng):
+    """Endomorphisms of E, seeded self-maps that fix 0 and 1, one-entry edits of
+    endomorphisms, and inputs that no check should accept: one entry too many or
+    too few, a negative entry, an entry n, 0 moved and 1 moved."""
+    n = E.n
+    endos = enumerate_endomorphisms(E)
+    maps = list(endos)
+    maps += [(0, *(rng.randrange(n) for _ in range(n - 2)), n - 1) for _ in range(10)]
+    for m in rng.sample(endos, min(5, len(endos))):
+        x = rng.randrange(n)
+        maps.append(m[:x] + (rng.randrange(n),) + m[x + 1:])
+    ident = tuple(range(n))
+    maps += [ident + (0,), ident[:-1], (0, -1, *ident[2:]), (0, n, *ident[2:]),
+             (1, *ident[1:]), (*ident[:-1], 0)]
+    return maps
+
+
+def test_endomorphism_check_matches_full_triple_scan():
+    """``is_endomorphism`` reads only the nonzero sums; the oracle reads every
+    triple.  They agree on the ``self_maps`` of every A05 algebra, where
+    ``minimal_potency`` also matches composition on every map in range."""
+    rng = random.Random(41)
+    counts = Counter()
+    for _name, E in operator_population():
+        for m in self_maps(E, rng):
+            got = is_endomorphism(E, m)
+            assert got == full_triple_endomorphism(E, m), (E.labels, m)
+            counts[got] += 1
+            if len(m) == E.n and all(0 <= x < E.n for x in m):
+                assert minimal_potency(m) == composition_potency(m), m
+                counts["potency"] += 1
+    assert counts == {True: 19019, False: 3622, "potency": 21773}
+
+
+def test_strong_maps_are_idempotent():
+    """The pair (a, a) has join tau(a), so a strong map fixes its image.  Checked
+    on the ``self_maps`` of the A05 population (the valid ones) and on the
+    non-lattices; ``classify_operator``'s strong verdict, tested only on
+    idempotents, equals ``is_strong_operator`` on every endomorphism."""
+    rng = random.Random(43)
+    counts = Counter()
+    algebras = [E for _name, E in operator_population()] + list(not_lattices().values())
+    for E in algebras:
+        P = compute_states(E)
+        for m in self_maps(E, rng):
+            if len(m) != E.n or not all(0 <= x < E.n for x in m):
+                continue
+            strong = is_strong_operator(E, m)
+            idem = compose(m, m) == m
+            assert idem or not strong, (E.labels, m)
+            counts[strong, idem] += 1
+            if is_endomorphism(E, m):
+                assert classify_operator(E, m, P).is_strong == strong, (E.labels, m)
+    assert counts == {(False, False): 22834, (True, True): 4803, (False, True): 208}
 
 
 def test_strong_operator_matches_all_pairs_oracle():

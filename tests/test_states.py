@@ -1,6 +1,7 @@
 """State polytopes, ordering reports, discreteness, evaluation images, clans."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -426,9 +427,10 @@ def test_split_matches_the_whole_algebra_run(monkeypatch):
     """Splitting into horizontal summands and central factors changes no output:
     vertices, scale and free dimension equal elimination and double
     description on the whole algebra as one part.  The parts that reach
-    elimination are the indecomposable ones: boolean(6) runs six two-element
-    chains, and hsum(boolean(2), chain(2)) x hsum(3 x boolean(2)) eight of
-    them and chain(2)."""
+    elimination are the indecomposable ones with more than two elements, since
+    the two-element chain's one state is known: boolean(6), six two-element
+    chains, runs none, and hsum(boolean(2), chain(2)) x hsum(3 x boolean(2))
+    only chain(2); Wright's triangle x chain(1) runs the triangle."""
     for E in split_population():
         assert compute_states(E) == whole_algebra_states(E), E
     sizes = []
@@ -439,11 +441,32 @@ def test_split_matches_the_whole_algebra_run(monkeypatch):
     monkeypatch.setattr("effectalg.states._part_polytope", recorded)
     b2 = build_boolean(2)
     compute_states(build_boolean(6))
-    assert sizes == [2] * 6
-    sizes.clear()
+    assert sizes == []
     compute_states(build_product([horizontal_sum([b2, build_chain(2)]),
                                   horizontal_sum([b2] * 3)]))
-    assert sorted(sizes) == [2] * 8 + [3]
+    assert sizes == [3]
+    sizes.clear()
+    compute_states(build_product([wright_triangle(), build_chain(1)]))
+    assert sizes == [wright_triangle().n]
+
+
+def test_two_element_parts_skip_elimination(monkeypatch):
+    """The chain {0, 1} has one state, (0, 1), so no two-element part reaches
+    elimination.  Over the A05 population and boolean(5), the operators
+    benchmark's algebras, the polytopes equal the whole-algebra run, and only
+    the 195 parts of three or more elements are eliminated."""
+    algebras = [E for _name, E in operator_population()] + [build_boolean(5)]
+    wants = [whole_algebra_states(E) for E in algebras]
+    sizes = Counter()
+
+    def recorded(X):
+        sizes[X.n] += 1
+        return whole_algebra_states(X)
+    monkeypatch.setattr("effectalg.states._part_polytope", recorded)
+    for E, want in zip(algebras, wants):
+        assert compute_states(E) == want, E
+    assert 2 not in sizes
+    assert sum(sizes.values()) == 195
 
 
 def test_central_test_matches_brute_force():
