@@ -3,8 +3,8 @@
 Core objects: validated partial sum tables (FiniteEffectAlgebra), catalog
 constructions, exact state polytopes with extremal-state enumeration,
 endomorphism classification (state-operators and their strong / join-preserving
-variants), interval algebras over concrete po-groups, and the finite
-state-space / affine-function duality with its functors and morphism checks.
+variants), interval algebras over concrete po-groups, and finite simplices
+with potent vertex maps, with the morphism checks on both sides of the duality.
 """
 
 from .catalog import (CatalogSpec, build_boolean, build_catalog, build_chain,
@@ -12,9 +12,8 @@ from .catalog import (CatalogSpec, build_boolean, build_catalog, build_chain,
                       small_catalog)
 from .core import (AxiomViolation, EffectAlgebraError, FiniteEffectAlgebra,
                    GuardExceeded, derive_order, is_isomorphic, validate_axioms)
-from .duality import (AffineFunctionAlgebra, FiniteSimplex, PullbackOperator,
-                      VertexMap, affine_functor, check_simplex_morphism,
-                      check_state_morphism, state_functor)
+from .duality import (FiniteSimplex, VertexMap, check_simplex_morphism,
+                      check_state_morphism)
 from .mv import MvStructure, mv_operations, mv_state_axioms
 from .operators import (InducedStateMap, OperatorProfile, check_esp,
                         classify_operator, coordinate_repeat_maps,
@@ -27,7 +26,7 @@ from .pogroup import (ExtensionReport, IntervalAlgebra, PoGroupSpec,
 from .states import (OrderingReport, StatePolytope, clan_closure_witness,
                      compute_states, discrete_profile, is_order_determining,
                      is_state, sampled_order_report)
-from .structure import (StructureReport, check_interpolation, check_rdp,
-                        classify_lattice, enumerate_ideals, structure_report)
+from .structure import (check_interpolation, check_rdp, classify_lattice,
+                        enumerate_ideals)
 
 __version__ = "0.1.0"

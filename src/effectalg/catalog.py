@@ -29,16 +29,6 @@ class CatalogSpec:
     factors: Optional[tuple] = None
     chains: Optional[tuple[int, ...]] = None
 
-    def to_dict(self) -> dict:
-        if self.kind in SIZE_KEYS:
-            key = SIZE_KEYS[self.kind]
-            return {"kind": self.kind, key: getattr(self, key)}
-        if self.kind == "product":
-            return {"kind": "product", "factors": [f.to_dict() for f in self.factors]}
-        if self.kind == "mv_product":
-            return {"kind": "mv_product", "chains": list(self.chains)}
-        raise ValueError(f"unknown catalog kind {self.kind!r}")
-
     @staticmethod
     def from_dict(d: dict) -> "CatalogSpec":
         """The spec of a JSON object, without coercion: sizes must be ints (not

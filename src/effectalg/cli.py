@@ -17,7 +17,8 @@ from .core import AxiomViolation, GuardExceeded, raw_triples
 from .io import dump_report, load_structure, polytope_to_dict
 from .operators import classify_operator, enumerate_endomorphisms, is_n_potent
 from .states import compute_states, discrete_profile, is_order_determining
-from .structure import structure_report
+from .structure import (check_interpolation, check_rdp, classify_lattice,
+                        enumerate_ideals)
 from .suite import run_suite
 
 
@@ -60,11 +61,19 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 def cmd_analyze(args) -> tuple[dict, int]:
     E = load_structure(args.input)
-    rep = structure_report(E, guard_elements=args.guard_elements)
-    out = rep.to_dict()
-    out["ideals"] = (None if rep.ideals is None else
-                     [{"members": list(i), **flags} for i, flags in rep.ideals])
-    return out, 0
+    rdp, rdp_w = check_rdp(E)
+    interp, interp_w = check_interpolation(E)
+    try:
+        ideals = [{"members": list(i), **flags}
+                  for i, flags in enumerate_ideals(E, guard_elements=args.guard_elements)]
+    except GuardExceeded:
+        ideals = None
+    return {"rdp": rdp, "rdp_witness": list(rdp_w) if rdp_w else None,
+            "interpolation": interp,
+            "interpolation_witness": list(interp_w) if interp_w else None,
+            "lattice_class": classify_lattice(E),
+            "ideal_count": -1 if ideals is None else len(ideals),
+            "ideals": ideals}, 0
 
 
 def cmd_states(args) -> tuple[dict, int]:

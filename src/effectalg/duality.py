@@ -1,13 +1,16 @@
-"""Finite Stone-type duality: state functor, affine-function functor, morphisms.
+"""Finite Stone-type duality: simplices with potent vertex maps, and morphisms.
 
 Finite simplices stand in for the compact simplices of the analytic theory:
-points are rational convex-weight vectors over a vertex set, and the algebra of
-affine [0,1]-functions is represented lazily by its vertex-value vectors (an
-affine function on a simplex attains its extremes at vertices, so vertex data
-determines everything).  Vertex self-maps g with g^n = g for some n >= 2 induce
-pull-back operators f -> f o g on functions and push-forward maps on weights.
-Pushing a point forward along g and precomposing its evaluation state with the
-pull-back give the same point by definition, so that square needs no check.
+points are rational convex-weight vectors over a vertex set.  Vertex self-maps
+g with g^n = g for some n >= 2 push weights forward.  An algebra reaches this
+side through ``states.compute_states`` and ``operators.induced_state_map``; the
+suite checks structure maps on both sides with ``check_state_morphism`` and
+``check_simplex_morphism``.
+
+The way back, the algebra of affine [0,1]-functions on a simplex with its
+pull-back f -> f o g, is not represented: pushing a point forward along g and
+reading its state through the pull-back give the same point by definition, so
+that square needs no check and nothing else needs the function algebra.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from typing import Optional, Sequence
 
 from .core import FiniteEffectAlgebra
 from .linalg import ZERO, ONE, Vec
-from .operators import InducedStateMap, induced_state_map, is_n_potent, minimal_potency
-from .states import StatePolytope, compute_states
+from .operators import is_n_potent, minimal_potency
 
 
 @dataclass(frozen=True)
@@ -57,83 +59,6 @@ class VertexMap:
         for x, wx in enumerate(w):
             out[self.image[x]] += wx
         return tuple(out)
-
-
-class AffineFunctionAlgebra:
-    """Affine [0,1]-functions on a finite simplex, as vertex-value vectors.
-
-    Lazy: membership and operations only, since the algebra is infinite
-    (divisible).  Partial sum defined iff the vertexwise sum stays below 1;
-    joins and meets are vertexwise max and min and always exist.
-    """
-
-    def __init__(self, m: int):
-        self.m = m
-        self.zero = tuple(ZERO for _ in range(m))
-        self.one = tuple(ONE for _ in range(m))
-
-    def element(self, values: Sequence) -> Vec:
-        vec = tuple(Fraction(v) for v in values)
-        if len(vec) != self.m or not self.contains(vec):
-            raise ValueError("not an affine [0,1]-function on this simplex")
-        return vec
-
-    def contains(self, f: Sequence[Fraction]) -> bool:
-        return len(f) == self.m and all(0 <= x <= 1 for x in f)
-
-    def sum_defined(self, f, g) -> bool:
-        return all(x + y <= 1 for x, y in zip(f, g))
-
-    def add(self, f, g) -> Vec:
-        if not self.sum_defined(f, g):
-            raise ValueError("sum exceeds the unit")
-        return tuple(x + y for x, y in zip(f, g))
-
-    def complement(self, f) -> Vec:
-        return tuple(ONE - x for x in f)
-
-    def join(self, f, g) -> Vec:
-        return tuple(max(x, y) for x, y in zip(f, g))
-
-    def meet(self, f, g) -> Vec:
-        return tuple(min(x, y) for x, y in zip(f, g))
-
-    def evaluate(self, f, w: Sequence[Fraction]) -> Fraction:
-        return sum((x * y for x, y in zip(f, w)), start=ZERO)
-
-    def indicator(self, i: int) -> Vec:
-        return tuple(ONE if j == i else ZERO for j in range(self.m))
-
-
-@dataclass(frozen=True)
-class PullbackOperator:
-    """f -> f o g on the affine-function algebra of a simplex."""
-
-    g: VertexMap
-
-    def apply(self, f: Sequence[Fraction]) -> Vec:
-        return tuple(f[self.g.image[v]] for v in range(len(self.g.image)))
-
-
-def state_functor(E: FiniteEffectAlgebra,
-                  mapping: Sequence[int]) -> tuple[StatePolytope, InducedStateMap]:
-    """A finite state effect algebra to its polytope with the induced state map.
-
-    Raises ValueError unless the map is an endomorphism (``induced_state_map``
-    enforces that) with a potency.
-    """
-    P = compute_states(E)
-    g = induced_state_map(E, mapping, P)
-    if g.potency is None:
-        raise ValueError("operator has no potency; no induced finite dynamics")
-    return P, g
-
-
-def affine_functor(sx: FiniteSimplex, g: VertexMap) -> tuple[AffineFunctionAlgebra, PullbackOperator]:
-    """A simplex with a potent vertex map to its function algebra with pull-back."""
-    if len(g.image) != sx.m:
-        raise ValueError("vertex map does not match the simplex")
-    return AffineFunctionAlgebra(sx.m), PullbackOperator(g)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ from .catalog import (build_boolean, build_chain, build_even_subsets,
 from .core import AxiomViolation, FiniteEffectAlgebra, raw_triples, validate_axioms
 from .pogroup import IntervalAlgebra, PoGroupSpec, materialize
 
+MUTATIONS = 50   # random table edits per algebra in ``fuzz_mutations``
+
 
 def permute_algebra(E: FiniteEffectAlgebra, perm: list[int]) -> FiniteEffectAlgebra:
     """Relabel elements along a permutation fixing 0 and n-1.
@@ -104,14 +106,13 @@ def _mutate(rng: random.Random, n: int, triples: list[tuple[int, int, int]]):
     return new, "add_one_side"
 
 
-def fuzz_mutations(E: FiniteEffectAlgebra, rng: random.Random,
-                   count: int = 50) -> Counter:
-    """Outcome counts of ``count`` random edits of E's raw table: "violation"
+def fuzz_mutations(E: FiniteEffectAlgebra, rng: random.Random) -> Counter:
+    """Outcome counts of ``MUTATIONS`` random edits of E's raw table: "violation"
     (the validator names an axiom), "valid_different" or "valid_same" (a silent
     acceptance of the unchanged table).  No-op edits are not counted."""
     base = raw_triples(E)
     outcomes = Counter()
-    for _ in range(count):
+    for _ in range(MUTATIONS):
         triples, kind = _mutate(rng, E.n, base)
         if kind == "noop":
             continue

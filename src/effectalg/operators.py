@@ -52,14 +52,6 @@ def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(outer.__getitem__, inner))
 
 
-def power(mapping: Sequence[int], e: int) -> tuple[int, ...]:
-    m = tuple(mapping)
-    out = tuple(range(len(m)))
-    for _ in range(e):
-        out = compose(m, out)
-    return out
-
-
 def minimal_potency(mapping: Sequence[int]) -> Optional[int]:
     """Least n >= 2 with mapping^n == mapping, or None if no power returns.
 
@@ -348,7 +340,8 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
     - ``antilattice_preserves_joins_meets`` (E an antilattice): only
       comparable pairs have joins, a v b = b for a <= b, and tau(a) <= tau(b);
       meets follow, as complements are kept.  A finite antilattice is a chain
-      (``classify_lattice``), so this applies on class "both".
+      (``classify_lattice``), so this applies on class "both", like the
+      previous law.
     The informational ``all_meets_preserved_info`` records whether tau keeps
     every existing meet (equivalently, every existing join); nothing asserts it.
     The lattice class and RDP are E's own, read once per algebra.
@@ -373,6 +366,6 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
         "faithful_fixed_or_incomparable": law(faithful),
         "faithful_implies_strong": law(faithful),
         "linear_faithful_identity": law(faithful and lattice == "both"),
-        "antilattice_preserves_joins_meets": law(lattice in ("antilattice", "both")),
+        "antilattice_preserves_joins_meets": law(lattice == "both"),
         "all_meets_preserved_info": LawResult(True, preserves_existing_joins(E, m)),
     }

@@ -2,35 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .core import FiniteEffectAlgebra, GuardExceeded
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    rdp: bool
-    rdp_witness: Optional[tuple]
-    interpolation: bool
-    interpolation_witness: Optional[tuple]
-    lattice_class: str        # "lattice", "antilattice", "both", "neither"
-    ideals: Optional[list]    # enumerate_ideals output; None when its guard stopped it
-
-    @property
-    def ideal_count(self) -> int:
-        return -1 if self.ideals is None else len(self.ideals)
-
-    def to_dict(self) -> dict:
-        return {
-            "rdp": self.rdp,
-            "rdp_witness": list(self.rdp_witness) if self.rdp_witness else None,
-            "interpolation": self.interpolation,
-            "interpolation_witness": (list(self.interpolation_witness)
-                                      if self.interpolation_witness else None),
-            "lattice_class": self.lattice_class,
-            "ideal_count": self.ideal_count,
-        }
 
 
 def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int, y2: int):
@@ -114,23 +86,21 @@ def check_interpolation(E: FiniteEffectAlgebra):
 
 
 def classify_lattice(E: FiniteEffectAlgebra) -> str:
-    """Classify into lattice / antilattice / both / neither from the meet table.
+    """"both" for a chain, "lattice" for any other lattice, else "neither".
 
-    With a top, all meets give all joins; and an incomparable pair has a join
-    iff its complements, also incomparable, have a meet.  So E is a lattice iff
-    every meet exists, an antilattice iff no incomparable pair has a meet.
-
-    A finite antilattice is a chain, class "both": the common lower bounds of
-    an incomparable pair without a meet have two maximal elements, an
-    incomparable pair with strictly fewer common lower bounds, and this
-    descent ends at a pair with a meet.  The class depends on E alone; per-map
-    code reads it through ``E.verdict``.
+    With a top, all meets give all joins, so E is a lattice iff every meet
+    exists.  The names count a chain as both a lattice and an antilattice, in
+    which no incomparable pair has a meet.  No other finite algebra is an
+    antilattice: the common lower bounds of an incomparable pair without a
+    meet have two maximal elements, an incomparable pair with strictly fewer
+    common lower bounds, and this descent ends at a pair with a meet.  The
+    class depends on E alone; per-map code reads it through ``E.verdict``.
     """
     n, leq, meet = E.n, E.order.leq, E.order.meet
-    is_lattice = all(None not in row for row in meet)
-    is_anti = not any(meet[a][b] is not None and not (leq[a][b] or leq[b][a])
-                      for a in range(n) for b in range(a + 1, n))
-    return ("neither", "antilattice", "lattice", "both")[2 * is_lattice + is_anti]
+    if any(None in row for row in meet):
+        return "neither"
+    chain = all(leq[a][b] or leq[b][a] for a in range(n) for b in range(a + 1, n))
+    return "both" if chain else "lattice"
 
 
 def enumerate_ideals(E: FiniteEffectAlgebra, guard_elements: int = 16):
@@ -173,13 +143,3 @@ def is_riesz_ideal(E: FiniteEffectAlgebra, ideal) -> bool:
                 return False
     return True
 
-
-def structure_report(E: FiniteEffectAlgebra, guard_elements: int = 16) -> StructureReport:
-    rdp, rdp_w = check_rdp(E)
-    interp, interp_w = check_interpolation(E)
-    lattice_class = classify_lattice(E)
-    try:
-        ideals = enumerate_ideals(E, guard_elements=guard_elements)
-    except GuardExceeded:
-        ideals = None
-    return StructureReport(rdp, rdp_w, interp, interp_w, lattice_class, ideals)

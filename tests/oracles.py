@@ -1,4 +1,4 @@
-"""Test-side second routes: the duality layer's pull-back, whole-row partial
+"""Test-side second routes: the pull-back along a vertex map, whole-row partial
 associativity, dense elimination, active-set vertex enumeration, the splitting
 formulation of refinement, the all-pairs refinement scan, integer matrix
 products, the up-set/down-set order tables, the all-pairs interpolation scan,
@@ -6,7 +6,7 @@ the join table built entry by entry, the lattice class read from both join
 and meet tables, the endomorphism test on every sum triple, the all-pairs
 strong-operator test, the meet-preservation test, the induced subalgebra on a
 map's image, the scans of the operator laws that hold by definition, the
-all-pairs ordering report, the potency by repeated composition, the
+all-pairs ordering report, powers and the potency by repeated composition, the
 brute-force central-element test and the state polytope of a whole algebra
 run as one part."""
 
@@ -21,11 +21,14 @@ from effectalg.states import OrderingReport, _part_polytope
 from effectalg.structure import check_rdp
 
 
-def induced_state_self_map(alg, op, w):
-    """g' on states of the affine-function algebra: the state at weights ``w``,
-    precomposed with the pull-back ``op`` and read back through the indicator
-    functions.  The pull-back route around the square p o g = g' o p."""
-    return tuple(alg.evaluate(op.apply(alg.indicator(v)), w) for v in range(alg.m))
+def induced_state_self_map(g, w):
+    """g' on the states of the affine functions on a simplex: the state at
+    weights ``w``, read on each vertex indicator precomposed with the vertex
+    map ``g``.  The pull-back route around the square p o g = g' o p."""
+    vertices = range(len(g.image))
+    indicators = ([int(x == v) for x in vertices] for v in vertices)
+    return tuple(sum((f[g.image[x]] * w[x] for x in vertices), start=Fraction(0))
+                 for f in indicators)
 
 
 def dense_associativity_violation(n, triples):
@@ -451,6 +454,17 @@ def all_pairs_order_report(values, leq):
                 sep_w = (a, b)
     return OrderingReport(order_determining=od_w is None, separating=sep_w is None,
                           od_witness=od_w, sep_witness=sep_w)
+
+
+def power(mapping, e):
+    """mapping composed with itself e times (the identity for e = 0): the
+    composition reference for ``operators.is_n_potent`` and
+    ``operators.minimal_potency``."""
+    m = tuple(mapping)
+    out = tuple(range(len(m)))
+    for _ in range(e):
+        out = compose(m, out)
+    return out
 
 
 def composition_potency(mapping):

@@ -15,15 +15,15 @@ from operator import add, le
 from effectalg import states
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, small_catalog)
-from effectalg.duality import FiniteSimplex, VertexMap, affine_functor
+from effectalg.duality import FiniteSimplex, VertexMap
 from effectalg.fuzz import random_algebra
 from effectalg.operators import (compose, enumerate_endomorphisms, induced_state_map,
-                                 minimal_potency, operator_law_report, power)
+                                 minimal_potency, operator_law_report)
 from effectalg.states import compute_states
 from effectalg.suite import (check_even_subsets_rdp, check_extension_matrices,
                              check_mv_agreement, check_square_product_operators,
                              check_strict_plane_clan_gap)
-from oracles import active_set_vertices, induced_state_self_map
+from oracles import active_set_vertices, induced_state_self_map, power
 from tables import sums_dict
 
 
@@ -272,15 +272,14 @@ def test_a08_round_trips_all_small_simplices():
                     if power(image, n) != tuple(image):
                         continue
                     g = VertexMap(tuple(image), n)
-                    alg, op = affine_functor(sx, g)
                     for x in range(m):
                         point = sx.vertex_point(x)
                         assert (g.push_forward(point)
-                                == induced_state_self_map(alg, op, point)), (m, image, n)
+                                == induced_state_self_map(g, point)), (m, image, n)
                     for _ in range(50):
                         weights = [rng.randint(1, 24) for _ in range(m)]
                         w = tuple(F(x, sum(weights)) for x in weights)
-                        assert g.push_forward(w) == induced_state_self_map(alg, op, w), w
+                        assert g.push_forward(w) == induced_state_self_map(g, w), w
                         probes += 1
                     cases += 1
         assert cases > 500

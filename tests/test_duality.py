@@ -1,4 +1,4 @@
-"""State functor, affine-function functor, round trips, morphisms."""
+"""Vertex maps, the induced state maps of algebras, round trips, morphisms."""
 
 from fractions import Fraction as F
 from itertools import product
@@ -7,11 +7,11 @@ import pytest
 
 from effectalg.catalog import build_boolean, build_chain, build_product, small_catalog
 from effectalg.core import homomorphisms
-from effectalg.duality import (AffineFunctionAlgebra, FiniteSimplex, VertexMap,
-                               affine_functor, check_simplex_morphism,
-                               check_state_morphism, state_functor)
-from effectalg.operators import coordinate_repeat_maps
-from oracles import induced_state_self_map, preserves_existing_meets
+from effectalg.duality import (FiniteSimplex, VertexMap, check_simplex_morphism,
+                               check_state_morphism)
+from effectalg.operators import coordinate_repeat_maps, induced_state_map
+from effectalg.states import compute_states
+from oracles import induced_state_self_map, power, preserves_existing_meets
 
 
 def test_vertex_map_potency_enforced():
@@ -27,70 +27,50 @@ def test_vertex_map_potency_enforced():
         VertexMap((0, 1), 1)
 
 
-def test_affine_algebra_operations():
-    alg = AffineFunctionAlgebra(3)
-    f = alg.element([F(1, 3), F(1, 2), F(2, 3)])
-    g = alg.element([F(1, 3), F(1, 4), F(1, 3)])
-    assert alg.sum_defined(f, g)
-    assert alg.add(f, g) == (F(2, 3), F(3, 4), F(1))
-    assert alg.complement(f) == (F(2, 3), F(1, 2), F(1, 3))
-    assert alg.join(f, g) == (F(1, 3), F(1, 2), F(2, 3))
-    assert not alg.sum_defined(f, f)
-    with pytest.raises(ValueError):
-        alg.element([F(1, 2), F(3, 2), F(0)])
-
-
 def test_pullback_examples():
-    sx = FiniteSimplex(("v1", "v2", "v3"))
-    alg, op = affine_functor(sx, VertexMap((2, 2, 2), 2))
-    f = alg.element([F(1, 4), F(1, 2), F(3, 4)])
-    assert op.apply(f) == (F(3, 4), F(3, 4), F(3, 4))   # constant at f(v3)
-    alg2, op2 = affine_functor(FiniteSimplex(("x", "y")), VertexMap((1, 0), 3))
-    assert op2.apply((F(1, 3), F(2, 3))) == (F(2, 3), F(1, 3))
-    triple = op2.apply(op2.apply(op2.apply((F(1, 3), F(2, 3)))))
-    assert triple == op2.apply((F(1, 3), F(2, 3)))
+    """The test-side pull-back route on hand-computed states: a constant map
+    sends every state to its vertex, and the swap of two vertices swaps the
+    weights and returns after three steps."""
+    collapse = VertexMap((2, 2, 2), 2)
+    assert induced_state_self_map(collapse, (F(1, 4), F(1, 2), F(1, 4))) == (0, 0, 1)
+    swap = VertexMap((1, 0), 3)
+    once = induced_state_self_map(swap, (F(1, 3), F(2, 3)))
+    assert once == (F(2, 3), F(1, 3))
+    assert induced_state_self_map(swap, induced_state_self_map(swap, once)) == once
 
 
 def test_identity_pullback():
-    sx = FiniteSimplex(("a", "b"))
-    _alg, op = affine_functor(sx, VertexMap((0, 1), 2))
-    f = (F(1, 5), F(2, 5))
-    assert op.apply(f) == f
+    w = (F(1, 5), F(4, 5))
+    assert induced_state_self_map(VertexMap((0, 1), 2), w) == w
 
 
 def test_state_functor_examples():
+    """An algebra with a potent endomorphism to its polytope with the induced
+    state map."""
     b2 = build_boolean(2)
-    P, g = state_functor(b2, (0, 1, 2, 3))
+    P = compute_states(b2)
+    g = induced_state_map(b2, (0, 1, 2, 3), P)
     assert len(P.vertices) == 2
     assert g.vertex_to_vertex == (0, 1)
 
     c22 = build_product([build_chain(2), build_chain(2)])
     t1, _ = coordinate_repeat_maps(c22)
-    P, g = state_functor(c22, t1)
+    P = compute_states(c22)
+    g = induced_state_map(c22, t1, P)
     assert len(P.vertices) == 2
     assert g.vertex_to_vertex in ((0, 0), (1, 1))
 
     swap = (0, 2, 1, 3)
-    P, g = state_functor(b2, swap)
+    g = induced_state_map(b2, swap, compute_states(b2))
     assert sorted(g.vertex_to_vertex) == [0, 1]
     assert g.vertex_to_vertex != (0, 1)
     assert g.potency == 3
 
 
-def test_interior_point_is_averaged_not_extremal():
-    sx = FiniteSimplex(("x", "y"))
-    alg, _op = affine_functor(sx, VertexMap((0, 1), 2))
-    mid = (F(1, 2), F(1, 2))
-    f = alg.element([F(0), F(1)])
-    assert alg.evaluate(f, mid) == F(1, 2)
-    assert mid not in (sx.vertex_point(0), sx.vertex_point(1))
-
-
 def round_trip_holds(sx, g):
     """Push-forward along g against the pull-back route, at every vertex."""
-    alg, op = affine_functor(sx, g)
     return all(g.push_forward(sx.vertex_point(x))
-               == induced_state_self_map(alg, op, sx.vertex_point(x))
+               == induced_state_self_map(g, sx.vertex_point(x))
                for x in range(sx.m))
 
 
@@ -103,9 +83,8 @@ def test_round_trip_constant_collapse():
     sx = FiniteSimplex(("a", "b", "c"))
     g = VertexMap((2, 2, 2), 2)
     assert round_trip_holds(sx, g)
-    alg, op = affine_functor(sx, g)
     for x in range(3):
-        assert induced_state_self_map(alg, op, sx.vertex_point(x)) == sx.vertex_point(2)
+        assert induced_state_self_map(g, sx.vertex_point(x)) == sx.vertex_point(2)
 
 
 def test_round_trip_swap():
@@ -114,10 +93,8 @@ def test_round_trip_swap():
 
 
 def test_round_trip_exhaustive_m3():
-    from itertools import product as iproduct
-    from effectalg.operators import power
     sx = FiniteSimplex(("a", "b", "c"))
-    for image in iproduct(range(3), repeat=3):
+    for image in product(range(3), repeat=3):
         for n in (2, 3):
             if power(image, n) == tuple(image):
                 assert round_trip_holds(sx, VertexMap(tuple(image), n))
@@ -186,21 +163,10 @@ def test_simplex_morphism_rejects_vertex_maps_of_the_wrong_size():
     assert check_simplex_morphism(sx2, ident2, sx3, ident3, (0, 1)).passed
 
 
-def test_pullback_preserves_joins_meets():
-    sx = FiniteSimplex(("a", "b", "c"))
-    alg, op = affine_functor(sx, VertexMap((1, 1, 2), 2))
-    f = alg.element([F(1, 6), F(5, 6), F(1, 2)])
-    g = alg.element([F(2, 3), F(1, 3), F(1, 2)])
-    assert op.apply(alg.join(f, g)) == alg.join(op.apply(f), op.apply(g))
-    assert op.apply(alg.meet(f, g)) == alg.meet(op.apply(f), op.apply(g))
-
-
 def test_induced_self_map_potency():
-    sx = FiniteSimplex(("a", "b", "c", "d"))
     g = VertexMap((1, 0, 3, 3), 3)
-    alg, op = affine_functor(sx, g)
     w = (F(1, 10), F(2, 10), F(3, 10), F(4, 10))
-    once = induced_state_self_map(alg, op, w)
-    twice = induced_state_self_map(alg, op, once)
-    thrice = induced_state_self_map(alg, op, twice)
+    once = induced_state_self_map(g, w)
+    twice = induced_state_self_map(g, once)
+    thrice = induced_state_self_map(g, twice)
     assert thrice == once

@@ -23,7 +23,7 @@ from effectalg.operators import (HOLDS, NOT_APPLICABLE, check_esp, classify_oper
                                  enumerate_endomorphisms, induced_state_map,
                                  is_endomorphism, is_n_potent, is_strong_operator,
                                  minimal_potency, mv_operator_agreement,
-                                 operator_law_report, power, preserves_existing_joins,
+                                 operator_law_report, preserves_existing_joins,
                                  scan_mv_operator_agreement)
 from effectalg.states import compute_states, is_state
 from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
@@ -31,7 +31,7 @@ from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
 from effectalg.structure import check_rdp, classify_lattice
 from oracles import (all_pairs_strong_operator, composition_potency, dense_lattice_class,
                      fixed_or_incomparable_scan, full_triple_endomorphism,
-                     image_fixed_point_scan, image_rdp_scan, image_subalgebra_scan,
+                     image_fixed_point_scan, image_rdp_scan, image_subalgebra_scan, power,
                      preserves_existing_meets, rdp_splitting, strictly_monotone_scan,
                      strong_joins_scan, strong_meets_scan)
 from tables import paste_boolean_cubes, sums_dict, wright_triangle

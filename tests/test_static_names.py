@@ -4,23 +4,35 @@ A function body that reads a name bound nowhere (not local, not enclosing, not
 module-level, not a builtin) compiles and imports fine, and fails only when
 that line runs.  These tests find such reads in every module of the package
 and in the test oracles, and the reverse: module-level imports that nothing in
-the module reads.
+the module reads, and module-level functions and classes that no other code
+reads.
 """
 
 import ast
 import builtins
+import re
 import symtable
+from collections import Counter
 from pathlib import Path
 
 import effectalg
 
 PACKAGE = Path(effectalg.__file__).parent
 ORACLES = Path(__file__).parent / "oracles.py"   # runs only inside the tests that call it
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 # Imports kept on purpose although the module never reads them.
 KEPT_IMPORTS = {
     # perfbench/tracing.py wraps effectalg.operators:is_state
     ("operators.py", "is_state"),
+}
+
+# Definitions kept on purpose although no other code reads them.
+KEPT_DEFINITIONS = {
+    # the closed-form duality oracle of ROADMAP item 8 will call it
+    ("core.py", "is_isomorphic"),
+    # the tests build CLI input files with it
+    ("io.py", "structure_to_dict"),
 }
 
 
@@ -201,3 +213,65 @@ def test_polytope_imports_nothing_from_fractions():
     """Vertex enumeration takes integer rows and returns integer rays."""
     path = PACKAGE / "polytope.py"
     assert "fractions" not in imported_modules(path.read_text(), str(path))
+
+
+TRACE_TARGET = re.compile(r"effectalg\.\w+:(\w+)")
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """Names that the code under ``tree`` reads, with multiplicity: loaded
+    names, loaded attributes, imported names, and the first attribute of
+    every "effectalg.module:attr" tracing target string."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(TRACE_TARGET.findall(node.value))
+    return found
+
+
+def unread_definitions(package: dict[str, str], outside: list[str]) -> list[tuple[str, str]]:
+    """(module, name) for each module-level function or class in ``package``
+    (file name to source) that is read neither by the package outside its own
+    definition nor by any of the ``outside`` sources."""
+    trees = {name: ast.parse(source, name) for name, source in package.items()}
+    inside = sum(map(names_read, trees.values()), Counter())
+    elsewhere = set(sum((names_read(ast.parse(source)) for source in outside), Counter()))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in elsewhere
+                    and inside[node.name] == names_read(node)[node.name]):
+                found.append((module, node.name))
+    return sorted(found)
+
+
+def test_detector_finds_definitions_that_nothing_else_reads():
+    package = {"a.py": ("def f(n):\n    return f(n - 1) if n else g()\n\n"
+                        "def g():\n    return 0\n\nclass C:\n    pass\n\n"
+                        "def h():\n    return 1\n"),
+               "b.py": ("from .a import C\n\ndef k(x):\n    return x.size\n\n"
+                        "def unused():\n    pass\n")}
+    outside = ["LAYER = ('effectalg.b:k.inner',)\n", "from effectalg import a\na.h()\n"]
+    assert unread_definitions(package, outside) == [("a.py", "f"), ("b.py", "unused")]
+    assert unread_definitions(package, []) == [("a.py", "f"), ("a.py", "h"), ("b.py", "k"),
+                                               ("b.py", "unused")]
+
+
+def test_package_definitions_are_read_elsewhere():
+    """Every module-level function and class of the package is read by
+    another part of it (``__init__.py``'s re-exports do not count) or by the
+    benchmark's own modules, which import and trace public functions."""
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    outside = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))
+               if not path.name.startswith("test_")]
+    assert outside
+    found = [d for d in unread_definitions(package, outside) if d not in KEPT_DEFINITIONS]
+    assert found == []
