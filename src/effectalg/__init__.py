@@ -3,17 +3,19 @@
 Core objects: validated partial sum tables (FiniteEffectAlgebra), catalog
 constructions, exact state polytopes with extremal-state enumeration,
 endomorphism classification (state-operators and their strong / join-preserving
-variants), interval algebras over concrete po-groups, and finite simplices
-with potent vertex maps, with the morphism checks on both sides of the duality.
+variants), interval algebras over concrete po-groups, and the potent vertex
+maps of finite simplices, with the morphism checks on both sides of the
+duality.  Sum and join preservation are defined once, for maps between
+algebras (``is_homomorphism``, ``preserves_existing_joins``).
 """
 
 from .catalog import (CatalogSpec, build_boolean, build_catalog, build_chain,
                       build_even_subsets, build_product, horizontal_sum,
                       small_catalog)
 from .core import (AxiomViolation, EffectAlgebraError, FiniteEffectAlgebra,
-                   GuardExceeded, derive_order, is_isomorphic, validate_axioms)
-from .duality import (FiniteSimplex, VertexMap, check_simplex_morphism,
-                      check_state_morphism)
+                   GuardExceeded, derive_order, is_homomorphism, is_isomorphic,
+                   preserves_existing_joins, validate_axioms)
+from .duality import VertexMap, check_simplex_morphism, check_state_morphism
 from .mv import MvStructure, mv_operations, mv_state_axioms
 from .operators import (InducedStateMap, OperatorProfile, check_esp,
                         classify_operator, coordinate_repeat_maps,

@@ -6,9 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 from typing import Optional
 
-from .core import FiniteEffectAlgebra, raw_triples, validate_axioms
+from .core import FiniteEffectAlgebra, guard_elements, raw_triples, validate_axioms
 
 
 SIZE_KEYS = {"boolean": "k", "chain": "n", "even_subsets": "m"}
@@ -63,6 +64,7 @@ def build_boolean(k: int) -> FiniteEffectAlgebra:
     if k < 1:
         raise ValueError("boolean algebra needs k >= 1")
     n = 1 << k
+    guard_elements(n)
     triples = []
     for a in range(n):
         for b in range(n):
@@ -77,6 +79,7 @@ def build_chain(n: int) -> FiniteEffectAlgebra:
     """The chain 0 < 1/n < ... < 1 with a + b defined iff a + b <= 1."""
     if n < 1:
         raise ValueError("chain needs n >= 1")
+    guard_elements(n + 1)
     triples = [(i, j, i + j) for i in range(n + 1) for j in range(n + 1) if i + j <= n]
     labels = [str(Fraction(i, n)) for i in range(n + 1)]
     return validate_axioms(n + 1, triples, labels, meta={"construction": "chain", "n": n})
@@ -86,6 +89,7 @@ def build_even_subsets(m: int) -> FiniteEffectAlgebra:
     """Characteristic functions of the even-cardinality subsets of an m-set (m even)."""
     if m < 2 or m % 2:
         raise ValueError("even_subsets needs an even m >= 2")
+    guard_elements(1 << (m - 1))
     subsets = [s for size in range(0, m + 1, 2) for s in
                (frozenset(c) for c in combinations(range(m), size))]
     subsets.sort(key=lambda s: (len(s), sorted(s)))
@@ -104,6 +108,7 @@ def build_product(factors: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
     """Coordinatewise partial sum on the cartesian product of the factors."""
     if not factors:
         raise ValueError("product needs at least one factor")
+    guard_elements(prod(F.n for F in factors))
     tuples = list(product(*[range(F.n) for F in factors]))
     index = {t: i for i, t in enumerate(tuples)}
     triples = []

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 
 class EffectAlgebraError(Exception):
@@ -44,6 +44,15 @@ class AxiomViolation(EffectAlgebraError):
 
 Table = tuple[tuple[Optional[int], ...], ...]
 T = TypeVar("T")
+
+GUARD_ELEMENTS = 4096   # most elements a table is built for: n^2 cells, 16.8M at the guard
+
+
+def guard_elements(n: int) -> None:
+    """Raise ``GuardExceeded`` before an n-element table is built, if n is over
+    ``GUARD_ELEMENTS``."""
+    if n > GUARD_ELEMENTS:
+        raise GuardExceeded(f"{n} elements (guard {GUARD_ELEMENTS})")
 
 
 @dataclass(frozen=True)
@@ -96,10 +105,6 @@ class FiniteEffectAlgebra:
     def __hash__(self):   # meta is unhashable; equal algebras have equal tables
         return hash(self.table)
 
-    @property
-    def one(self) -> int:
-        return self.n - 1
-
     def defined(self, i: int, j: int) -> bool:
         return self.table[i][j] is not None
 
@@ -140,10 +145,6 @@ class FiniteEffectAlgebra:
     def complement(self, a: int) -> int:
         return self.complements[a]
 
-    def minus(self, b: int, a: int) -> int:
-        """The unique c with a + c = b; requires a <= b."""
-        return self.order.sub[b][a]
-
     def join(self, a: int, b: int) -> Optional[int]:
         return self.order.join[a][b]
 
@@ -162,14 +163,15 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
 
     Each entry is an (i, j, k) sequence of ints in 0..n-1, read as i + j = k;
     ``labels``, when given, has one entry per element (ValueError otherwise).
-    Checks, in order: table shape, commutativity (i), the unit law (iv), unique
-    complements against index n-1 (iii), and partial associativity (ii): for
-    every triple, (a + b) + c is defined exactly when a + (b + c) is, and then
-    they are equal.  (ii) scans L = {(a, b, c) : a + b and (a + b) + c
-    defined}, where b + c and a + (b + c) must be defined and equal to
-    (a + b) + c.  That is enough: by (i), (c, b, a) fails exactly when
-    (a, b, c) does, with the two associations swapped, and a failure has at
-    least one side defined, so it or its mirror lies in L.
+    An n over ``GUARD_ELEMENTS`` raises ``GuardExceeded`` before the n x n
+    table is allocated.  Checks, in order: table shape, commutativity (i), the
+    unit law (iv), unique complements against index n-1 (iii), and partial
+    associativity (ii): for every triple, (a + b) + c is defined exactly when
+    a + (b + c) is, and then they are equal.  (ii) scans L = {(a, b, c) :
+    a + b and (a + b) + c defined}, where b + c and a + (b + c) must be
+    defined and equal to (a + b) + c.  That is enough: by (i), (c, b, a)
+    fails exactly when (a, b, c) does, with the two associations swapped, and
+    a failure has at least one side defined, so it or its mirror lies in L.
 
     Raises AxiomViolation naming the first failure with a witness: the first
     offending entry in input order for the table, (i) and (iv), the
@@ -180,6 +182,7 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
         raise AxiomViolation("table", (n,), "need at least one element")
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} elements")
+    guard_elements(n)
     entries = list(triples)
     one = n - 1
     rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
@@ -402,6 +405,38 @@ def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
                         used.difference_update(images)
 
     yield from search(0)
+
+
+def is_homomorphism(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
+                    h: Sequence[int]) -> bool:
+    """Is h a map of E1's indices into E2's that keeps 0, 1 and every defined
+    sum?  It accepts exactly the maps that ``homomorphisms(E1, E2)`` yields.
+    Given h(0) = 0 the zero sums 0 + a = a hold, so only ``E1.nonzero_triples``
+    are read."""
+    m = tuple(h)
+    top = E2.n - 1
+    if len(m) != E1.n or m[0] != 0 or m[-1] != top or min(m) < 0 or max(m) > top:
+        return False
+    table = E2.table
+    for i, j, k in E1.nonzero_triples:
+        if table[m[i]][m[j]] != m[k]:
+            return False
+    return True
+
+
+def preserves_existing_joins(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
+                             h: Sequence[int]) -> bool:
+    """h(a v b) = h(a) v h(b) in E2 whenever a v b exists in E1, for h a map of
+    E1's indices into E2's.  A homomorphism keeps complements, and a ^ b =
+    (a' v b')', so one that keeps the existing joins keeps the meets too."""
+    join1, join2 = E1.order.join, E2.order.join
+    for a in range(E1.n):
+        row, image_row = join1[a], join2[h[a]]
+        for b in range(a, E1.n):
+            j = row[b]
+            if j is not None and image_row[h[b]] != h[j]:
+                return False
+    return True
 
 
 def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:

@@ -1,11 +1,12 @@
 """Finite Stone-type duality: simplices with potent vertex maps, and morphisms.
 
 Finite simplices stand in for the compact simplices of the analytic theory:
-points are rational convex-weight vectors over a vertex set.  Vertex self-maps
-g with g^n = g for some n >= 2 push weights forward.  An algebra reaches this
-side through ``states.compute_states`` and ``operators.induced_state_map``; the
-suite checks structure maps on both sides with ``check_state_morphism`` and
-``check_simplex_morphism``.
+points are rational convex-weight vectors over the vertices of a vertex map g,
+one per entry, and g^n = g for some n >= 2 pushes them forward.  An algebra
+reaches this side through ``states.compute_states`` and
+``operators.induced_state_map``.  A morphism on either side makes the square
+p o g1 = g2 o p commute (``commuting_square``); on the algebra side p is also
+a homomorphism that keeps existing joins, as ``core`` defines them.
 
 The way back, the algebra of affine [0,1]-functions on a simplex with its
 pull-back f -> f o g, is not represented: pushing a point forward along g and
@@ -19,25 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import FiniteEffectAlgebra
-from .linalg import ZERO, ONE, Vec
+from .core import FiniteEffectAlgebra, is_homomorphism, preserves_existing_joins
+from .linalg import ZERO, Vec
 from .operators import is_n_potent, minimal_potency
-
-
-@dataclass(frozen=True)
-class FiniteSimplex:
-    labels: tuple[str, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
-
-    def contains(self, w: Sequence[Fraction]) -> bool:
-        return (len(w) == self.m and all(x >= 0 for x in w)
-                and sum(w, start=ZERO) == 1)
-
-    def vertex_point(self, i: int) -> Vec:
-        return tuple(ONE if j == i else ZERO for j in range(self.m))
 
 
 @dataclass(frozen=True)
@@ -68,42 +53,40 @@ class MorphismReport:
     witness: Optional[tuple]
 
 
-def check_state_morphism(E1: FiniteEffectAlgebra, tau1: Sequence[int],
-                         E2: FiniteEffectAlgebra, tau2: Sequence[int],
-                         h: Sequence[int]) -> MorphismReport:
-    """A structure map between state effect algebras: homomorphism preserving
-    existing joins and meets, commuting with the two operators.  A homomorphism
-    keeps complements and a ^ b = (a' v b')', so kept joins keep the meets."""
-    if len(h) != E1.n or h[E1.n - 1] != E2.n - 1:
-        return MorphismReport(False, "unit not preserved", (E1.n - 1,))
-    for i, j, k in E1.triples:
-        if E2.table[h[i]][h[j]] != h[k]:
-            return MorphismReport(False, "sum not preserved", (i, j))
-    for a in range(E1.n):
-        for b in range(a, E1.n):
-            j = E1.order.join[a][b]
-            if j is not None and E2.order.join[h[a]][h[b]] != h[j]:
-                return MorphismReport(False, "join not preserved", (a, b))
-    for a in range(E1.n):
-        if h[tau1[a]] != tau2[h[a]]:
-            return MorphismReport(False, "operator square does not commute", (a,))
+def commuting_square(p: Sequence[int], g1: Sequence[int], g2: Sequence[int],
+                     reason: str) -> MorphismReport:
+    """p o g1 = g2 o p for self-maps g1, g2 of range(len(g1)), range(len(g2))
+    and a map p between them; the witness is the first point where it fails."""
+    n1, n2 = len(g1), len(g2)
+    if len(p) != n1 or any(not 0 <= v < n for f, n in ((g1, n1), (g2, n2), (p, n2))
+                           for v in f):
+        return MorphismReport(False, "map out of range", None)
+    for x, gx in enumerate(g1):
+        if p[gx] != g2[p[x]]:
+            return MorphismReport(False, reason, (x,))
     return MorphismReport(True, None, None)
 
 
-def check_simplex_morphism(sx1: FiniteSimplex, g1: VertexMap,
-                           sx2: FiniteSimplex, g2: VertexMap,
-                           p: Sequence[int]) -> MorphismReport:
+def check_state_morphism(E1: FiniteEffectAlgebra, tau1: Sequence[int],
+                         E2: FiniteEffectAlgebra, tau2: Sequence[int],
+                         h: Sequence[int]) -> MorphismReport:
+    """A structure map between state effect algebras: a homomorphism that keeps
+    existing joins, and so existing meets, and commutes with the two
+    operators."""
+    if len(tau1) != E1.n or len(tau2) != E2.n:
+        return MorphismReport(False, "operator does not match its algebra", None)
+    if not is_homomorphism(E1, E2, h):
+        return MorphismReport(False, "not a homomorphism", None)
+    if not preserves_existing_joins(E1, E2, h):
+        return MorphismReport(False, "join not preserved", None)
+    return commuting_square(h, tau1, tau2, "operator square does not commute")
+
+
+def check_simplex_morphism(g1: VertexMap, g2: VertexMap, p: Sequence[int]) -> MorphismReport:
     """A vertex-to-vertex map inducing an affine map commuting with the dynamics.
 
     The affine map sends sum_x w_x x to sum_x w_x p(x), so both routes around
     the square, p o g1 and g2 o p, are linear in the weights and agree
-    everywhere exactly when they agree at every vertex of ``sx1``.
+    everywhere exactly when they agree at every vertex of g1's simplex.
     """
-    if len(g1.image) != sx1.m or len(g2.image) != sx2.m:
-        return MorphismReport(False, "vertex map does not match the simplex", None)
-    if len(p) != sx1.m or any(not 0 <= v < sx2.m for v in p):
-        return MorphismReport(False, "not a vertex map", None)
-    for x in range(sx1.m):
-        if p[g1.image[x]] != g2.image[p[x]]:
-            return MorphismReport(False, "square does not commute on vertices", (x,))
-    return MorphismReport(True, None, None)
+    return commuting_square(p, g1.image, g2.image, "square does not commute on vertices")

@@ -10,11 +10,12 @@ structural laws apply: each follows from the definitions, proved in
 
 Each map is read as cheaply as its definitions allow.  An endomorphism fixes 0
 (0 + 0 = 0 gives f(0) + f(0) = f(0), so f(0) = 0), and a map that fixes 0
-keeps every sum 0 + a = a, so ``is_endomorphism`` checks only the sums with a
-nonzero first entry.  Potency is read off the image.  A strong operator is
-idempotent: the pair (a, a) has the join tau(a), so tau(tau(a)) = tau(a); the
-strong test runs only on idempotents.  Verdicts that depend on the algebra
-alone, its lattice class and RDP, are computed once per algebra
+keeps every sum 0 + a = a, so ``is_endomorphism``, which is
+``core.is_homomorphism`` from E to E, checks only the sums with a nonzero
+first entry.  Potency is read off the image.  A strong operator is idempotent:
+the pair (a, a) has the join tau(a), so tau(tau(a)) = tau(a); the strong test
+runs only on idempotents.  Verdicts that depend on the algebra alone, its
+lattice class and RDP, are computed once per algebra
 (``FiniteEffectAlgebra.verdict``), not once per map.
 """
 
@@ -27,7 +28,8 @@ from math import lcm
 from operator import not_
 from typing import Optional, Sequence
 
-from .core import FiniteEffectAlgebra, homomorphisms
+from .core import (FiniteEffectAlgebra, homomorphisms, is_homomorphism,
+                   preserves_existing_joins)
 from .mv import is_mv_state_morphism, mv_state_axioms
 from .states import StatePolytope
 from .states import is_state  # noqa: F401  unused here; perfbench/tracing.py wraps this attribute
@@ -35,17 +37,8 @@ from .structure import check_rdp, classify_lattice
 
 
 def is_endomorphism(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> bool:
-    """Does the self-map keep 0, 1 and every defined sum?  Given f(0) = 0 the
-    zero sums 0 + a = a hold, so only ``E.nonzero_triples`` are read."""
-    m = tuple(mapping)
-    n = E.n
-    if len(m) != n or m[0] != 0 or m[-1] != n - 1 or min(m) < 0 or max(m) >= n:
-        return False
-    table = E.table
-    for i, j, k in E.nonzero_triples:
-        if table[m[i]][m[j]] != m[k]:
-            return False
-    return True
+    """Does the self-map keep 0, 1 and every defined sum?"""
+    return is_homomorphism(E, E, mapping)
 
 
 def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
@@ -138,18 +131,6 @@ def is_strong_operator(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> bool:
     return True
 
 
-def preserves_existing_joins(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> bool:
-    join = E.order.join
-    for a in range(E.n):
-        for b in range(a, E.n):
-            j = join[a][b]
-            if j is None:
-                continue
-            if join[mapping[a]][mapping[b]] != mapping[j]:
-                return False
-    return True
-
-
 def check_esp(mapping: Sequence[int], P: StatePolytope) -> bool:
     """Extremal-state preservation: s o tau lands on a vertex for every vertex s.
 
@@ -176,7 +157,7 @@ def classify_operator(E: FiniteEffectAlgebra, mapping: Sequence[int],
         is_state_operator=idem,
         minimal_potency=potency,
         is_strong=idem and is_strong_operator(E, m),
-        is_state_morphism=idem and preserves_existing_joins(E, m),
+        is_state_morphism=idem and preserves_existing_joins(E, E, m),
         is_faithful=ker == (0,),
         kernel=ker,
         has_esp=check_esp(m, P),
@@ -367,5 +348,5 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
         "faithful_implies_strong": law(faithful),
         "linear_faithful_identity": law(faithful and lattice == "both"),
         "antilattice_preserves_joins_meets": law(lattice == "both"),
-        "all_meets_preserved_info": LawResult(True, preserves_existing_joins(E, m)),
+        "all_meets_preserved_info": LawResult(True, preserves_existing_joins(E, E, m)),
     }

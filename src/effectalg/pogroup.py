@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 from typing import Callable, Optional, Sequence
 
-from .core import FiniteEffectAlgebra, GuardExceeded, validate_axioms
+from .core import FiniteEffectAlgebra, guard_elements, validate_axioms
 from .linalg import Vec
 from .operators import is_endomorphism, minimal_potency
 
 ORDERS = ("product", "lex", "strict")
-GUARD_ELEMENTS = 4096   # most lattice points ``materialize`` builds a table for
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,6 @@ class IntervalAlgebra:
         v = self.spec.element(x)
         return group_leq(self.spec, self.zero, v) and group_leq(self.spec, v, self.unit)
 
-    def sum_defined(self, x: Sequence, y: Sequence) -> bool:
-        v = tuple(p + q for p, q in zip(self.spec.element(x), self.spec.element(y)))
-        return group_leq(self.spec, v, self.unit)
-
     def complement(self, x: Sequence) -> Vec:
         return tuple(u - p for u, p in zip(self.unit, self.spec.element(x)))
 
@@ -97,11 +93,7 @@ def materialize(alg: IntervalAlgebra) -> FiniteEffectAlgebra:
     if alg.spec.scalars != "Z":
         raise ValueError("only integer intervals are finite")
     u = [int(c) for c in alg.unit]
-    count = 1
-    for c in u:
-        count *= c + 1
-    if count > GUARD_ELEMENTS:
-        raise GuardExceeded(f"interval holds {count} points (guard {GUARD_ELEMENTS})")
+    guard_elements(prod(c + 1 for c in u))
     points = list(iter_product(*[range(c + 1) for c in u]))
     index = {p: i for i, p in enumerate(points)}
     triples = []

@@ -15,15 +15,14 @@ from typing import Callable
 
 from .catalog import (build_boolean, build_chain, build_even_subsets,
                       build_product, horizontal_sum, small_catalog)
-from .duality import (FiniteSimplex, VertexMap, check_simplex_morphism,
-                      check_state_morphism)
+from .core import preserves_existing_joins
+from .duality import VertexMap, check_simplex_morphism, check_state_morphism
 from .fuzz import fuzz_mutations
 from .linalg import affine_parametrization
 from .mv import derived_sum_matches, mv_operations
 from .operators import (check_esp, classify_operator, compose, coordinate_repeat_maps,
                         enumerate_endomorphisms, induced_state_map, kernel,
-                        minimal_potency, operator_law_report, preserves_existing_joins,
-                        scan_mv_operator_agreement)
+                        minimal_potency, operator_law_report, scan_mv_operator_agreement)
 from .pogroup import (IntervalAlgebra, PoGroupSpec, extend_endomorphism,
                       extremal_states, group_leq, materialize, strict_plane_preimage)
 from .states import (StatePolytope, clan_closure_witness, compute_states,
@@ -200,7 +199,7 @@ def check_square_product_operators() -> CheckResult:
     collapse = all(img == m1 for img in ind.vertex_images)
     passed = (p1.is_state_morphism and p1.has_esp and p2.is_state_morphism
               and p2.has_esp and collapse and set(P.vertices) == {m1, m2})
-    passed = passed and preserves_existing_joins(E, t1)
+    passed = passed and preserves_existing_joins(E, E, t1)
     return CheckResult("square_product_operators", passed,
                        {"vertices": len(P.vertices), "collapse_to_m1": collapse})
 
@@ -357,11 +356,8 @@ def check_morphism_squares() -> CheckResult:
     t1, _ = coordinate_repeat_maps(c22)
     id2 = tuple(range(c2.n))
     ok1 = check_state_morphism(c2, id2, c22, t1, diag).passed
-    sx2 = FiniteSimplex(("x", "y"))
-    sx3 = FiniteSimplex(("a", "b", "c"))
-    g2 = VertexMap((1, 0), 3)
-    p = (0, 1)     # sx2 -> sx3 vertices
-    ok2 = check_simplex_morphism(sx2, g2, sx3, VertexMap((1, 0, 2), 3), p).passed
+    p = (0, 1)     # two vertices into three
+    ok2 = check_simplex_morphism(VertexMap((1, 0), 3), VertexMap((1, 0, 2), 3), p).passed
     return CheckResult("morphism_squares", ok1 and ok2, {})
 
 

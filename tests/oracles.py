@@ -323,9 +323,8 @@ def all_pairs_strong_operator(E, mapping):
 def preserves_existing_meets(E, mapping, target=None):
     """tau(a ^ b) = tau(a) ^ tau(b) in ``target`` (E by default) whenever a ^ b
     exists in E, read from the meet tables: the reference for
-    ``operators.preserves_existing_joins`` and the join test of
-    ``duality.check_state_morphism`` standing in for meets, which holds for
-    every map that keeps complements."""
+    ``core.preserves_existing_joins``, which reads the join tables and stands
+    in for meets because the maps it is asked about keep complements."""
     meet = E.order.meet
     image_meet = (E if target is None else target).order.meet
     for a in range(E.n):

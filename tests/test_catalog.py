@@ -60,5 +60,5 @@ def test_horizontal_sum_blocks_do_not_mix():
     E = horizontal_sum([build_chain(2), build_chain(2)])
     assert E.n == 4
     v, w = 1, 2
-    assert E.sum(v, v) == E.one and E.sum(w, w) == E.one
+    assert E.sum(v, v) == E.n - 1 and E.sum(w, w) == E.n - 1
     assert not E.defined(v, w)

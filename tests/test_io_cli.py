@@ -7,6 +7,7 @@ import pytest
 
 from effectalg.catalog import build_boolean, build_chain, horizontal_sum
 from effectalg.cli import main
+from effectalg.core import GUARD_ELEMENTS
 from effectalg.io import polytope_to_dict, structure_from_dict, structure_to_dict
 from effectalg.states import GUARD_VERTICES, StatePolytope
 from tables import greechie_chain, sums_dict
@@ -189,6 +190,31 @@ def test_cli_free_dimension_guard_exits_2(tmp_path, capsys):
     assert main(["states", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "guarded at 16 free dimensions" in captured.err
+
+
+@pytest.mark.parametrize("data, code", [
+    ({"n": 5000, "sums": []}, 2),
+    ({"catalog": {"kind": "boolean", "k": 13}}, 2),
+    ({"catalog": {"kind": "chain", "n": 4096}}, 2),
+    ({"catalog": {"kind": "even_subsets", "m": 14}}, 2),
+    ({"catalog": {"kind": "mv_product", "chains": [64, 64]}}, 2),
+    ({"n": 4096, "sums": []}, 1),
+])
+def test_cli_element_guard_exits_2_before_building(data, code, tmp_path, capsys):
+    """An algebra of more than ``GUARD_ELEMENTS`` elements is refused before
+    its n x n table is allocated or its pairs are listed.  A raw table of
+    exactly that many elements is still built and checked: this one has no
+    complements, so it fails axiom (iii)."""
+    assert GUARD_ELEMENTS == 4096
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    with Budget("element guard", 5.0):
+        assert main(["validate", "--input", str(path)]) == code
+        captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and "guard exceeded" in captured.err
+    else:
+        assert json.loads(captured.out)["axiom"] == "iii"
 
 
 def test_cli_output_file(tmp_path, capsys):

@@ -15,7 +15,7 @@ import pytest
 from effectalg import operators
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets, build_product,
                                horizontal_sum, small_catalog)
-from effectalg.core import GuardExceeded, homomorphisms
+from effectalg.core import GuardExceeded, homomorphisms, preserves_existing_joins
 from effectalg.fuzz import permute_algebra, random_algebra
 from effectalg.mv import mv_operations
 from effectalg.operators import (HOLDS, NOT_APPLICABLE, check_esp, classify_operator,
@@ -23,8 +23,7 @@ from effectalg.operators import (HOLDS, NOT_APPLICABLE, check_esp, classify_oper
                                  enumerate_endomorphisms, induced_state_map,
                                  is_endomorphism, is_n_potent, is_strong_operator,
                                  minimal_potency, mv_operator_agreement,
-                                 operator_law_report, preserves_existing_joins,
-                                 scan_mv_operator_agreement)
+                                 operator_law_report, scan_mv_operator_agreement)
 from effectalg.states import compute_states, is_state
 from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
                              check_operator_laws)
@@ -283,7 +282,7 @@ LAW_SCANS = {
     "faithful_implies_strong": lambda E, m: (all_pairs_strong_operator(E, m), None),
     "linear_faithful_identity": lambda E, m: (m == tuple(range(E.n)), None),
     "antilattice_preserves_joins_meets": lambda E, m: (
-        preserves_existing_joins(E, m) and preserves_existing_meets(E, m), None),
+        preserves_existing_joins(E, E, m) and preserves_existing_meets(E, m), None),
 }
 
 
@@ -618,7 +617,7 @@ def test_meet_preservation_matches_join_preservation():
     verdicts = {True: 0, False: 0}
     for _name, E in operator_population():
         for m in enumerate_endomorphisms(E):
-            got = preserves_existing_joins(E, m)
+            got = preserves_existing_joins(E, E, m)
             assert got == preserves_existing_meets(E, m), (E.labels, m)
             verdicts[got] += 1
     assert all(verdicts.values())

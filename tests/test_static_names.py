@@ -4,8 +4,8 @@ A function body that reads a name bound nowhere (not local, not enclosing, not
 module-level, not a builtin) compiles and imports fine, and fails only when
 that line runs.  These tests find such reads in every module of the package
 and in the test oracles, and the reverse: module-level imports that nothing in
-the module reads, and module-level functions and classes that no other code
-reads.
+the module reads, and module-level functions and classes, and the methods and
+properties of those classes, that no other code reads.
 """
 
 import ast
@@ -29,8 +29,10 @@ KEPT_IMPORTS = {
 
 # Definitions kept on purpose although no other code reads them.
 KEPT_DEFINITIONS = {
-    # the closed-form duality oracle of ROADMAP item 8 will call it
+    # the closed-form duality oracle of ROADMAP item 7 will call it
     ("core.py", "is_isomorphic"),
+    # A08 checks the push-forward against the pull-back oracle
+    ("duality.py", "VertexMap.push_forward"),
     # the tests build CLI input files with it
     ("io.py", "structure_to_dict"),
 }
@@ -215,40 +217,64 @@ def test_polytope_imports_nothing_from_fractions():
     assert "fractions" not in imported_modules(path.read_text(), str(path))
 
 
-TRACE_TARGET = re.compile(r"effectalg\.\w+:(\w+)")
+TRACE_TARGET = re.compile(r"effectalg\.\w+:([\w.]+)")
 
 
-def names_read(tree: ast.AST) -> Counter:
+def names_read(tree: ast.AST, attributes_only: bool = False) -> Counter:
     """Names that the code under ``tree`` reads, with multiplicity: loaded
-    names, loaded attributes, imported names, and the first attribute of
-    every "effectalg.module:attr" tracing target string."""
+    attributes, each part of the path of every "effectalg.module:attr" or
+    "effectalg.module:Class.attr" tracing target string and, unless
+    ``attributes_only``, loaded names and imported names."""
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for path in TRACE_TARGET.findall(node.value):
+                found.update(path.split("."))
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
         elif isinstance(node, ast.ImportFrom):
             found.update(a.name for a in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.update(TRACE_TARGET.findall(node.value))
     return found
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.Module):
+    """(name, node, is_method) for each module-level function and class, and,
+    named "Class.attr", each method and property of those classes; dunder
+    methods, which Python calls without a read, are left out."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for inner in node.body:
+                if isinstance(inner, FUNCTIONS) and not inner.name.startswith("__"):
+                    yield f"{node.name}.{inner.name}", inner, True
+
+
 def unread_definitions(package: dict[str, str], outside: list[str]) -> list[tuple[str, str]]:
-    """(module, name) for each module-level function or class in ``package``
-    (file name to source) that is read neither by the package outside its own
-    definition nor by any of the ``outside`` sources."""
+    """(module, name) for each of the ``definitions`` in ``package`` (file name
+    to source) that is read neither by the package outside its own definition
+    nor by any of the ``outside`` sources.  A method is read by any read of an
+    attribute of its name, whatever the object; a local variable of that name
+    does not read it."""
     trees = {name: ast.parse(source, name) for name, source in package.items()}
-    inside = sum(map(names_read, trees.values()), Counter())
-    elsewhere = set(sum((names_read(ast.parse(source)) for source in outside), Counter()))
+    outside_trees = [ast.parse(source) for source in outside]
+    inside, elsewhere = {}, {}
+    for attrs in (False, True):
+        inside[attrs] = sum((names_read(t, attrs) for t in trees.values()), Counter())
+        elsewhere[attrs] = set(sum((names_read(t, attrs) for t in outside_trees), Counter()))
     found = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name not in elsewhere
-                    and inside[node.name] == names_read(node)[node.name]):
-                found.append((module, node.name))
+        for qualname, node, attrs in definitions(tree):
+            if (node.name not in elsewhere[attrs]
+                    and inside[attrs][node.name] == names_read(node, attrs)[node.name]):
+                found.append((module, qualname))
     return sorted(found)
 
 
@@ -264,10 +290,25 @@ def test_detector_finds_definitions_that_nothing_else_reads():
                                                ("b.py", "unused")]
 
 
+def test_detector_reads_methods_as_attributes():
+    """A method or property is read through an attribute of its name, here or
+    in a dotted tracing target; a plain name or a read inside its own body
+    does not count, and dunder methods are never reported."""
+    package = {"a.py": ("class C:\n    def __repr__(self):\n        return ''\n\n"
+                        "    @property\n    def size(self):\n        return 1\n\n"
+                        "    def grow(self):\n        return self.grow() + self.size\n\n"
+                        "    def traced(self):\n        return 0\n\n"
+                        "    def shadowed(self):\n        return 0\n\n"
+                        "def f(shadowed):\n    return C(), shadowed\n")}
+    outside = ["LAYER = ('effectalg.a:C.traced',)\n", "from effectalg.a import f\n"]
+    assert unread_definitions(package, outside) == [("a.py", "C.grow"), ("a.py", "C.shadowed")]
+
+
 def test_package_definitions_are_read_elsewhere():
-    """Every module-level function and class of the package is read by
-    another part of it (``__init__.py``'s re-exports do not count) or by the
-    benchmark's own modules, which import and trace public functions."""
+    """Every module-level function and class of the package, and every method
+    and property of those classes, is read by another part of it
+    (``__init__.py``'s re-exports do not count) or by the benchmark's own
+    modules, which import and trace public functions and methods."""
     package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"}
     outside = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))

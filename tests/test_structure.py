@@ -226,7 +226,7 @@ def test_lattice_classification():
 def test_boolean2_joins():
     E = build_boolean(2)
     a, b = 1, 2
-    assert E.join(a, b) == E.one and E.meet(a, b) == 0
+    assert E.join(a, b) == E.n - 1 and E.meet(a, b) == 0
     assert not E.leq(a, b) and not E.leq(b, a)
 
 
