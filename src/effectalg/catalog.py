@@ -1,5 +1,10 @@
 """Standard finite effect algebras: Boolean algebras, chains, products, even-subset
-families, and finite MV products, plus horizontal sums for test diversity."""
+families, and finite MV products, plus horizontal sums for test diversity.
+
+Boolean algebras 2^k, finite MV-algebras and the product-ordered intervals [0, u]
+of Z^k are products of chains (Bennett & Foulis, Interval and scale effect
+algebras, 1997; Dvurecenskij & Pulmannova, New Trends in Quantum Structures,
+2000); one product construction, ``_product``, tabulates them all."""
 
 from __future__ import annotations
 
@@ -60,19 +65,17 @@ def _list(d: dict, key: str) -> list:
 
 
 def build_boolean(k: int) -> FiniteEffectAlgebra:
-    """Characteristic functions of all subsets of {1..k}; sum = disjoint union."""
+    """Characteristic functions of all subsets of {1..k}; sum = disjoint union.
+
+    The product of k copies of chain(1), factor j standing for element k - j,
+    so subset S has index sum(2^(i-1) for i in S)."""
     if k < 1:
         raise ValueError("boolean algebra needs k >= 1")
     n = 1 << k
     guard_elements(n)
-    triples = []
-    for a in range(n):
-        for b in range(n):
-            if a & b == 0:
-                triples.append((a, b, a | b))
     labels = ["{" + ",".join(str(i + 1) for i in range(k) if a >> i & 1) + "}"
               for a in range(n)]
-    return validate_axioms(n, triples, labels, meta={"construction": "boolean", "k": k})
+    return _product([build_chain(1)] * k, labels, {"construction": "boolean", "k": k})
 
 
 def build_chain(n: int) -> FiniteEffectAlgebra:
@@ -105,57 +108,47 @@ def build_even_subsets(m: int) -> FiniteEffectAlgebra:
 
 
 def build_product(factors: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
-    """Coordinatewise partial sum on the cartesian product of the factors."""
+    """Coordinatewise partial sum on the cartesian product of the factors; an
+    MV product (``mv_product``) is a product of chains."""
     if not factors:
         raise ValueError("product needs at least one factor")
     guard_elements(prod(F.n for F in factors))
     tuples = list(product(*[range(F.n) for F in factors]))
-    index = {t: i for i, t in enumerate(tuples)}
-    triples = []
-    for a, ta in enumerate(tuples):
-        for b, tb in enumerate(tuples):
-            parts = []
-            for F, x, y in zip(factors, ta, tb):
-                if not F.defined(x, y):
-                    break
-                parts.append(F.sum(x, y))
-            else:
-                triples.append((a, b, index[tuple(parts)]))
     labels = ["(" + ",".join(F.labels[x] for F, x in zip(factors, t)) + ")"
               for t in tuples]
-    return validate_axioms(len(tuples), triples, labels,
-                           meta={"construction": "product", "tuples": tuples,
-                                 "factor_sizes": tuple(F.n for F in factors)})
+    return _product(factors, labels, {"construction": "product", "tuples": tuples,
+                                      "factor_sizes": tuple(F.n for F in factors)})
+
+
+def _product(factors: list[FiniteEffectAlgebra], labels: list[str],
+             meta: dict) -> FiniteEffectAlgebra:
+    """The product of the factors, its sums built from theirs one factor at a
+    time.  Tuple t has the mixed-radix index with the last factor fastest,
+    the ``itertools.product`` order; no factors give the one-element algebra.
+    Callers guard the size before they list the labels."""
+    sums = [(0, 0, 0)]
+    for F in factors:
+        m, factor_sums = F.n, raw_triples(F)
+        sums = [(a * m + x, b * m + y, c * m + z)
+                for a, b, c in sums for x, y, z in factor_sums]
+    sums.sort()
+    return validate_axioms(prod(F.n for F in factors), sums, labels, meta)
 
 
 def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
     """Glue algebras at shared 0 and 1; sums stay inside a single block."""
     if not blocks:
         raise ValueError("horizontal sum needs at least one block")
-    owners = []   # (block index, inner index) per middle element
+    n = sum(max(B.n - 2, 0) for B in blocks) + 2
+    guard_elements(n)
+    triples = {(0, a, a) for a in range(n)} | {(a, 0, a) for a in range(n)}
+    labels = ["0"]
     for bi, B in enumerate(blocks):
-        owners.extend((bi, x) for x in range(1, B.n - 1))
-    n = len(owners) + 2
-    one = n - 1
-
-    def outer(bi: int, x: int) -> int:
-        B = blocks[bi]
-        if x == 0:
-            return 0
-        if x == B.n - 1:
-            return one
-        return owners.index((bi, x)) + 1
-
-    triples = set()
-    for a in range(n):
-        triples.add((0, a, a))
-        triples.add((a, 0, a))
-    triples.add((one, 0, one))
-    for bi, B in enumerate(blocks):
-        for x, y, z in raw_triples(B):
-            triples.add((outer(bi, x), outer(bi, y), outer(bi, z)))
-    labels = ["0"] + [f"b{bi}:{blocks[bi].labels[x]}" for bi, x in owners] + ["1"]
-    return validate_axioms(n, sorted(triples), labels,
+        start = len(labels) - 1    # middle elements before this block
+        outer = [0, *range(start + 1, start + B.n - 1), n - 1][:B.n]   # [0] if B.n == 1
+        labels += [f"b{bi}:{B.labels[x]}" for x in range(1, B.n - 1)]
+        triples.update((outer[x], outer[y], outer[z]) for x, y, z in raw_triples(B))
+    return validate_axioms(n, sorted(triples), labels + ["1"],
                            meta={"construction": "horizontal_sum",
                                  "blocks": tuple(B.n for B in blocks)})
 

@@ -46,6 +46,7 @@ Table = tuple[tuple[Optional[int], ...], ...]
 T = TypeVar("T")
 
 GUARD_ELEMENTS = 4096   # most elements a table is built for: n^2 cells, 16.8M at the guard
+GUARD_ASSOCIATIVITY = 1 << 25   # most (a, b, c) the associativity scan may visit
 
 
 def guard_elements(n: int) -> None:
@@ -105,15 +106,6 @@ class FiniteEffectAlgebra:
     def __hash__(self):   # meta is unhashable; equal algebras have equal tables
         return hash(self.table)
 
-    def defined(self, i: int, j: int) -> bool:
-        return self.table[i][j] is not None
-
-    def sum(self, i: int, j: int) -> int:
-        k = self.table[i][j]
-        if k is None:
-            raise KeyError((i, j))
-        return k
-
     @cached_property
     def order(self) -> OrderData:
         return derive_order(self)
@@ -164,12 +156,13 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
     Each entry is an (i, j, k) sequence of ints in 0..n-1, read as i + j = k;
     ``labels``, when given, has one entry per element (ValueError otherwise).
     An n over ``GUARD_ELEMENTS`` raises ``GuardExceeded`` before the n x n
-    table is allocated.  Checks, in order: table shape, commutativity (i), the
-    unit law (iv), unique complements against index n-1 (iii), and partial
-    associativity (ii): for every triple, (a + b) + c is defined exactly when
-    a + (b + c) is, and then they are equal.  (ii) scans L = {(a, b, c) :
-    a + b and (a + b) + c defined}, where b + c and a + (b + c) must be
-    defined and equal to (a + b) + c.  That is enough: by (i), (c, b, a)
+    table is allocated, and an (ii) scan of more than ``GUARD_ASSOCIATIVITY``
+    triples before it starts.  Checks, in order: table shape, commutativity
+    (i), the unit law (iv), unique complements against index n-1 (iii), and
+    partial associativity (ii): for every triple, (a + b) + c is defined
+    exactly when a + (b + c) is, and then they are equal.  (ii) scans L =
+    {(a, b, c) : a + b and (a + b) + c defined}, where b + c and a + (b + c)
+    must be defined and equal to (a + b) + c.  That is enough: by (i), (c, b, a)
     fails exactly when (a, b, c) does, with the two associations swapped, and
     a failure has at least one side defined, so it or its mirror lies in L.
 
@@ -226,6 +219,9 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
     # (ii) on L, with defined_at[x] the columns where row x is defined; each
     # failure outside L is the mirror (c, b, a) of one inside it.
     defined_at = [[c for c, k in enumerate(row) if k is not None] for row in rows]
+    work = sum(len(defined_at[row[b]]) for row, cols in zip(rows, defined_at) for b in cols)
+    if work > GUARD_ASSOCIATIVITY:
+        raise GuardExceeded(f"associativity scan of {work} triples (guard {GUARD_ASSOCIATIVITY})")
     first = None
     for a, row_a in enumerate(rows):
         for b in defined_at[a]:

@@ -3,7 +3,7 @@
 Supported groups are Z^k and Q^k under the product, lexicographic, or strict
 order (strict: every coordinate strictly smaller, or the tuples are equal).
 Interval algebras [0, u] are kept lazy; product-ordered integer intervals can be
-materialized into finite tables.
+materialized into finite tables, as products of chains.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from itertools import product as iter_product
 from math import prod
 from typing import Callable, Optional, Sequence
 
-from .core import FiniteEffectAlgebra, guard_elements, validate_axioms
+from .catalog import _product, build_chain
+from .core import FiniteEffectAlgebra, guard_elements
 from .linalg import Vec
 from .operators import is_endomorphism, minimal_potency
 
@@ -86,7 +87,10 @@ def materialize(alg: IntervalAlgebra) -> FiniteEffectAlgebra:
     """Finite table for a product-ordered integer interval [0, u].
 
     Elements are the lattice points, ordered lexicographically (zero first, unit
-    last); a + b is defined iff the coordinatewise sum stays below u.
+    last); a + b is defined iff the coordinatewise sum stays below u.  So [0, u]
+    is the product of the chains [0, c] over the nonzero coordinates c of u
+    (Bennett & Foulis 1997), built by the catalog's one product construction;
+    a zero coordinate is constant, and u = 0 gives the one-element algebra.
     """
     if alg.spec.order != "product":
         raise ValueError("only product-ordered intervals materialize to finite tables")
@@ -95,17 +99,9 @@ def materialize(alg: IntervalAlgebra) -> FiniteEffectAlgebra:
     u = [int(c) for c in alg.unit]
     guard_elements(prod(c + 1 for c in u))
     points = list(iter_product(*[range(c + 1) for c in u]))
-    index = {p: i for i, p in enumerate(points)}
-    triples = []
-    for i, p in enumerate(points):
-        for j, q in enumerate(points):
-            s = tuple(a + b for a, b in zip(p, q))
-            if all(a <= b for a, b in zip(s, u)):
-                triples.append((i, j, index[s]))
     labels = ["(" + ",".join(str(c) for c in p) + ")" for p in points]
-    return validate_axioms(len(points), triples, labels,
-                           meta={"construction": "interval", "unit": tuple(u),
-                                 "coords": points})
+    return _product([build_chain(c) for c in u if c], labels,
+                    {"construction": "interval", "unit": tuple(u), "coords": points})
 
 
 def extremal_states(alg: IntervalAlgebra) -> list[Callable[[Sequence], Fraction]]:

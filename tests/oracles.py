@@ -7,13 +7,14 @@ and meet tables, the endomorphism test on every sum triple, the all-pairs
 strong-operator test, the meet-preservation test, the induced subalgebra on a
 map's image, the scans of the operator laws that hold by definition, the
 all-pairs ordering report, powers and the potency by repeated composition, the
-brute-force central-element test and the state polytope of a whole algebra
-run as one part."""
+brute-force central-element test, the state polytope of a whole algebra run
+as one part, and the catalog's Boolean algebras, products, po-group intervals
+and horizontal sums tabulated by a scan over every pair of elements."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
-from operator import mul
+from operator import add, le, mul
 
 from effectalg.core import GuardExceeded, raw_triples, validate_axioms
 from effectalg.operators import compose
@@ -282,9 +283,10 @@ def scan_interpolation(E):
 
 
 def dense_lattice_class(E):
-    """"lattice", "antilattice", "both" or "neither" from the join and meet
-    tables of ``updown_order``, every pair a < b asked for both: the reference
-    for ``structure.classify_lattice``."""
+    """"both" (a lattice and an antilattice, which is a chain), "lattice" or
+    "neither" from the join and meet tables of ``updown_order``, every pair
+    a < b asked for both: the reference for ``structure.classify_lattice``.
+    A proper antilattice, which no finite algebra is, fails an assertion."""
     leq, _sub, join, meet = updown_order(E)
     is_lattice = is_anti = True
     for a in range(E.n):
@@ -292,8 +294,8 @@ def dense_lattice_class(E):
             bounds = (join[a][b] is not None, meet[a][b] is not None)
             is_lattice = is_lattice and all(bounds)
             is_anti = is_anti and (leq[a][b] or leq[b][a] or not any(bounds))
-    return {(True, True): "both", (True, False): "lattice",
-            (False, True): "antilattice", (False, False): "neither"}[is_lattice, is_anti]
+    assert is_lattice or not is_anti, "a finite antilattice that is not a chain"
+    return "neither" if not is_lattice else "both" if is_anti else "lattice"
 
 
 def full_triple_endomorphism(E, mapping):
@@ -508,3 +510,73 @@ def whole_algebra_states(E):
     """Elimination and double description on all of E as one part, with no
     split into horizontal summands or central factors."""
     return _part_polytope(E)
+
+
+def pair_scan_boolean(k):
+    """2^k by testing every pair of bitmasks for disjointness: the reference
+    for ``catalog.build_boolean``."""
+    n = 1 << k
+    triples = [(a, b, a | b) for a in range(n) for b in range(n) if not a & b]
+    labels = ["{" + ",".join(str(i + 1) for i in range(k) if a >> i & 1) + "}"
+              for a in range(n)]
+    return validate_axioms(n, triples, labels,
+                           meta={"construction": "boolean", "k": k})
+
+
+def pair_scan_product(factors):
+    """The product by summing every pair of tuples coordinate by coordinate:
+    the reference for ``catalog.build_product``."""
+    tuples = list(product(*[range(F.n) for F in factors]))
+    index = {t: i for i, t in enumerate(tuples)}
+    triples = []
+    for a, ta in enumerate(tuples):
+        for b, tb in enumerate(tuples):
+            parts = tuple(F.table[x][y] for F, x, y in zip(factors, ta, tb))
+            if None not in parts:
+                triples.append((a, b, index[parts]))
+    labels = ["(" + ",".join(F.labels[x] for F, x in zip(factors, t)) + ")"
+              for t in tuples]
+    return validate_axioms(len(tuples), triples, labels,
+                           meta={"construction": "product", "tuples": tuples,
+                                 "factor_sizes": tuple(F.n for F in factors)})
+
+
+def pair_scan_interval(u):
+    """[0, u] in Z^k under the product order, by adding every pair of lattice
+    points and comparing the sum with u: the reference for
+    ``pogroup.materialize``."""
+    points = list(product(*[range(c + 1) for c in u]))
+    index = {p: i for i, p in enumerate(points)}
+    triples = []
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            s = tuple(map(add, p, q))
+            if all(map(le, s, u)):
+                triples.append((i, j, index[s]))
+    labels = ["(" + ",".join(str(c) for c in p) + ")" for p in points]
+    return validate_axioms(len(points), triples, labels,
+                           meta={"construction": "interval", "unit": tuple(u),
+                                 "coords": points})
+
+
+def indexed_horizontal_sum(blocks):
+    """The horizontal sum with each middle element found by its (block, index)
+    pair in one list: the reference for ``catalog.horizontal_sum``."""
+    owners = [(bi, x) for bi, B in enumerate(blocks) for x in range(1, B.n - 1)]
+    n = len(owners) + 2
+
+    def outer(bi, x):
+        if x == 0:
+            return 0
+        if x == blocks[bi].n - 1:
+            return n - 1
+        return owners.index((bi, x)) + 1
+
+    triples = {(0, a, a) for a in range(n)} | {(a, 0, a) for a in range(n)}
+    for bi, B in enumerate(blocks):
+        triples.update((outer(bi, x), outer(bi, y), outer(bi, z))
+                       for x, y, z in raw_triples(B))
+    labels = ["0"] + [f"b{bi}:{blocks[bi].labels[x]}" for bi, x in owners] + ["1"]
+    return validate_axioms(n, sorted(triples), labels,
+                           meta={"construction": "horizontal_sum",
+                                 "blocks": tuple(B.n for B in blocks)})

@@ -4,13 +4,16 @@ import pytest
 
 from effectalg.catalog import (CatalogSpec, build_boolean, build_catalog, build_chain,
                                build_even_subsets, build_product, horizontal_sum)
-from effectalg.core import is_isomorphic
+from effectalg.core import is_isomorphic, validate_axioms
+from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
+from oracles import (indexed_horizontal_sum, pair_scan_boolean, pair_scan_interval,
+                     pair_scan_product)
 
 
 def test_chain2_shape():
     E = build_chain(2)
     assert E.n == 3
-    assert E.sum(1, 1) == 2            # v + v = 1
+    assert E.table[1][1] == 2          # v + v = 1
     assert E.labels == ("0", "1/2", "1")
 
 
@@ -33,15 +36,15 @@ def test_product_sum_is_coordinatewise():
     E = build_product([build_chain(2), build_chain(3)])
     tuples = E.meta["tuples"]
     index = {t: i for i, t in enumerate(tuples)}
-    assert E.sum(index[(1, 1)], index[(1, 2)]) == index[(2, 3)]
-    assert not E.defined(index[(2, 1)], index[(1, 0)])
+    assert E.table[index[(1, 1)]][index[(1, 2)]] == index[(2, 3)]
+    assert E.table[index[(2, 1)]][index[(1, 0)]] is None
 
 
 def test_boolean_sum_is_disjoint_union():
     E = build_boolean(3)
-    assert E.defined(0b001, 0b110)
-    assert E.sum(0b001, 0b110) == 0b111
-    assert not E.defined(0b011, 0b110)
+    assert E.table[0b001][0b110] is not None
+    assert E.table[0b001][0b110] == 0b111
+    assert E.table[0b011][0b110] is None
 
 
 def test_catalog_spec_from_dict():
@@ -60,5 +63,28 @@ def test_horizontal_sum_blocks_do_not_mix():
     E = horizontal_sum([build_chain(2), build_chain(2)])
     assert E.n == 4
     v, w = 1, 2
-    assert E.sum(v, v) == E.n - 1 and E.sum(w, w) == E.n - 1
-    assert not E.defined(v, w)
+    assert E.table[v][v] == E.n - 1 and E.table[w][w] == E.n - 1
+    assert E.table[v][w] is None
+
+
+def test_builders_equal_their_pair_scans():
+    """Each builder equals its pair-scan oracle as a dataclass: table, triples
+    in order, complements, labels and meta.  The intervals include units with
+    zero coordinates, and the horizontal sums a one-element block."""
+    for k in range(1, 9):
+        assert build_boolean(k) == pair_scan_boolean(k), k
+    c = {n: build_chain(n) for n in range(1, 5)}
+    products = [[c[1]], [c[1], c[1]], [c[2], c[3]], [c[1], c[2], c[1]], [c[4]] * 3,
+                [build_boolean(2), c[2]], [build_even_subsets(4), c[1]]]
+    for factors in products:
+        assert build_product(factors) == pair_scan_product(factors), factors
+    for chains in [(2,), (2, 3), (1, 4, 2)]:
+        E = build_catalog(CatalogSpec("mv_product", chains=chains))
+        assert E == pair_scan_product([c[n] for n in chains]), chains
+    for u in [(1,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 2), (0, 1), (0,), (0, 0)]:
+        E = materialize(IntervalAlgebra(PoGroupSpec(len(u), "Z", "product"), u))
+        assert E == pair_scan_interval(u), u
+    point = validate_axioms(1, [(0, 0, 0)])
+    for blocks in [[build_boolean(3)], [c[1]] * 3, [c[2], build_boolean(2), c[1]],
+                   [build_even_subsets(4), c[3], point, build_product([c[1], c[2]])]]:
+        assert horizontal_sum(blocks) == indexed_horizontal_sum(blocks), blocks

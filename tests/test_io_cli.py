@@ -7,7 +7,7 @@ import pytest
 
 from effectalg.catalog import build_boolean, build_chain, horizontal_sum
 from effectalg.cli import main
-from effectalg.core import GUARD_ELEMENTS
+from effectalg.core import GUARD_ASSOCIATIVITY, GUARD_ELEMENTS
 from effectalg.io import polytope_to_dict, structure_from_dict, structure_to_dict
 from effectalg.states import GUARD_VERTICES, StatePolytope
 from tables import greechie_chain, sums_dict
@@ -199,13 +199,16 @@ def test_cli_free_dimension_guard_exits_2(tmp_path, capsys):
     ({"catalog": {"kind": "even_subsets", "m": 14}}, 2),
     ({"catalog": {"kind": "mv_product", "chains": [64, 64]}}, 2),
     ({"n": 4096, "sums": []}, 1),
+    ({"catalog": {"kind": "chain", "n": 1024}}, 2),
 ])
 def test_cli_element_guard_exits_2_before_building(data, code, tmp_path, capsys):
     """An algebra of more than ``GUARD_ELEMENTS`` elements is refused before
     its n x n table is allocated or its pairs are listed.  A raw table of
     exactly that many elements is still built and checked: this one has no
-    complements, so it fails axiom (iii)."""
-    assert GUARD_ELEMENTS == 4096
+    complements, so it fails axiom (iii).  chain(1024) is under the element
+    guard, but its associativity scan of about 1.8e8 triples is over
+    ``GUARD_ASSOCIATIVITY``, and is refused before it starts."""
+    assert (GUARD_ELEMENTS, GUARD_ASSOCIATIVITY) == (4096, 1 << 25)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
     with Budget("element guard", 5.0):

@@ -318,7 +318,7 @@ def law_report_counts(algebras):
                 "faithful_fixed_or_incomparable": faithful,
                 "faithful_implies_strong": faithful,
                 "linear_faithful_identity": faithful and lattice == "both",
-                "antilattice_preserves_joins_meets": lattice in ("antilattice", "both"),
+                "antilattice_preserves_joins_meets": lattice == "both",
             })
             for law, scan in LAW_SCANS.items():
                 if applies[law]:
@@ -369,9 +369,9 @@ def test_definitional_laws_on_algebras_that_are_not_lattices():
 
 
 def test_finite_antilattices_are_chains():
-    """A finite algebra is never a proper antilattice: ``classify_lattice``
-    never reads "antilattice", here on the A05 population, the non-lattices
-    above and even_subsets(6), each against the dense oracle."""
+    """A finite algebra is never a proper antilattice: the dense oracle, which
+    fails an assertion on one, agrees with ``classify_lattice`` on the A05
+    population, the non-lattices above and even_subsets(6)."""
     algebras = [E for _name, E in operator_population()]
     algebras += [*not_lattices().values(), build_even_subsets(6)]
     classes = Counter()

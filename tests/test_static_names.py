@@ -115,16 +115,29 @@ def test_detector_counts_reads_in_annotations_attributes_and_nested_scopes():
     assert unused_imports(source, "probe.py") == []
 
 
+def against_allow_list(found, kept: set) -> tuple[list, list]:
+    """(entries of ``found`` that ``kept`` does not list, entries of ``kept``
+    that are not found): what to mend, and what the allow-list keeps stale."""
+    return sorted(set(found) - kept), sorted(kept - set(found))
+
+
+def test_allow_list_check_reports_unlisted_and_stale_entries():
+    source = "import os\nimport sys\nfrom math import gcd\n\ndef f():\n    return os.sep\n"
+    found = [("probe.py", name) for name in unused_imports(source, "probe.py")]
+    kept = {("probe.py", "sys"), ("probe.py", "os")}
+    assert against_allow_list(found, kept) == ([("probe.py", "gcd")], [("probe.py", "os")])
+    package = {"a.py": "def f():\n    return 0\n\ndef g():\n    return f()\n"}
+    assert against_allow_list(unread_definitions(package, []), {("a.py", "f")}) == (
+        [("a.py", "g")], [("a.py", "f")])
+
+
 def test_package_modules_read_every_import():
-    problems = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":     # re-exports
-            continue
-        found = [name for name in unused_imports(path.read_text(), str(path))
-                 if (path.name, name) not in KEPT_IMPORTS]
-        if found:
-            problems[path.name] = found
-    assert problems == {}
+    """Every module-level import is read by its module, except those that
+    ``KEPT_IMPORTS`` lists, and each of those is in fact unread."""
+    found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"      # re-exports
+             for name in unused_imports(path.read_text(), str(path))]
+    assert against_allow_list(found, KEPT_IMPORTS) == ([], [])
 
 
 def imported_modules(source: str, filename: str) -> set[str]:
@@ -308,11 +321,11 @@ def test_package_definitions_are_read_elsewhere():
     """Every module-level function and class of the package, and every method
     and property of those classes, is read by another part of it
     (``__init__.py``'s re-exports do not count) or by the benchmark's own
-    modules, which import and trace public functions and methods."""
+    modules, which import and trace public functions and methods.  Each entry
+    of ``KEPT_DEFINITIONS`` is in fact unread."""
     package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"}
     outside = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))
                if not path.name.startswith("test_")]
     assert outside
-    found = [d for d in unread_definitions(package, outside) if d not in KEPT_DEFINITIONS]
-    assert found == []
+    assert against_allow_list(unread_definitions(package, outside), KEPT_DEFINITIONS) == ([], [])
