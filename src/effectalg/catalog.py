@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from typing import Optional
 
-from .core import FiniteEffectAlgebra, guard_elements, raw_triples, validate_axioms
+from .core import (FiniteEffectAlgebra, guard_associativity, guard_elements, raw_triples,
+                   validate_axioms)
 
 
 SIZE_KEYS = {"boolean": "k", "chain": "n", "even_subsets": "m"}
@@ -79,10 +80,12 @@ def build_boolean(k: int) -> FiniteEffectAlgebra:
 
 
 def build_chain(n: int) -> FiniteEffectAlgebra:
-    """The chain 0 < 1/n < ... < 1 with a + b defined iff a + b <= 1."""
+    """The chain 0 < 1/n < ... < 1 with a + b defined iff a + b <= 1.  Its (ii)
+    scan, the C(n + 3, 3) triples a + b + c <= n, is guarded before any pair is listed."""
     if n < 1:
         raise ValueError("chain needs n >= 1")
     guard_elements(n + 1)
+    guard_associativity(comb(n + 3, 3))
     triples = [(i, j, i + j) for i in range(n + 1) for j in range(n + 1) if i + j <= n]
     labels = [str(Fraction(i, n)) for i in range(n + 1)]
     return validate_axioms(n + 1, triples, labels, meta={"construction": "chain", "n": n})

@@ -7,7 +7,9 @@ undefined) plus the list of its defined sums; only ``validate_axioms`` builds it
 Asymmetric input is rejected rather than repaired so that corrupted tables fail
 loudly.  Associativity is checked only on the triples whose left association
 (a + b) + c is defined, |L| work rather than n^3: once the table is symmetric,
-every failing triple (a, b, c) or its mirror (c, b, a) is one of them.
+every failing triple (a, b, c) or its mirror (c, b, a) is one of them.  The
+order is stored in two forms: one pair is read from the subtraction table, a
+<= b iff ``sub[b][a]`` is defined, and sets from the down-set bitmasks ``down``.
 """
 
 from __future__ import annotations
@@ -56,18 +58,25 @@ def guard_elements(n: int) -> None:
         raise GuardExceeded(f"{n} elements (guard {GUARD_ELEMENTS})")
 
 
+def guard_associativity(work: int) -> None:
+    """Raise ``GuardExceeded`` before a (ii) scan of over ``GUARD_ASSOCIATIVITY`` triples."""
+    if work > GUARD_ASSOCIATIVITY:
+        raise GuardExceeded(f"associativity scan of {work} triples (guard {GUARD_ASSOCIATIVITY})")
+
+
 @dataclass(frozen=True)
 class OrderData:
     """Derived order-theoretic structure of a validated algebra.
 
-    ``meet`` is the one lattice table.  The complement is an order-reversing
-    involution, so a v b exists exactly when a' ^ b' does, and then
-    a v b = (a' ^ b')'; ``join`` is that De Morgan view, built on first read.
-    ``complements`` is the algebra's own tuple, not a copy.
+    The order has two forms: a <= b iff ``sub[b][a]`` is defined, for one pair,
+    and iff bit a of ``down[b]`` is set, for sets.  ``meet`` is the one lattice
+    table.  The complement is an order-reversing involution, so a v b exists
+    exactly when a' ^ b' does, and then a v b = (a' ^ b')'; ``join`` is that De
+    Morgan view, built on first read.  ``complements`` is the algebra's own tuple.
     """
 
-    leq: tuple[tuple[bool, ...], ...]        # leq[a][b] iff a <= b
     sub: Table                               # sub[b][a] = b - a for a <= b, else None
+    down: tuple[int, ...]                    # bit a of down[b] iff a <= b
     meet: Table
     complements: tuple[int, ...]
 
@@ -132,7 +141,8 @@ class FiniteEffectAlgebra:
         return verdicts[check]
 
     def leq(self, a: int, b: int) -> bool:
-        return self.order.leq[a][b]
+        """a <= b, read from ``order.sub`` for one pair; sets read ``order.down``."""
+        return self.order.sub[b][a] is not None
 
     def complement(self, a: int) -> int:
         return self.complements[a]
@@ -219,9 +229,8 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
     # (ii) on L, with defined_at[x] the columns where row x is defined; each
     # failure outside L is the mirror (c, b, a) of one inside it.
     defined_at = [[c for c, k in enumerate(row) if k is not None] for row in rows]
-    work = sum(len(defined_at[row[b]]) for row, cols in zip(rows, defined_at) for b in cols)
-    if work > GUARD_ASSOCIATIVITY:
-        raise GuardExceeded(f"associativity scan of {work} triples (guard {GUARD_ASSOCIATIVITY})")
+    guard_associativity(sum(len(defined_at[row[b]])
+                            for row, cols in zip(rows, defined_at) for b in cols))
     first = None
     for a, row_a in enumerate(rows):
         for b in defined_at[a]:
@@ -263,7 +272,7 @@ def raw_triples(E: FiniteEffectAlgebra) -> list[tuple[int, int, int]]:
 
 
 def derive_order(E: FiniteEffectAlgebra) -> OrderData:
-    """Derived order, subtraction and the meet table, in one pass over the triples.
+    """Subtraction, down-sets and the meet table, in one pass over the triples.
 
     a <= b iff a + c = b for some c.  ``validate_axioms`` has established the
     axioms, so this is a partial order with bottom 0 and top 1 and every
@@ -272,25 +281,23 @@ def derive_order(E: FiniteEffectAlgebra) -> OrderData:
     triangle and mirrored.  No join table is built: a v b = (a' ^ b')'.
     """
     n = E.n
-    leq = [[False] * n for _ in range(n)]
     sub = [[None] * n for _ in range(n)]
     down = [0] * n
     bit = [1 << a for a in range(n)]
     for a, c, b in E.triples:
-        leq[a][b] = leq[c][b] = True
         row = sub[b]
         row[a] = c
         row[c] = a
         down[b] |= bit[a] | bit[c]
     # Freed before the meet rows, the lists add nothing to the collections those trigger.
-    leq, sub = tuple(map(tuple, leq)), tuple(map(tuple, sub))
+    sub = tuple(map(tuple, sub))
 
     get = {mask: a for a, mask in enumerate(down)}.get
     meet: list[tuple[Optional[int], ...]] = []
     for a, mask in enumerate(down):
         meet.append((*map(itemgetter(a), meet),
                      *map(get, map(mask.__and__, islice(down, a, None)))))
-    return OrderData(leq=leq, sub=sub, meet=tuple(meet), complements=E.complements)
+    return OrderData(sub=sub, down=tuple(down), meet=tuple(meet), complements=E.complements)
 
 
 def search_schedule(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> list[tuple]:
@@ -305,12 +312,12 @@ def search_schedule(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> list[tu
     only ever be a check that never fails; none is scheduled.
     """
     n = E1.n
-    table, sub, leq = E2.table, E2.order.sub, E1.order.leq
+    table, sub, down = E2.table, E2.order.sub, E1.order.down
     watch: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for t in ((0, n - 1, n - 1), *E1.nonzero_triples):
         for e in set(t):
             watch[e].append(t)
-    order = sorted(range(n), key=lambda a: (sum(leq[b][a] for b in range(n)), a))
+    order = sorted(range(n), key=lambda a: (down[a].bit_count(), a))
     known = [False] * n
     spent: set[tuple[int, int, int]] = set()      # triples already scheduled
     levels = []

@@ -24,7 +24,6 @@ class MvStructure:
     base: FiniteEffectAlgebra
     oplus: tuple[tuple[int, ...], ...]
     odot: tuple[tuple[int, ...], ...]
-    ominus: tuple[tuple[int, ...], ...]
     star: tuple[int, ...]
 
 
@@ -43,21 +42,19 @@ def mv_operations(E: FiniteEffectAlgebra) -> MvStructure:
     meet = E.order.meet
     oplus = [[row[meet[y][star[x]]] for y in range(n)] for x, row in enumerate(E.table)]
     odot = [[star[oplus[star[x]][star[y]]] for y in range(n)] for x in range(n)]
-    ominus = [[odot[x][star[y]] for y in range(n)] for x in range(n)]
     return MvStructure(base=E,
                        oplus=tuple(tuple(r) for r in oplus),
                        odot=tuple(tuple(r) for r in odot),
-                       ominus=tuple(tuple(r) for r in ominus),
                        star=tuple(star))
 
 
 def derived_sum_matches(A: MvStructure):
     """The partial sum recovered from (+) (defined iff x <= y*) equals the table."""
     E = A.base
-    leq = E.order.leq
+    sub = E.order.sub
     for x in range(E.n):
         for y in range(E.n):
-            derived_defined = leq[x][A.star[y]]
+            derived_defined = sub[A.star[y]][x] is not None
             actual = E.table[x][y]
             if derived_defined != (actual is not None):
                 return False, (x, y)

@@ -79,9 +79,6 @@ class IntervalAlgebra:
         v = self.spec.element(x)
         return group_leq(self.spec, self.zero, v) and group_leq(self.spec, v, self.unit)
 
-    def complement(self, x: Sequence) -> Vec:
-        return tuple(u - p for u, p in zip(self.unit, self.spec.element(x)))
-
 
 def materialize(alg: IntervalAlgebra) -> FiniteEffectAlgebra:
     """Finite table for a product-ordered integer interval [0, u].
@@ -157,8 +154,7 @@ class ExtensionReport:
     potency: Optional[int]        # the minimal potency of the table map
 
 
-def extend_endomorphism(alg: IntervalAlgebra, E: FiniteEffectAlgebra,
-                        mapping: Sequence[int]) -> ExtensionReport:
+def extend_endomorphism(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> ExtensionReport:
     """Extend an endomorphism of the materialized interval [0, u] to a matrix.
 
     The matrix columns are the images of the standard generators, all inside

@@ -29,7 +29,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm, prod
-from operator import add, and_, ge, itemgetter, mul
+from operator import add, and_, itemgetter, le, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import FiniteEffectAlgebra, GuardExceeded
@@ -176,11 +176,11 @@ def _split_polytope(E: FiniteEffectAlgebra, members: Sequence[int],
             local = {x: i for i, x in enumerate(members)}
             E = _Part(len(members), [(local[i], local[j], local[k]) for i, j, k in triples])
         return _part_polytope(E)
-    leq = E.order.leq
     factors = []
     for a in (c, sub_u[c]):
-        m = [0, *(x for x in members[1:-1] if x != a and leq[x][a]), a]
-        P = _split_polytope(E, m, [t for t in triples if leq[t[2]][a]])
+        below = E.order.down[a]
+        m = [0, *(x for x in members[1:-1] if x != a and below >> x & 1), a]
+        P = _split_polytope(E, m, [t for t in triples if below >> t[2] & 1])
         if P is None or P.empty:
             return None
         factors.append((a, m, P))
@@ -331,37 +331,36 @@ class OrderingReport:
 
 
 def _first_pair(masks: Sequence[int]) -> Optional[tuple]:
-    """The first (a, b) in row-major order with bit b set in ``masks[a]``, or None."""
-    return next(((a, (m & -m).bit_length() - 1) for a, m in enumerate(masks) if m), None)
+    """The least (a, b) with bit a set in ``masks[b]``, first in row-major order, or None."""
+    return min((((m & -m).bit_length() - 1, b) for b, m in enumerate(masks) if m), default=None)
 
 
-def _order_report(states: Sequence[tuple], leq: Sequence[Sequence[bool]]) -> OrderingReport:
+def _order_report(states: Sequence[tuple], down: Sequence[int]) -> OrderingReport:
     """Order determination and separation from each state's values, on bitmasks.
 
-    ``states[s][a]`` is element a's value at state s; ``leq[a][b]`` is the order
-    on element indices.  At each state, element a gets the mask of the elements
-    whose value is at least its own; ANDed over the states, these are the
-    statewise up-sets.  Each one against its ``leq`` row gives order
+    ``states[s][a]`` is element a's value at state s; bit a of ``down[b]`` is
+    set iff a <= b.  At each state, element b gets the mask of the elements
+    whose value is at most its own; ANDed over the states, these are the
+    statewise down-sets.  Each one against ``down[b]`` gives order
     determination and its first witness in row-major order; a and b have equal
-    values where each lies in the other's up-set.  A pair ordered in the algebra
-    but not by some state means the "states" are not states, so it raises.
+    values where each lies in the other's down-set.  A pair ordered in the
+    algebra but not by some state means the "states" are not states, so it raises.
     """
-    bits = [1 << a for a in range(len(leq))]
+    bits = [1 << a for a in range(len(down))]
     every = sum(bits)
-    up = [every] * len(bits)
+    below = [every] * len(bits)
     for vals in states:
-        low = min(vals, default=None)           # every element is at least the least
-        at_least = {x: sum(compress(bits, map(ge, vals, repeat(x))))
-                    for x in set(vals) if x != low}
-        at_least[low] = every
-        up = list(map(and_, up, map(at_least.__getitem__, vals)))
-    rows = [sum(compress(bits, row)) for row in leq]
-    bad = _first_pair([r & ~u for r, u in zip(rows, up)])
+        high = max(vals, default=None)          # every element is at most the greatest
+        at_most = {x: sum(compress(bits, map(le, vals, repeat(x))))
+                   for x in set(vals) if x != high}
+        at_most[high] = every
+        below = list(map(and_, below, map(at_most.__getitem__, vals)))
+    bad = _first_pair([d & ~s for d, s in zip(down, below)])
     if bad:
         raise AssertionError(f"states fail monotonicity at {bad}")
-    od_w = _first_pair([u & ~r for u, r in zip(up, rows)])
-    sep_w = next(((a, b) for a, u in enumerate(up) for b in range(a + 1, len(up))
-                  if u >> b & 1 and up[b] >> a & 1), None)
+    od_w = _first_pair([s & ~d for s, d in zip(below, down)])
+    sep_w = next(((a, b) for a, s in enumerate(below) for b in range(a + 1, len(below))
+                  if s >> b & 1 and below[b] >> a & 1), None)
     return OrderingReport(order_determining=od_w is None, separating=sep_w is None,
                           od_witness=od_w, sep_witness=sep_w)
 
@@ -373,10 +372,10 @@ def is_order_determining(E: FiniteEffectAlgebra, P: StatePolytope) -> OrderingRe
     the weaker separation property (equal under all states implies equal), which
     order determination implies: equal value vectors give a <= b <= a, so a = b.
     This is the one test of whether a |-> a-hat is an order embedding.  Each
-    vertex of ``P.int_vertices`` is one state's values, read against the rows of
-    ``E.order.leq``: scaling by ``P.scale`` keeps every comparison.
+    vertex of ``P.int_vertices`` is one state's values, read against the
+    down-sets ``E.order.down``: scaling by ``P.scale`` keeps every comparison.
     """
-    return _order_report(P.int_vertices, E.order.leq)
+    return _order_report(P.int_vertices, E.order.down)
 
 
 def sampled_order_report(elements: Sequence, state_fns: Sequence[Callable],
@@ -385,11 +384,11 @@ def sampled_order_report(elements: Sequence, state_fns: Sequence[Callable],
 
     Used for interval algebras that cannot be materialized; ``elements`` are
     ambient values, ``state_fns`` evaluate states on them, ``leq_fn`` is the
-    ambient order, tabulated on every ordered pair for the bitmask report of
+    ambient order, tabulated as down-sets for the bitmask report of
     ``is_order_determining``.  Witnesses are index pairs into ``elements``.
     """
-    states = [tuple(map(s, elements)) for s in state_fns]
-    return _order_report(states, [[leq_fn(x, y) for y in elements] for x in elements])
+    down = [sum(1 << a for a, x in enumerate(elements) if leq_fn(x, y)) for y in elements]
+    return _order_report([tuple(map(s, elements)) for s in state_fns], down)
 
 
 def discrete_profile(vec: Sequence[Fraction]) -> int:

@@ -5,23 +5,20 @@ from __future__ import annotations
 from .core import FiniteEffectAlgebra, GuardExceeded
 
 
-def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int, y2: int):
-    """A 2x2 refinement of x1 + x2 = y1 + y2, or None.
+def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int):
+    """A 2x2 refinement of x1 + x2 = y1 + y2, or None; y2 itself is not needed.
 
     A cell c11 <= x1, y1 with y1 - c11 <= x2 closes the square by subtraction
     (c12 + c22 = y2 by associativity and cancellation).  Any such c11 is below
     m = x1 ^ y1 and y1 - m <= y1 - c11 <= x2, subtraction being antitone in
     what is subtracted: m alone decides if it exists, else every c11 is tried.
     """
-    leq = E.order.leq
     sub = E.order.sub
     m = E.order.meet[x1][y1]
     for c11 in range(E.n) if m is None else (m,):
-        if not (leq[c11][x1] and leq[c11][y1]):
-            continue
-        c21 = sub[y1][c11]
-        if leq[c21][x2]:
-            return (c11, sub[x1][c11], c21, sub[x2][c21])
+        c12, c21 = sub[x1][c11], sub[y1][c11]
+        if c12 is not None and c21 is not None and sub[x2][c21] is not None:
+            return (c11, c12, c21, sub[x2][c21])
     return None
 
 
@@ -35,7 +32,7 @@ def check_rdp(E: FiniteEffectAlgebra):
     does, and p = q refines by c11 = x1, so the first failure has p < q.
     The verdict depends on E alone; per-map code reads it through ``E.verdict``.
     """
-    leq, sub, meet = E.order.leq, E.order.sub, E.order.meet
+    sub, meet = E.order.sub, E.order.meet
     by_sum: dict[int, list[tuple[int, int]]] = {}
     for i, j, k in E.triples:
         by_sum.setdefault(k, []).append((i, j))
@@ -44,8 +41,8 @@ def check_rdp(E: FiniteEffectAlgebra):
             meet_x1 = meet[x1]
             for y1, y2 in pairs[a + 1:]:
                 m = meet_x1[y1]
-                if (not leq[sub[y1][m]][x2] if m is not None
-                        else refine_quadruple(E, x1, x2, y1, y2) is None):
+                if (sub[x2][sub[y1][m]] is None if m is not None
+                        else refine_quadruple(E, x1, x2, y1) is None):
                     return False, (x1, x2, y1, y2)
     return True, None
 
@@ -56,7 +53,7 @@ def verify_rdp_witness(E: FiniteEffectAlgebra, witness: tuple) -> bool:
     s = E.table[x1][x2]
     if s is None or E.table[y1][y2] != s:
         return False
-    return refine_quadruple(E, x1, x2, y1, y2) is None
+    return refine_quadruple(E, x1, x2, y1) is None
 
 
 def check_interpolation(E: FiniteEffectAlgebra):
@@ -71,17 +68,17 @@ def check_interpolation(E: FiniteEffectAlgebra):
     no least element; were every two of them above a third, this finite set
     would be directed downward and have one.  So the first failing pair is the
     first one without a join, read through the meet as x1' ^ x2', and only its
-    upper bounds are scanned for the witness.
+    upper bounds, ``bounds``, are scanned for the witness on down-sets.
     """
-    n, c, leq, meet = E.n, E.complements, E.order.leq, E.order.meet
+    n, c, down, meet = E.n, E.complements, E.order.down, E.order.meet
     for x1 in range(n):
         row = meet[c[x1]]
         for x2 in range(x1, n):
             if row[c[x2]] is None:
-                ys = [y for y in range(n) if leq[x1][y] and leq[x2][y]]
-                down = {y: sum(1 << z for z in ys if leq[z][y]) for y in ys}
+                ys = [y for y in range(n) if down[y] >> x1 & down[y] >> x2 & 1]
+                bounds = sum(1 << y for y in ys)
                 return False, next((x1, x2, y1, y2) for i, y1 in enumerate(ys)
-                                   for y2 in ys[i:] if not down[y1] & down[y2])
+                                   for y2 in ys[i:] if not down[y1] & down[y2] & bounds)
     return True, None
 
 
@@ -95,11 +92,15 @@ def classify_lattice(E: FiniteEffectAlgebra) -> str:
     meet have two maximal elements, an incomparable pair with strictly fewer
     common lower bounds, and this descent ends at a pair with a meet.  The
     class depends on E alone; per-map code reads it through ``E.verdict``.
+
+    E is a chain iff its n down-sets have n distinct sizes: a chain's are
+    nested.  Conversely, the sizes are then exactly 1..n.  The k - 1 elements
+    below the one of size k have proper, so smaller, down-sets: they are all
+    those of sizes 1..k - 1.  So any two elements are comparable.
     """
-    n, leq, meet = E.n, E.order.leq, E.order.meet
-    if any(None in row for row in meet):
+    if any(None in row for row in E.order.meet):
         return "neither"
-    chain = all(leq[a][b] or leq[b][a] for a in range(n) for b in range(a + 1, n))
+    chain = len({d.bit_count() for d in E.order.down}) == E.n
     return "both" if chain else "lattice"
 
 
@@ -111,13 +112,13 @@ def enumerate_ideals(E: FiniteEffectAlgebra, guard_elements: int = 16):
     n = E.n
     if n > guard_elements:
         raise GuardExceeded(f"ideal enumeration guarded at {guard_elements} elements")
-    leq = E.order.leq
+    down = E.order.down
     ideals = []
     for mask in range(1, 1 << n):
         if not mask & 1:  # 0 belongs to every ideal
             continue
         members = [a for a in range(n) if mask >> a & 1]
-        if not all(not leq[b][a] or mask >> b & 1 for a in members for b in range(n)):
+        if any(down[a] & ~mask for a in members):
             continue
         sums = (E.table[a][b] for a in members for b in members)
         if all(k is None or mask >> k & 1 for k in sums):
@@ -127,18 +128,16 @@ def enumerate_ideals(E: FiniteEffectAlgebra, guard_elements: int = 16):
 
 def is_riesz_ideal(E: FiniteEffectAlgebra, ideal) -> bool:
     """x in I with x <= a + b must split as x = a1 + b1, a1, b1 in I, a1 <= a, b1 <= b."""
-    leq = E.order.leq
     sub = E.order.sub
     iset = set(ideal)
     for x in ideal:
         for a, b, top in E.triples:
-            if not leq[x][top]:
+            if sub[top][x] is None:
                 continue
             for a1 in ideal:
-                if leq[a1][x] and leq[a1][a]:
-                    b1 = sub[x][a1]
-                    if b1 in iset and leq[b1][b]:
-                        break
+                b1 = sub[x][a1]                  # x - a1; None, no member, unless a1 <= x
+                if b1 in iset and sub[a][a1] is not None and sub[b][b1] is not None:
+                    break
             else:
                 return False
     return True

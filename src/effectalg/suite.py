@@ -292,21 +292,19 @@ def check_extension_matrices() -> CheckResult:
     the first-coordinate repeat extend to the swap and projection matrices."""
     details = {}
     for u in [(1, 1), (2, 1)]:
-        alg = IntervalAlgebra(PoGroupSpec(2, "Z", "product"), u)
-        E = materialize(alg)
-        reports = [extend_endomorphism(alg, E, m) for m in enumerate_endomorphisms(E)
+        E = materialize(IntervalAlgebra(PoGroupSpec(2, "Z", "product"), u))
+        reports = [extend_endomorphism(E, m) for m in enumerate_endomorphisms(E)
                    if minimal_potency(m) is not None]
         details[str(u)] = {"extended": len(reports)}
-    alg11 = IntervalAlgebra(PoGroupSpec(2, "Z", "product"), (1, 1))
-    E11 = materialize(alg11)
+    E11 = materialize(IntervalAlgebra(PoGroupSpec(2, "Z", "product"), (1, 1)))
     coords = E11.meta["coords"]
     index = {c: i for i, c in enumerate(coords)}
     swap = tuple(index[(b, a)] for (a, b) in coords)
     repeat = tuple(index[(a, a)] for (a, b) in coords)
-    rep_swap = extend_endomorphism(alg11, E11, swap)
-    rep_repeat = extend_endomorphism(alg11, E11, repeat)
+    rep_swap = extend_endomorphism(E11, swap)
+    rep_repeat = extend_endomorphism(E11, repeat)
     ident = tuple(range(E11.n))
-    rep_id = extend_endomorphism(alg11, E11, ident)
+    rep_id = extend_endomorphism(E11, ident)
     passed = rep_swap.matrix == ((0, 1), (1, 0)) and rep_swap.potency == 3
     passed = passed and rep_repeat.matrix == ((1, 0), (1, 0)) and rep_repeat.potency == 2
     passed = passed and rep_id.matrix == ((1, 0), (0, 1))

@@ -20,6 +20,7 @@ from effectalg.core import GuardExceeded, raw_triples, validate_axioms
 from effectalg.operators import compose
 from effectalg.states import OrderingReport, _part_polytope
 from effectalg.structure import check_rdp
+from tables import leq_table
 
 
 def induced_state_self_map(g, w):
@@ -60,7 +61,7 @@ def rdp_splitting(E):
     x1 <= y1 and x - x1 <= y2.  Returns (holds, (x, y1, y2) or None); the
     reference formulation for ``structure.check_rdp``.
     """
-    leq = E.order.leq
+    leq = leq_table(E)
     sub = E.order.sub
     for y1, y2, top in E.triples:
         for x in range(E.n):
@@ -81,7 +82,7 @@ def full_scan_rdp(E):
     Returns (holds, first unrefinable quadruple or None); the reference for the
     witness of ``structure.check_rdp``.
     """
-    leq = E.order.leq
+    leq = leq_table(E)
     sub = E.order.sub
     by_sum = {}
     for i, j, k in E.triples:
@@ -232,9 +233,10 @@ def mat_mul(a, b):
 
 
 def updown_order(E):
-    """``(leq, sub, join, meet)`` of a validated algebra as dense tuples: the
-    order and subtraction from the triples, then x = a v b iff the up-set of x
-    is exactly the common up-set of a and b, and meets dually with down-sets.
+    """``(down, sub, join, meet)`` of a validated algebra as dense tuples: the
+    order and subtraction from the triples, the down-set bitmasks (bit a of
+    ``down[b]`` iff a <= b), then x = a v b iff the up-set of x is exactly the
+    common up-set of a and b, and meets dually with down-sets.
     The n^2-scan reference for ``core.derive_order`` and ``OrderData.join``.
     """
     n = E.n
@@ -250,7 +252,7 @@ def updown_order(E):
     by_down = {mask: a for a, mask in enumerate(down)}
     join = [[by_up.get(up[a] & up[b]) for b in range(n)] for a in range(n)]
     meet = [[by_down.get(down[a] & down[b]) for b in range(n)] for a in range(n)]
-    return tuple(tuple(tuple(r) for r in t) for t in (leq, sub, join, meet))
+    return (tuple(down), *(tuple(tuple(r) for r in t) for t in (sub, join, meet)))
 
 
 def entrywise_join(order):
@@ -268,7 +270,7 @@ def scan_interpolation(E):
     reference for ``structure.check_interpolation``.
     """
     n = E.n
-    leq = E.order.leq
+    leq = leq_table(E)
     up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
     down = [sum(1 << b for b in range(n) if leq[b][a]) for a in range(n)]
     for x1 in range(n):
@@ -287,13 +289,14 @@ def dense_lattice_class(E):
     "neither" from the join and meet tables of ``updown_order``, every pair
     a < b asked for both: the reference for ``structure.classify_lattice``.
     A proper antilattice, which no finite algebra is, fails an assertion."""
-    leq, _sub, join, meet = updown_order(E)
+    down, _sub, join, meet = updown_order(E)
     is_lattice = is_anti = True
     for a in range(E.n):
         for b in range(a + 1, E.n):
             bounds = (join[a][b] is not None, meet[a][b] is not None)
             is_lattice = is_lattice and all(bounds)
-            is_anti = is_anti and (leq[a][b] or leq[b][a] or not any(bounds))
+            comparable = down[b] >> a & 1 or down[a] >> b & 1
+            is_anti = is_anti and (comparable or not any(bounds))
     assert is_lattice or not is_anti, "a finite antilattice that is not a chain"
     return "neither" if not is_lattice else "both" if is_anti else "lattice"
 
@@ -417,7 +420,7 @@ def image_rdp_scan(E, m):
 
 def strictly_monotone_scan(E, m):
     """(holds, witness): a < b gives tau(a) < tau(b)."""
-    leq = E.order.leq
+    leq = leq_table(E)
     for a in range(E.n):
         for b in range(E.n):
             if a != b and leq[a][b] and not (leq[m[a]][m[b]] and m[a] != m[b]):
@@ -427,7 +430,7 @@ def strictly_monotone_scan(E, m):
 
 def fixed_or_incomparable_scan(E, m):
     """(holds, witness): every a is fixed or incomparable with tau(a)."""
-    leq = E.order.leq
+    leq = leq_table(E)
     for a in range(E.n):
         if m[a] != a and (leq[a][m[a]] or leq[m[a]][a]):
             return False, (a,)

@@ -12,6 +12,12 @@ def sums_dict(E) -> dict:
             if k is not None}
 
 
+def leq_table(E) -> tuple:
+    """The order as an n x n table, ``leq_table(E)[a][b] == E.leq(a, b)``, for
+    oracles that read it pair by pair."""
+    return tuple(tuple(E.leq(a, b) for b in range(E.n)) for a in range(E.n))
+
+
 def paste_boolean_cubes(blocks, atoms):
     """Boolean(3) blocks over atoms 0..atoms-1, given as atom triples, pasted at
     their shared atoms: the Greechie diagram with these blocks.  Index 1 + x is

@@ -200,14 +200,17 @@ def test_cli_free_dimension_guard_exits_2(tmp_path, capsys):
     ({"catalog": {"kind": "mv_product", "chains": [64, 64]}}, 2),
     ({"n": 4096, "sums": []}, 1),
     ({"catalog": {"kind": "chain", "n": 1024}}, 2),
+    ({"catalog": {"kind": "chain", "n": 2047}}, 2),
+    ({"catalog": {"kind": "chain", "n": 4095}}, 2),
 ])
 def test_cli_element_guard_exits_2_before_building(data, code, tmp_path, capsys):
     """An algebra of more than ``GUARD_ELEMENTS`` elements is refused before
     its n x n table is allocated or its pairs are listed.  A raw table of
     exactly that many elements is still built and checked: this one has no
-    complements, so it fails axiom (iii).  chain(1024) is under the element
-    guard, but its associativity scan of about 1.8e8 triples is over
-    ``GUARD_ASSOCIATIVITY``, and is refused before it starts."""
+    complements, so it fails axiom (iii).  chain(1024), chain(2047) and
+    chain(4095) are under the element guard, but their associativity scans,
+    about 1.8e8 triples and more, are over ``GUARD_ASSOCIATIVITY``, and are
+    refused before any pair is listed."""
     assert (GUARD_ELEMENTS, GUARD_ASSOCIATIVITY) == (4096, 1 << 25)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))

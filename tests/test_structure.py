@@ -15,7 +15,7 @@ from effectalg.fuzz import _mutate, permute_algebra, random_algebra
 from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
                                  enumerate_ideals, is_riesz_ideal, verify_rdp_witness)
 from oracles import dense_lattice_class, full_scan_rdp, rdp_splitting, scan_interpolation
-from tables import sums_dict, wright_triangle
+from tables import leq_table, sums_dict, wright_triangle
 from test_acceptance import Budget
 from test_core import order_population
 
@@ -108,9 +108,9 @@ def test_rdp_witness_matches_full_scan(monkeypatch):
     fallbacks = []
     refine = structure.refine_quadruple
 
-    def counted_refine(E, x1, x2, y1, y2):
+    def counted_refine(E, x1, x2, y1):
         assert E.order.meet[x1][y1] is None
-        fallbacks.append(refine(E, x1, x2, y1, y2))
+        fallbacks.append(refine(E, x1, x2, y1))
         return fallbacks[-1]
 
     monkeypatch.setattr(structure, "refine_quadruple", counted_refine)
@@ -154,7 +154,7 @@ def test_interpolation_examples():
     assert not holds and witness is not None
     x1, x2, y1, y2 = witness
     E = build_even_subsets(6)
-    leq = E.order.leq
+    leq = leq_table(E)
     assert leq[x1][y1] and leq[x1][y2] and leq[x2][y1] and leq[x2][y2]
     assert not any(leq[x1][z] and leq[x2][z] and leq[z][y1] and leq[z][y2]
                    for z in range(E.n))
