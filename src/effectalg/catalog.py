@@ -128,14 +128,17 @@ def _product(factors: list[FiniteEffectAlgebra], labels: list[str],
     """The product of the factors, its sums built from theirs one factor at a
     time.  Tuple t has the mixed-radix index with the last factor fastest,
     the ``itertools.product`` order; no factors give the one-element algebra.
-    Callers guard the size before they list the labels."""
-    sums = [(0, 0, 0)]
+    ``rows[a]`` lists (b, a + b) for each defined a + b; row a * m + x of the
+    next table is row a of the last one times row x of the factor, so the sums
+    come out sorted.  Callers guard the size before they list the labels."""
+    rows = [[(0, 0)]]
     for F in factors:
-        m, factor_sums = F.n, raw_triples(F)
-        sums = [(a * m + x, b * m + y, c * m + z)
-                for a, b, c in sums for x, y, z in factor_sums]
-    sums.sort()
-    return validate_axioms(prod(F.n for F in factors), sums, labels, meta)
+        m = F.n
+        factor_rows = [[(y, z) for y, z in enumerate(row) if z is not None] for row in F.table]
+        rows = [[(b * m + y, c * m + z) for b, c in row for y, z in factor_row]
+                for row in rows for factor_row in factor_rows]
+    sums = [(a, b, c) for a, row in enumerate(rows) for b, c in row]
+    return validate_axioms(len(rows), sums, labels, meta)
 
 
 def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
@@ -156,7 +159,23 @@ def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
                                  "blocks": tuple(B.n for B in blocks)})
 
 
+def _elements(spec: CatalogSpec) -> int:
+    """|E| of ``build_catalog(spec)``, read from the spec so that a product is
+    guarded before its factors are built; a kind or size the builder refuses counts 1."""
+    if spec.kind == "product":
+        return prod(map(_elements, spec.factors))
+    if spec.kind == "mv_product":
+        return prod(max(n, 0) + 1 for n in spec.chains)
+    if spec.kind == "chain":
+        return max(spec.n, 0) + 1
+    if spec.kind in ("boolean", "even_subsets"):
+        return 1 << max(spec.k if spec.kind == "boolean" else spec.m - 1, 0)
+    return 1
+
+
 def build_catalog(spec: CatalogSpec) -> FiniteEffectAlgebra:
+    if spec.kind in ("product", "mv_product"):
+        guard_elements(_elements(spec))
     if spec.kind == "boolean":
         return build_boolean(spec.k)
     if spec.kind == "chain":

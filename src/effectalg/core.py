@@ -10,6 +10,8 @@ loudly.  Associativity is checked only on the triples whose left association
 every failing triple (a, b, c) or its mirror (c, b, a) is one of them.  The
 order is stored in two forms: one pair is read from the subtraction table, a
 <= b iff ``sub[b][a]`` is defined, and sets from the down-set bitmasks ``down``.
+The decomposition tree of central products, horizontal sums and indecomposable
+parts, which RDP and the state layer read, is ``decompose``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence,
+                    TypeVar)
 
 
 class EffectAlgebraError(Exception):
@@ -298,6 +301,99 @@ def derive_order(E: FiniteEffectAlgebra) -> OrderData:
         meet.append((*map(itemgetter(a), meet),
                      *map(get, map(mask.__and__, islice(down, a, None)))))
     return OrderData(sub=sub, down=tuple(down), meet=tuple(meet), complements=E.complements)
+
+
+class Node(NamedTuple):
+    """A node of ``decompose``: its kind, E's indices in it (0 first, unit last)
+    and its children."""
+
+    kind: str                    # "product", "sum", "chain" or "part"
+    members: tuple[int, ...]
+    children: tuple[Node, ...] = ()
+
+
+def decompose(E: FiniteEffectAlgebra) -> Node:
+    """E's tree of central products and horizontal sums over indecomposable
+    parts, kept on E when read through ``E.verdict(decompose)``.
+
+    A node is closed under E's sums of its members, so its order and sums are
+    E's.  It is a "chain" leaf when its m down-sets have m distinct sizes: a
+    chain's are nested, and conversely the sizes are then 1..m, and the k - 1
+    elements below the one of size k, with proper and so smaller down-sets,
+    are those of sizes 1..k - 1.  A chain has neither split, so it is tested
+    first.  A node with a central c other than 0 and its unit is the "product"
+    [0, c] x [0, c'] (Greechie, Foulis & Pulmannova, The center of an effect
+    algebra, Order 12, 1995); one whose middle elements fall into two or more
+    blocks under its sums is their horizontal "sum"; else it is a "part".  No
+    node has both splits, so their order does not matter: for x in a block
+    other than c's, x ^ c = x ^ c' = 0, as x's nonzero lower bounds lie in its
+    own block, so x = (x ^ c) + (x ^ c') = 0.  A finite effect algebra has RDP
+    exactly when it is a product of chains (Dvurecenskij & Pulmannova, New
+    Trends in Quantum Structures, 2000): when its tree has no sum node and its
+    leaves are chains.
+    """
+    return _node(E, tuple(range(E.n)))
+
+
+def _node(E: FiniteEffectAlgebra, members: tuple[int, ...]) -> Node:
+    down = E.order.down
+    if len({down[x].bit_count() for x in members[:-1]}) == len(members) - 1:
+        return Node("chain", members)
+    sub_u, meet = E.order.sub[members[-1]], E.order.meet
+    c = next((c for c in members[1:-1]
+              if meet[c][sub_u[c]] == 0 and _is_central(E, members, c)), None)
+    if c is not None:
+        return Node("product", members, tuple(
+            _node(E, (*(x for x in members[:-1] if x != a and down[a] >> x & 1), a))
+            for a in (c, sub_u[c])))
+    blocks = tuple(_node(E, m) for m in _blocks(E, members))
+    return Node("sum" if blocks else "part", members, blocks)
+
+
+def _blocks(E: FiniteEffectAlgebra, members: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The horizontal-sum blocks of a node as their members, or [] when it has
+    fewer than two.  A sum i + j = k of middle elements puts i and j in k's
+    block, or in each other's when k is the unit u, and x < y is a sum
+    x + (y - x) = y; so each block, grown from its least member, is closed
+    under down-sets and x |-> u - x, which reach every y >= x as u - y <= u - x."""
+    u, down = members[-1], E.order.down
+    sub_u = E.order.sub[u]
+    rest = sum(1 << x for x in members[1:-1])
+    blocks = []
+    while rest:
+        block = rest & -rest
+        todo = [block.bit_length() - 1]
+        for y in todo:                       # grows as the block does
+            new = (down[y] | 1 << sub_u[y]) & rest & ~block
+            block |= new
+            while new:
+                low = new & -new
+                new ^= low
+                todo.append(low.bit_length() - 1)
+        rest &= ~block
+        blocks.append((0, *sorted(todo), u))
+    return blocks if len(blocks) > 1 else []
+
+
+def _is_central(E: FiniteEffectAlgebra, members: Sequence[int], c: int) -> bool:
+    """Is c central in the node: is (a, b) |-> a + b a sum-preserving bijection
+    [0, c] x [0, c'] -> node?  O(n): it is exactly when every x is
+    (x ^ c) + (x ^ c'), both meets existing.
+
+    That makes the map onto, and c ^ c' = 0, as c = c + (c ^ c'); so callers may
+    try only sharp c.  It makes c principal: for a, b <= c with a + b defined,
+    b' >= c' splits as t + c' with t = b' ^ c, so c = b + t >= b + a, as a <= t.
+    Likewise c'.  So for x + y = z, A = (x ^ c) + (y ^ c) <= c and
+    B = (x ^ c') + (y ^ c') <= c' sum to z, and A <= z ^ c, B <= z ^ c' with
+    (z ^ c) + (z ^ c') = z give z ^ c = A by cancellation: x |-> x ^ c is
+    additive, and so is x |-> x ^ c'.  The pair of them undoes the map, as
+    (a + b) ^ c = a + (b ^ c) = a for b <= c'; and sums in [0, c] x [0, c'] go
+    through by associativity.
+    """
+    table, meet = E.table, E.order.meet
+    p, q = meet[c], meet[E.order.sub[members[-1]][c]]
+    return all(p[x] is not None and q[x] is not None and table[p[x]][q[x]] == x
+               for x in members)
 
 
 def search_schedule(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> list[tuple]:

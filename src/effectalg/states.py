@@ -2,12 +2,12 @@
 
 A state assigns rational values s(a) in [0,1] with s(1) = 1 and s additive on
 defined sums.  The solution set is a bounded polytope; its vertices are the
-extremal states.  ``compute_states`` first splits the algebra into horizontal
-summands, whose state space is the product of theirs, and at central elements
-into direct factors, whose extremal states are the union of theirs, lifted.  A
-finite RDP algebra is a product of chains, each with one state, so its state
-space is a simplex: the finite case of the paper's duality between RDP effect
-algebras and Bauer simplices.  Only the indecomposable parts go through
+extremal states.  ``compute_states`` walks the algebra's decomposition tree
+(``core.decompose``): a horizontal sum's state space is the product of its
+summands', and a central product's extremal states are the union of its
+factors', lifted.  A finite RDP algebra is a product of chains, each with one
+state, so its state space is a simplex: the finite case of the paper's duality
+between RDP effect algebras and Bauer simplices.  Only its leaves go through
 elimination and double description.  The layer works in integers from the sum
 table to the polytope: sparse integer equality rows, an integer parametrization
 over one denominator, integer halfspaces and rays, and integer vertices over
@@ -32,7 +32,7 @@ from math import gcd, lcm, prod
 from operator import add, and_, itemgetter, le, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import FiniteEffectAlgebra, GuardExceeded
+from .core import FiniteEffectAlgebra, GuardExceeded, Node, decompose
 from .linalg import ONE, Vec, affine_parametrization
 from .polytope import dd_vertices
 
@@ -117,12 +117,11 @@ def is_state(E: FiniteEffectAlgebra, vec: Sequence[Fraction]) -> bool:
 def compute_states(E: FiniteEffectAlgebra) -> StatePolytope:
     """Enumerate all extremal states, part by part.
 
-    E is split into horizontal-sum blocks, the connected components of its
-    middle elements under the sum triples, and at central elements c, where E
-    is isomorphic to [0, c] x [0, c'] (Greechie, Foulis & Pulmannova, The center
-    of an effect algebra, 1995), recursively; elimination and double
-    description run only on the indecomposable parts (``_part_polytope``).  The pieces assemble in integers over the lcm of
-    their scales, which is the least common denominator again:
+    The parts are the leaves of E's tree (``core.decompose``, read through
+    ``E.verdict``), split at central elements c as [0, c] x [0, c'] (Greechie,
+    Foulis & Pulmannova, 1995) and at horizontal sums; elimination and double
+    description run only on them (``_part_polytope``).  The pieces assemble in
+    integers over the lcm of their scales, the least common denominator again:
 
     * a state of a horizontal sum is a state on each block, chosen freely, so
       the vertices are the products of the blocks' vertices and ``free_dim``
@@ -131,109 +130,45 @@ def compute_states(E: FiniteEffectAlgebra) -> StatePolytope:
       factor, so the vertices are the union of the factors' vertices lifted by
       s(x) = t(x ^ c), and ``free_dim`` is the sum of theirs plus one.
 
-    A finite algebra with RDP is a product of chains, each with one state, so
-    its central split ends in chains and its state space is a simplex: the
-    finite case of the paper's duality between RDP effect algebras and Bauer
-    simplices.  If some part has no states the whole algebra is run as one
-    part, which keeps the free dimension of its (empty) polytope.  An assembled
-    vertex count above ``GUARD_VERTICES`` raises ``GuardExceeded`` before it is
-    built; ``GUARD_DIM`` applies to each part.
+    An RDP algebra is a product of chains (Dvurecenskij & Pulmannova, 2000),
+    each with one state, so its state space is a simplex: the finite case of
+    the paper's duality between RDP effect algebras and Bauer simplices.  If
+    some part has no states the whole algebra is run as one part, which keeps
+    the free dimension of its (empty) polytope.  An assembled vertex count
+    above ``GUARD_VERTICES`` raises ``GuardExceeded`` before it is built;
+    ``GUARD_DIM`` applies to each part.
     """
-    P = _split_polytope(E, range(E.n), E.triples)
+    P = _tree_polytope(E, E.verdict(decompose))
     return _part_polytope(E) if P is None else P
 
 
 class _Part(NamedTuple):
-    """An indecomposable part as elimination reads it: ``n`` indices, 0 first and
-    the part's unit last, and its sum triples over them."""
+    """A leaf as elimination reads it: ``n`` indices, 0 first and the leaf's
+    unit last, and its sum triples over them."""
 
     n: int
     triples: list[tuple[int, int, int]]
 
 
-def _split_polytope(E: FiniteEffectAlgebra, members: Sequence[int],
-                    triples: Sequence[tuple[int, int, int]]) -> Optional[StatePolytope]:
-    """The polytope of the part of E on ``members`` (indices of E, 0 first and the
-    part's unit last) with the sum triples ``triples``, over the positions of
-    ``members``; None when a split leaves a part without states.  E's order
-    tables hold for every part: a part's down-sets are E's, so its meets are
-    E's, and the complement of x in the part is u - x for its unit u.  The
-    two-element chain {0, u} has one state, (0, 1), and is returned directly.
-    """
+def _tree_polytope(E: FiniteEffectAlgebra, node: Node) -> Optional[StatePolytope]:
+    """The polytope of a node of E's tree over the positions of its members, or
+    None when a part below has no states.  A node's order and sums are E's; the
+    two-element chain {0, u} has one state, (0, 1), and is returned directly."""
+    members = node.members
     if len(members) == 2:
         return StatePolytope(size=2, int_vertices=((0, 1),), scale=1, free_dim=0)
-    blocks = _blocks(members, triples)
-    if blocks:
-        parts = [(m, _split_polytope(E, m, t)) for m, t in blocks]
-        if any(P is None or P.empty for _m, P in parts):
-            return None
-        return _sum_polytope(members, parts)
-    sub_u, meet = E.order.sub[members[-1]], E.order.meet
-    c = next((c for c in members[1:-1]
-              if meet[c][sub_u[c]] == 0 and _is_central(E, members, c)), None)
-    if c is None:
+    if not node.children:
         if len(members) < E.n:
             local = {x: i for i, x in enumerate(members)}
-            E = _Part(len(members), [(local[i], local[j], local[k]) for i, j, k in triples])
+            E = _Part(len(members), [(local[i], local[j], local[k]) for i, j, k in E.triples
+                                     if i in local and j in local])
         return _part_polytope(E)
-    factors = []
-    for a in (c, sub_u[c]):
-        below = E.order.down[a]
-        m = [0, *(x for x in members[1:-1] if x != a and below >> x & 1), a]
-        P = _split_polytope(E, m, [t for t in triples if below >> t[2] & 1])
-        if P is None or P.empty:
-            return None
-        factors.append((a, m, P))
-    return _product_polytope(E, members, factors)
-
-
-def _blocks(members: Sequence[int], triples) -> list[tuple[list[int], list[tuple]]]:
-    """The horizontal-sum blocks of a part as (members, triples), or [] when it
-    has fewer than two.  Middle elements i, j and k of a triple i + j = k join
-    one block, merging the smaller block into the larger; 0 + 0 = 0 and
-    0 + u = u belong to every block, and every other triple to the block of
-    its second entry, since triples list i <= j and 0 is index 0."""
-    u = members[-1]
-    owner = {x: [x] for x in members[1:-1]}
-    for i, j, k in triples:
-        if i:
-            for x in (j, k) if k != u else (j,):
-                a, b = owner[i], owner[x]
-                if a is not b:
-                    if len(a) < len(b):
-                        a, b = b, a
-                    a += b
-                    for y in b:
-                        owner[y] = a
-    comps = {id(s): s for s in owner.values()}
-    if len(comps) < 2:
-        return []
-    common, own = [], {key: [] for key in comps}
-    for t in triples:
-        s = owner.get(t[1])
-        (common if s is None else own[id(s)]).append(t)
-    return [([0, *sorted(s), u], common + own[key]) for key, s in comps.items()]
-
-
-def _is_central(E: FiniteEffectAlgebra, members: Sequence[int], c: int) -> bool:
-    """Is c central in the part: is (a, b) |-> a + b a sum-preserving bijection
-    [0, c] x [0, c'] -> part?  O(n): it is exactly when every x is
-    (x ^ c) + (x ^ c'), both meets existing.
-
-    That makes the map onto, and c ^ c' = 0, as c = c + (c ^ c'); so callers may
-    try only sharp c.  It makes c principal: for a, b <= c with a + b defined,
-    b' >= c' splits as t + c' with t = b' ^ c, so c = b + t >= b + a, as a <= t.
-    Likewise c'.  So for x + y = z, A = (x ^ c) + (y ^ c) <= c and
-    B = (x ^ c') + (y ^ c') <= c' sum to z, and A <= z ^ c, B <= z ^ c' with
-    (z ^ c) + (z ^ c') = z give z ^ c = A by cancellation: x |-> x ^ c is
-    additive, and so is x |-> x ^ c'.  The pair of them undoes the map, as
-    (a + b) ^ c = a + (b ^ c) = a for b <= c'; and sums in [0, c] x [0, c'] go
-    through by associativity.
-    """
-    table, meet = E.table, E.order.meet
-    p, q = meet[c], meet[E.order.sub[members[-1]][c]]
-    return all(p[x] is not None and q[x] is not None and table[p[x]][q[x]] == x
-               for x in members)
+    parts = [(child.members, _tree_polytope(E, child)) for child in node.children]
+    if any(P is None or P.empty for _m, P in parts):
+        return None
+    if node.kind == "sum":
+        return _sum_polytope(members, parts)
+    return _product_polytope(E, members, parts)
 
 
 def _guard_vertices(count: int) -> None:
@@ -262,18 +197,18 @@ def _sum_polytope(members: Sequence[int], parts) -> StatePolytope:
 
 
 def _product_polytope(E: FiniteEffectAlgebra, members: Sequence[int], factors) -> StatePolytope:
-    """The vertices of each factor [0, a], lifted by s(x) = t(x ^ a): column x is
-    the first factor's column at x ^ c followed by the second's at x ^ c'."""
-    L = lcm(*(P.scale for _a, _m, P in factors))
-    _guard_vertices(sum(len(P.int_vertices) for _a, _m, P in factors))
+    """The vertices of each factor [0, a], a its unit, lifted by s(x) = t(x ^ a):
+    column x is the first factor's column at x ^ c followed by the second's at x ^ c'."""
+    L = lcm(*(P.scale for _m, P in factors))
+    _guard_vertices(sum(len(P.int_vertices) for _m, P in factors))
     lifts = []
-    for a, m, P in factors:
+    for m, P in factors:
         k = L // P.scale
         col = dict(zip(m, ([k * v for v in vs] for vs in zip(*P.int_vertices))))
-        lifts.append(map(col.__getitem__, map(E.order.meet[a].__getitem__, members)))
+        lifts.append(map(col.__getitem__, map(E.order.meet[m[-1]].__getitem__, members)))
     return StatePolytope(size=len(members),
                          int_vertices=tuple(sorted(zip(*map(add, *lifts)))),
-                         scale=L, free_dim=sum(P.free_dim for _a, _m, P in factors) + 1)
+                         scale=L, free_dim=sum(P.free_dim for _m, P in factors) + 1)
 
 
 def _part_polytope(E) -> StatePolytope:
@@ -342,9 +277,11 @@ def _order_report(states: Sequence[tuple], down: Sequence[int]) -> OrderingRepor
     set iff a <= b.  At each state, element b gets the mask of the elements
     whose value is at most its own; ANDed over the states, these are the
     statewise down-sets.  Each one against ``down[b]`` gives order
-    determination and its first witness in row-major order; a and b have equal
-    values where each lies in the other's down-set.  A pair ordered in the
-    algebra but not by some state means the "states" are not states, so it raises.
+    determination and its first witness in row-major order.  a and b have equal
+    values exactly when their statewise down-sets are equal, as each lies in
+    its own; the separation witness is the least such pair, found by grouping
+    the elements by down-set.  A pair ordered in the algebra but not by some
+    state means the "states" are not states, so it raises.
     """
     bits = [1 << a for a in range(len(down))]
     every = sum(bits)
@@ -359,8 +296,9 @@ def _order_report(states: Sequence[tuple], down: Sequence[int]) -> OrderingRepor
     if bad:
         raise AssertionError(f"states fail monotonicity at {bad}")
     od_w = _first_pair([s & ~d for s, d in zip(below, down)])
-    sep_w = next(((a, b) for a, s in enumerate(below) for b in range(a + 1, len(below))
-                  if s >> b & 1 and below[b] >> a & 1), None)
+    first: dict[int, int] = {}
+    sep_w = min(((first[s], b) for b, s in enumerate(below) if first.setdefault(s, b) != b),
+                default=None)
     return OrderingReport(order_determining=od_w is None, separating=sep_w is None,
                           od_witness=od_w, sep_witness=sep_w)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import FiniteEffectAlgebra, GuardExceeded
+from .core import FiniteEffectAlgebra, GuardExceeded, Node, decompose
 
 
 def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int):
@@ -23,14 +23,28 @@ def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int):
 
 
 def check_rdp(E: FiniteEffectAlgebra):
-    """Riesz decomposition as (holds, witness), by 2x2 refinement of equal sums.
+    """Riesz decomposition as (holds, witness).  A finite E has RDP exactly when
+    it is a product of chains (Dvurecenskij & Pulmannova, 2000): when its tree,
+    ``E.verdict(core.decompose)``, has no sum node and its leaves are chains.
+    Else the refinement scan decides.  Per-map code reads this through ``E.verdict``.
+    """
+    if _chains_only(E.verdict(decompose)):
+        return True, None
+    return _refinement_scan(E)
+
+
+def _chains_only(node: Node) -> bool:
+    return node.kind == "chain" or node.kind == "product" and all(map(_chains_only, node.children))
+
+
+def _refinement_scan(E: FiniteEffectAlgebra):
+    """RDP by 2x2 refinement of equal sums, as (holds, witness).
 
     The witness is the first unrefinable quadruple (x1, x2, y1, y2), pairs in
     triple order, else None.  The meet test of ``refine_quadruple`` is inlined;
     that function runs only when x1 ^ y1 does not exist.  Only pairs p < q of
     a sum are walked: a quadruple refines iff its transpose (y1, y2, x1, x2)
     does, and p = q refines by c11 = x1, so the first failure has p < q.
-    The verdict depends on E alone; per-map code reads it through ``E.verdict``.
     """
     sub, meet = E.order.sub, E.order.meet
     by_sum: dict[int, list[tuple[int, int]]] = {}
@@ -91,17 +105,12 @@ def classify_lattice(E: FiniteEffectAlgebra) -> str:
     antilattice: the common lower bounds of an incomparable pair without a
     meet have two maximal elements, an incomparable pair with strictly fewer
     common lower bounds, and this descent ends at a pair with a meet.  The
-    class depends on E alone; per-map code reads it through ``E.verdict``.
-
-    E is a chain iff its n down-sets have n distinct sizes: a chain's are
-    nested.  Conversely, the sizes are then exactly 1..n.  The k - 1 elements
-    below the one of size k have proper, so smaller, down-sets: they are all
-    those of sizes 1..k - 1.  So any two elements are comparable.
+    class depends on E alone; per-map code reads it through ``E.verdict``, and
+    E is a chain when its tree ``E.verdict(decompose)`` is one leaf "chain".
     """
     if any(None in row for row in E.order.meet):
         return "neither"
-    chain = len({d.bit_count() for d in E.order.down}) == E.n
-    return "both" if chain else "lattice"
+    return "both" if E.verdict(decompose).kind == "chain" else "lattice"
 
 
 def enumerate_ideals(E: FiniteEffectAlgebra, guard_elements: int = 16):

@@ -353,8 +353,10 @@ def test_algebra_cannot_be_mutated():
     for table in (E.table, o.down, o.sub, o.join, o.meet):
         with pytest.raises(TypeError):
             table[0] = table[1]
+    for table in (E.table, o.sub, o.join, o.meet):
         with pytest.raises(TypeError):
             table[0][0] = table[1][1]
+    assert type(o.down) is tuple and all(type(d) is int for d in o.down)
     for seq in (E.triples, E.complements, E.labels):
         with pytest.raises(TypeError):
             seq[0] = seq[1]

@@ -202,6 +202,7 @@ def test_cli_free_dimension_guard_exits_2(tmp_path, capsys):
     ({"catalog": {"kind": "chain", "n": 1024}}, 2),
     ({"catalog": {"kind": "chain", "n": 2047}}, 2),
     ({"catalog": {"kind": "chain", "n": 4095}}, 2),
+    ({"catalog": {"kind": "product", "factors": [{"kind": "chain", "n": 584}] * 2}}, 2),
 ])
 def test_cli_element_guard_exits_2_before_building(data, code, tmp_path, capsys):
     """An algebra of more than ``GUARD_ELEMENTS`` elements is refused before
@@ -210,7 +211,8 @@ def test_cli_element_guard_exits_2_before_building(data, code, tmp_path, capsys)
     complements, so it fails axiom (iii).  chain(1024), chain(2047) and
     chain(4095) are under the element guard, but their associativity scans,
     about 1.8e8 triples and more, are over ``GUARD_ASSOCIATIVITY``, and are
-    refused before any pair is listed."""
+    refused before any pair is listed.  A product of two chain(584), each
+    under both guards, is refused from its spec before either is built."""
     assert (GUARD_ELEMENTS, GUARD_ASSOCIATIVITY) == (4096, 1 << 25)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
-from effectalg.core import GuardExceeded, validate_axioms
+from effectalg.core import GuardExceeded, _blocks, _is_central, decompose, validate_axioms
 from effectalg.fuzz import random_algebra
 from effectalg.linalg import affine_parametrization
 from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extremal_states,
                                group_leq, strict_plane_preimage)
 from effectalg.polytope import GUARD_DIM, dd_vertices
-from effectalg.states import (GUARD_VERTICES, StatePolytope, _is_central, _order_report,
+from effectalg.states import (GUARD_VERTICES, StatePolytope, _order_report,
                               clan_closure_witness, compute_states, discrete_profile,
                               finite_clan_engine, is_order_determining, is_state,
                               sampled_order_report, state_equalities)
@@ -498,6 +498,24 @@ def test_central_test_matches_brute_force():
             assert not got or E.meet(c, E.complement(c)) == 0
             verdicts[got] += 1
     assert all(verdicts.values())
+
+
+def test_no_node_has_both_splits():
+    """The tree does not depend on which split a node tries first: over the
+    split population, a product node is one block, a sum node has no central
+    element but 0 and its unit, and a leaf has neither split."""
+    kinds = Counter()
+    for E in split_population():
+        stack = [E.verdict(decompose)]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            m = node.members
+            splits = (bool(_blocks(E, m)), any(_is_central(E, m, c) for c in m[1:-1]))
+            assert splits == {"product": (False, True), "sum": (True, False)}.get(
+                node.kind, (False, False)), (E, node)
+            kinds[node.kind] += 1
+    assert set(kinds) == {"product", "sum", "chain", "part"}
 
 
 def test_a_part_without_states_runs_the_whole_algebra(monkeypatch):

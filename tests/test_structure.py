@@ -10,12 +10,13 @@ from itertools import product
 from effectalg import structure
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
-from effectalg.core import AxiomViolation, raw_triples, validate_axioms
+from effectalg.core import AxiomViolation, decompose, raw_triples, validate_axioms
 from effectalg.fuzz import _mutate, permute_algebra, random_algebra
+from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
 from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
                                  enumerate_ideals, is_riesz_ideal, verify_rdp_witness)
 from oracles import dense_lattice_class, full_scan_rdp, rdp_splitting, scan_interpolation
-from tables import leq_table, sums_dict, wright_triangle
+from tables import greechie_chain, leq_table, sums_dict, wright_triangle
 from test_acceptance import Budget
 from test_core import order_population
 
@@ -129,12 +130,45 @@ def test_rdp_witness_matches_full_scan(monkeypatch):
 
 def test_rdp_size_ceiling_within_budget():
     """12-16 s on boolean(10) and 10-11 s on chain(512) with the all-pairs,
-    all-c11 scan, on a 2-CPU host."""
+    all-c11 scan, on a 2-CPU host; read from the decomposition tree, under
+    0.01 s each."""
     for name, E in (("boolean(10)", build_boolean(10)), ("chain(512)", build_chain(512))):
         E.order  # derived outside the timing
         with Budget(f"check_rdp on {name}", 3.0):
             holds, witness = check_rdp(E)
         assert holds and witness is None
+
+
+def test_rdp_read_from_the_tree_never_scans(monkeypatch):
+    """A product of chains has RDP by its tree alone: the quadruple scan, made
+    to raise, is never entered, on products of chains and po-group intervals."""
+    def scan(E):
+        raise AssertionError("quadruple scan entered")
+    monkeypatch.setattr(structure, "_refinement_scan", scan)
+    for E in (build_boolean(6), build_chain(32), build_product([build_chain(4)] * 3),
+              materialize(IntervalAlgebra(PoGroupSpec(2, "Z", "product"), (3, 2))),
+              materialize(IntervalAlgebra(PoGroupSpec(3, "Z", "product"), (1, 0, 2)))):
+        assert check_rdp(E) == (True, None), E
+
+
+def test_rdp_past_the_tree_matches_full_scan():
+    """Where the tree is no product of chains the scan decides, with the full
+    scan's verdict and witness: products of RDP and non-RDP factors (the root
+    a product), horizontal sums of chains (every leaf a chain, the root a sum)
+    and Greechie chains (one part)."""
+    c2, c3, e4 = build_chain(2), build_chain(3), build_even_subsets(4)
+    cases = {"product": [build_product([c2, e4]), build_product([e4, build_chain(1), c2])],
+             "sum": [horizontal_sum([c2, c3]), horizontal_sum([c3] * 3),
+                     horizontal_sum([c2, build_chain(5), c3])],
+             "part": [greechie_chain(k) for k in range(3, 7)]}
+    for kind, algebras in cases.items():
+        for E in algebras:
+            tree = E.verdict(decompose)
+            assert tree.kind == kind
+            if kind == "sum":
+                assert all(block.kind == "chain" for block in tree.children)
+            got = check_rdp(E)
+            assert not got[0] and got == full_scan_rdp(E), E
 
 
 def test_rdp_catalog():
