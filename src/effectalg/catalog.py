@@ -72,10 +72,9 @@ def build_boolean(k: int) -> FiniteEffectAlgebra:
     so subset S has index sum(2^(i-1) for i in S)."""
     if k < 1:
         raise ValueError("boolean algebra needs k >= 1")
-    n = 1 << k
-    guard_elements(n)
+    guard_elements(1 << min(k, 64))
     labels = ["{" + ",".join(str(i + 1) for i in range(k) if a >> i & 1) + "}"
-              for a in range(n)]
+              for a in range(1 << k)]
     return _product([build_chain(1)] * k, labels, {"construction": "boolean", "k": k})
 
 
@@ -95,7 +94,7 @@ def build_even_subsets(m: int) -> FiniteEffectAlgebra:
     """Characteristic functions of the even-cardinality subsets of an m-set (m even)."""
     if m < 2 or m % 2:
         raise ValueError("even_subsets needs an even m >= 2")
-    guard_elements(1 << (m - 1))
+    guard_elements(1 << min(m - 1, 64))
     subsets = [s for size in range(0, m + 1, 2) for s in
                (frozenset(c) for c in combinations(range(m), size))]
     subsets.sort(key=lambda s: (len(s), sorted(s)))
@@ -161,16 +160,17 @@ def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
 
 def _elements(spec: CatalogSpec) -> int:
     """|E| of ``build_catalog(spec)``, read from the spec so that a product is
-    guarded before its factors are built; a kind or size the builder refuses counts 1."""
-    if spec.kind == "product":
-        return prod(map(_elements, spec.factors))
-    if spec.kind == "mv_product":
-        return prod(max(n, 0) + 1 for n in spec.chains)
+    guarded before its factors are built; a kind or size the builder refuses
+    counts 1.  Powers and products are capped at 2^64, never computed past it."""
     if spec.kind == "chain":
         return max(spec.n, 0) + 1
     if spec.kind in ("boolean", "even_subsets"):
-        return 1 << max(spec.k if spec.kind == "boolean" else spec.m - 1, 0)
-    return 1
+        return 1 << min(max(spec.k if spec.kind == "boolean" else spec.m - 1, 0), 64)
+    count = 1
+    for factor in (spec.factors if spec.kind == "product" else
+                   [CatalogSpec("chain", n=n) for n in spec.chains or ()]):
+        count = min(count * _elements(factor), 1 << 64)
+    return count
 
 
 def build_catalog(spec: CatalogSpec) -> FiniteEffectAlgebra:

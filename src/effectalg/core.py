@@ -10,19 +10,19 @@ loudly.  Associativity is checked only on the triples whose left association
 every failing triple (a, b, c) or its mirror (c, b, a) is one of them.  The
 order is stored in two forms: one pair is read from the subtraction table, a
 <= b iff ``sub[b][a]`` is defined, and sets from the down-set bitmasks ``down``.
-The decomposition tree of central products, horizontal sums and indecomposable
-parts, which RDP and the state layer read, is ``decompose``.
+Meets are read from the masks a row at a time, each built on its first read
+(``MeetRows``).  The decomposition tree of central products, horizontal sums
+and indecomposable parts, which RDP and the state layer read, is ``decompose``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence,
-                    TypeVar)
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
 
 class EffectAlgebraError(Exception):
@@ -56,9 +56,10 @@ GUARD_ASSOCIATIVITY = 1 << 25   # most (a, b, c) the associativity scan may visi
 
 def guard_elements(n: int) -> None:
     """Raise ``GuardExceeded`` before an n-element table is built, if n is over
-    ``GUARD_ELEMENTS``."""
+    ``GUARD_ELEMENTS``.  A count of 2^64 or more, where callers cap, is not printed."""
     if n > GUARD_ELEMENTS:
-        raise GuardExceeded(f"{n} elements (guard {GUARD_ELEMENTS})")
+        raise GuardExceeded(f"{n if n < 1 << 64 else '2^64 or more'} elements"
+                            f" (guard {GUARD_ELEMENTS})")
 
 
 def guard_associativity(work: int) -> None:
@@ -67,21 +68,43 @@ def guard_associativity(work: int) -> None:
         raise GuardExceeded(f"associativity scan of {work} triples (guard {GUARD_ASSOCIATIVITY})")
 
 
+class MeetRows(Sequence):
+    """The meet table a row at a time: row a, built on its first read and kept,
+    is the tuple of the elements whose down-sets are ``down[a] & down[b]``,
+    None where a ^ b does not exist.  The view takes no item assignment."""
+
+    def __init__(self, down: tuple[int, ...]):
+        self._down, self._rows = down, [None] * len(down)
+        self._get = {mask: a for a, mask in enumerate(down)}.get
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, a: int) -> tuple[Optional[int], ...]:
+        if self._rows[a] is None:
+            self._rows[a] = tuple(map(self._get, map(self._down[a].__and__, self._down)))
+        return self._rows[a]
+
+
 @dataclass(frozen=True)
 class OrderData:
     """Derived order-theoretic structure of a validated algebra.
 
     The order has two forms: a <= b iff ``sub[b][a]`` is defined, for one pair,
-    and iff bit a of ``down[b]`` is set, for sets.  ``meet`` is the one lattice
-    table.  The complement is an order-reversing involution, so a v b exists
-    exactly when a' ^ b' does, and then a v b = (a' ^ b')'; ``join`` is that De
-    Morgan view, built on first read.  ``complements`` is the algebra's own tuple.
+    and iff bit a of ``down[b]`` is set, for sets.  ``meet`` is the lattice
+    table as rows built on read.  The complement is an order-reversing
+    involution, so a v b exists exactly when a' ^ b' does, and then a v b =
+    (a' ^ b')'; ``join`` is that De Morgan view, built whole on first read.
+    ``complements`` is the algebra's own tuple.
     """
 
     sub: Table                               # sub[b][a] = b - a for a <= b, else None
     down: tuple[int, ...]                    # bit a of down[b] iff a <= b
-    meet: Table
     complements: tuple[int, ...]
+
+    @cached_property
+    def meet(self) -> MeetRows:
+        return MeetRows(self.down)
 
     @cached_property
     def join(self) -> Table:
@@ -275,13 +298,13 @@ def raw_triples(E: FiniteEffectAlgebra) -> list[tuple[int, int, int]]:
 
 
 def derive_order(E: FiniteEffectAlgebra) -> OrderData:
-    """Subtraction, down-sets and the meet table, in one pass over the triples.
+    """Subtraction and down-sets, in one pass over the triples.
 
     a <= b iff a + c = b for some c.  ``validate_axioms`` has established the
     axioms, so this is a partial order with bottom 0 and top 1 and every
-    difference b - a is unique; nothing here checks that again.  x = a ^ b iff
-    its down-set is their common down-set; meets are looked up on the upper
-    triangle and mirrored.  No join table is built: a v b = (a' ^ b')'.
+    difference b - a is unique; nothing here checks that again.  No meet or
+    join table is built: x = a ^ b iff its down-set is their common down-set,
+    read a row at a time through ``OrderData.meet``, and a v b = (a' ^ b')'.
     """
     n = E.n
     sub = [[None] * n for _ in range(n)]
@@ -292,15 +315,7 @@ def derive_order(E: FiniteEffectAlgebra) -> OrderData:
         row[a] = c
         row[c] = a
         down[b] |= bit[a] | bit[c]
-    # Freed before the meet rows, the lists add nothing to the collections those trigger.
-    sub = tuple(map(tuple, sub))
-
-    get = {mask: a for a, mask in enumerate(down)}.get
-    meet: list[tuple[Optional[int], ...]] = []
-    for a, mask in enumerate(down):
-        meet.append((*map(itemgetter(a), meet),
-                     *map(get, map(mask.__and__, islice(down, a, None)))))
-    return OrderData(sub=sub, down=tuple(down), meet=tuple(meet), complements=E.complements)
+    return OrderData(sub=tuple(map(tuple, sub)), down=tuple(down), complements=E.complements)
 
 
 class Node(NamedTuple):
@@ -310,6 +325,12 @@ class Node(NamedTuple):
     kind: str                    # "product", "sum", "chain" or "part"
     members: tuple[int, ...]
     children: tuple[Node, ...] = ()
+
+    def walk(self) -> Iterator[Node]:
+        """This node, then every node below it."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
 
 
 def decompose(E: FiniteEffectAlgebra) -> Node:
@@ -339,9 +360,9 @@ def _node(E: FiniteEffectAlgebra, members: tuple[int, ...]) -> Node:
     down = E.order.down
     if len({down[x].bit_count() for x in members[:-1]}) == len(members) - 1:
         return Node("chain", members)
-    sub_u, meet = E.order.sub[members[-1]], E.order.meet
-    c = next((c for c in members[1:-1]
-              if meet[c][sub_u[c]] == 0 and _is_central(E, members, c)), None)
+    sub_u = E.order.sub[members[-1]]
+    c = next((c for c in members[1:-1]       # sharp c: c ^ c' = 0, whose down-set is {0}
+              if down[c] & down[sub_u[c]] == 1 and _is_central(E, members, c)), None)
     if c is not None:
         return Node("product", members, tuple(
             _node(E, (*(x for x in members[:-1] if x != a and down[a] >> x & 1), a))

@@ -7,13 +7,13 @@ extremal states.  ``compute_states`` walks the algebra's decomposition tree
 summands', and a central product's extremal states are the union of its
 factors', lifted.  A finite RDP algebra is a product of chains, each with one
 state, so its state space is a simplex: the finite case of the paper's duality
-between RDP effect algebras and Bauer simplices.  Only its leaves go through
-elimination and double description.  The layer works in integers from the sum
-table to the polytope: sparse integer equality rows, an integer parametrization
-over one denominator, integer halfspaces and rays, and integer vertices over
-their least common denominator, rebuilt and assembled one coordinate for all
-vertices at a time, which vertex lookup and the ordering report read; the
-report works on bitmasks.
+between RDP effect algebras and Bauer simplices.  Chains are read in closed
+form; only other leaves go through elimination and double description.  The
+layer works in integers from the sum table to the polytope: sparse integer
+equality rows, an integer parametrization over one denominator, integer
+halfspaces and rays, and integer vertices over their least common
+denominator, rebuilt and assembled one coordinate for all vertices at a time,
+which vertex lookup and the ordering report read; the report works on bitmasks.
 Fractions appear only where state values leave the layer or enter it:
 ``P.vertices``, ``vertex_index``, ``discrete_profile`` and the clan-closure
 engine.  Floating point is forbidden here because vertex dedup and value-set
@@ -119,9 +119,11 @@ def compute_states(E: FiniteEffectAlgebra) -> StatePolytope:
 
     The parts are the leaves of E's tree (``core.decompose``, read through
     ``E.verdict``), split at central elements c as [0, c] x [0, c'] (Greechie,
-    Foulis & Pulmannova, 1995) and at horizontal sums; elimination and double
-    description run only on them (``_part_polytope``).  The pieces assemble in
-    integers over the lcm of their scales, the least common denominator again:
+    Foulis & Pulmannova, 1995) and at horizontal sums.  A chain leaf chain(d)
+    has one state, x |-> rank(x) / d, read in closed form; elimination and
+    double description run only on the other leaves (``_part_polytope``).  The
+    pieces assemble in integers over the lcm of their scales, the least common
+    denominator again:
 
     * a state of a horizontal sum is a state on each block, chosen freely, so
       the vertices are the products of the blocks' vertices and ``free_dim``
@@ -152,11 +154,16 @@ class _Part(NamedTuple):
 
 def _tree_polytope(E: FiniteEffectAlgebra, node: Node) -> Optional[StatePolytope]:
     """The polytope of a node of E's tree over the positions of its members, or
-    None when a part below has no states.  A node's order and sums are E's; the
-    two-element chain {0, u} has one state, (0, 1), and is returned directly."""
-    members = node.members
-    if len(members) == 2:
-        return StatePolytope(size=2, int_vertices=((0, 1),), scale=1, free_dim=0)
+    None when a part below has no states.  A node's order and sums are E's.  A
+    "chain" leaf of m >= 2 members has one state, x |-> rank(x) / (m - 1): below
+    its unit the leaf is closed downward, so rank(x) = |down(x)| - 1, and the
+    unit gets m - 1, as a sum block's unit is E's, whose down-set is all of E.
+    The one-element algebra (m = 1), whose 0 is its unit, has no states; it is
+    left to elimination, which returns its empty polytope."""
+    members, m = node.members, len(node.members)
+    if node.kind == "chain" and m > 1:
+        ranks = (E.order.down[x].bit_count() - 1 for x in members[:-1])
+        return StatePolytope(size=m, int_vertices=((*ranks, m - 1),), scale=m - 1, free_dim=0)
     if not node.children:
         if len(members) < E.n:
             local = {x: i for i, x in enumerate(members)}

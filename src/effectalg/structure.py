@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import FiniteEffectAlgebra, GuardExceeded, Node, decompose
+from .core import FiniteEffectAlgebra, GuardExceeded, decompose
 
 
 def refine_quadruple(E: FiniteEffectAlgebra, x1: int, x2: int, y1: int):
@@ -28,13 +28,9 @@ def check_rdp(E: FiniteEffectAlgebra):
     ``E.verdict(core.decompose)``, has no sum node and its leaves are chains.
     Else the refinement scan decides.  Per-map code reads this through ``E.verdict``.
     """
-    if _chains_only(E.verdict(decompose)):
+    if all(node.kind in ("product", "chain") for node in E.verdict(decompose).walk()):
         return True, None
     return _refinement_scan(E)
-
-
-def _chains_only(node: Node) -> bool:
-    return node.kind == "chain" or node.kind == "product" and all(map(_chains_only, node.children))
 
 
 def _refinement_scan(E: FiniteEffectAlgebra):
@@ -82,8 +78,11 @@ def check_interpolation(E: FiniteEffectAlgebra):
     no least element; were every two of them above a third, this finite set
     would be directed downward and have one.  So the first failing pair is the
     first one without a join, read through the meet as x1' ^ x2', and only its
-    upper bounds, ``bounds``, are scanned for the witness on down-sets.
+    upper bounds, ``bounds``, are scanned for the witness on down-sets, and
+    only when ``classify_lattice`` finds no lattice.
     """
+    if E.verdict(classify_lattice) != "neither":
+        return True, None
     n, c, down, meet = E.n, E.complements, E.order.down, E.order.meet
     for x1 in range(n):
         row = meet[c[x1]]
@@ -105,12 +104,20 @@ def classify_lattice(E: FiniteEffectAlgebra) -> str:
     antilattice: the common lower bounds of an incomparable pair without a
     meet have two maximal elements, an incomparable pair with strictly fewer
     common lower bounds, and this descent ends at a pair with a meet.  The
-    class depends on E alone; per-map code reads it through ``E.verdict``, and
-    E is a chain when its tree ``E.verdict(decompose)`` is one leaf "chain".
+    class depends on E alone; per-map code reads it through ``E.verdict``.  It
+    is read from E's tree ``E.verdict(decompose)``: E is a chain when the tree
+    is one "chain" leaf; a product is a lattice iff its factors are, a
+    horizontal sum iff its blocks are, as elements of two blocks have only 0
+    below and 1 above them in common, and a chain is one.  So meets are read
+    only on "part" leaves, over their members; a leaf is closed downward
+    below its unit, so its meets are E's.
     """
-    if any(None in row for row in E.order.meet):
-        return "neither"
-    return "both" if E.verdict(decompose).kind == "chain" else "lattice"
+    tree = E.verdict(decompose)
+    if tree.kind == "chain":
+        return "both"
+    meet, parts = E.order.meet, (node.members for node in tree.walk() if node.kind == "part")
+    lattice = all(None not in map(meet[x].__getitem__, m) for m in parts for x in m)
+    return "lattice" if lattice else "neither"
 
 
 def enumerate_ideals(E: FiniteEffectAlgebra, guard_elements: int = 16):

@@ -221,7 +221,7 @@ def test_derive_order_matches_updown_oracle():
     partial = 0
     for E in population:
         o = E.order
-        assert (o.down, o.sub, o.join, o.meet) == updown_order(E), E.meta
+        assert (o.down, o.sub, o.join, tuple(o.meet)) == updown_order(E), E.meta
         assert o.complements is E.complements
         partial += any(None in row for row in o.meet)
     assert partial >= 3

@@ -225,6 +225,24 @@ def test_cli_element_guard_exits_2_before_building(data, code, tmp_path, capsys)
         assert json.loads(captured.out)["axiom"] == "iii"
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "boolean", "k": 100_000},
+    {"kind": "product", "factors": [{"kind": "chain", "n": 2}, {"kind": "boolean", "k": 100_000}]},
+])
+def test_cli_huge_counts_are_guarded_unformatted(spec, tmp_path, capsys):
+    """boolean(100000) has 2^100000 elements, a count of 30,103 digits, past
+    Python's 4,300-digit limit on int-to-string conversion.  The guard
+    compares a capped count and names it as "2^64 or more", alone and as a
+    product factor, within 0.1 s."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"catalog": spec}))
+    with Budget("huge-count guard", 0.1):
+        assert main(["validate", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"guard exceeded: 2^64 or more elements (guard {GUARD_ELEMENTS})\n"
+
+
 def test_cli_output_file(tmp_path, capsys):
     src = tmp_path / "c3.json"
     src.write_text(json.dumps({"catalog": {"kind": "chain", "n": 3}}))

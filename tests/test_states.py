@@ -438,10 +438,11 @@ def test_split_matches_the_whole_algebra_run(monkeypatch):
     """Splitting into horizontal summands and central factors changes no output:
     vertices, scale and free dimension equal elimination and double
     description on the whole algebra as one part.  The parts that reach
-    elimination are the indecomposable ones with more than two elements, since
-    the two-element chain's one state is known: boolean(6), six two-element
+    elimination are the indecomposable ones that are not chains, since a
+    chain's one state is known in closed form: boolean(6), six two-element
     chains, runs none, and hsum(boolean(2), chain(2)) x hsum(3 x boolean(2))
-    only chain(2); Wright's triangle x chain(1) runs the triangle."""
+    none either, its chain(2) leaf read in closed form; Wright's triangle x
+    chain(1) runs the triangle."""
     for E in split_population():
         assert compute_states(E) == whole_algebra_states(E), E
     sizes = []
@@ -455,7 +456,7 @@ def test_split_matches_the_whole_algebra_run(monkeypatch):
     assert sizes == []
     compute_states(build_product([horizontal_sum([b2, build_chain(2)]),
                                   horizontal_sum([b2] * 3)]))
-    assert sizes == [3]
+    assert sizes == []
     sizes.clear()
     compute_states(build_product([wright_triangle(), build_chain(1)]))
     assert sizes == [wright_triangle().n]
@@ -464,9 +465,12 @@ def test_split_matches_the_whole_algebra_run(monkeypatch):
 def test_two_element_parts_skip_elimination(monkeypatch):
     """The chain {0, 1} has one state, (0, 1), so no two-element part reaches
     elimination.  Over the A05 population and boolean(5), the operators
-    benchmark's algebras, the polytopes equal the whole-algebra run, and only
-    the 195 parts of three or more elements are eliminated."""
+    benchmark's algebras, the polytopes equal the whole-algebra run, and no
+    part is eliminated: every part of three or more elements there is a
+    chain, read in closed form.  even_subsets(6) and Wright's triangle, parts
+    that are not chains, are eliminated once each."""
     algebras = [E for _name, E in operator_population()] + [build_boolean(5)]
+    algebras += [build_even_subsets(6), wright_triangle()]
     wants = [whole_algebra_states(E) for E in algebras]
     sizes = Counter()
 
@@ -477,7 +481,51 @@ def test_two_element_parts_skip_elimination(monkeypatch):
     for E, want in zip(algebras, wants):
         assert compute_states(E) == want, E
     assert 2 not in sizes
-    assert sum(sizes.values()) == 195
+    assert sizes == {build_even_subsets(6).n: 1, wright_triangle().n: 1}
+
+
+def test_chain_leaves_in_closed_form_match_elimination(monkeypatch):
+    """A chain leaf chain(d) has the one state x |-> rank(x) / d, read without
+    elimination: on chain(1..64) and on chain leaves of three or more
+    elements inside a product and two horizontal sums, the polytope equals
+    elimination on the whole algebra.  The one-element algebra, whose 0 is its
+    unit, has no states; it alone reaches elimination, which finds none."""
+    c = build_chain
+    product_35 = build_product([c(3), c(5)])
+    sum_3b = horizontal_sum([c(3), build_boolean(2)])
+    sum_44 = horizontal_sum([c(4), c(4)])
+    assert [[(leaf.kind, len(leaf.members)) for leaf in decompose(E).children]
+            for E in (product_35, sum_3b, sum_44)] == [
+        [("chain", 6), ("chain", 4)], [("chain", 4), ("product", 4)],
+        [("chain", 5), ("chain", 5)]]
+    algebras = [c(d) for d in range(1, 65)] + [product_35, sum_3b, sum_44]
+    wants = [whole_algebra_states(E) for E in algebras]
+    one = validate_axioms(1, [(0, 0, 0)])
+    eliminated = []
+
+    def recorded(X):
+        eliminated.append(X)
+        return whole_algebra_states(X)
+    monkeypatch.setattr("effectalg.states._part_polytope", recorded)
+    for E, want in zip(algebras, wants):
+        assert compute_states(E) == want, E
+    assert eliminated == []
+    assert compute_states(one) == StatePolytope(size=1, int_vertices=(), scale=1, free_dim=0)
+    assert eliminated == [one]
+
+
+def test_chain_512_states_run_no_elimination(monkeypatch):
+    """chain(512)'s one state is its closed form: no elimination runs, and
+    the tree walk takes well under 0.05 s once the order is derived.  It took
+    about 1 s when elimination found the state, on a 2-CPU host."""
+    calls = []
+    monkeypatch.setattr("effectalg.states._part_polytope", calls.append)
+    E = build_chain(512)
+    E.order  # derived outside the timing
+    with Budget("compute_states on chain(512)", 0.05):
+        P = compute_states(E)
+    assert calls == []
+    assert (P.int_vertices, P.scale, P.free_dim) == ((tuple(range(513)),), 512, 0)
 
 
 def test_central_test_matches_brute_force():

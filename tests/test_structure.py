@@ -10,7 +10,7 @@ from itertools import product
 from effectalg import structure
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
-from effectalg.core import AxiomViolation, decompose, raw_triples, validate_axioms
+from effectalg.core import AxiomViolation, MeetRows, decompose, raw_triples, validate_axioms
 from effectalg.fuzz import _mutate, permute_algebra, random_algebra
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
 from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
@@ -151,6 +151,25 @@ def test_rdp_read_from_the_tree_never_scans(monkeypatch):
         assert check_rdp(E) == (True, None), E
 
 
+def test_tree_readers_build_only_the_meet_rows_they_read(monkeypatch):
+    """boolean(10) is a product of chains, so ``check_rdp``,
+    ``classify_lattice`` and ``check_interpolation`` answer from its tree.
+    Its central splits read 18 of the 1,024 meet rows, two per split, and
+    exactly those rows are built."""
+    read = set()
+    row = MeetRows.__getitem__
+
+    def recorded(self, a):
+        read.add(a)
+        return row(self, a)
+    monkeypatch.setattr(MeetRows, "__getitem__", recorded)
+    E = build_boolean(10)
+    assert check_rdp(E) == (True, None)
+    assert classify_lattice(E) == "lattice" and check_interpolation(E) == (True, None)
+    built = {a for a, r in enumerate(E.order.meet._rows) if r is not None}
+    assert built == read and len(built) == 18
+
+
 def test_rdp_past_the_tree_matches_full_scan():
     """Where the tree is no product of chains the scan decides, with the full
     scan's verdict and witness: products of RDP and non-RDP factors (the root
@@ -255,6 +274,25 @@ def test_lattice_classification():
     assert classify_lattice(build_even_subsets(4)) == "lattice"
     assert classify_lattice(build_even_subsets(6)) == "neither"
     assert classify_lattice(horizontal_sum([build_chain(2), build_chain(2)])) == "lattice"
+
+
+def test_lattice_class_of_products_and_sums_with_a_non_lattice_part():
+    """A product is a lattice iff its factors are, and a horizontal sum iff its
+    blocks are: one non-lattice part, Wright's triangle or even_subsets(6),
+    makes the class "neither" wherever it sits in the tree.  Against the
+    join and meet tables of the dense oracle."""
+    w, e6, b2, c1, c2, c3 = (wright_triangle(), build_even_subsets(6), build_boolean(2),
+                             build_chain(1), build_chain(2), build_chain(3))
+    cases = [(build_product([w, c2]), "neither"), (build_product([b2, e6]), "neither"),
+             (horizontal_sum([w, b2]), "neither"), (horizontal_sum([c3, e6]), "neither"),
+             (build_product([horizontal_sum([c2, w]), c1]), "neither"),
+             (horizontal_sum([build_product([w, c1]), c3]), "neither"),
+             (build_product([horizontal_sum([b2, c2]), c3]), "lattice"),
+             (horizontal_sum([build_product([b2, c2]), c3]), "lattice"),
+             (build_product([c2, c3]), "lattice")]
+    for E, want in cases:
+        assert classify_lattice(E) == dense_lattice_class(E) == want, E.meta
+        assert check_interpolation(E) == scan_interpolation(E), E.meta
 
 
 def test_boolean2_joins():
