@@ -1,12 +1,14 @@
-"""Total MV operations on lattice-ordered catalog algebras with refinement.
+"""Total MV operations on catalog algebras with refinement.
 
 A finite lattice-ordered effect algebra with the Riesz decomposition property
 is an MV-effect algebra (Dvurecenskij & Pulmannova, New Trends in Quantum
 Structures, 2000, ch. 1): it carries a unique MV structure with
 x (+) y = x + (y ^ x'), star the complement, and the remaining operations by
 De Morgan, and the partial sum derived from it (defined iff x <= y*) is the
-original table.  ``mv_operations`` checks the two hypotheses and builds the
-tables; the MV identities are the theorem's conclusion, not rechecked there.
+original table.  A finite algebra with RDP is a product of chains, hence a
+lattice, so a finite algebra is MV exactly when it has RDP, and
+``mv_operations`` checks that one hypothesis and builds the tables; the MV
+identities are the theorem's conclusion, not rechecked there.
 ``derived_sum_matches`` states the last one as a check for the suite and tests.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import FiniteEffectAlgebra
-from .structure import check_rdp, classify_lattice
+from .structure import check_rdp
 
 
 @dataclass(frozen=True)
@@ -28,12 +30,7 @@ class MvStructure:
 
 
 def mv_operations(E: FiniteEffectAlgebra) -> MvStructure:
-    """Build the MV operation tables; raises ValueError unless E is MV.
-
-    E is MV exactly when its order is a lattice and it has refinement.
-    """
-    if classify_lattice(E) not in ("lattice", "both"):
-        raise ValueError("not an MV algebra: the order is not a lattice")
+    """Build the MV operation tables; raises ValueError unless E has RDP."""
     rdp, _ = check_rdp(E)
     if not rdp:
         raise ValueError("not an MV algebra: refinement fails")

@@ -6,7 +6,9 @@ states; n-potent ones (tau^n = tau) generalize them.  Classification covers the
 strong and join-preserving variants, kernels and faithfulness, and preservation
 of extremal states.  The law report of an idempotent only decides which of its
 structural laws apply: each follows from the definitions, proved in
-``operator_law_report``'s docstring, and none is scanned for.
+``operator_law_report``'s docstring, and none is scanned for.  Nothing in the
+package reads the report; it stays because the benchmark's operators workload
+times it, and goes when that workload stops calling it.
 
 Each map is read as cheaply as its definitions allow.  An endomorphism fixes 0
 (0 + 0 = 0 gives f(0) + f(0) = f(0), so f(0) = 0), and a map that fixes 0

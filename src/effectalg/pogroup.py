@@ -119,8 +119,6 @@ def extremal_states(alg: IntervalAlgebra) -> list[Callable[[Sequence], Fraction]
         return state
 
     if spec.order == "product":
-        if all(c == 0 for c in u):
-            return []
         return [proj(i) for i in range(spec.rank) if u[i] != 0]
     if spec.rank != 2 or any(c == 0 for c in u):
         raise ValueError("closed-form states cover rank-2 strict/lex units > 0 only")

@@ -5,21 +5,24 @@ products, the up-set/down-set order tables, the all-pairs interpolation scan,
 the join table built entry by entry, the lattice class read from both join
 and meet tables, the endomorphism test on every sum triple, the all-pairs
 strong-operator test, the meet-preservation test, the induced subalgebra on a
-map's image, the scans of the operator laws that hold by definition, the
-all-pairs ordering report, powers and the potency by repeated composition, the
-brute-force central-element test, the state polytope of a whole algebra run
-as one part, and the catalog's Boolean algebras, products, po-group intervals
-and horizontal sums tabulated by a scan over every pair of elements."""
+map's image, the scans of the operator laws that hold by definition and the
+check of every law report against them, the all-pairs ordering report, powers
+and the potency by repeated composition, the brute-force central-element
+test, the state polytope of a whole algebra run as one part, and the catalog's
+Boolean algebras, products, po-group intervals and horizontal sums tabulated
+by a scan over every pair of elements."""
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
 from operator import add, le, mul
 
-from effectalg.core import GuardExceeded, raw_triples, validate_axioms
-from effectalg.operators import compose
+from effectalg.core import (GuardExceeded, preserves_existing_joins, raw_triples,
+                            validate_axioms)
+from effectalg.operators import (HOLDS, NOT_APPLICABLE, compose, enumerate_endomorphisms,
+                                 operator_law_report)
 from effectalg.states import OrderingReport, _part_polytope
-from effectalg.structure import check_rdp
+from effectalg.structure import check_rdp, classify_lattice
 from tables import leq_table
 
 
@@ -435,6 +438,80 @@ def fixed_or_incomparable_scan(E, m):
         if m[a] != a and (leq[a][m[a]] or leq[m[a]][a]):
             return False, (a,)
     return True, None
+
+
+LAW_KEYS = ("image_is_fixed_point_set", "image_is_subalgebra",
+            "strong_joins_land_in_image", "strong_fixes_image_meets",
+            "image_inherits_rdp", "faithful_strictly_monotone",
+            "faithful_fixed_or_incomparable", "faithful_implies_strong",
+            "linear_faithful_identity", "antilattice_preserves_joins_meets",
+            "all_meets_preserved_info")
+
+
+# The scan of each law, as (holds, witness), run only where the law applies.
+LAW_SCANS = {
+    "image_is_fixed_point_set": image_fixed_point_scan,
+    "image_is_subalgebra": image_subalgebra_scan,
+    "strong_joins_land_in_image": strong_joins_scan,
+    "strong_fixes_image_meets": strong_meets_scan,
+    "image_inherits_rdp": image_rdp_scan,
+    "faithful_strictly_monotone": strictly_monotone_scan,
+    "faithful_fixed_or_incomparable": fixed_or_incomparable_scan,
+    "faithful_implies_strong": lambda E, m: (all_pairs_strong_operator(E, m), None),
+    "linear_faithful_identity": lambda E, m: (m == tuple(range(E.n)), None),
+    "antilattice_preserves_joins_meets": lambda E, m: (
+        preserves_existing_joins(E, E, m) and preserves_existing_meets(E, m), None),
+}
+
+
+def law_report_counts(algebras):
+    """Check every law report on the idempotent endomorphisms of ``algebras``
+    against the scans and count what applied.  Each of the ten laws that the
+    report states without a scan holds by its scan wherever it applies, and
+    the report gives it as HOLDS there and NOT_APPLICABLE elsewhere.
+    Applicability is decided here by the oracles: the all-pairs strong test,
+    the kernel, RDP by splitting and the dense lattice class, which the
+    algebra's cached class must equal.  Every report has the same eleven keys,
+    in the same order, which the benchmark's operators digest also pins."""
+    counts = dict.fromkeys(("algebras", "maps", "strong", "faithful_moved",
+                            "rdp_moved", "faithful_on_chains"), 0)
+    for E in algebras:
+        counts["algebras"] += 1
+        rdp = rdp_splitting(E)[0]
+        lattice = dense_lattice_class(E)
+        ident = tuple(range(E.n))
+        for m in enumerate_endomorphisms(E):
+            if compose(m, m) != m:
+                continue
+            report = operator_law_report(E, m)
+            assert tuple(report) == LAW_KEYS, tuple(report)
+            strong = all_pairs_strong_operator(E, m)
+            faithful = [a for a in ident if m[a] == 0] == [0]
+            applies = dict.fromkeys(LAW_SCANS, True)
+            applies.update({
+                "strong_joins_land_in_image": strong,
+                "strong_fixes_image_meets": strong,
+                "image_inherits_rdp": rdp,
+                "faithful_strictly_monotone": faithful,
+                "faithful_fixed_or_incomparable": faithful,
+                "faithful_implies_strong": faithful,
+                "linear_faithful_identity": faithful and lattice == "both",
+                "antilattice_preserves_joins_meets": lattice == "both",
+            })
+            for law, scan in LAW_SCANS.items():
+                if applies[law]:
+                    assert scan(E, m) == (True, None), (E.labels, m, law)
+                    assert report[law] is HOLDS, (E.labels, m, law)
+                else:
+                    assert report[law] is NOT_APPLICABLE, (E.labels, m, law)
+            counts["maps"] += 1
+            counts["strong"] += strong
+            counts["faithful_moved"] += faithful and m != ident
+            counts["rdp_moved"] += rdp and m != ident
+            counts["faithful_on_chains"] += applies["linear_faithful_identity"]
+        assert E.verdict(classify_lattice) == lattice, E.labels
+        assert E.verdict(check_rdp)[0] == rdp, E.labels
+    return counts
 
 
 def all_pairs_order_report(values, leq):

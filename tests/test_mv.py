@@ -54,7 +54,7 @@ def test_mv_identities_on_population():
     for E in population:
         try:
             A = mv_operations(E)
-        except ValueError:     # not lattice-ordered, or no refinement: not MV
+        except ValueError:     # no refinement: not MV
             continue
         n, oplus, star = E.n, A.oplus, A.star
         for x in range(n):

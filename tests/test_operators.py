@@ -18,21 +18,17 @@ from effectalg.catalog import (build_boolean, build_chain, build_even_subsets, b
 from effectalg.core import GuardExceeded, homomorphisms, preserves_existing_joins
 from effectalg.fuzz import permute_algebra, random_algebra
 from effectalg.mv import mv_operations
-from effectalg.operators import (HOLDS, NOT_APPLICABLE, check_esp, classify_operator,
-                                 compose, coordinate_repeat_maps,
-                                 enumerate_endomorphisms, induced_state_map,
-                                 is_endomorphism, is_n_potent, is_strong_operator,
-                                 minimal_potency, mv_operator_agreement,
+from effectalg.operators import (NOT_APPLICABLE, check_esp, classify_operator, compose,
+                                 coordinate_repeat_maps, enumerate_endomorphisms,
+                                 induced_state_map, is_endomorphism, is_n_potent,
+                                 is_strong_operator, minimal_potency, mv_operator_agreement,
                                  operator_law_report, scan_mv_operator_agreement)
 from effectalg.states import compute_states, is_state
-from effectalg.suite import (check_kernel_ideals, check_operator_inclusions,
-                             check_operator_laws)
+from effectalg.suite import check_kernel_ideals
 from effectalg.structure import check_rdp, classify_lattice
 from oracles import (all_pairs_strong_operator, composition_potency, dense_lattice_class,
-                     fixed_or_incomparable_scan, full_triple_endomorphism,
-                     image_fixed_point_scan, image_rdp_scan, image_subalgebra_scan, power,
-                     preserves_existing_meets, rdp_splitting, strictly_monotone_scan,
-                     strong_joins_scan, strong_meets_scan)
+                     full_triple_endomorphism, law_report_counts, power,
+                     preserves_existing_meets)
 from tables import leq_table, paste_boolean_cubes, sums_dict, wright_triangle
 from test_acceptance import Budget, operator_population
 
@@ -138,8 +134,19 @@ def test_guard_raises_instead_of_truncating():
 
 
 def test_identity_always_found():
+    """The identity is an endomorphism of every catalog algebra, and the census
+    of ``classify_operator`` over all their endomorphisms is pinned."""
+    counts = Counter()
     for _name, E in small_catalog():
-        assert tuple(range(E.n)) in enumerate_endomorphisms(E)
+        endos = enumerate_endomorphisms(E)
+        assert tuple(range(E.n)) in endos
+        P = compute_states(E)
+        for m in endos:
+            prof = classify_operator(E, m, P)
+            counts.update(endomorphisms=1, state_operators=prof.is_state_operator,
+                          strong=prof.is_strong, morphisms=prof.is_state_morphism)
+    assert counts == {"endomorphisms": 591, "state_operators": 117, "strong": 117,
+                      "morphisms": 43}
 
 
 def test_square_product_operator_census():
@@ -155,7 +162,7 @@ def test_classification_on_square_product():
     E = build_product([build_chain(2), build_chain(2)])
     P = compute_states(E)
     t1, t2 = coordinate_repeat_maps(E)
-    for t in (t1, t2):
+    for t in (t1, t2, tuple(range(E.n))):
         prof = classify_operator(E, t, P)
         assert prof.is_state_operator and prof.is_strong
         assert prof.is_state_morphism and prof.has_esp
@@ -178,14 +185,6 @@ def test_complement_swap_is_3_potent_not_state_operator():
 def test_kernels_are_tau_ideals():
     result = check_kernel_ideals()
     assert result.passed and result.details == {}
-
-
-def test_inclusion_chain():
-    # state-morphism => strong => state-operator, over small_catalog()
-    result = check_operator_inclusions()
-    assert result.passed
-    assert result.details == {"endomorphisms": 591, "state_operators": 117,
-                              "strong": 117, "morphisms": 43}
 
 
 def test_induced_map_collapses_to_m1():
@@ -260,80 +259,6 @@ def test_law_report_requires_an_endomorphism():
     assert compose(m, m) == m and not is_endomorphism(E, m)
     with pytest.raises(ValueError):
         operator_law_report(E, m)
-
-
-LAW_KEYS = ("image_is_fixed_point_set", "image_is_subalgebra",
-            "strong_joins_land_in_image", "strong_fixes_image_meets",
-            "image_inherits_rdp", "faithful_strictly_monotone",
-            "faithful_fixed_or_incomparable", "faithful_implies_strong",
-            "linear_faithful_identity", "antilattice_preserves_joins_meets",
-            "all_meets_preserved_info")
-
-
-# The scan of each law, as (holds, witness), run only where the law applies.
-LAW_SCANS = {
-    "image_is_fixed_point_set": image_fixed_point_scan,
-    "image_is_subalgebra": image_subalgebra_scan,
-    "strong_joins_land_in_image": strong_joins_scan,
-    "strong_fixes_image_meets": strong_meets_scan,
-    "image_inherits_rdp": image_rdp_scan,
-    "faithful_strictly_monotone": strictly_monotone_scan,
-    "faithful_fixed_or_incomparable": fixed_or_incomparable_scan,
-    "faithful_implies_strong": lambda E, m: (all_pairs_strong_operator(E, m), None),
-    "linear_faithful_identity": lambda E, m: (m == tuple(range(E.n)), None),
-    "antilattice_preserves_joins_meets": lambda E, m: (
-        preserves_existing_joins(E, E, m) and preserves_existing_meets(E, m), None),
-}
-
-
-def law_report_counts(algebras):
-    """Check every law report on the idempotent endomorphisms of ``algebras``
-    against the scans and count what applied.  Each of the ten laws that the
-    report states without a scan holds by its scan wherever it applies, and
-    the report gives it as HOLDS there and NOT_APPLICABLE elsewhere.
-    Applicability is decided here by the oracles: the all-pairs strong test,
-    the kernel, RDP by splitting and the dense lattice class, which the
-    algebra's cached class must equal.  Every report has the same eleven keys,
-    in the same order, which the benchmark's operators digest also pins."""
-    counts = dict.fromkeys(("algebras", "maps", "strong", "faithful_moved",
-                            "rdp_moved", "faithful_on_chains"), 0)
-    for E in algebras:
-        counts["algebras"] += 1
-        rdp = rdp_splitting(E)[0]
-        lattice = dense_lattice_class(E)
-        ident = tuple(range(E.n))
-        for m in enumerate_endomorphisms(E):
-            if compose(m, m) != m:
-                continue
-            report = operator_law_report(E, m)
-            assert tuple(report) == LAW_KEYS, tuple(report)
-            strong = all_pairs_strong_operator(E, m)
-            faithful = [a for a in ident if m[a] == 0] == [0]
-            applies = dict.fromkeys(LAW_SCANS, True)
-            applies.update({
-                "strong_joins_land_in_image": strong,
-                "strong_fixes_image_meets": strong,
-                "image_inherits_rdp": rdp,
-                "faithful_strictly_monotone": faithful,
-                "faithful_fixed_or_incomparable": faithful,
-                "faithful_implies_strong": faithful,
-                "linear_faithful_identity": faithful and lattice == "both",
-                "antilattice_preserves_joins_meets": lattice == "both",
-            })
-            for law, scan in LAW_SCANS.items():
-                if applies[law]:
-                    assert scan(E, m) == (True, None), (E.labels, m, law)
-                    assert report[law] is HOLDS, (E.labels, m, law)
-                else:
-                    assert report[law] is NOT_APPLICABLE, (E.labels, m, law)
-            counts["maps"] += 1
-            counts["strong"] += strong
-            counts["faithful_moved"] += faithful and m != ident
-            counts["rdp_moved"] += rdp and m != ident
-            counts["faithful_on_chains"] += applies["linear_faithful_identity"]
-        assert E.verdict(classify_lattice) == lattice, E.labels
-        assert E.verdict(check_rdp)[0] == rdp, E.labels
-    return counts
 
 
 def test_definitional_laws_match_their_scans():
@@ -413,11 +338,6 @@ def test_chains_are_exactly_lattice_class_both():
         assert (classify_lattice(E) == "both") == chain, E.labels
         chains += chain
     assert chains == 61
-
-
-def test_laws_hold_across_catalog():
-    result = check_operator_laws()
-    assert result.passed and result.details == {"failures": []}
 
 
 def test_mv_agreement_single_maps():
@@ -613,12 +533,14 @@ def test_meet_preservation_matches_join_preservation():
     """An endomorphism keeps complements, so it keeps every existing meet
     exactly when it keeps every existing join; checked against the meet-table
     oracle on every endomorphism of the A05 population, where both verdicts
-    occur."""
+    occur.  A join-preserving idempotent is strong by the all-pairs oracle:
+    tau(tau(a) v tau(b)) = tau(a) v tau(b)."""
     verdicts = {True: 0, False: 0}
     for _name, E in operator_population():
         for m in enumerate_endomorphisms(E):
             got = preserves_existing_joins(E, E, m)
             assert got == preserves_existing_meets(E, m), (E.labels, m)
+            assert not got or compose(m, m) != m or all_pairs_strong_operator(E, m)
             verdicts[got] += 1
     assert all(verdicts.values())
 

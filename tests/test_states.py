@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
@@ -349,25 +349,34 @@ def test_sparse_elimination_matches_dense_rref():
 sparse_coeff = st.integers(min_value=-3, max_value=3)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_sparse_elimination_matches_dense_rref_on_random_systems(data):
-    """Random integer systems with at most 3 nonzeros per row, each row and its
+@st.composite
+def sparse_systems(draw):
+    """(rows, rhs, nvars, clash): at most 3 nonzeros per row, each row and its
     right-hand side times a common ``factor`` so that ``_primitive`` divides;
     with ``clash`` a row is repeated with a shifted right-hand side, so the
     system is inconsistent."""
-    nvars = data.draw(st.integers(min_value=1, max_value=6))
+    nvars = draw(st.integers(min_value=1, max_value=6))
     entries = st.dictionaries(st.integers(min_value=0, max_value=nvars - 1),
                               sparse_coeff.filter(bool), max_size=3)
-    sparse = data.draw(st.lists(st.tuples(entries, sparse_coeff, st.integers(1, 4)),
-                                max_size=8))
+    sparse = draw(st.lists(st.tuples(entries, sparse_coeff, st.integers(1, 4)),
+                           max_size=8))
     rows = [{j: factor * x for j, x in row.items()} for row, _b, factor in sparse]
     rhs = [factor * b for _row, b, factor in sparse]
-    clash = bool(rows) and data.draw(st.booleans())
+    clash = bool(rows) and draw(st.booleans())
     if clash:
-        k = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        k = draw(st.integers(min_value=0, max_value=len(rows) - 1))
         rows.append(dict(rows[k]))
         rhs.append(rhs[k] + 1)
+    return rows, rhs, nvars, clash
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+@example(([{0: 1}, {0: 1}], [0, 1], 1, True))    # x = 0 and x = 1
+def test_sparse_elimination_matches_dense_rref_on_random_systems(system):
+    """Random sparse integer systems (``sparse_systems``); an inconsistent one
+    has no parametrization."""
+    rows, rhs, nvars, clash = system
     result = affine_parametrization(rows, rhs, nvars)
     assert fraction_parametrization(result) == \
         dense_affine_parametrization(dense(rows, nvars), rhs, nvars)
