@@ -8,11 +8,10 @@ Asymmetric input is rejected rather than repaired so that corrupted tables fail
 loudly.  Associativity is checked only on the triples whose left association
 (a + b) + c is defined, |L| work rather than n^3: once the table is symmetric,
 every failing triple (a, b, c) or its mirror (c, b, a) is one of them.  The
-order is stored in two forms: one pair is read from the subtraction table, a
-<= b iff ``sub[b][a]`` is defined, and sets from the down-set bitmasks ``down``.
-Meets are read from the masks a row at a time, each built on its first read
-(``MeetRows``).  The decomposition tree of central products, horizontal sums
-and indecomposable parts, which RDP and the state layer read, is ``decompose``.
+order is stored once, as the down-set bitmasks ``down``; subtraction, meets and
+joins are rows read from them and the sum table on demand (``OrderData``).  The
+decomposition tree of central products, horizontal sums and indecomposable
+parts, which RDP and the state layer read, is ``decompose``.
 """
 
 from __future__ import annotations
@@ -68,51 +67,40 @@ def guard_associativity(work: int) -> None:
         raise GuardExceeded(f"associativity scan of {work} triples (guard {GUARD_ASSOCIATIVITY})")
 
 
-class MeetRows(Sequence):
-    """The meet table a row at a time: row a, built on its first read and kept,
-    is the tuple of the elements whose down-sets are ``down[a] & down[b]``,
-    None where a ^ b does not exist.  The view takes no item assignment."""
+class _Rows(dict):
+    """A table read a row at a time: ``rows[a]`` is the tuple ``row(a)``, built
+    on its first read and kept, so that a built row is read at dict speed.  No
+    row is ever assigned, replaced or removed."""
 
-    def __init__(self, down: tuple[int, ...]):
-        self._down, self._rows = down, [None] * len(down)
-        self._get = {mask: a for a, mask in enumerate(down)}.get
+    __setitem__ = __delitem__ = __ior__ = update = setdefault = pop = popitem = clear = None
 
-    def __len__(self) -> int:
-        return len(self._rows)
+    def __init__(self, row: Callable[[int], tuple[Optional[int], ...]]):
+        self.row = row
 
-    def __getitem__(self, a: int) -> tuple[Optional[int], ...]:
-        if self._rows[a] is None:
-            self._rows[a] = tuple(map(self._get, map(self._down[a].__and__, self._down)))
-        return self._rows[a]
+    def __missing__(self, a: int) -> tuple[Optional[int], ...]:
+        dict.__setitem__(self, a, row := self.row(a))
+        return row
 
 
 @dataclass(frozen=True)
 class OrderData:
-    """Derived order-theoretic structure of a validated algebra.
-
-    The order has two forms: a <= b iff ``sub[b][a]`` is defined, for one pair,
-    and iff bit a of ``down[b]`` is set, for sets.  ``meet`` is the lattice
-    table as rows built on read.  The complement is an order-reversing
-    involution, so a v b exists exactly when a' ^ b' does, and then a v b =
-    (a' ^ b')'; ``join`` is that De Morgan view, built whole on first read.
-    ``complements`` is the algebra's own tuple.
+    """The order of a validated algebra, stored once: bit a of ``down[b]`` is
+    set iff a <= b.  ``sub``, ``meet`` and ``join`` are ``_Rows`` read from it
+    and the sum table.  ``sub[b][a]`` is b - a, or None where a is not below b:
+    row b' of the sum table mapped by the complement, as a <= b iff a + b' is
+    defined, and then b - a = (a + b')'.  By commutativity and associativity,
+    if a + d = b then (d + a) + b' = 1 gives d + (a + b') = 1, so d = (a + b')'
+    as complements are unique; if s = a + b' is defined, (b' + a) + s' = 1 gives
+    b' + (a + s') = 1, so a + s' = b.  ``meet[a][b]`` has the down-set
+    ``down[a] & down[b]``, or is None.  The complement is an order-reversing
+    involution, so a v b = (a' ^ b')' exactly when either exists: ``join[a]``
+    is ``meet[a']`` permuted and mapped by the complement.
     """
 
-    sub: Table                               # sub[b][a] = b - a for a <= b, else None
-    down: tuple[int, ...]                    # bit a of down[b] iff a <= b
-    complements: tuple[int, ...]
-
-    @cached_property
-    def meet(self) -> MeetRows:
-        return MeetRows(self.down)
-
-    @cached_property
-    def join(self) -> Table:
-        c = self.complements
-        get = dict(enumerate(c)).get             # None, a missing meet, is no key
-        # A one-index itemgetter returns a scalar; the one-element row is its own permutation.
-        permute = itemgetter(*c) if len(c) > 1 else tuple
-        return tuple(tuple(map(get, permute(row))) for row in map(self.meet.__getitem__, c))
+    down: tuple[int, ...]
+    sub: _Rows
+    meet: _Rows
+    join: _Rows
 
 
 @dataclass(frozen=True)
@@ -167,8 +155,8 @@ class FiniteEffectAlgebra:
         return verdicts[check]
 
     def leq(self, a: int, b: int) -> bool:
-        """a <= b, read from ``order.sub`` for one pair; sets read ``order.down``."""
-        return self.order.sub[b][a] is not None
+        """a <= b: bit a of the down-set mask ``order.down[b]``."""
+        return self.order.down[b] >> a & 1 == 1
 
     def complement(self, a: int) -> int:
         return self.complements[a]
@@ -298,24 +286,27 @@ def raw_triples(E: FiniteEffectAlgebra) -> list[tuple[int, int, int]]:
 
 
 def derive_order(E: FiniteEffectAlgebra) -> OrderData:
-    """Subtraction and down-sets, in one pass over the triples.
+    """The down-sets, in one pass over the triples, and the row tables over them.
 
     a <= b iff a + c = b for some c.  ``validate_axioms`` has established the
     axioms, so this is a partial order with bottom 0 and top 1 and every
-    difference b - a is unique; nothing here checks that again.  No meet or
-    join table is built: x = a ^ b iff its down-set is their common down-set,
-    read a row at a time through ``OrderData.meet``, and a v b = (a' ^ b')'.
+    difference b - a is unique; nothing here checks that again.  Only ``down``
+    is computed; ``OrderData`` says how a row of ``sub``, ``meet`` or ``join``
+    is read from it, when it is first read.
     """
-    n = E.n
-    sub = [[None] * n for _ in range(n)]
-    down = [0] * n
-    bit = [1 << a for a in range(n)]
-    for a, c, b in E.triples:
-        row = sub[b]
-        row[a] = c
-        row[c] = a
-        down[b] |= bit[a] | bit[c]
-    return OrderData(sub=tuple(map(tuple, sub)), down=tuple(down), complements=E.complements)
+    c, table = E.complements, E.table
+    masks = [0] * E.n
+    bit = [1 << a for a in range(E.n)]
+    for a, d, b in E.triples:
+        masks[b] |= bit[a] | bit[d]
+    down = tuple(masks)
+    named = {mask: a for a, mask in enumerate(down)}.get    # the element with that down-set
+    prime = dict(enumerate(c)).get                           # None, no element, is no key
+    # A one-index itemgetter returns a scalar; the one-element row is its own permutation.
+    permute = itemgetter(*c) if len(c) > 1 else tuple
+    meet = _Rows(lambda a: tuple(map(named, map(down[a].__and__, down))))
+    return OrderData(down=down, sub=_Rows(lambda b: tuple(map(prime, table[c[b]]))), meet=meet,
+                     join=_Rows(lambda a: tuple(map(prime, permute(meet[c[a]])))))
 
 
 class Node(NamedTuple):
@@ -361,8 +352,10 @@ def _node(E: FiniteEffectAlgebra, members: tuple[int, ...]) -> Node:
     if len({down[x].bit_count() for x in members[:-1]}) == len(members) - 1:
         return Node("chain", members)
     sub_u = E.order.sub[members[-1]]
-    c = next((c for c in members[1:-1]       # sharp c: c ^ c' = 0, whose down-set is {0}
-              if down[c] & down[sub_u[c]] == 1 and _is_central(E, members, c)), None)
+    atoms = sum(1 << x for x in members[1:-1] if down[x].bit_count() == 2)
+    c = next((c for c in members[1:-1]       # each atom is below exactly one of c, c'
+              if (down[c] ^ down[sub_u[c]]) & atoms == atoms and _is_central(E, members, c)),
+             None)
     if c is not None:
         return Node("product", members, tuple(
             _node(E, (*(x for x in members[:-1] if x != a and down[a] >> x & 1), a))
@@ -401,15 +394,16 @@ def _is_central(E: FiniteEffectAlgebra, members: Sequence[int], c: int) -> bool:
     [0, c] x [0, c'] -> node?  O(n): it is exactly when every x is
     (x ^ c) + (x ^ c'), both meets existing.
 
-    That makes the map onto, and c ^ c' = 0, as c = c + (c ^ c'); so callers may
-    try only sharp c.  It makes c principal: for a, b <= c with a + b defined,
-    b' >= c' splits as t + c' with t = b' ^ c, so c = b + t >= b + a, as a <= t.
-    Likewise c'.  So for x + y = z, A = (x ^ c) + (y ^ c) <= c and
-    B = (x ^ c') + (y ^ c') <= c' sum to z, and A <= z ^ c, B <= z ^ c' with
-    (z ^ c) + (z ^ c') = z give z ^ c = A by cancellation: x |-> x ^ c is
-    additive, and so is x |-> x ^ c'.  The pair of them undoes the map, as
-    (a + b) ^ c = a + (b ^ c) = a for b <= c'; and sums in [0, c] x [0, c'] go
-    through by associativity.
+    That makes the map onto and puts each atom x = (x ^ c) + (x ^ c') below
+    exactly one of c and c', a mask test that callers make first; it gives
+    c ^ c' = 0, as an atom lies below any nonzero lower bound.  It makes c
+    principal: for a, b <= c with a + b defined, b' >= c' splits as t + c' with
+    t = b' ^ c, so c = b + t >= b + a, as a <= t.  Likewise c'.  So for x + y = z,
+    A = (x ^ c) + (y ^ c) <= c and B = (x ^ c') + (y ^ c') <= c' sum to z, and
+    A <= z ^ c, B <= z ^ c' with (z ^ c) + (z ^ c') = z give z ^ c = A by
+    cancellation: x |-> x ^ c is additive, and so is x |-> x ^ c'.  The pair of
+    them undoes the map, as (a + b) ^ c = a + (b ^ c) = a for b <= c'; and sums
+    in [0, c] x [0, c'] go through by associativity.
     """
     table, meet = E.table, E.order.meet
     p, q = meet[c], meet[E.order.sub[members[-1]][c]]
@@ -429,7 +423,8 @@ def search_schedule(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> list[tu
     only ever be a check that never fails; none is scheduled.
     """
     n = E1.n
-    table, sub, down = E2.table, E2.order.sub, E1.order.down
+    table, down = E2.table, E1.order.down
+    sub = tuple(map(E2.order.sub.__getitem__, range(E2.n)))     # read at tuple speed
     watch: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for t in ((0, n - 1, n - 1), *E1.nonzero_triples):
         for e in set(t):

@@ -240,7 +240,7 @@ def updown_order(E):
     order and subtraction from the triples, the down-set bitmasks (bit a of
     ``down[b]`` iff a <= b), then x = a v b iff the up-set of x is exactly the
     common up-set of a and b, and meets dually with down-sets.
-    The n^2-scan reference for ``core.derive_order`` and ``OrderData.join``.
+    The n^2-scan reference for ``core.derive_order`` and the rows of ``OrderData``.
     """
     n = E.n
     leq = [[False] * n for _ in range(n)]
@@ -258,12 +258,12 @@ def updown_order(E):
     return (tuple(down), *(tuple(tuple(r) for r in t) for t in (sub, join, meet)))
 
 
-def entrywise_join(order):
+def entrywise_join(E):
     """a v b = (a' ^ b')' entry by entry, a Python test per entry: the reference
     for ``OrderData.join``, which maps whole rows."""
-    c = order.complements
+    c = E.complements
     return tuple(tuple(None if m is None else c[m] for m in map(row.__getitem__, c))
-                 for row in map(order.meet.__getitem__, c))
+                 for row in map(E.order.meet.__getitem__, c))
 
 
 def scan_interpolation(E):
@@ -317,8 +317,9 @@ def full_triple_endomorphism(E, mapping):
 def all_pairs_strong_operator(E, mapping):
     """tau(tau(a) v tau(b)) = tau(a) v tau(b) whenever that join exists, tested
     at every index pair a <= b: the n^2/2 reference for
-    ``operators.is_strong_operator``, which scans pairs of image elements."""
-    join = E.order.join
+    ``operators.is_strong_operator``, which scans pairs of image elements.  The
+    joins are the up-set scan's, kept on E."""
+    join = E.verdict(updown_order)[2]
     for a in range(E.n):
         ta = mapping[a]
         for b in range(a, E.n):
@@ -388,9 +389,10 @@ def image_subalgebra_scan(E, m):
 
 
 def strong_joins_scan(E, m):
-    """(holds, witness): existing joins of image elements lie in the image."""
+    """(holds, witness): existing joins of image elements lie in the image, read
+    from the up-set scan's joins, kept on E."""
     n = E.n
-    join = E.order.join
+    join = E.verdict(updown_order)[2]
     image = sorted({m[a] for a in range(n)})
     holds = True
     wit = None

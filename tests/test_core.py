@@ -211,6 +211,11 @@ def test_subtraction_unique():
                 assert E.leq(a, b) == bool(diffs)
 
 
+def rows(table, n):
+    """Rows 0..n-1 of an order table, read by index, as one tuple."""
+    return tuple(map(table.__getitem__, range(n)))
+
+
 def test_derive_order_matches_updown_oracle():
     """The down-sets, sub, the meet table and the De Morgan join view against the
     up-set/down-set scan, on the order population, a non-lattice orthoalgebra,
@@ -221,9 +226,9 @@ def test_derive_order_matches_updown_oracle():
     partial = 0
     for E in population:
         o = E.order
-        assert (o.down, o.sub, o.join, tuple(o.meet)) == updown_order(E), E.meta
-        assert o.complements is E.complements
-        partial += any(None in row for row in o.meet)
+        sub, join, meet = (rows(t, E.n) for t in (o.sub, o.join, o.meet))
+        assert (o.down, sub, join, meet) == updown_order(E), E.meta
+        partial += any(None in row for row in meet)
     assert partial >= 3
 
 
@@ -236,9 +241,9 @@ def test_join_view_matches_entrywise_oracle():
                    build_boolean(8), validate_axioms(1, [(0, 0, 0)])]
     partial = 0
     for E in population:
-        o = E.order
-        assert o.join == entrywise_join(o), E.meta
-        partial += any(None in row for row in o.join)
+        join = rows(E.order.join, E.n)
+        assert join == entrywise_join(E), E.meta
+        partial += any(None in row for row in join)
     assert partial == 3
 
 
@@ -264,7 +269,7 @@ def test_search_schedule_reads_only_nonzero_sums():
     levels = search_schedule(E, E)
     assert [(len(steps), len(checks)) for steps, checks, _new in levels] == [
         (1, 0), (1, 0), (3, 2), (7, 12), (15, 50)]
-    assert levels[0][0] == [(0, E.order.sub, E.n - 1, E.n - 1)]
+    assert levels[0][0] == [(0, rows(E.order.sub, E.n), E.n - 1, E.n - 1)]
     scheduled = [t for _steps, checks, _new in levels for t in checks]
     assert all(t[0] for t in scheduled)
     assert len(scheduled) == len(set(scheduled)) == 64
@@ -356,6 +361,18 @@ def test_algebra_cannot_be_mutated():
     for table in (E.table, o.sub, o.join, o.meet):
         with pytest.raises(TypeError):
             table[0][0] = table[1][1]
+    for table in (o.sub, o.join, o.meet):     # dicts of rows, each built on its first read
+        assert all(type(table[a]) is tuple for a in range(E.n))
+        built = dict(table)
+        for change in (lambda: table.pop(0), lambda: table.popitem(), lambda: table.clear(),
+                       lambda: table.update({0: ()}), lambda: table.setdefault(0, ())):
+            with pytest.raises(TypeError):
+                change()
+        with pytest.raises(TypeError):
+            del table[0]
+        with pytest.raises(TypeError):
+            table |= {0: ()}
+        assert dict(table) == built and len(built) == E.n
     assert type(o.down) is tuple and all(type(d) is int for d in o.down)
     for seq in (E.triples, E.complements, E.labels):
         with pytest.raises(TypeError):

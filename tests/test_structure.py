@@ -10,14 +10,15 @@ from itertools import product
 from effectalg import structure
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
-from effectalg.core import AxiomViolation, MeetRows, decompose, raw_triples, validate_axioms
+from effectalg.core import (AxiomViolation, _is_central, _Rows, decompose, raw_triples,
+                            validate_axioms)
 from effectalg.fuzz import _mutate, permute_algebra, random_algebra
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
 from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
                                  enumerate_ideals, is_riesz_ideal, verify_rdp_witness)
 from oracles import dense_lattice_class, full_scan_rdp, rdp_splitting, scan_interpolation
 from tables import greechie_chain, leq_table, sums_dict, wright_triangle
-from test_acceptance import Budget
+from test_acceptance import Budget, operator_population
 from test_core import order_population
 
 
@@ -154,20 +155,48 @@ def test_rdp_read_from_the_tree_never_scans(monkeypatch):
 def test_tree_readers_build_only_the_meet_rows_they_read(monkeypatch):
     """boolean(10) is a product of chains, so ``check_rdp``,
     ``classify_lattice`` and ``check_interpolation`` answer from its tree.
-    Its central splits read 18 of the 1,024 meet rows, two per split, and
-    exactly those rows are built."""
+    Deriving the order and reading a <= b on all pairs, 3^10 of them true,
+    builds no row.  The tree's nine central splits read 18 of the 1,024 meet
+    rows, two per split, and exactly those rows are built, with one
+    subtraction row per split, its unit's, and no join row."""
+    E = build_boolean(10)
+    o = E.order
+    assert sum(E.leq(a, b) for a in range(E.n) for b in range(E.n)) == 3 ** 10
+    assert (len(o.sub), len(o.meet), len(o.join)) == (0, 0, 0)
     read = set()
-    row = MeetRows.__getitem__
+    row = dict.__getitem__                   # calls __missing__ on a row not yet built
 
     def recorded(self, a):
-        read.add(a)
+        if self is o.meet:
+            read.add(a)
         return row(self, a)
-    monkeypatch.setattr(MeetRows, "__getitem__", recorded)
-    E = build_boolean(10)
+    monkeypatch.setattr(_Rows, "__getitem__", recorded)
     assert check_rdp(E) == (True, None)
     assert classify_lattice(E) == "lattice" and check_interpolation(E) == (True, None)
-    built = {a for a, r in enumerate(E.order.meet._rows) if r is not None}
-    assert built == read and len(built) == 18
+    assert set(o.meet) == read and len(read) == 18
+    assert (len(o.sub), len(o.join)) == (9, 0)
+
+
+def test_central_elements_pass_the_atom_mask_test():
+    """``decompose`` asks ``_is_central`` only about a c that puts every atom of
+    the node below exactly one of c and its complement there.  Each c that
+    ``_is_central`` accepts passes, as an atom x = (x ^ c) + (x ^ c') lies in
+    one factor; checked on every member of every node of the A05 population's
+    trees and of Greechie chains of one to six blocks."""
+    algebras = [E for _name, E in operator_population()]
+    algebras += [greechie_chain(k) for k in range(1, 7)]
+    central = 0
+    for E in algebras:
+        down, sub = E.order.down, E.order.sub
+        for node in decompose(E).walk():
+            m = node.members
+            atoms = [x for x in m[1:-1] if down[x].bit_count() == 2]
+            for c in m[1:-1]:
+                if _is_central(E, m, c):
+                    central += 1
+                    cc = sub[m[-1]][c]
+                    assert all(E.leq(x, c) != E.leq(x, cc) for x in atoms), (E.meta, m, c)
+    assert central == 438
 
 
 def test_rdp_past_the_tree_matches_full_scan():
