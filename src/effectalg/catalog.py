@@ -4,7 +4,9 @@ families, and finite MV products, plus horizontal sums for test diversity.
 Boolean algebras 2^k, finite MV-algebras and the product-ordered intervals [0, u]
 of Z^k are products of chains (Bennett & Foulis, Interval and scale effect
 algebras, 1997; Dvurecenskij & Pulmannova, New Trends in Quantum Structures,
-2000); one product construction, ``_product``, tabulates them all."""
+2000); one product construction, ``_product``, tabulates them all.  The JSON
+spelling {"kind": "mv_product", "chains": [n, ...]} of a finite MV-algebra is
+read as the spec of the product of those chains, not as a kind of its own."""
 
 from __future__ import annotations
 
@@ -25,8 +27,7 @@ SIZE_KEYS = {"boolean": "k", "chain": "n", "even_subsets": "m"}
 class CatalogSpec:
     """A recipe for one catalog algebra.
 
-    kind: "boolean" (k), "chain" (n), "product" (factors), "even_subsets" (m),
-    "mv_product" (chains).
+    kind: "boolean" (k), "chain" (n), "product" (factors), "even_subsets" (m).
     """
 
     kind: str
@@ -34,12 +35,12 @@ class CatalogSpec:
     n: Optional[int] = None
     m: Optional[int] = None
     factors: Optional[tuple] = None
-    chains: Optional[tuple[int, ...]] = None
 
     @staticmethod
     def from_dict(d: dict) -> "CatalogSpec":
         """The spec of a JSON object, without coercion: sizes must be ints (not
-        bools), ``factors`` and ``chains`` lists."""
+        bools), ``factors`` and ``chains`` lists; an ``mv_product`` is read as
+        the product of its chains."""
         if not isinstance(d, dict):
             raise ValueError(f"a catalog spec is an object, got {d!r}")
         kind = d.get("kind")
@@ -49,7 +50,8 @@ class CatalogSpec:
             return CatalogSpec("product",
                                factors=tuple(CatalogSpec.from_dict(f) for f in _list(d, "factors")))
         if kind == "mv_product":
-            return CatalogSpec("mv_product", chains=tuple(_size(x) for x in _list(d, "chains")))
+            return CatalogSpec("product", factors=tuple(CatalogSpec("chain", n=_size(x))
+                                                        for x in _list(d, "chains")))
         raise ValueError(f"unknown catalog kind {kind!r}")
 
 
@@ -167,14 +169,13 @@ def _elements(spec: CatalogSpec) -> int:
     if spec.kind in ("boolean", "even_subsets"):
         return 1 << min(max(spec.k if spec.kind == "boolean" else spec.m - 1, 0), 64)
     count = 1
-    for factor in (spec.factors if spec.kind == "product" else
-                   [CatalogSpec("chain", n=n) for n in spec.chains or ()]):
+    for factor in spec.factors or ():
         count = min(count * _elements(factor), 1 << 64)
     return count
 
 
 def build_catalog(spec: CatalogSpec) -> FiniteEffectAlgebra:
-    if spec.kind in ("product", "mv_product"):
+    if spec.kind == "product":
         guard_elements(_elements(spec))
     if spec.kind == "boolean":
         return build_boolean(spec.k)
@@ -184,8 +185,6 @@ def build_catalog(spec: CatalogSpec) -> FiniteEffectAlgebra:
         return build_even_subsets(spec.m)
     if spec.kind == "product":
         return build_product([build_catalog(f) for f in spec.factors])
-    if spec.kind == "mv_product":
-        return build_product([build_chain(n) for n in spec.chains])
     raise ValueError(f"unknown catalog kind {spec.kind!r}")
 
 

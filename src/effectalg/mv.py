@@ -8,8 +8,8 @@ De Morgan, and the partial sum derived from it (defined iff x <= y*) is the
 original table.  A finite algebra with RDP is a product of chains, hence a
 lattice, so a finite algebra is MV exactly when it has RDP, and
 ``mv_operations`` checks that one hypothesis and builds the tables; the MV
-identities are the theorem's conclusion, not rechecked there.
-``derived_sum_matches`` states the last one as a check for the suite and tests.
+identities are the theorem's conclusion, not rechecked there.  The
+test oracle ``derived_sum_matches`` (``tests/oracles.py``) states the last one.
 """
 
 from __future__ import annotations
@@ -43,21 +43,6 @@ def mv_operations(E: FiniteEffectAlgebra) -> MvStructure:
                        oplus=tuple(tuple(r) for r in oplus),
                        odot=tuple(tuple(r) for r in odot),
                        star=tuple(star))
-
-
-def derived_sum_matches(A: MvStructure):
-    """The partial sum recovered from (+) (defined iff x <= y*) equals the table."""
-    E = A.base
-    sub = E.order.sub
-    for x in range(E.n):
-        for y in range(E.n):
-            derived_defined = sub[A.star[y]][x] is not None
-            actual = E.table[x][y]
-            if derived_defined != (actual is not None):
-                return False, (x, y)
-            if derived_defined and A.oplus[x][y] != actual:
-                return False, (x, y)
-    return True, None
 
 
 def mv_state_axioms(A: MvStructure, mapping: Sequence[int]) -> dict:

@@ -3,14 +3,15 @@ associativity, dense elimination, active-set vertex enumeration, the splitting
 formulation of refinement, the all-pairs refinement scan, integer matrix
 products, the up-set/down-set order tables, the all-pairs interpolation scan,
 the join table built entry by entry, the lattice class read from both join
-and meet tables, the endomorphism test on every sum triple, the all-pairs
-strong-operator test, the meet-preservation test, the induced subalgebra on a
-map's image, the scans of the operator laws that hold by definition and the
-check of every law report against them, the all-pairs ordering report, powers
-and the potency by repeated composition, the brute-force central-element
-test, the state polytope of a whole algebra run as one part, and the catalog's
-Boolean algebras, products, po-group intervals and horizontal sums tabulated
-by a scan over every pair of elements."""
+and meet tables, the partial sum derived from the MV operations, the
+endomorphism test on every sum triple, the all-pairs strong-operator test, the
+meet-preservation test, the induced subalgebra on a map's image, the scans of
+the operator laws that hold by definition and the check of every law report
+against them, the all-pairs ordering report, powers and the potency by
+repeated composition, the brute-force central-element test, the state
+polytope of a whole algebra run as one part, and the catalog's Boolean
+algebras, products, po-group intervals and horizontal sums tabulated by a
+scan over every pair of elements."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -302,6 +303,24 @@ def dense_lattice_class(E):
             is_anti = is_anti and (comparable or not any(bounds))
     assert is_lattice or not is_anti, "a finite antilattice that is not a chain"
     return "neither" if not is_lattice else "both" if is_anti else "lattice"
+
+
+def derived_sum_matches(A):
+    """The partial sum recovered from the MV (+) of ``mv.mv_operations`` (x + y
+    defined iff x <= y*, and then x (+) y) equals the table, as the MV-effect
+    theorem says: (True, None), or (False, (x, y)) at the first pair that
+    differs."""
+    E = A.base
+    sub = E.order.sub
+    for x in range(E.n):
+        for y in range(E.n):
+            derived_defined = sub[A.star[y]][x] is not None
+            actual = E.table[x][y]
+            if derived_defined != (actual is not None):
+                return False, (x, y)
+            if derived_defined and A.oplus[x][y] != actual:
+                return False, (x, y)
+    return True, None
 
 
 def full_triple_endomorphism(E, mapping):

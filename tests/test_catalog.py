@@ -54,6 +54,7 @@ def test_catalog_spec_from_dict():
         CatalogSpec("chain", n=2), CatalogSpec("chain", n=2)))
     assert build_catalog(spec).n == 9
     mv = CatalogSpec.from_dict({"kind": "mv_product", "chains": [2, 2]})
+    assert mv == spec
     E = build_catalog(mv)
     square = build_product([build_chain(2), build_chain(2)])
     assert E == square and hash(E) == hash(square) and E.n == 9
@@ -78,8 +79,8 @@ def test_builders_equal_their_pair_scans():
                 [build_boolean(2), c[2]], [build_even_subsets(4), c[1]]]
     for factors in products:
         assert build_product(factors) == pair_scan_product(factors), factors
-    for chains in [(2,), (2, 3), (1, 4, 2)]:
-        E = build_catalog(CatalogSpec("mv_product", chains=chains))
+    for chains in [[2], [2, 3], [1, 4, 2]]:
+        E = build_catalog(CatalogSpec.from_dict({"kind": "mv_product", "chains": chains}))
         assert E == pair_scan_product([c[n] for n in chains]), chains
     for u in [(1,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 2), (0, 1), (0,), (0, 0)]:
         E = materialize(IntervalAlgebra(PoGroupSpec(len(u), "Z", "product"), u))

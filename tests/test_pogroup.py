@@ -1,6 +1,8 @@
 """Ordered groups, interval algebras, materialization, matrix extensions."""
 
 from fractions import Fraction as F
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -20,6 +22,7 @@ def test_strict_order_comparisons():
     assert not group_leq(spec, (1, F(7, 10)), (1, 1))
     assert group_leq(spec, (F(3, 10), F(3, 10)), (1, 1))
     assert group_leq(spec, (F(1, 2), F(1, 3)), (F(1, 2), F(1, 3)))
+    assert group_leq(spec, (F(1, 3), F(2, 5)), (F(1, 3), F(2, 5)))
 
 
 def test_product_and_lex_orders():
@@ -41,10 +44,14 @@ def test_rank_mismatch_rejected():
 
 
 def test_strict_cone_is_strict():
+    """Each cone is pointed: 0 <= x <= 0 only at x = 0, on three points and
+    on the whole grid of a/b with |a| <= 6 and 1 <= b <= 4 in each coordinate."""
+    grid = sorted({F(a, b) for a in range(-6, 7) for b in range(1, 5)})
+    points = [(F(1, 3), F(-1, 3)), (F(1, 2), F(1, 2)), (0, F(2, 7)), *product(grid, repeat=2)]
     for order in ("product", "lex", "strict"):
         spec = PoGroupSpec(2, "Q", order)
         zero = (0, 0)
-        for x in [(F(1, 3), F(-1, 3)), (F(1, 2), F(1, 2)), (0, F(2, 7))]:
+        for x in points:
             if group_leq(spec, zero, x) and group_leq(spec, x, zero):
                 assert spec.element(x) == spec.element(zero)
 
@@ -79,9 +86,11 @@ def test_materialize_2x1_has_rdp():
 
 
 def test_materialized_intervals_always_have_rdp():
-    for u in [(1,), (4,), (1, 1), (2, 1), (3, 2), (1, 1, 1)]:
+    for u in [(1,), (3,), (4,), (1, 1), (2, 1), (2, 2), (3, 2), (1, 1, 1)]:
         alg = IntervalAlgebra(PoGroupSpec(len(u), "Z", "product"), u)
-        assert check_rdp(materialize(alg))[0]
+        E = materialize(alg)
+        assert E.n == prod(c + 1 for c in u)
+        assert check_rdp(E)[0]
 
 
 def test_materialize_guard():

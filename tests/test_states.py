@@ -20,7 +20,7 @@ from effectalg.states import (GUARD_VERTICES, StatePolytope, _order_report,
                               clan_closure_witness, compute_states, discrete_profile,
                               finite_clan_engine, is_order_determining, is_state,
                               sampled_order_report, state_equalities)
-from effectalg.suite import check_state_geometry
+from effectalg.suite import check_order_determining, check_state_geometry
 
 from oracles import (all_pairs_order_report, brute_force_central,
                      dense_affine_parametrization, fraction_parametrization,
@@ -132,14 +132,14 @@ def test_vertex_map_on_one_element_mappings():
 
 
 def test_order_determining_catalog():
-    for k in (1, 2, 3):
-        E = build_boolean(k)
-        rep = is_order_determining(E, compute_states(E))
-        assert rep.order_determining and rep.separating
-    for n in (1, 2, 5):
-        E = build_chain(n)
-        rep = is_order_determining(E, compute_states(E))
-        assert rep.order_determining
+    """Every algebra of ``small_catalog()``, the chains and Boolean cubes among
+    them, is order-determining and separating, and hsum(2,2) is neither.  The
+    suite check is the one definition; this pins its verdict and its flags."""
+    result = check_order_determining()
+    both = {"order_determining": True, "separating": True}
+    assert result.passed
+    assert result.details == {**{name: both for name, _E in small_catalog()},
+                              "hsum(2,2)": {"order_determining": False, "separating": False}}
 
 
 def image_order_isomorphic(E, P):
@@ -176,6 +176,8 @@ def test_discrete_profiles():
     assert discrete_profile((F(0), F(1, 2), F(1))) == 2
     assert discrete_profile((F(0), F(1), F(0), F(1))) == 1
     assert discrete_profile((F(0), F(1, 2), F(1, 3))) == 6
+    assert discrete_profile((F(0), F(0), F(1), F(1))) == 1
+    assert discrete_profile((F(0), F(1, 2), F(1, 3), F(1))) == 6
 
 
 def test_every_rational_state_is_discrete():

@@ -30,7 +30,8 @@ KEPT_IMPORTS = {
 
 # Definitions kept on purpose although no other code reads them.
 KEPT_DEFINITIONS = {
-    # the closed-form duality oracle of ROADMAP item 7 will call it
+    # the closed-form duality oracle (ROADMAP, "The paper's duality on objects,
+    # finite case") will call it
     ("core.py", "is_isomorphic"),
     # A08 checks the push-forward against the pull-back oracle
     ("duality.py", "VertexMap.push_forward"),

@@ -15,7 +15,8 @@ from effectalg.core import (AxiomViolation, _is_central, _Rows, decompose, raw_t
 from effectalg.fuzz import _mutate, permute_algebra, random_algebra
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
 from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
-                                 enumerate_ideals, is_riesz_ideal, verify_rdp_witness)
+                                 enumerate_ideals, verify_rdp_witness)
+from effectalg.suite import check_structure_invariants
 from oracles import dense_lattice_class, full_scan_rdp, rdp_splitting, scan_interpolation
 from tables import greechie_chain, leq_table, sums_dict, wright_triangle
 from test_acceptance import Budget, operator_population
@@ -290,10 +291,18 @@ def test_interpolation_size_ceiling_within_budget():
             assert check_interpolation(E) == (True, None)
 
 
-def test_rdp_implies_interpolation_on_catalog():
-    for _name, E in small_catalog():
-        if check_rdp(E)[0]:
-            assert check_interpolation(E)[0]
+def test_rdp_implies_interpolation_and_riesz_ideals_on_catalog():
+    """On ``small_catalog()``, RDP implies interpolation and makes every ideal
+    Riesz.  The suite check is the one definition; this pins its verdict and
+    its flags: every algebra but even_subsets(4) has RDP, every one
+    interpolates, and the chains and boolean(1) are the only chains."""
+    chains = {f"chain({n})" for n in range(1, 9)} | {"boolean(1)"}
+    result = check_structure_invariants()
+    assert result.passed
+    assert result.details == {
+        name: {"rdp": name != "even_subsets(4)", "interpolation": True,
+               "lattice": "both" if name in chains else "lattice"}
+        for name, _E in small_catalog()}
 
 
 def test_lattice_classification():
@@ -346,10 +355,3 @@ def test_trivial_ideals_everywhere():
         assert (0,) in ideals
         assert tuple(range(E.n)) in ideals
 
-
-def test_rdp_makes_every_ideal_riesz():
-    for _name, E in small_catalog():
-        if check_rdp(E)[0]:
-            for ideal, flags in enumerate_ideals(E):
-                assert flags["riesz"]
-                assert is_riesz_ideal(E, ideal)
