@@ -15,7 +15,7 @@ from effectalg.core import (AxiomViolation, _is_central, _Rows, decompose, raw_t
 from effectalg.fuzz import _mutate, permute_algebra, random_algebra
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
 from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
-                                 enumerate_ideals, verify_rdp_witness)
+                                 enumerate_ideals, is_riesz_ideal, verify_rdp_witness)
 from effectalg.suite import check_structure_invariants
 from oracles import dense_lattice_class, full_scan_rdp, rdp_splitting, scan_interpolation
 from tables import greechie_chain, leq_table, sums_dict, wright_triangle
@@ -291,6 +291,12 @@ def test_interpolation_size_ceiling_within_budget():
             assert check_interpolation(E) == (True, None)
 
 
+def test_rdp_implies_interpolation_on_catalog():
+    for _name, E in small_catalog():
+        if check_rdp(E)[0]:
+            assert check_interpolation(E)[0]
+
+
 def test_rdp_implies_interpolation_and_riesz_ideals_on_catalog():
     """On ``small_catalog()``, RDP implies interpolation and makes every ideal
     Riesz.  The suite check is the one definition; this pins its verdict and
@@ -355,3 +361,10 @@ def test_trivial_ideals_everywhere():
         assert (0,) in ideals
         assert tuple(range(E.n)) in ideals
 
+
+def test_rdp_makes_every_ideal_riesz():
+    for _name, E in small_catalog():
+        if check_rdp(E)[0]:
+            for ideal, flags in enumerate_ideals(E):
+                assert flags["riesz"]
+                assert is_riesz_ideal(E, ideal)
