@@ -1,7 +1,8 @@
 """effectalg: finite effect algebras with internal states, exactly.
 
-Core objects: validated partial sum tables (FiniteEffectAlgebra), catalog
-constructions, exact state polytopes with extremal-state enumeration,
+Core objects: partial sum tables (FiniteEffectAlgebra), validated when read
+from outside, catalog constructions that are effect algebras by theorem (so
+built unchecked), exact state polytopes with extremal-state enumeration,
 endomorphism classification (state-operators and their strong / join-preserving
 variants), interval algebras over concrete po-groups, and the potent vertex
 maps of finite simplices, with the morphism checks on both sides of the

@@ -4,7 +4,9 @@ families, and finite MV products, plus horizontal sums for test diversity.
 Boolean algebras 2^k, finite MV-algebras and the product-ordered intervals [0, u]
 of Z^k are products of chains (Bennett & Foulis, Interval and scale effect
 algebras, 1997; Dvurecenskij & Pulmannova, New Trends in Quantum Structures,
-2000); one product construction, ``_product``, tabulates them all.  The JSON
+2000); one product construction, ``_product``, tabulates them all.  Even subsets
+are closed under disjoint unions and complements, horizontal sums keep the axioms
+(Foulis & Bennett 1994): every builder calls ``assemble``, unchecked.  The JSON
 spelling {"kind": "mv_product", "chains": [n, ...]} of a finite MV-algebra is
 read as the spec of the product of those chains, not as a kind of its own."""
 
@@ -16,8 +18,9 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Optional
 
-from .core import (FiniteEffectAlgebra, guard_associativity, guard_elements, raw_triples,
-                   validate_axioms)
+from .core import (FiniteEffectAlgebra, assemble, associativity_work, guard_associativity,
+                   guard_elements, raw_triples)
+from .core import validate_axioms  # noqa: F401  unused; perfbench/tracing.py wraps it here
 
 
 SIZE_KEYS = {"boolean": "k", "chain": "n", "even_subsets": "m"}
@@ -89,7 +92,7 @@ def build_chain(n: int) -> FiniteEffectAlgebra:
     guard_associativity(comb(n + 3, 3))
     triples = [(i, j, i + j) for i in range(n + 1) for j in range(n + 1) if i + j <= n]
     labels = [str(Fraction(i, n)) for i in range(n + 1)]
-    return validate_axioms(n + 1, triples, labels, meta={"construction": "chain", "n": n})
+    return assemble(n + 1, triples, labels, meta={"construction": "chain", "n": n})
 
 
 def build_even_subsets(m: int) -> FiniteEffectAlgebra:
@@ -107,8 +110,8 @@ def build_even_subsets(m: int) -> FiniteEffectAlgebra:
             if not (sa & sb):
                 triples.append((a, b, index[sa | sb]))
     labels = ["{" + ",".join(str(i + 1) for i in sorted(s)) + "}" for s in subsets]
-    return validate_axioms(len(subsets), triples, labels,
-                           meta={"construction": "even_subsets", "m": m})
+    return assemble(len(subsets), triples, labels,
+                    meta={"construction": "even_subsets", "m": m})
 
 
 def build_product(factors: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
@@ -131,7 +134,8 @@ def _product(factors: list[FiniteEffectAlgebra], labels: list[str],
     the ``itertools.product`` order; no factors give the one-element algebra.
     ``rows[a]`` lists (b, a + b) for each defined a + b; row a * m + x of the
     next table is row a of the last one times row x of the factor, so the sums
-    come out sorted.  Callers guard the size before they list the labels."""
+    come out sorted.  Callers guard the size; its (ii) scan is guarded here."""
+    guard_associativity(prod(associativity_work(F.table, F.triples) for F in factors))
     rows = [[(0, 0)]]
     for F in factors:
         m = F.n
@@ -139,7 +143,7 @@ def _product(factors: list[FiniteEffectAlgebra], labels: list[str],
         rows = [[(b * m + y, c * m + z) for b, c in row for y, z in factor_row]
                 for row in rows for factor_row in factor_rows]
     sums = [(a, b, c) for a, row in enumerate(rows) for b, c in row]
-    return validate_axioms(len(rows), sums, labels, meta)
+    return assemble(len(rows), sums, labels, meta)
 
 
 def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
@@ -155,9 +159,8 @@ def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
         outer = [0, *range(start + 1, start + B.n - 1), n - 1][:B.n]   # [0] if B.n == 1
         labels += [f"b{bi}:{B.labels[x]}" for x in range(1, B.n - 1)]
         triples.update((outer[x], outer[y], outer[z]) for x, y, z in raw_triples(B))
-    return validate_axioms(n, sorted(triples), labels + ["1"],
-                           meta={"construction": "horizontal_sum",
-                                 "blocks": tuple(B.n for B in blocks)})
+    return assemble(n, sorted(triples), labels + ["1"],
+                    meta={"construction": "horizontal_sum", "blocks": tuple(B.n for B in blocks)})
 
 
 def _elements(spec: CatalogSpec) -> int:

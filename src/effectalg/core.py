@@ -3,7 +3,9 @@
 An algebra is a finite set indexed 0..n-1 with a partial commutative sum.  By file
 convention index 0 is the zero element and index n-1 is the unit.  The partial sum
 is stored once, as an immutable dense table ``table[a][b]`` (None where a + b is
-undefined) plus the list of its defined sums; only ``validate_axioms`` builds it.
+undefined) plus the list of its defined sums; ``assemble`` builds it.  Tables
+from outside go through ``validate_axioms``, which checks the axioms first; the
+constructions that are effect algebras by theorem (``catalog``, ``fuzz``) do not.
 Asymmetric input is rejected rather than repaired so that corrupted tables fail
 loudly.  Associativity is checked only on the triples whose left association
 (a + b) + c is defined, |L| work rather than n^3: once the table is symmetric,
@@ -105,11 +107,11 @@ class OrderData:
 
 @dataclass(frozen=True)
 class FiniteEffectAlgebra:
-    """A validated finite effect algebra; ``validate_axioms`` builds it.
+    """A finite effect algebra: ``validate_axioms`` or a construction builds it.
 
     ``table[a][b]`` is a + b, or None where undefined; it is symmetric.
     ``triples`` lists every defined sum once as (i, j, k) with i <= j, in the
-    order validation first received the pair.  ``complements[a]`` is the unique
+    order ``assemble`` first received the pair.  ``complements[a]`` is the unique
     a' with a + a' = 1.  Every field is immutable; ``meta`` is read-only.
     Because the algebra never changes, ``verdict`` keeps the answer of any
     check that reads nothing else, and ``order`` and ``nonzero_triples`` are
@@ -175,7 +177,7 @@ class FiniteEffectAlgebra:
 def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
                     labels: Optional[list[str]] = None,
                     meta: Optional[dict] = None) -> FiniteEffectAlgebra:
-    """Validate a raw partial sum table and return the algebra.
+    """Check a raw partial sum table against the axioms, then ``assemble`` it.
 
     Each entry is an (i, j, k) sequence of ints in 0..n-1, read as i + j = k;
     ``labels``, when given, has one entry per element (ValueError otherwise).
@@ -199,11 +201,16 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
         raise AxiomViolation("table", (n,), "need at least one element")
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} elements")
-    guard_elements(n)
     entries = list(triples)
+    _check_axioms(n, entries)    # its table is freed before ``assemble`` fills one
+    return assemble(n, entries, labels, meta)
+
+
+def _check_axioms(n: int, entries: list) -> None:
+    """The guards and checks of ``validate_axioms``, in its order."""
+    guard_elements(n)
     one = n - 1
     rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    upper = []     # each defined pair once, i <= j, in order of first appearance
     for t in entries:
         if not isinstance(t, (tuple, list)):
             raise AxiomViolation("table", (t,), "entries must be (i, j, k) triples")
@@ -218,8 +225,6 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
         prev = rows[i][j]
         if prev is None:
             rows[i][j] = k
-            if i <= j:
-                upper.append((i, j, k))
         elif prev != k:
             raise AxiomViolation("table", (i, j, k, prev), "two values for the same pair")
 
@@ -232,13 +237,10 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
         if j == one and i != 0:
             raise AxiomViolation("iv", (i,), "a + 1 defined for a != 0")
 
-    complements = []
     for a, row in enumerate(rows):
-        partners = [b for b, k in enumerate(row) if k == one]
-        if len(partners) != 1:
-            raise AxiomViolation("iii", (a, tuple(partners)),
+        if row.count(one) != 1:
+            raise AxiomViolation("iii", (a, tuple(b for b, k in enumerate(row) if k == one)),
                                  "complement must exist and be unique")
-        complements.append(partners[0])
 
     # (ii) on L, with defined_at[x] the columns where row x is defined; each
     # failure outside L is the mirror (c, b, a) of one inside it.
@@ -266,21 +268,39 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
             raise AxiomViolation("ii", first, "one association defined, the other not")
         raise AxiomViolation("ii", first, "associated sums differ")
 
+
+def assemble(n: int, triples: Iterable[tuple[int, int, int]],
+             labels: Optional[list[str]] = None,
+             meta: Optional[dict] = None) -> FiniteEffectAlgebra:
+    """The algebra of a table that satisfies the axioms, none of them checked,
+    under ``validate_axioms``' two guards.  The first value received for a pair
+    is kept; ``triples`` lists each pair i <= j in the order first received."""
+    guard_elements(n)
+    rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    upper = []
+    for i, j, k in triples:
+        if rows[i][j] is None:
+            rows[i][j] = k
+            if i <= j:
+                upper.append((i, j, k))
+    guard_associativity(associativity_work(rows, upper))
     frozen_meta = {key: tuple(v) if isinstance(v, list) else v
                    for key, v in (meta or {}).items()}
-    return FiniteEffectAlgebra(
-        n=n,
-        table=tuple(tuple(r) for r in rows),
-        triples=tuple(upper),
-        complements=tuple(complements),
-        labels=tuple(labels) if labels else tuple(str(i) for i in range(n)),
-        meta=MappingProxyType(frozen_meta),
-    )
+    return FiniteEffectAlgebra(n, tuple(map(tuple, rows)), tuple(upper),
+                               tuple(row.index(n - 1) for row in rows),
+                               tuple(labels or map(str, range(n))), MappingProxyType(frozen_meta))
+
+
+def associativity_work(table: Sequence[Sequence], triples: Iterable[tuple[int, int, int]]) -> int:
+    """|L| of the (ii) scan, the sum of |row(a + b)| over defined a + b, for a
+    symmetric table and its pairs i <= j; a product's is its factors' product."""
+    size = [len(row) - row.count(None) for row in table]
+    return sum(size[k] << (i != j) for i, j, k in triples)
 
 
 def raw_triples(E: FiniteEffectAlgebra) -> list[tuple[int, int, int]]:
     """Every defined ordered pair as (a, b, a + b), row by row: the raw table
-    that ``validate_axioms`` reads and structure files store."""
+    that ``validate_axioms`` and ``assemble`` read and structure files store."""
     return [(a, b, k) for a, row in enumerate(E.table) for b, k in enumerate(row)
             if k is not None]
 
@@ -288,8 +308,8 @@ def raw_triples(E: FiniteEffectAlgebra) -> list[tuple[int, int, int]]:
 def derive_order(E: FiniteEffectAlgebra) -> OrderData:
     """The down-sets, in one pass over the triples, and the row tables over them.
 
-    a <= b iff a + c = b for some c.  ``validate_axioms`` has established the
-    axioms, so this is a partial order with bottom 0 and top 1 and every
+    a <= b iff a + c = b for some c.  E satisfies the axioms, checked or by
+    construction, so this is a partial order with bottom 0 and top 1 and every
     difference b - a is unique; nothing here checks that again.  Only ``down``
     is computed; ``OrderData`` says how a row of ``sub``, ``meet`` or ``join``
     is read from it, when it is first read.

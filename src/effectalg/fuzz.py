@@ -1,11 +1,12 @@
-"""Seeded random validated algebras and mutation testing of the axiom checker.
+"""Seeded random algebras and mutation testing of the axiom checker.
 
 Random algebras come from the catalog constructions plus horizontal sums and
 materialized integer intervals, composed and then relabeled by a random
-permutation that respects the index conventions.  Mutations edit the raw triple
-list; the validator must either reject the edit naming an axiom, or accept a
-genuinely different algebra.  A silent acceptance of an unchanged table would be
-a bug and is reported separately.
+permutation that respects the index conventions.  A relabeling of an effect
+algebra is one, so ``permute_algebra`` checks no axiom.  Mutations edit the raw
+triple list; the validator must either reject the edit naming an axiom, or
+accept a genuinely different algebra.  A silent acceptance of an unchanged table
+would be a bug and is reported separately.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 
 from .catalog import (build_boolean, build_chain, build_even_subsets,
                       build_product, horizontal_sum)
-from .core import AxiomViolation, FiniteEffectAlgebra, raw_triples, validate_axioms
+from .core import AxiomViolation, FiniteEffectAlgebra, assemble, raw_triples, validate_axioms
 from .pogroup import IntervalAlgebra, PoGroupSpec, materialize
 
 MUTATIONS = 50   # random table edits per algebra in ``fuzz_mutations``
@@ -24,20 +25,20 @@ MUTATIONS = 50   # random table edits per algebra in ``fuzz_mutations``
 def permute_algebra(E: FiniteEffectAlgebra, perm: list[int]) -> FiniteEffectAlgebra:
     """Relabel elements along a permutation fixing 0 and n-1.
 
-    Element a becomes perm[a]; its label and its entries of the element-indexed
-    ``meta`` lists (a product's ``tuples``, an interval's ``coords``) move with it.
+    Element a becomes perm[a], with its label and its ``meta`` entries under
+    ``tuples`` and ``coords``; the sums are listed row by row, like ``raw_triples``.
     """
-    if perm[0] != 0 or perm[E.n - 1] != E.n - 1:
-        raise ValueError("permutation must fix the distinguished indices")
-    triples = [(perm[i], perm[j], perm[k]) for i, j, k in raw_triples(E)]
+    if sorted(perm) != list(range(E.n)) or perm[0] != 0 or perm[-1] != E.n - 1:
+        raise ValueError(f"{perm} is not a permutation of 0..{E.n - 1} fixing both ends")
+    triples = sorted((perm[i], perm[j], perm[k]) for i, j, k in raw_triples(E))
     order = sorted(range(E.n), key=perm.__getitem__)      # order[perm[a]] == a
     meta = {key: [v[a] for a in order] if key in ("tuples", "coords") else v
             for key, v in E.meta.items()}
-    return validate_axioms(E.n, triples, [E.labels[a] for a in order], meta=meta)
+    return assemble(E.n, triples, [E.labels[a] for a in order], meta=meta)
 
 
 def random_algebra(rng: random.Random, max_elements: int = 9) -> tuple[str, FiniteEffectAlgebra]:
-    """One seeded validated algebra of size <= max_elements, randomly relabeled."""
+    """One seeded algebra of size <= max_elements, randomly relabeled."""
     while True:
         kind = rng.choice(["chain", "boolean", "product", "even", "hsum", "interval"])
         if kind == "chain":

@@ -1,10 +1,14 @@
 """Catalog constructions: shapes, counts, and labels."""
 
+import random
+
 import pytest
 
 from effectalg.catalog import (CatalogSpec, build_boolean, build_catalog, build_chain,
-                               build_even_subsets, build_product, horizontal_sum)
-from effectalg.core import is_isomorphic, validate_axioms
+                               build_even_subsets, build_product, horizontal_sum,
+                               small_catalog)
+from effectalg.core import GuardExceeded, is_isomorphic, raw_triples, validate_axioms
+from effectalg.fuzz import random_algebra
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
 from oracles import (indexed_horizontal_sum, pair_scan_boolean, pair_scan_interval,
                      pair_scan_product)
@@ -89,3 +93,40 @@ def test_builders_equal_their_pair_scans():
     for blocks in [[build_boolean(3)], [c[1]] * 3, [c[2], build_boolean(2), c[1]],
                    [build_even_subsets(4), c[3], point, build_product([c[1], c[2]])]]:
         assert horizontal_sum(blocks) == indexed_horizontal_sum(blocks), blocks
+
+
+def test_unchecked_builds_equal_validated_builds():
+    """The catalog builders and ``fuzz.permute_algebra`` assemble their tables
+    with no axiom checked; each is an effect algebra by construction.  Each
+    output equals ``validate_axioms`` on its own raw table as a dataclass:
+    table, triples in order, complements, labels and meta.  The population
+    covers every size the tests and the benchmark rosters build, and the
+    random draws of the tests' population seeds, each relabeled."""
+    c = {n: build_chain(n) for n in range(1, 5)}
+    point = validate_axioms(1, [(0, 0, 0)])
+    algebras = [build_boolean(k) for k in range(1, 11)]
+    algebras += [build_chain(n) for n in [*range(1, 9), 24, 48, 128, 512]]
+    algebras += [build_even_subsets(m) for m in range(2, 11, 2)]
+    algebras += [E for _name, E in small_catalog() if E.meta["construction"] == "product"]
+    algebras += [build_product(factors) for factors in
+                 [[c[4]] * 3, [c[2]] * 3, [build_boolean(2), c[2]], [build_even_subsets(4), c[1]]]]
+    algebras += [horizontal_sum(blocks) for blocks in
+                 [[build_boolean(3)] * 5, [build_boolean(2)] * 10, [c[1]] * 3, [c[2], c[3], c[4]],
+                  [build_even_subsets(4), c[3], point, build_product([c[1], c[2]])]]]
+    algebras += [materialize(IntervalAlgebra(PoGroupSpec(len(u), "Z", "product"), u))
+                 for u in [(1,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 2), (0, 1), (0,)]]
+    for seed, draws, size in [(20240913, 200, 9), (4242, 200, 9), (4242, 200, 12), (5, 60, 9),
+                              (7, 30, 6), (11, 30, 7)]:
+        rng = random.Random(seed)
+        algebras += [random_algebra(rng, max_elements=size)[1] for _ in range(draws)]
+    for E in algebras:
+        assert E == validate_axioms(E.n, raw_triples(E), E.labels, E.meta), E
+
+
+def test_unchecked_horizontal_sum_keeps_the_scan_guard():
+    """Two chain(583) blocks are each under ``GUARD_ASSOCIATIVITY``, but their
+    sum's (ii) scan is not; the unchecked assembly refuses it as validation did."""
+    c = build_chain(583)
+    message = r"^associativity scan of 66733676 triples \(guard 33554432\)$"
+    with pytest.raises(GuardExceeded, match=message):
+        horizontal_sum([c, c])

@@ -415,3 +415,16 @@ def test_permute_algebra_moves_element_indexed_meta():
     for tau, tau2 in zip(coordinate_repeat_maps(C), coordinate_repeat_maps(C2)):
         assert is_endomorphism(C2, tau2)
         assert tau2 == relabeled_map(perm, tau)
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 1, 3], [0, 2, 1], [0, 2, 1, 3, 4], [0, 1, 5, 3]])
+def test_permute_algebra_rejects_a_non_permutation(perm):
+    """``permute_algebra`` checks no axiom, so it refuses a list that is not a
+    permutation of the indices itself: a repeat that fixes 0 and 1, a short
+    or long list, an index out of range."""
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute_algebra(build_boolean(2), perm)
+    swapped = validate_axioms(4, [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 0, 1),
+                                  (1, 2, 3), (2, 0, 2), (2, 1, 3), (3, 0, 3)],
+                              ["{}", "{2}", "{1}", "{1,2}"], {"construction": "boolean", "k": 2})
+    assert permute_algebra(build_boolean(2), [0, 2, 1, 3]) == swapped

@@ -203,6 +203,7 @@ def test_cli_free_dimension_guard_exits_2(tmp_path, capsys):
     ({"catalog": {"kind": "chain", "n": 2047}}, 2),
     ({"catalog": {"kind": "chain", "n": 4095}}, 2),
     ({"catalog": {"kind": "product", "factors": [{"kind": "chain", "n": 584}] * 2}}, 2),
+    ({"catalog": {"kind": "product", "factors": [{"kind": "chain", "n": 63}] * 2}}, 2),
 ])
 def test_cli_element_guard_exits_2_before_building(data, code, tmp_path, capsys):
     """An algebra of more than ``GUARD_ELEMENTS`` elements is refused before
@@ -212,7 +213,10 @@ def test_cli_element_guard_exits_2_before_building(data, code, tmp_path, capsys)
     chain(4095) are under the element guard, but their associativity scans,
     about 1.8e8 triples and more, are over ``GUARD_ASSOCIATIVITY``, and are
     refused before any pair is listed.  A product of two chain(584), each
-    under both guards, is refused from its spec before either is built."""
+    under both guards, is refused from its spec before either is built.  A
+    product of two chain(63) has exactly 4,096 elements, but its scan is the
+    product of its factors' scans, 45,760^2 triples, and is refused before
+    the factors are folded."""
     assert (GUARD_ELEMENTS, GUARD_ASSOCIATIVITY) == (4096, 1 << 25)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))

@@ -26,6 +26,8 @@ PERFBENCH = Path(__file__).parent.parent / "perfbench"
 KEPT_IMPORTS = {
     # perfbench/tracing.py wraps effectalg.operators:is_state
     ("operators.py", "is_state"),
+    # perfbench/tracing.py wraps effectalg.catalog:validate_axioms
+    ("catalog.py", "validate_axioms"),
 }
 
 # Definitions kept on purpose although no other code reads them.
