@@ -6,7 +6,7 @@ of Z^k are products of chains (Bennett & Foulis, Interval and scale effect
 algebras, 1997; Dvurecenskij & Pulmannova, New Trends in Quantum Structures,
 2000); one product construction, ``_product``, tabulates them all.  Even subsets
 are closed under disjoint unions and complements, horizontal sums keep the axioms
-(Foulis & Bennett 1994): every builder calls ``assemble``, unchecked.  The JSON
+(Foulis & Bennett 1994): builders guard, then call ``assemble``, unchecked.  The JSON
 spelling {"kind": "mv_product", "chains": [n, ...]} of a finite MV-algebra is
 read as the spec of the product of those chains, not as a kind of its own."""
 
@@ -96,7 +96,8 @@ def build_chain(n: int) -> FiniteEffectAlgebra:
 
 
 def build_even_subsets(m: int) -> FiniteEffectAlgebra:
-    """Characteristic functions of the even-cardinality subsets of an m-set (m even)."""
+    """Characteristic functions of the even-cardinality subsets of an m-set (m even).
+    L = (4^m + 4 * 2^m) / 8 is at most 2,099,200 under ``GUARD_ELEMENTS``: no scan guard."""
     if m < 2 or m % 2:
         raise ValueError("even_subsets needs an even m >= 2")
     guard_elements(1 << min(m - 1, 64))
@@ -147,11 +148,14 @@ def _product(factors: list[FiniteEffectAlgebra], labels: list[str],
 
 
 def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
-    """Glue algebras at shared 0 and 1; sums stay inside a single block."""
+    """Glue algebras at shared 0 and 1; sums stay inside a single block, so L is
+    n + 2 for the shared (0, 0), (0, 1), (1, 0) plus each block's L(B) - |B| - 2."""
     if not blocks:
         raise ValueError("horizontal sum needs at least one block")
     n = sum(max(B.n - 2, 0) for B in blocks) + 2
     guard_elements(n)
+    guard_associativity(sum(associativity_work(B.table, B.triples) - B.n - 2
+                            for B in blocks if B.n > 1) + n + 2)
     triples = {(0, a, a) for a in range(n)} | {(a, 0, a) for a in range(n)}
     labels = ["0"]
     for bi, B in enumerate(blocks):

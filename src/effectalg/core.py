@@ -3,9 +3,9 @@
 An algebra is a finite set indexed 0..n-1 with a partial commutative sum.  By file
 convention index 0 is the zero element and index n-1 is the unit.  The partial sum
 is stored once, as an immutable dense table ``table[a][b]`` (None where a + b is
-undefined) plus the list of its defined sums; ``assemble`` builds it.  Tables
-from outside go through ``validate_axioms``, which checks the axioms first; the
-constructions that are effect algebras by theorem (``catalog``, ``fuzz``) do not.
+undefined) plus the list of its defined sums.  ``validate_axioms`` guards, checks
+and freezes a table from outside; a construction that is one by theorem (``catalog``,
+``fuzz``) reads its own guards and calls ``assemble``, which checks nothing.
 Asymmetric input is rejected rather than repaired so that corrupted tables fail
 loudly.  Associativity is checked only on the triples whose left association
 (a + b) + c is defined, |L| work rather than n^3: once the table is symmetric,
@@ -177,17 +177,18 @@ class FiniteEffectAlgebra:
 def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
                     labels: Optional[list[str]] = None,
                     meta: Optional[dict] = None) -> FiniteEffectAlgebra:
-    """Check a raw partial sum table against the axioms, then ``assemble`` it.
+    """Check a raw partial sum table against the axioms, then freeze the rows checked.
 
     Each entry is an (i, j, k) sequence of ints in 0..n-1, read as i + j = k;
     ``labels``, when given, has one entry per element (ValueError otherwise).
-    An n over ``GUARD_ELEMENTS`` raises ``GuardExceeded`` before the n x n
-    table is allocated, and an (ii) scan of more than ``GUARD_ASSOCIATIVITY``
-    triples before it starts.  Checks, in order: table shape, commutativity
-    (i), the unit law (iv), unique complements against index n-1 (iii), and
-    partial associativity (ii): for every triple, (a + b) + c is defined
-    exactly when a + (b + c) is, and then they are equal.  (ii) scans L =
-    {(a, b, c) : a + b and (a + b) + c defined}, where b + c and a + (b + c)
+    No caller bounds such a table, so both guards are read here: an n over
+    ``GUARD_ELEMENTS`` raises ``GuardExceeded`` before the n x n table is
+    allocated, and an (ii) scan of more than ``GUARD_ASSOCIATIVITY`` triples,
+    by ``associativity_work``, before it starts.  Checks, in order: table shape,
+    commutativity (i), the unit law (iv), unique complements against index n-1
+    (iii), and partial associativity (ii): for every triple, (a + b) + c is
+    defined exactly when a + (b + c) is, and then they are equal.  (ii) scans
+    L = {(a, b, c) : a + b and (a + b) + c defined}, where b + c and a + (b + c)
     must be defined and equal to (a + b) + c.  That is enough: by (i), (c, b, a)
     fails exactly when (a, b, c) does, with the two associations swapped, and
     a failure has at least one side defined, so it or its mirror lies in L.
@@ -201,16 +202,10 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
         raise AxiomViolation("table", (n,), "need at least one element")
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} elements")
-    entries = list(triples)
-    _check_axioms(n, entries)    # its table is freed before ``assemble`` fills one
-    return assemble(n, entries, labels, meta)
-
-
-def _check_axioms(n: int, entries: list) -> None:
-    """The guards and checks of ``validate_axioms``, in its order."""
     guard_elements(n)
-    one = n - 1
+    entries = list(triples)
     rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    upper = []
     for t in entries:
         if not isinstance(t, (tuple, list)):
             raise AxiomViolation("table", (t,), "entries must be (i, j, k) triples")
@@ -225,6 +220,8 @@ def _check_axioms(n: int, entries: list) -> None:
         prev = rows[i][j]
         if prev is None:
             rows[i][j] = k
+            if i <= j:
+                upper.append((i, j, k))
         elif prev != k:
             raise AxiomViolation("table", (i, j, k, prev), "two values for the same pair")
 
@@ -234,19 +231,18 @@ def _check_axioms(n: int, entries: list) -> None:
                                  "pair defined in one order only (or values differ)")
 
     for i, j, _k in entries:
-        if j == one and i != 0:
+        if j == n - 1 and i != 0:
             raise AxiomViolation("iv", (i,), "a + 1 defined for a != 0")
 
     for a, row in enumerate(rows):
-        if row.count(one) != 1:
-            raise AxiomViolation("iii", (a, tuple(b for b, k in enumerate(row) if k == one)),
+        if row.count(n - 1) != 1:
+            raise AxiomViolation("iii", (a, tuple(b for b, k in enumerate(row) if k == n - 1)),
                                  "complement must exist and be unique")
 
-    # (ii) on L, with defined_at[x] the columns where row x is defined; each
-    # failure outside L is the mirror (c, b, a) of one inside it.
+    # (ii) on L, with defined_at[x] the columns where row x is defined.  ``first`` is
+    # the least failure or mirror, and whether one of its associations is undefined.
+    guard_associativity(associativity_work(rows, upper))
     defined_at = [[c for c, k in enumerate(row) if k is not None] for row in rows]
-    guard_associativity(sum(len(defined_at[row[b]])
-                            for row, cols in zip(rows, defined_at) for b in cols))
     first = None
     for a, row_a in enumerate(rows):
         for b in defined_at[a]:
@@ -255,27 +251,24 @@ def _check_axioms(n: int, entries: list) -> None:
             for c in defined_at[ab]:
                 bc = row_b[c]
                 if bc is None or row_a[bc] != row_ab[c]:
-                    found = min((a, b, c), (c, b, a))
+                    found = min((a, b, c), (c, b, a)), bc is None or row_a[bc] is None
                     if first is None or found < first:
                         first = found
                     break
     if first is not None:
-        a, b, c = first
-        ab, bc = rows[a][b], rows[b][c]
-        left = None if ab is None else rows[ab][c]
-        right = None if bc is None else rows[a][bc]
-        if (left is None) != (right is None):
-            raise AxiomViolation("ii", first, "one association defined, the other not")
-        raise AxiomViolation("ii", first, "associated sums differ")
+        raise AxiomViolation("ii", first[0], "one association defined, the other not"
+                             if first[1] else "associated sums differ")
+    del defined_at, entries
+    return _freeze(n, rows, upper, labels, meta)
 
 
 def assemble(n: int, triples: Iterable[tuple[int, int, int]],
              labels: Optional[list[str]] = None,
              meta: Optional[dict] = None) -> FiniteEffectAlgebra:
-    """The algebra of a table that satisfies the axioms, none of them checked,
-    under ``validate_axioms``' two guards.  The first value received for a pair
-    is kept; ``triples`` lists each pair i <= j in the order first received."""
-    guard_elements(n)
+    """The algebra of a table that satisfies the axioms, with no axiom checked
+    and no guard read: its caller bounded n and L before it listed a sum.  The
+    first value received for a pair is kept; ``triples`` lists each pair i <= j
+    in the order first received."""
     rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     upper = []
     for i, j, k in triples:
@@ -283,12 +276,18 @@ def assemble(n: int, triples: Iterable[tuple[int, int, int]],
             rows[i][j] = k
             if i <= j:
                 upper.append((i, j, k))
-    guard_associativity(associativity_work(rows, upper))
-    frozen_meta = {key: tuple(v) if isinstance(v, list) else v
-                   for key, v in (meta or {}).items()}
-    return FiniteEffectAlgebra(n, tuple(map(tuple, rows)), tuple(upper),
+    return _freeze(n, rows, upper, labels, meta)
+
+
+def _freeze(n: int, rows: list, upper: list, labels: Optional[list[str]],
+            meta: Optional[dict]) -> FiniteEffectAlgebra:
+    """The algebra of filled rows, made tuples in place, and their pairs i <= j."""
+    for a, row in enumerate(rows):
+        rows[a] = tuple(row)
+    meta = {key: tuple(v) if isinstance(v, list) else v for key, v in (meta or {}).items()}
+    return FiniteEffectAlgebra(n, tuple(rows), tuple(upper),
                                tuple(row.index(n - 1) for row in rows),
-                               tuple(labels or map(str, range(n))), MappingProxyType(frozen_meta))
+                               tuple(labels or map(str, range(n))), MappingProxyType(meta))
 
 
 def associativity_work(table: Sequence[Sequence], triples: Iterable[tuple[int, int, int]]) -> int:
@@ -425,10 +424,11 @@ def _is_central(E: FiniteEffectAlgebra, members: Sequence[int], c: int) -> bool:
     them undoes the map, as (a + b) ^ c = a + (b ^ c) = a for b <= c'; and sums
     in [0, c] x [0, c'] go through by associativity.
     """
-    table, meet = E.table, E.order.meet
-    p, q = meet[c], meet[E.order.sub[members[-1]][c]]
-    return all(p[x] is not None and q[x] is not None and table[p[x]][q[x]] == x
-               for x in members)
+    down = E.order.down
+    named = {down[y]: y for y in members}.get     # the node is down-closed in E
+    dc, dq = down[c], down[E.order.sub[members[-1]][c]]
+    return all(None not in (p := named(down[x] & dc), q := named(down[x] & dq))
+               and E.table[p][q] == x for x in members)
 
 
 def search_schedule(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> list[tuple]:

@@ -3,10 +3,10 @@
 Random algebras come from the catalog constructions plus horizontal sums and
 materialized integer intervals, composed and then relabeled by a random
 permutation that respects the index conventions.  A relabeling of an effect
-algebra is one, so ``permute_algebra`` checks no axiom.  Mutations edit the raw
-triple list; the validator must either reject the edit naming an axiom, or
-accept a genuinely different algebra.  A silent acceptance of an unchanged table
-would be a bug and is reported separately.
+algebra is one, with its n and L, so ``permute_algebra`` checks no axiom or
+guard.  Mutations edit the raw triple list; the validator must either reject the
+edit naming an axiom, or accept a genuinely different algebra.  A silent
+acceptance of an unchanged table would be a bug and is reported separately.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ MUTATIONS = 50   # random table edits per algebra in ``fuzz_mutations``
 
 
 def permute_algebra(E: FiniteEffectAlgebra, perm: list[int]) -> FiniteEffectAlgebra:
-    """Relabel elements along a permutation fixing 0 and n-1.
+    """Relabel elements along a permutation fixing 0 and n-1, keeping n and L.
 
     Element a becomes perm[a], with its label and its ``meta`` entries under
     ``tuples`` and ``coords``; the sums are listed row by row, like ``raw_triples``.

@@ -1,13 +1,16 @@
 """Catalog constructions: shapes, counts, and labels."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from effectalg import core
 from effectalg.catalog import (CatalogSpec, build_boolean, build_catalog, build_chain,
                                build_even_subsets, build_product, horizontal_sum,
                                small_catalog)
-from effectalg.core import GuardExceeded, is_isomorphic, raw_triples, validate_axioms
+from effectalg.core import (GuardExceeded, associativity_work, is_isomorphic, raw_triples,
+                            validate_axioms)
 from effectalg.fuzz import random_algebra
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
 from oracles import (indexed_horizontal_sum, pair_scan_boolean, pair_scan_interval,
@@ -125,8 +128,44 @@ def test_unchecked_builds_equal_validated_builds():
 
 def test_unchecked_horizontal_sum_keeps_the_scan_guard():
     """Two chain(583) blocks are each under ``GUARD_ASSOCIATIVITY``, but their
-    sum's (ii) scan is not; the unchecked assembly refuses it as validation did."""
+    sum's (ii) scan is not; the unchecked assembly refuses it as validation did,
+    before its 585 x 585 table or its sums are allocated."""
     c = build_chain(583)
     message = r"^associativity scan of 66733676 triples \(guard 33554432\)$"
-    with pytest.raises(GuardExceeded, match=message):
-        horizontal_sum([c, c])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match=message):
+            horizontal_sum([c, c])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20, peak
+
+
+def test_builders_guard_the_scan_of_the_table_they_build(monkeypatch):
+    """A builder that can reach ``GUARD_ASSOCIATIVITY`` guards the (ii) scan of
+    exactly the table it builds: with the guard at that table's L - 1 it
+    refuses, naming L, and at L it builds the same algebra.  The horizontal
+    sums include a one-element block and a chain(1) block.  even_subsets, which
+    reads no scan guard, has the closed form L = (4^m + 4 * 2^m) / 8."""
+    c = {n: build_chain(n) for n in range(1, 5)}
+    point = validate_axioms(1, [(0, 0, 0)])
+    b2, e4 = build_boolean(2), build_even_subsets(4)
+    builds = [lambda: build_chain(1), lambda: build_chain(7), lambda: build_boolean(3),
+              lambda: build_product([c[2], c[3]]), lambda: build_product([b2, c[1], c[2]]),
+              lambda: materialize(IntervalAlgebra(PoGroupSpec(3, "Z", "product"), (2, 0, 1))),
+              lambda: horizontal_sum([point]), lambda: horizontal_sum([c[1]] * 3),
+              lambda: horizontal_sum([c[2], point, c[1]]),
+              lambda: horizontal_sum([b2, c[1], c[3], e4, point])]
+    for build in builds:
+        E = build()
+        work = associativity_work(E.table, E.triples)
+        monkeypatch.setattr(core, "GUARD_ASSOCIATIVITY", work - 1)
+        with pytest.raises(GuardExceeded, match=rf"^associativity scan of {work} triples "):
+            build()
+        monkeypatch.setattr(core, "GUARD_ASSOCIATIVITY", work)
+        assert build() == E, E
+        monkeypatch.undo()
+    for m in range(2, 11, 2):
+        E = build_even_subsets(m)
+        assert associativity_work(E.table, E.triples) == (4 ** m + 4 * 2 ** m) // 8, m

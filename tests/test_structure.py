@@ -157,9 +157,11 @@ def test_tree_readers_build_only_the_meet_rows_they_read(monkeypatch):
     """boolean(10) is a product of chains, so ``check_rdp``,
     ``classify_lattice`` and ``check_interpolation`` answer from its tree.
     Deriving the order and reading a <= b on all pairs, 3^10 of them true,
-    builds no row.  The tree's nine central splits read 18 of the 1,024 meet
-    rows, two per split, and exactly those rows are built, with one
-    subtraction row per split, its unit's, and no join row."""
+    builds no row.  The tree's nine central splits look their meets up among
+    their nodes' down-sets, so no meet row is read or built; each reads one
+    subtraction row, its unit's, and no join row is read.  The tree of the
+    1,000x boolean(2) horizontal sum, 1,000 central splits, builds no meet row
+    either."""
     E = build_boolean(10)
     o = E.order
     assert sum(E.leq(a, b) for a in range(E.n) for b in range(E.n)) == 3 ** 10
@@ -174,8 +176,11 @@ def test_tree_readers_build_only_the_meet_rows_they_read(monkeypatch):
     monkeypatch.setattr(_Rows, "__getitem__", recorded)
     assert check_rdp(E) == (True, None)
     assert classify_lattice(E) == "lattice" and check_interpolation(E) == (True, None)
-    assert set(o.meet) == read and len(read) == 18
+    assert set(o.meet) == read and len(read) == 0
     assert (len(o.sub), len(o.join)) == (9, 0)
+    wide = horizontal_sum([build_boolean(2)] * 1000)
+    assert len(wide.verdict(decompose).children) == 1000
+    assert (len(wide.order.sub), len(wide.order.meet), len(wide.order.join)) == (1, 0, 0)
 
 
 def test_central_elements_pass_the_atom_mask_test():
