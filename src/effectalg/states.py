@@ -13,7 +13,8 @@ layer works in integers from the sum table to the polytope: sparse integer
 equality rows, an integer parametrization over one denominator, integer
 halfspaces and rays, and integer vertices over their least common
 denominator, rebuilt and assembled one coordinate for all vertices at a time,
-which vertex lookup and the ordering report read; the report works on bitmasks.
+which vertex lookup and the ordering report read; the report works on bitmasks,
+over the elements or, when there are more vertices than elements, over them.
 Fractions appear only where state values leave the layer or enter it:
 ``P.vertices``, ``vertex_index``, ``discrete_profile`` and the clan-closure
 engine.  Floating point is forbidden here because vertex dedup and value-set
@@ -277,28 +278,57 @@ def _first_pair(masks: Sequence[int]) -> Optional[tuple]:
     return min((((m & -m).bit_length() - 1, b) for b, m in enumerate(masks) if m), default=None)
 
 
-def _order_report(states: Sequence[tuple], down: Sequence[int]) -> OrderingReport:
-    """Order determination and separation from each state's values, on bitmasks.
-
-    ``states[s][a]`` is element a's value at state s; bit a of ``down[b]`` is
-    set iff a <= b.  At each state, element b gets the mask of the elements
-    whose value is at most its own; ANDed over the states, these are the
-    statewise down-sets.  Each one against ``down[b]`` gives order
-    determination and its first witness in row-major order.  a and b have equal
-    values exactly when their statewise down-sets are equal, as each lies in
-    its own; the separation witness is the least such pair, found by grouping
-    the elements by down-set.  A pair ordered in the algebra but not by some
-    state means the "states" are not states, so it raises.
-    """
-    bits = [1 << a for a in range(len(down))]
+def _below_by_rows(states: Sequence[tuple], n: int) -> list[int]:
+    """The statewise down-sets, a state at a time: bit a of ``below[b]`` is set
+    iff ``states[s][a] <= states[s][b]`` at every state s.  At each state,
+    element b gets the mask of the elements whose value is at most its own,
+    and the masks are ANDed over the states: about V * n steps for V states."""
+    bits = [1 << a for a in range(n)]
     every = sum(bits)
-    below = [every] * len(bits)
+    below = [every] * n
     for vals in states:
         high = max(vals, default=None)          # every element is at most the greatest
         at_most = {x: sum(compress(bits, map(le, vals, repeat(x))))
                    for x in set(vals) if x != high}
         at_most[high] = every
         below = list(map(and_, below, map(at_most.__getitem__, vals)))
+    return below
+
+
+def _below_by_columns(states: Sequence[tuple], n: int) -> list[int]:
+    """The statewise down-sets of ``_below_by_rows``, an element at a time, for
+    int values in 0..255.  Element a's column is ``bytes``; for each value t
+    above the least, ``translate`` marks U_t(a) = {s : s(a) >= t} as a mask
+    over the states, and a is statewise below b iff U_t(a) lies in U_t(b) for
+    every such t: a state with s(a) > s(b) lies in U_t(a) but not in U_t(b)
+    for t = s(a).  Elements with equal masks are grouped, so each threshold
+    costs at most about n^2 subset tests, however many states there are."""
+    below = [(1 << n) - 1] * n
+    cols = [bytes(col) for col in zip(*states)]
+    for t in sorted(set(b"".join(cols)))[1:]:
+        table = bytes(x >= t for x in range(256))
+        ups = [int.from_bytes(col.translate(table), "little") for col in cols]
+        groups: dict[int, int] = {}
+        for a, u in enumerate(ups):
+            groups[u] = groups.get(u, 0) | 1 << a
+        inside = {ub: sum(m for u, m in groups.items() if u & ub == u) for ub in groups}
+        below = list(map(and_, below, map(inside.__getitem__, ups)))
+    return below
+
+
+def _order_report(below: Sequence[int], down: Sequence[int]) -> OrderingReport:
+    """Order determination and separation from the statewise down-sets.
+
+    Bit a of ``below[b]`` is set iff s(a) <= s(b) at every state, bit a of
+    ``down[b]`` iff a <= b.  Each ``below[b]`` against ``down[b]`` gives order
+    determination and its first witness in row-major order.  a and b have equal
+    values exactly when their statewise down-sets are equal, as each lies in
+    its own; the separation witness is the least such pair, found by grouping
+    the elements by down-set.  A pair ordered in the algebra but not by some
+    state means the "states" are not states, so it raises.  Both orientations,
+    ``_below_by_rows`` and ``_below_by_columns``, end here, so their witnesses
+    and messages are the same.
+    """
     bad = _first_pair([d & ~s for d, s in zip(down, below)])
     if bad:
         raise AssertionError(f"states fail monotonicity at {bad}")
@@ -319,8 +349,20 @@ def is_order_determining(E: FiniteEffectAlgebra, P: StatePolytope) -> OrderingRe
     This is the one test of whether a |-> a-hat is an order embedding.  Each
     vertex of ``P.int_vertices`` is one state's values, read against the
     down-sets ``E.order.down``: scaling by ``P.scale`` keeps every comparison.
+
+    The statewise down-sets are read in one of two orientations: by rows, a
+    vertex at a time, in about V * n steps for V vertices and n elements; or by
+    columns, an element at a time over vertex masks, in about n^2 steps per
+    value above 0, whatever V is.  Columns win once V exceeds n (on
+    horizontal sums V is the product of the blocks' counts) and lose badly
+    below it (chain(48), V = 1, or boolean(10), V = 10 and n = 1,024), so the
+    columns are read exactly when V > n and every value fits in a byte,
+    ``P.scale < 256``.  The rule reads only the input's shape, and both routes
+    give the same report, so it is not a setting a caller could get wrong.
     """
-    return _order_report(P.int_vertices, E.order.down)
+    V, n = P.int_vertices, E.n
+    below = (_below_by_columns if len(V) > n and P.scale < 256 else _below_by_rows)(V, n)
+    return _order_report(below, E.order.down)
 
 
 def sampled_order_report(elements: Sequence, state_fns: Sequence[Callable],
@@ -331,9 +373,12 @@ def sampled_order_report(elements: Sequence, state_fns: Sequence[Callable],
     ambient values, ``state_fns`` evaluate states on them, ``leq_fn`` is the
     ambient order, tabulated as down-sets for the bitmask report of
     ``is_order_determining``.  Witnesses are index pairs into ``elements``.
+    The values may be Fractions or ambient numbers of any size, which no byte
+    holds, so the statewise down-sets are always read by rows.
     """
     down = [sum(1 << a for a, x in enumerate(elements) if leq_fn(x, y)) for y in elements]
-    return _order_report([tuple(map(s, elements)) for s in state_fns], down)
+    return _order_report(_below_by_rows([tuple(map(s, elements)) for s in state_fns],
+                                        len(down)), down)
 
 
 def discrete_profile(vec: Sequence[Fraction]) -> int:

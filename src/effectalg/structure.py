@@ -40,12 +40,17 @@ def _refinement_scan(E: FiniteEffectAlgebra):
     triple order, else None.  The meet test of ``refine_quadruple`` is inlined;
     that function runs only when x1 ^ y1 does not exist.  Only pairs p < q of
     a sum are walked: a quadruple refines iff its transpose (y1, y2, x1, x2)
-    does, and p = q refines by c11 = x1, so the first failure has p < q.
+    does, and p = q refines by c11 = x1, so the first failure has p < q.  A
+    pair (0, k) is left out: it refines against any y1 + y2 = k by c11 = 0,
+    c21 = y1, whichever side it is on.  Each sum keeps its place in the walk,
+    so the witness is the one the full walk finds.
     """
     sub, meet = E.order.sub, E.order.meet
     by_sum: dict[int, list[tuple[int, int]]] = {}
     for i, j, k in E.triples:
-        by_sum.setdefault(k, []).append((i, j))
+        pairs = by_sum.setdefault(k, [])
+        if i:
+            pairs.append((i, j))
     for pairs in by_sum.values():
         for a, (x1, x2) in enumerate(pairs):
             meet_x1 = meet[x1]

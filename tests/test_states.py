@@ -12,11 +12,13 @@ from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
 from effectalg.core import GuardExceeded, _blocks, _is_central, decompose, validate_axioms
 from effectalg.fuzz import random_algebra
+from effectalg.io import structure_from_dict
 from effectalg.linalg import affine_parametrization
 from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extremal_states,
                                group_leq, strict_plane_preimage)
 from effectalg.polytope import GUARD_DIM, dd_vertices
-from effectalg.states import (GUARD_VERTICES, StatePolytope, _order_report,
+from effectalg.states import (GUARD_VERTICES, OrderingReport, StatePolytope,
+                              _below_by_columns, _below_by_rows, _order_report,
                               clan_closure_witness, compute_states, discrete_profile,
                               finite_clan_engine, is_order_determining, is_state,
                               sampled_order_report, state_equalities)
@@ -27,6 +29,7 @@ from oracles import (all_pairs_order_report, brute_force_central,
                      whole_algebra_states)
 from tables import greechie_chain, wright_triangle
 from test_acceptance import Budget, operator_population
+from test_cli_golden import HSUM
 
 
 def test_chain2_single_state():
@@ -247,34 +250,69 @@ def state_roster():
             horizontal_sum([build_boolean(3)] * 5), horizontal_sum([build_boolean(2)] * 10)]
 
 
+def column_route_cases():
+    """Algebras with more vertices than elements, each with its report: the
+    ``states-hsum`` golden's sum (29 elements, 81 vertices over scale 6), a sum
+    that fails both verdicts (16 elements, 64 vertices) and a Greechie chain
+    (44 elements, 233 vertices)."""
+    return [(structure_from_dict(HSUM), OrderingReport(False, True, (25, 27), None)),
+            (horizontal_sum([build_chain(2)] * 2 + [build_boolean(2)] * 6),
+             OrderingReport(False, False, (1, 2), (1, 2))),
+            (greechie_chain(10), OrderingReport(True, True, None, None))]
+
+
 def ordering_population():
     """The A05 population (the catalog up to 9 elements and 200 seeded random
-    tables), 200 random tables of up to 12 elements from the held-out seed 4242
-    and the benchmark's state roster."""
+    tables), 200 random tables of up to 12 elements from the held-out seed 4242,
+    the benchmark's state roster and ``column_route_cases``."""
     rng = random.Random(4242)
     algebras = [E for _name, E in operator_population()]
     algebras += [random_algebra(rng, max_elements=12)[1] for _ in range(200)]
-    return algebras + state_roster()
+    return algebras + state_roster() + [E for E, _rep in column_route_cases()]
 
 
-def test_ordering_report_matches_all_pairs_oracle():
+@pytest.fixture
+def routes(monkeypatch):
+    """The names of the orientations that ``is_order_determining`` and
+    ``sampled_order_report`` read the statewise down-sets by, call by call."""
+    ran = []
+    for below in (_below_by_rows, _below_by_columns):
+        def recorded(vertices, n, below=below):
+            ran.append(below.__name__)
+            return below(vertices, n)
+        monkeypatch.setattr(f"effectalg.states.{below.__name__}", recorded)
+    return ran
+
+
+def test_ordering_report_matches_all_pairs_oracle(routes):
     """The bitmask report equals the all-pairs loop on both verdicts and both
     witnesses, through ``is_order_determining`` on the integer vertices and
-    through ``sampled_order_report`` on their Fractions; the population holds
-    algebras that are not order determining and algebras that are not
-    separating."""
-    misses = {"order_determining": 0, "separating": 0}
+    through ``sampled_order_report`` on their Fractions.  Both orientations
+    run: the columns on the algebras with more vertices than elements, the
+    rows on the others and on every sampled report, and the two give the same
+    statewise down-sets on every algebra.  Each route meets algebras that are
+    not order determining and algebras that are not separating."""
+    misses = {route: {"order_determining": 0, "separating": 0}
+              for route in ("_below_by_rows", "_below_by_columns")}
     for E in ordering_population():
         P = compute_states(E)
         values = [tuple(v[a] for v in P.vertices) for a in range(E.n)]
         expected = all_pairs_order_report(values, E.leq)
+        routes.clear()
         assert is_order_determining(E, P) == expected
+        route = routes[0]
         assert sampled_order_report(range(E.n), [v.__getitem__ for v in P.vertices],
                                     E.leq) == expected
+        assert routes == [route, "_below_by_rows"]
+        assert (route == "_below_by_columns") == (len(P.int_vertices) > E.n)
+        if P.scale < 256:
+            assert _below_by_columns(P.int_vertices, E.n) == _below_by_rows(P.int_vertices, E.n)
         if not P.empty:
-            misses["order_determining"] += not expected.order_determining
-            misses["separating"] += not expected.separating
-    assert all(misses.values()), misses
+            misses[route]["order_determining"] += not expected.order_determining
+            misses[route]["separating"] += not expected.separating
+    assert all(all(m.values()) for m in misses.values()), misses
+    for E, rep in column_route_cases():
+        assert is_order_determining(E, compute_states(E)) == rep
 
 
 def test_order_report_witness_is_first_in_row_major_order():
@@ -282,17 +320,23 @@ def test_order_report_witness_is_first_in_row_major_order():
     least pair (a, b), the all-pairs loop's first.  Three incomparable
     elements with values (0, 1), (0, 0) and (1, 1) at two states: statewise
     1 <= 0, 0 <= 2 and 1 <= 2, none of them in the order.  Column 0 holds
-    (1, 0), the first violation by column; the row-major first is (0, 2)."""
+    (1, 0), the first violation by column; the row-major first is (0, 2).
+    Both orientations give the report the same down-sets."""
     values = [(0, 1), (0, 0), (1, 1)]
-    rep = _order_report(list(zip(*values)), [0b001, 0b010, 0b100])
-    assert rep.od_witness == (0, 2) and rep.sep_witness is None
-    assert rep == all_pairs_order_report(values, lambda a, b: a == b)
+    vertices = list(zip(*values))
+    for below in (_below_by_rows(vertices, 3), _below_by_columns(vertices, 3)):
+        rep = _order_report(below, [0b001, 0b010, 0b100])
+        assert rep.od_witness == (0, 2) and rep.sep_witness is None
+        assert rep == all_pairs_order_report(values, lambda a, b: a == b)
 
 
-def test_ordering_report_raises_on_a_non_state_vertex():
+def test_ordering_report_raises_on_a_non_state_vertex(routes):
     """A vertex that swaps the values of two ordered middle elements is not a
-    state: both routes raise at the same first pair that it fails to keep."""
-    for E in (build_chain(3), build_boolean(3), horizontal_sum([build_chain(2), build_chain(3)])):
+    state: both routes raise at the same first pair that it fails to keep.
+    The 5x boolean(3) sum's fake vertex makes 244 vertices on 32 elements,
+    read by columns; the others are read by rows."""
+    for E in (build_chain(3), build_boolean(3), horizontal_sum([build_chain(2), build_chain(3)]),
+              horizontal_sum([build_boolean(3)] * 5)):
         P = compute_states(E)
         v = list(P.int_vertices[-1])
         a, b = next((a, b) for a in range(1, E.n - 1) for b in range(1, E.n - 1)
@@ -306,6 +350,7 @@ def test_ordering_report_raises_on_a_non_state_vertex():
         with pytest.raises(AssertionError) as got:
             is_order_determining(E, fake)
         assert str(got.value) == str(expected.value)
+    assert routes == ["_below_by_rows"] * 3 + ["_below_by_columns"]
     with pytest.raises(AssertionError, match=r"^states fail monotonicity at \(1, 2\)$"):
         is_order_determining(build_chain(3), StatePolytope(4, ((0, 2, 1, 3),), 3, 0))
 

@@ -183,6 +183,21 @@ def test_tree_readers_build_only_the_meet_rows_they_read(monkeypatch):
     assert (len(wide.order.sub), len(wide.order.meet), len(wide.order.join)) == (1, 0, 0)
 
 
+def test_refinement_scan_skips_the_zero_pairs():
+    """A pair (0, k) refines against every pair with sum k, by c11 = 0, so the
+    scan leaves it out.  The 1,000x boolean(2) sum fails at its unit's first
+    two block pairs, (1, 2) against (3, 4).  Past its tree, which builds the
+    unit's subtraction row, ``check_rdp`` builds the subtraction rows of 3 and
+    2 and the meet row of 1.  Walking (0, unit) would first compare it with
+    all 1,000 block pairs, building 1,001 subtraction rows and 2 meet rows."""
+    E = horizontal_sum([build_boolean(2)] * 1000)
+    E.verdict(decompose)
+    o = E.order
+    assert (set(o.sub), len(o.meet), len(o.join)) == ({E.n - 1}, 0, 0)
+    assert check_rdp(E) == (False, (1, 2, 3, 4))
+    assert (set(o.sub), set(o.meet), len(o.join)) == ({2, 3, E.n - 1}, {1}, 0)
+
+
 def test_central_elements_pass_the_atom_mask_test():
     """``decompose`` asks ``_is_central`` only about a c that puts every atom of
     the node below exactly one of c and its complement there.  Each c that
