@@ -23,12 +23,11 @@ from .operators import (InducedStateMap, OperatorProfile, check_esp,
                         enumerate_endomorphisms, induced_state_map,
                         is_endomorphism, minimal_potency, mv_operator_agreement,
                         operator_law_report, scan_mv_operator_agreement)
-from .pogroup import (ExtensionReport, IntervalAlgebra, PoGroupSpec,
-                      extend_endomorphism, extremal_states, group_leq,
-                      materialize)
+from .pogroup import (IntervalAlgebra, PoGroupSpec, extend_endomorphism,
+                      extremal_states, group_leq, materialize)
 from .states import (OrderingReport, StatePolytope, clan_closure_witness,
-                     compute_states, discrete_profile, is_order_determining,
-                     is_state, sampled_order_report)
+                     compute_states, is_order_determining, is_state,
+                     sampled_order_report)
 from .structure import (check_interpolation, check_rdp, classify_lattice,
                         enumerate_ideals)
 

@@ -16,7 +16,7 @@ import sys
 from .core import AxiomViolation, GuardExceeded, raw_triples
 from .io import dump_report, load_structure, polytope_to_dict
 from .operators import classify_operator, enumerate_endomorphisms, is_n_potent
-from .states import compute_states, discrete_profile, is_order_determining
+from .states import compute_states, is_order_determining
 from .structure import (check_interpolation, check_rdp, classify_lattice,
                         enumerate_ideals)
 from .suite import run_suite
@@ -88,7 +88,7 @@ def cmd_states(args) -> tuple[dict, int]:
         rep = is_order_determining(E, P)
         out["order_determining"] = rep.order_determining
         out["separating"] = rep.separating
-        out["discrete_profiles"] = [discrete_profile(v) for v in P.vertices]
+        out["discrete_profiles"] = list(P.denominators)
     return out, 0
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import not_
 from typing import Optional, Sequence
@@ -171,22 +170,14 @@ class InducedStateMap:
     """Precomposition with an endomorphism tau, restricted to the polytope vertices.
 
     The map s -> s o tau is linear in s, so its images at the vertices fix it on
-    the whole polytope: sum_i w_i v_i goes to sum_i w_i (v_i o tau).  The record
-    holds ints only: tau and the polytope's integer vertices fix every image, and
-    ``vertex_images`` builds the Fraction tuples from them on each read.
+    the whole polytope: sum_i w_i v_i goes to sum_i w_i (v_i o tau).  The image
+    of integer vertex iv is ``tuple(iv[x] for x in mapping)`` over the
+    polytope's scale; the record holds ints only.
     """
 
     mapping: tuple[int, ...]
-    polytope: StatePolytope
     vertex_to_vertex: Optional[tuple[int, ...]]   # set when every image is a vertex
     potency: Optional[int]                        # the minimal potency of tau
-
-    @property
-    def vertex_images(self) -> tuple[tuple[Fraction, ...], ...]:
-        """v o tau for every vertex v of the polytope, in vertex order."""
-        scale = self.polytope.scale
-        return tuple(tuple(Fraction(iv[x], scale) for x in self.mapping)
-                     for iv in self.polytope.int_vertices)
 
 
 def induced_state_map(E: FiniteEffectAlgebra, mapping: Sequence[int],
@@ -203,7 +194,7 @@ def induced_state_map(E: FiniteEffectAlgebra, mapping: Sequence[int],
     m = tuple(mapping)
     if not is_endomorphism(E, m):
         raise ValueError("not an endomorphism; the induced state map is undefined")
-    return InducedStateMap(mapping=m, polytope=P, vertex_to_vertex=P.vertex_map(m),
+    return InducedStateMap(mapping=m, vertex_to_vertex=P.vertex_map(m),
                            potency=minimal_potency(m))
 
 

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .catalog import _product, build_chain
 from .core import FiniteEffectAlgebra, guard_elements
 from .linalg import Vec
-from .operators import is_endomorphism, minimal_potency
+from .operators import is_endomorphism
 
 ORDERS = ("product", "lex", "strict")
 
@@ -114,8 +114,8 @@ def extremal_states(alg: IntervalAlgebra) -> list[Callable[[Sequence], Fraction]
 
     def proj(i):
         scale = u[i]
-        def state(x, _i=i, _s=scale):
-            return Fraction(spec.element(x)[_i]) / _s
+        def state(x):
+            return Fraction(spec.element(x)[i]) / scale
         return state
 
     if spec.order == "product":
@@ -144,16 +144,10 @@ def strict_plane_preimage(alg: IntervalAlgebra):
     return preimage
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
-    """An endomorphism of a materialized interval extended to the whole group."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    potency: Optional[int]        # the minimal potency of the table map
-
-
-def extend_endomorphism(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> ExtensionReport:
-    """Extend an endomorphism of the materialized interval [0, u] to a matrix.
+def extend_endomorphism(E: FiniteEffectAlgebra,
+                        mapping: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Extend an endomorphism of the materialized interval [0, u] to an integer
+    matrix on Z^k, returned as its tuple of rows.
 
     The matrix columns are the images of the standard generators, all inside
     [0, u] because u has positive coordinates.  Being an endomorphism is the
@@ -179,5 +173,4 @@ def extend_endomorphism(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> Exten
     for j in range(k):
         e = tuple(1 if i == j else 0 for i in range(k))
         cols.append(coords[mapping[index[e]]])
-    matrix = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return ExtensionReport(matrix=matrix, potency=minimal_potency(tuple(mapping)))
+    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))

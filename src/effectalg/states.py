@@ -16,11 +16,12 @@ denominator, rebuilt and assembled one coordinate for all vertices at a time,
 which vertex lookup and the ordering report read; the report works on bitmasks,
 over the elements or, when there are more vertices than elements, over them.
 Fractions appear only where state values leave the layer or enter it:
-``P.vertices``, ``vertex_index``, ``discrete_profile`` and the clan-closure
-engine.  Floating point is forbidden here because vertex dedup and value-set
-tests need decidable equality.  On top of the polytope sit the ordering report
-(order determination and separation), discrete profiles, and the clan-closure
-test of the evaluation image a |-> a-hat.
+``P.vertices``, ``vertex_index``, ``is_state`` and the clan-closure engine;
+the discrete profiles are read in integers (``P.denominators``).  Floating
+point is forbidden here because vertex dedup and value-set tests need
+decidable equality.  On top of the polytope sit the ordering report (order
+determination and separation) and the clan-closure test of the evaluation
+image a |-> a-hat.
 """
 
 from __future__ import annotations
@@ -86,6 +87,12 @@ class StatePolytope:
         states, so every key has ``size`` >= 2 entries."""
         out = tuple(map(self._index.get, map(itemgetter(*mapping), self.int_vertices)))
         return None if None in out else out
+
+    @property
+    def denominators(self) -> tuple[int, ...]:
+        """For every vertex, the least n with each value in {0, 1/n, ..., n/n}."""
+        scale = self.scale
+        return tuple(scale // gcd(scale, *iv) for iv in self.int_vertices)
 
 
 def state_equalities(E: FiniteEffectAlgebra):
@@ -379,14 +386,6 @@ def sampled_order_report(elements: Sequence, state_fns: Sequence[Callable],
     down = [sum(1 << a for a, x in enumerate(elements) if leq_fn(x, y)) for y in elements]
     return _order_report(_below_by_rows([tuple(map(s, elements)) for s in state_fns],
                                         len(down)), down)
-
-
-def discrete_profile(vec: Sequence[Fraction]) -> int:
-    """Least n with every value in {0, 1/n, ..., n/n}: the lcm of the denominators."""
-    out = 1
-    for x in vec:
-        out = lcm(out, Fraction(x).denominator)
-    return out
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ def check_square_product_operators() -> CheckResult:
     m1 = tuple(F(t[0], 2) for t in tuples)
     m2 = tuple(F(t[1], 2) for t in tuples)
     ind = induced_state_map(E, t1, P)
-    collapse = all(img == m1 for img in ind.vertex_images)
+    collapse = ind.vertex_to_vertex == (P.vertex_index(m1),) * len(P.int_vertices)
     passed = (p1.is_state_morphism and p1.has_esp and p2.is_state_morphism
               and p2.has_esp and collapse and set(P.vertices) == {m1, m2})
     return CheckResult("square_product_operators", passed,
@@ -182,23 +182,21 @@ def check_extension_matrices() -> CheckResult:
     details = {}
     for u in [(1, 1), (2, 1)]:
         E = materialize(IntervalAlgebra(PoGroupSpec(2, "Z", "product"), u))
-        reports = [extend_endomorphism(E, m) for m in enumerate_endomorphisms(E)
-                   if minimal_potency(m) is not None]
-        details[str(u)] = {"extended": len(reports)}
+        matrices = [extend_endomorphism(E, m) for m in enumerate_endomorphisms(E)
+                    if minimal_potency(m) is not None]
+        details[str(u)] = {"extended": len(matrices)}
     E11 = materialize(IntervalAlgebra(PoGroupSpec(2, "Z", "product"), (1, 1)))
     coords = E11.meta["coords"]
     index = {c: i for i, c in enumerate(coords)}
     swap = tuple(index[(b, a)] for (a, b) in coords)
     repeat = tuple(index[(a, a)] for (a, b) in coords)
-    rep_swap = extend_endomorphism(E11, swap)
-    rep_repeat = extend_endomorphism(E11, repeat)
-    ident = tuple(range(E11.n))
-    rep_id = extend_endomorphism(E11, ident)
-    passed = rep_swap.matrix == ((0, 1), (1, 0)) and rep_swap.potency == 3
-    passed = passed and rep_repeat.matrix == ((1, 0), (1, 0)) and rep_repeat.potency == 2
-    passed = passed and rep_id.matrix == ((1, 0), (0, 1))
-    details["swap"] = rep_swap.matrix
-    details["repeat_first"] = rep_repeat.matrix
+    M_swap = extend_endomorphism(E11, swap)
+    M_repeat = extend_endomorphism(E11, repeat)
+    M_id = extend_endomorphism(E11, tuple(range(E11.n)))
+    passed = M_swap == ((0, 1), (1, 0)) and M_repeat == ((1, 0), (1, 0))
+    passed = passed and M_id == ((1, 0), (0, 1))
+    details["swap"] = M_swap
+    details["repeat_first"] = M_repeat
     return CheckResult("group_extension_matrices", passed, details)
 
 

@@ -7,7 +7,7 @@ backtracking enumerator.
 
 import random
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from itertools import permutations, product
 
 import pytest
@@ -195,8 +195,9 @@ def test_induced_map_collapses_to_m1():
     tuples = E.meta["tuples"]
     from fractions import Fraction as F
     m1 = tuple(F(t[0], 2) for t in tuples)
-    assert all(img == m1 for img in ind.vertex_images)
-    assert ind.vertex_to_vertex is not None
+    i1 = P.vertex_index(m1)
+    assert i1 is not None
+    assert ind.vertex_to_vertex == (i1,) * len(P.vertices)
 
 
 def test_induced_map_of_swap_exchanges_vertices():
@@ -399,8 +400,9 @@ def test_power_and_potency_identities():
 def test_induced_map_vertex_check_matches_state_oracle():
     """Over every self-map fixing 0 and 1 of three small algebras,
     ``induced_state_map`` accepts exactly the endomorphisms of the brute-force
-    oracle; every vertex image it returns is v o tau and a state by the direct
-    check, and every other map raises ValueError."""
+    oracle; every vertex image v o tau is a state by the direct check, the
+    returned vertex map is the index of each image as ``vertex_index`` finds
+    it (None when one is missing), and every other map raises ValueError."""
     rejected = accepted = 0
     for E in (build_boolean(2), build_chain(3),
               build_product([build_chain(1), build_chain(2)])):
@@ -410,8 +412,10 @@ def test_induced_map_vertex_check_matches_state_oracle():
             m = (0,) + mid + (E.n - 1,)
             if m in endos:
                 ind = induced_state_map(E, m, P)
-                assert ind.vertex_images == tuple(tuple(v[x] for x in m) for v in P.vertices)
-                assert all(is_state(E, img) for img in ind.vertex_images)
+                images = [tuple(v[x] for x in m) for v in P.vertices]
+                assert all(is_state(E, img) for img in images)
+                at = tuple(map(P.vertex_index, images))
+                assert ind.vertex_to_vertex == (None if None in at else at)
                 accepted += 1
             else:
                 with pytest.raises(ValueError, match="not an endomorphism"):
@@ -546,9 +550,9 @@ def test_meet_preservation_matches_join_preservation():
 
 
 def test_operator_records_are_slotted_and_int_only():
-    """The per-map records carry no instance dict; an induced map holds only
-    ints (its Fraction images are built on read), yet equality still tells
-    apart maps with different vertex images; reports share NOT_APPLICABLE."""
+    """The per-map records carry no instance dict; an induced map holds exactly
+    its mapping, vertex map and potency, all ints, and equality tells apart
+    maps with different vertex maps; reports share NOT_APPLICABLE."""
     E = build_product([build_chain(2), build_chain(2)])
     P = compute_states(E)
     t1, t2 = coordinate_repeat_maps(E)
@@ -559,8 +563,9 @@ def test_operator_records_are_slotted_and_int_only():
 
     def leaves(x):
         return [y for z in x for y in leaves(z)] if isinstance(x, tuple) else [x]
+    assert [f.name for f in fields(ind1)] == ["mapping", "vertex_to_vertex", "potency"]
     assert all(type(x) is int or x is None for x in leaves(astuple(ind1)))
-    assert ind1.vertex_images != ind2.vertex_images
+    assert ind1.vertex_to_vertex != ind2.vertex_to_vertex
     assert ind1 != ind2
     assert ind1 == induced_state_map(E, t1, P)
     assert hash(ind1) == hash(induced_state_map(E, t1, P))

@@ -114,6 +114,8 @@ def test_extremal_states_families():
     assert p0((1, 1)) == F(1, 2) and p1((1, 1)) == 1
     lex = IntervalAlgebra(PoGroupSpec(2, "Q", "lex"), (1, 1))
     assert len(extremal_states(lex)) == 1
+    with pytest.raises(TypeError):     # a state takes the element alone
+        p0((1, 1), 1)
 
 
 def test_extension_identity_swap_repeat():
@@ -125,14 +127,9 @@ def test_extension_identity_swap_repeat():
     swap = tuple(index[(b, a)] for (a, b) in coords)
     repeat = tuple(index[(a, a)] for (a, b) in coords)
 
-    rep = extend_endomorphism(E, ident)
-    assert rep.matrix == ((1, 0), (0, 1))
-    rep = extend_endomorphism(E, swap)
-    assert rep.matrix == ((0, 1), (1, 0))
-    assert rep.potency == 3
-    rep = extend_endomorphism(E, repeat)
-    assert rep.matrix == ((1, 0), (1, 0))
-    assert rep.potency == 2
+    assert extend_endomorphism(E, ident) == ((1, 0), (0, 1))
+    assert extend_endomorphism(E, swap) == ((0, 1), (1, 0))
+    assert extend_endomorphism(E, repeat) == ((1, 0), (1, 0))
 
 
 def test_every_potent_endomorphism_extends():
@@ -147,7 +144,7 @@ def test_every_potent_endomorphism_extends():
             n = minimal_potency(m)
             if n is None:
                 continue
-            M = extend_endomorphism(E, m).matrix
+            M = extend_endomorphism(E, m)
             for i, p in enumerate(coords):
                 assert mat_mul(M, [[c] for c in p]) == tuple((c,) for c in coords[m[i]])
             assert all(v >= 0 for row in M for v in row)

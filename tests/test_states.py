@@ -19,7 +19,7 @@ from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extremal_states,
 from effectalg.polytope import GUARD_DIM, dd_vertices
 from effectalg.states import (GUARD_VERTICES, OrderingReport, StatePolytope,
                               _below_by_columns, _below_by_rows, _order_report,
-                              clan_closure_witness, compute_states, discrete_profile,
+                              clan_closure_witness, compute_states,
                               finite_clan_engine, is_order_determining, is_state,
                               sampled_order_report, state_equalities)
 from effectalg.suite import check_order_determining, check_state_geometry
@@ -176,18 +176,25 @@ def test_horizontal_sum_not_separating():
 
 
 def test_discrete_profiles():
-    assert discrete_profile((F(0), F(1, 2), F(1))) == 2
-    assert discrete_profile((F(0), F(1), F(0), F(1))) == 1
-    assert discrete_profile((F(0), F(1, 2), F(1, 3))) == 6
-    assert discrete_profile((F(0), F(0), F(1), F(1))) == 1
-    assert discrete_profile((F(0), F(1, 2), F(1, 3), F(1))) == 6
+    """Hand-built vertices over a common scale of 12, finer than any of their
+    denominators."""
+    for vecs, want in [(((0, F(1, 2), 1), (0, F(1, 2), F(1, 3))), (2, 6)),
+                       (((0, 1, 0, 1), (0, 0, 1, 1), (0, F(1, 2), F(1, 3), 1)), (1, 1, 6))]:
+        iv = tuple(tuple(int(x * 12) for x in v) for v in vecs)
+        assert StatePolytope(len(iv[0]), iv, 12, 0).denominators == want
 
 
 def test_every_rational_state_is_discrete():
-    for _name, E in small_catalog():
-        for v in compute_states(E).vertices:
-            n = discrete_profile(v)
+    """Each vertex's denominator n is the least n with every n * v(a) an
+    integer, over the catalog, the A05 population and the states-hsum golden's
+    horizontal sum (scale 6)."""
+    hsum = compute_states(structure_from_dict(HSUM))
+    assert hsum.scale == 6
+    polytopes = [compute_states(E) for _name, E in [*small_catalog(), *operator_population()]]
+    for P in polytopes + [hsum]:
+        for v, n in zip(P.vertices, P.denominators):
             assert all((x * n).denominator == 1 for x in v)
+            assert not any(all((x * k).denominator == 1 for x in v) for k in range(1, n))
 
 
 def strict_plane():

@@ -32,8 +32,9 @@ KEPT_IMPORTS = {
 
 # Definitions kept on purpose although no other code reads them.
 KEPT_DEFINITIONS = {
-    # the closed-form duality oracle (ROADMAP, "The paper's duality on objects,
-    # finite case") will call it
+    # ROADMAP items 4 ("Homomorphisms along the tree") and 9 ("The paper's
+    # duality, finite case, as a closed-form oracle: objects and morphisms")
+    # give it a reader in the package
     ("core.py", "is_isomorphic"),
     # A08 checks the push-forward against the pull-back oracle
     ("duality.py", "VertexMap.push_forward"),
@@ -235,9 +236,11 @@ def test_state_layer_is_float_free():
 
 
 def test_polytope_imports_nothing_from_fractions():
-    """Vertex enumeration takes integer rows and returns integer rays."""
-    path = PACKAGE / "polytope.py"
-    assert "fractions" not in imported_modules(path.read_text(), str(path))
+    """Vertex enumeration takes integer rows and returns integer rays; the
+    per-map records of the operator layer hold ints only."""
+    for name in ("polytope.py", "operators.py"):
+        path = PACKAGE / name
+        assert "fractions" not in imported_modules(path.read_text(), str(path)), name
 
 
 TRACE_TARGET = re.compile(r"effectalg\.\w+:([\w.]+)")

@@ -240,13 +240,6 @@ def test_rdp_past_the_tree_matches_full_scan():
             assert not got[0] and got == full_scan_rdp(E), E
 
 
-def test_rdp_catalog():
-    for k in (1, 2, 3):
-        assert check_rdp(build_boolean(k))[0]
-    for n in range(1, 9):
-        assert check_rdp(build_chain(n))[0]
-
-
 def test_interpolation_examples():
     assert check_interpolation(build_boolean(2))[0]
     for n in (1, 3, 6):
