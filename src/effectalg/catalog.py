@@ -6,9 +6,10 @@ of Z^k are products of chains (Bennett & Foulis, Interval and scale effect
 algebras, 1997; Dvurecenskij & Pulmannova, New Trends in Quantum Structures,
 2000); one product construction, ``_product``, tabulates them all.  Even subsets
 are closed under disjoint unions and complements, horizontal sums keep the axioms
-(Foulis & Bennett 1994): builders guard, then call ``assemble``, unchecked.  The JSON
-spelling {"kind": "mv_product", "chains": [n, ...]} of a finite MV-algebra is
-read as the spec of the product of those chains, not as a kind of its own."""
+(Foulis & Bennett 1994): builders guard, then hand ``assemble`` their sums row by
+row, unchecked, so a built algebra lists its ``triples`` in row-major order.  The
+JSON spelling {"kind": "mv_product", "chains": [n, ...]} of a finite MV-algebra
+is read as the spec of the product of those chains, not as a kind of its own."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from math import comb, prod
 from typing import Optional
 
 from .core import (FiniteEffectAlgebra, assemble, associativity_work, guard_associativity,
-                   guard_elements, raw_triples)
+                   guard_elements)
 from .core import validate_axioms  # noqa: F401  unused; perfbench/tracing.py wraps it here
 
 
@@ -48,7 +49,7 @@ class CatalogSpec:
             raise ValueError(f"a catalog spec is an object, got {d!r}")
         kind = d.get("kind")
         if kind in SIZE_KEYS:
-            return CatalogSpec(kind, **{SIZE_KEYS[kind]: _size(d[SIZE_KEYS[kind]])})
+            return CatalogSpec(kind, **{SIZE_KEYS[kind]: _size(required(d, SIZE_KEYS[kind]))})
         if kind == "product":
             return CatalogSpec("product",
                                factors=tuple(CatalogSpec.from_dict(f) for f in _list(d, "factors")))
@@ -64,10 +65,16 @@ def _size(x) -> int:
     return x
 
 
-def _list(d: dict, key: str) -> list:
-    if not isinstance(d[key], list):
-        raise ValueError(f"catalog {key!r} must be a list, got {d[key]!r}")
+def required(d: dict, key: str, where: str = "catalog spec"):
+    if key not in d:
+        raise ValueError(f"{where} has no {key!r}")
     return d[key]
+
+
+def _list(d: dict, key: str) -> list:
+    if not isinstance(x := required(d, key), list):
+        raise ValueError(f"catalog {key!r} must be a list, got {x!r}")
+    return x
 
 
 def build_boolean(k: int) -> FiniteEffectAlgebra:
@@ -90,29 +97,23 @@ def build_chain(n: int) -> FiniteEffectAlgebra:
         raise ValueError("chain needs n >= 1")
     guard_elements(n + 1)
     guard_associativity(comb(n + 3, 3))
-    triples = [(i, j, i + j) for i in range(n + 1) for j in range(n + 1) if i + j <= n]
+    rows = [[(j, i + j) for j in range(n + 1 - i)] for i in range(n + 1)]
     labels = [str(Fraction(i, n)) for i in range(n + 1)]
-    return assemble(n + 1, triples, labels, meta={"construction": "chain", "n": n})
+    return assemble(n + 1, rows, labels, meta={"construction": "chain", "n": n})
 
 
 def build_even_subsets(m: int) -> FiniteEffectAlgebra:
-    """Characteristic functions of the even-cardinality subsets of an m-set (m even).
-    L = (4^m + 4 * 2^m) / 8 is at most 2,099,200 under ``GUARD_ELEMENTS``: no scan guard."""
+    """Even-cardinality subsets of an m-set (m even) as bitmasks in ``combinations`` order,
+    x + y = x | y if x & y = 0.  L = (4^m + 4 * 2^m) / 8 <= 2,099,200: no scan guard."""
     if m < 2 or m % 2:
         raise ValueError("even_subsets needs an even m >= 2")
     guard_elements(1 << min(m - 1, 64))
-    subsets = [s for size in range(0, m + 1, 2) for s in
-               (frozenset(c) for c in combinations(range(m), size))]
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
-    index = {s: i for i, s in enumerate(subsets)}
-    triples = []
-    for a, sa in enumerate(subsets):
-        for b, sb in enumerate(subsets):
-            if not (sa & sb):
-                triples.append((a, b, index[sa | sb]))
-    labels = ["{" + ",".join(str(i + 1) for i in sorted(s)) + "}" for s in subsets]
-    return assemble(len(subsets), triples, labels,
-                    meta={"construction": "even_subsets", "m": m})
+    subsets = [c for size in range(0, m + 1, 2) for c in combinations(range(m), size)]
+    masks = [sum(1 << i for i in c) for c in subsets]
+    index = {x: a for a, x in enumerate(masks)}
+    rows = [[(b, index[x | y]) for b, y in enumerate(masks) if not x & y] for x in masks]
+    labels = ["{" + ",".join(str(i + 1) for i in c) + "}" for c in subsets]
+    return assemble(len(masks), rows, labels, meta={"construction": "even_subsets", "m": m})
 
 
 def build_product(factors: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
@@ -134,8 +135,8 @@ def _product(factors: list[FiniteEffectAlgebra], labels: list[str],
     time.  Tuple t has the mixed-radix index with the last factor fastest,
     the ``itertools.product`` order; no factors give the one-element algebra.
     ``rows[a]`` lists (b, a + b) for each defined a + b; row a * m + x of the
-    next table is row a of the last one times row x of the factor, so the sums
-    come out sorted.  Callers guard the size; its (ii) scan is guarded here."""
+    next table is row a of the last one times row x of the factor, so each row
+    comes out sorted.  Callers guard the size; its (ii) scan is guarded here."""
     guard_associativity(prod(associativity_work(F.table, F.triples) for F in factors))
     rows = [[(0, 0)]]
     for F in factors:
@@ -143,8 +144,7 @@ def _product(factors: list[FiniteEffectAlgebra], labels: list[str],
         factor_rows = [[(y, z) for y, z in enumerate(row) if z is not None] for row in F.table]
         rows = [[(b * m + y, c * m + z) for b, c in row for y, z in factor_row]
                 for row in rows for factor_row in factor_rows]
-    sums = [(a, b, c) for a, row in enumerate(rows) for b, c in row]
-    return assemble(len(rows), sums, labels, meta)
+    return assemble(len(rows), rows, labels, meta)
 
 
 def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
@@ -156,14 +156,14 @@ def horizontal_sum(blocks: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
     guard_elements(n)
     guard_associativity(sum(associativity_work(B.table, B.triples) - B.n - 2
                             for B in blocks if B.n > 1) + n + 2)
-    triples = {(0, a, a) for a in range(n)} | {(a, 0, a) for a in range(n)}
-    labels = ["0"]
+    rows, labels = [[(a, a) for a in range(n)]], ["0"]
     for bi, B in enumerate(blocks):
         start = len(labels) - 1    # middle elements before this block
         outer = [0, *range(start + 1, start + B.n - 1), n - 1][:B.n]   # [0] if B.n == 1
         labels += [f"b{bi}:{B.labels[x]}" for x in range(1, B.n - 1)]
-        triples.update((outer[x], outer[y], outer[z]) for x, y, z in raw_triples(B))
-    return assemble(n, sorted(triples), labels + ["1"],
+        rows += [[(outer[y], outer[z]) for y, z in enumerate(B.table[x]) if z is not None]
+                 for x in range(1, B.n - 1)]
+    return assemble(n, rows + [[(0, n - 1)]], labels + ["1"],
                     meta={"construction": "horizontal_sum", "blocks": tuple(B.n for B in blocks)})
 
 
@@ -182,8 +182,6 @@ def _elements(spec: CatalogSpec) -> int:
 
 
 def build_catalog(spec: CatalogSpec) -> FiniteEffectAlgebra:
-    if spec.kind == "product":
-        guard_elements(_elements(spec))
     if spec.kind == "boolean":
         return build_boolean(spec.k)
     if spec.kind == "chain":
@@ -191,6 +189,7 @@ def build_catalog(spec: CatalogSpec) -> FiniteEffectAlgebra:
     if spec.kind == "even_subsets":
         return build_even_subsets(spec.m)
     if spec.kind == "product":
+        guard_elements(_elements(spec))
         return build_product([build_catalog(f) for f in spec.factors])
     raise ValueError(f"unknown catalog kind {spec.kind!r}")
 

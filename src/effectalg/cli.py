@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     except AxiomViolation as v:
         print(f"invalid structure: {v}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,19 +1,19 @@
 """Finite effect algebras: partial addition tables, axiom validation, derived order.
 
 An algebra is a finite set indexed 0..n-1 with a partial commutative sum.  By file
-convention index 0 is the zero element and index n-1 is the unit.  The partial sum
-is stored once, as an immutable dense table ``table[a][b]`` (None where a + b is
-undefined) plus the list of its defined sums.  ``validate_axioms`` guards, checks
-and freezes a table from outside; a construction that is one by theorem (``catalog``,
-``fuzz``) reads its own guards and calls ``assemble``, which checks nothing.
-Asymmetric input is rejected rather than repaired so that corrupted tables fail
-loudly.  Associativity is checked only on the triples whose left association
-(a + b) + c is defined, |L| work rather than n^3: once the table is symmetric,
-every failing triple (a, b, c) or its mirror (c, b, a) is one of them.  The
-order is stored once, as the down-set bitmasks ``down``; subtraction, meets and
-joins are rows read from them and the sum table on demand (``OrderData``).  The
-decomposition tree of central products, horizontal sums and indecomposable
-parts, which RDP and the state layer read, is ``decompose``.
+convention index 0 is the zero element and index n-1 is the unit.  The partial sum is
+stored once, as an immutable dense table ``table[a][b]`` (None where a + b is
+undefined) plus the list of its defined sums.  ``validate_axioms`` guards, checks and
+freezes a table from outside, in input order; a construction that is one by theorem
+(``catalog``, ``fuzz``) reads its own guards and hands its rows to ``assemble``,
+which checks nothing and lists the sums row-major.  Asymmetric input is rejected
+rather than repaired so that corrupted tables fail loudly.  Associativity is checked
+only on the triples whose left association (a + b) + c is defined, |L| work rather
+than n^3: once the table is symmetric, every failing triple (a, b, c) or its mirror
+(c, b, a) is one of them.  The order is stored once, as the down-set bitmasks
+``down``; subtraction, meets and joins are rows read from them and the sum table on
+demand (``OrderData``).  The decomposition tree of central products, horizontal sums
+and indecomposable parts, which RDP and the state layer read, is ``decompose``.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ class FiniteEffectAlgebra:
     """A finite effect algebra: ``validate_axioms`` or a construction builds it.
 
     ``table[a][b]`` is a + b, or None where undefined; it is symmetric.
-    ``triples`` lists every defined sum once as (i, j, k) with i <= j, in the
-    order ``assemble`` first received the pair.  ``complements[a]`` is the unique
-    a' with a + a' = 1.  Every field is immutable; ``meta`` is read-only.
+    ``triples`` lists every defined sum once as (i, j, k) with i <= j, row-major
+    from ``assemble`` and first-received from ``validate_axioms``.  ``complements[a]``
+    is the unique a' with a + a' = 1.  Every field is immutable; ``meta`` is read-only.
     Because the algebra never changes, ``verdict`` keeps the answer of any
     check that reads nothing else, and ``order`` and ``nonzero_triples`` are
     built on first read.
@@ -262,20 +262,20 @@ def validate_axioms(n: int, triples: Iterable[tuple[int, int, int]],
     return _freeze(n, rows, upper, labels, meta)
 
 
-def assemble(n: int, triples: Iterable[tuple[int, int, int]],
+def assemble(n: int, sums: Sequence[Sequence[tuple[int, int]]],
              labels: Optional[list[str]] = None,
              meta: Optional[dict] = None) -> FiniteEffectAlgebra:
-    """The algebra of a table that satisfies the axioms, with no axiom checked
-    and no guard read: its caller bounded n and L before it listed a sum.  The
-    first value received for a pair is kept; ``triples`` lists each pair i <= j
-    in the order first received."""
-    rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    upper = []
-    for i, j, k in triples:
-        if rows[i][j] is None:
-            rows[i][j] = k
-            if i <= j:
-                upper.append((i, j, k))
+    """The algebra of a table that satisfies the axioms, listed row by row:
+    ``sums[a]`` lists (b, a + b) once for each defined a + b, b increasing.  No
+    axiom is checked and no guard read: its caller bounded n and L before it
+    listed a sum.  ``triples`` lists the pairs i <= j in row-major order."""
+    rows, upper = [], []
+    for a, pairs in enumerate(sums):
+        rows.append(row := [None] * n)
+        for b, k in pairs:
+            row[b] = k
+            if b >= a:
+                upper.append((a, b, k))
     return _freeze(n, rows, upper, labels, meta)
 
 
@@ -299,7 +299,7 @@ def associativity_work(table: Sequence[Sequence], triples: Iterable[tuple[int, i
 
 def raw_triples(E: FiniteEffectAlgebra) -> list[tuple[int, int, int]]:
     """Every defined ordered pair as (a, b, a + b), row by row: the raw table
-    that ``validate_axioms`` and ``assemble`` read and structure files store."""
+    that ``validate_axioms`` reads and structure files store."""
     return [(a, b, k) for a, row in enumerate(E.table) for b, k in enumerate(row)
             if k is not None]
 

@@ -26,15 +26,16 @@ def permute_algebra(E: FiniteEffectAlgebra, perm: list[int]) -> FiniteEffectAlge
     """Relabel elements along a permutation fixing 0 and n-1, keeping n and L.
 
     Element a becomes perm[a], with its label and its ``meta`` entries under
-    ``tuples`` and ``coords``; the sums are listed row by row, like ``raw_triples``.
+    ``tuples`` and ``coords``; row perm[a] is row a relabeled and sorted.
     """
     if sorted(perm) != list(range(E.n)) or perm[0] != 0 or perm[-1] != E.n - 1:
         raise ValueError(f"{perm} is not a permutation of 0..{E.n - 1} fixing both ends")
-    triples = sorted((perm[i], perm[j], perm[k]) for i, j, k in raw_triples(E))
     order = sorted(range(E.n), key=perm.__getitem__)      # order[perm[a]] == a
+    rows = [sorted([(perm[b], perm[k]) for b, k in enumerate(E.table[a]) if k is not None])
+            for a in order]
     meta = {key: [v[a] for a in order] if key in ("tuples", "coords") else v
             for key, v in E.meta.items()}
-    return assemble(E.n, triples, [E.labels[a] for a in order], meta=meta)
+    return assemble(E.n, rows, [E.labels[a] for a in order], meta=meta)
 
 
 def random_algebra(rng: random.Random, max_elements: int = 9) -> tuple[str, FiniteEffectAlgebra]:

@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .catalog import CatalogSpec, build_catalog
+from .catalog import CatalogSpec, build_catalog, required
 from .core import FiniteEffectAlgebra, raw_triples, validate_axioms
 from .states import StatePolytope
 
@@ -31,12 +31,12 @@ def structure_from_dict(data: dict) -> FiniteEffectAlgebra:
         raise ValueError("a structure file holds one JSON object")
     if "catalog" in data:
         return build_catalog(CatalogSpec.from_dict(data["catalog"]))
-    n = data["n"]
+    n = required(data, "n", "a raw structure")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("'n' must be an integer")
     if data.get("zero", 0) != 0 or data.get("one", n - 1) != n - 1:
         raise ValueError("structure files put zero at index 0 and the unit at n-1")
-    sums, labels = data["sums"], data.get("labels")
+    sums, labels = required(data, "sums", "a raw structure"), data.get("labels")
     if not isinstance(sums, list):
         raise ValueError("'sums' must be a list of [i, j, k] entries")
     if labels is not None and not isinstance(labels, list):

@@ -192,15 +192,15 @@ def _guard_vertices(count: int) -> None:
 
 
 def _sum_polytope(members: Sequence[int], parts) -> StatePolytope:
-    """Every choice of one vertex per block, built a column at a time: with the
-    blocks in order, block b's vertex index is (r // inner) % N_b at row r,
-    where ``inner`` is the product of the earlier blocks' counts."""
+    """Every choice of one vertex per block, built a column at a time, the last block
+    fastest: block b's vertex index is (r // inner) % N_b at row r, ``inner`` the
+    product of the later blocks' counts, so contiguous blocks come out sorted."""
     L = lcm(*(P.scale for _m, P in parts))
     total = prod(len(P.int_vertices) for _m, P in parts)
     _guard_vertices(total)
     cols = {members[0]: [0] * total, members[-1]: [L] * total}
     inner = 1
-    for m, P in parts:
+    for m, P in reversed(parts):
         count, k = len(P.int_vertices), L // P.scale
         for x, col in zip(m[1:-1], list(zip(*P.int_vertices))[1:-1]):
             runs = chain.from_iterable(map(repeat, [k * v for v in col], repeat(inner)))

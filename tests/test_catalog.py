@@ -11,7 +11,7 @@ from effectalg.catalog import (CatalogSpec, build_boolean, build_catalog, build_
                                small_catalog)
 from effectalg.core import (GuardExceeded, associativity_work, is_isomorphic, raw_triples,
                             validate_axioms)
-from effectalg.fuzz import random_algebra
+from effectalg.fuzz import permute_algebra, random_algebra
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
 from oracles import (indexed_horizontal_sum, pair_scan_boolean, pair_scan_interval,
                      pair_scan_product)
@@ -32,6 +32,13 @@ def test_even_subsets_count():
     assert sum(1 for lab in E.labels if lab.count(",") == 1) == 6
     with pytest.raises(ValueError):
         build_even_subsets(5)
+    # 2^(m-1) elements; the disjoint ordered pairs of even subsets number
+    # (3^m + 3) / 4, and only 0 + 0 is a sum of an element with itself
+    for m in range(2, 13, 2):
+        E = build_even_subsets(m)
+        sums = (3 ** m + 3) // 4
+        assert (E.n, len(raw_triples(E)), len(E.triples)) == (2 ** (m - 1), sums, (sums + 1) // 2)
+    assert (E.n, len(E.triples)) == (2048, 66431)
 
 
 def test_product_of_trivial_chains_is_boolean():
@@ -94,8 +101,18 @@ def test_builders_equal_their_pair_scans():
         assert E == pair_scan_interval(u), u
     point = validate_axioms(1, [(0, 0, 0)])
     for blocks in [[build_boolean(3)], [c[1]] * 3, [c[2], build_boolean(2), c[1]],
-                   [build_even_subsets(4), c[3], point, build_product([c[1], c[2]])]]:
+                   [build_even_subsets(4), c[3], point, build_product([c[1], c[2]])],
+                   relabeled_blocks(), relabeled_blocks()[::-1]]:
         assert horizontal_sum(blocks) == indexed_horizontal_sum(blocks), blocks
+
+
+def relabeled_blocks() -> list:
+    """Blocks whose rows a seeded relabeling has put out of their built order."""
+    rng = random.Random(0)
+    blocks = [build_even_subsets(4), build_product([build_chain(1), build_chain(2)]),
+              build_boolean(3), build_chain(3)]
+    return [permute_algebra(B, [0, *rng.sample(range(1, B.n - 1), B.n - 2), B.n - 1])
+            for B in blocks]
 
 
 def test_unchecked_builds_equal_validated_builds():
@@ -103,8 +120,9 @@ def test_unchecked_builds_equal_validated_builds():
     with no axiom checked; each is an effect algebra by construction.  Each
     output equals ``validate_axioms`` on its own raw table as a dataclass:
     table, triples in order, complements, labels and meta.  The population
-    covers every size the tests and the benchmark rosters build, and the
-    random draws of the tests' population seeds, each relabeled."""
+    covers every size the tests and the benchmark rosters build, horizontal
+    sums of relabeled blocks, and the random draws of the tests' population
+    seeds, each relabeled."""
     c = {n: build_chain(n) for n in range(1, 5)}
     point = validate_axioms(1, [(0, 0, 0)])
     algebras = [build_boolean(k) for k in range(1, 11)]
@@ -115,7 +133,8 @@ def test_unchecked_builds_equal_validated_builds():
                  [[c[4]] * 3, [c[2]] * 3, [build_boolean(2), c[2]], [build_even_subsets(4), c[1]]]]
     algebras += [horizontal_sum(blocks) for blocks in
                  [[build_boolean(3)] * 5, [build_boolean(2)] * 10, [c[1]] * 3, [c[2], c[3], c[4]],
-                  [build_even_subsets(4), c[3], point, build_product([c[1], c[2]])]]]
+                  [build_even_subsets(4), c[3], point, build_product([c[1], c[2]])],
+                  relabeled_blocks(), relabeled_blocks()[::-1]]]
     algebras += [materialize(IntervalAlgebra(PoGroupSpec(len(u), "Z", "product"), u))
                  for u in [(1,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 2), (0, 1), (0,)]]
     for seed, draws, size in [(20240913, 200, 9), (4242, 200, 9), (4242, 200, 12), (5, 60, 9),

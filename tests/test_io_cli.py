@@ -102,6 +102,42 @@ def test_cli_malformed_structure(tmp_path, capsys, data, code, axiom):
         assert not report["valid"] and report["axiom"] == axiom
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"sums": []}, "n"),
+    ({"n": 3}, "sums"),
+    ({"catalog": {"kind": "chain"}}, "n"),
+    ({"catalog": {"kind": "boolean"}}, "k"),
+    ({"catalog": {"kind": "even_subsets"}}, "m"),
+    ({"catalog": {"kind": "product"}}, "factors"),
+    ({"catalog": {"kind": "mv_product"}}, "chains"),
+    ({"catalog": {"kind": "product", "factors": [{"kind": "boolean", "m": 2}]}}, "k"),
+], ids=["raw-n", "raw-sums", "chain-n", "boolean-k", "even-m", "product-factors",
+        "mv-chains", "factor-k"])
+def test_cli_missing_key_exits_2_naming_it(tmp_path, capsys, data, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith(f" has no {key!r}\n")
+
+
+def test_cli_internal_key_error_exit_code(tmp_path, capsys, monkeypatch):
+    """A KeyError inside the package is an internal error, not a usage error."""
+    import effectalg.cli as cli
+
+    def broken(E):
+        raise KeyError("n")
+
+    monkeypatch.setattr(cli, "compute_states", broken)
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"catalog": {"kind": "chain", "n": 2}}))
+    assert main(["states", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: KeyError: 'n'\n"
+
+
 def test_cli_states(tmp_path, capsys):
     path = tmp_path / "c2.json"
     path.write_text(json.dumps({"catalog": {"kind": "chain", "n": 2}}))
