@@ -16,18 +16,19 @@ keeps every sum 0 + a = a, so ``is_endomorphism``, which is
 ``core.is_homomorphism`` from E to E, checks only the sums with a nonzero
 first entry.  Potency is read off the image.  A strong operator is idempotent:
 the pair (a, a) has the join tau(a), so tau(tau(a)) = tau(a); the strong test
-runs only on idempotents.  Verdicts that depend on the algebra alone, its
-lattice class and RDP, are computed once per algebra
+runs only on idempotents.  ESP of an endomorphism needs no vertex lookup when
+the polytope has scale 1 or under two vertices: each s o tau is then a vertex,
+as ``classify_operator`` proves.  Verdicts that depend on the algebra alone,
+its lattice class and RDP, are computed once per algebra
 (``FiniteEffectAlgebra.verdict``), not once per map.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 from operator import not_
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (FiniteEffectAlgebra, homomorphisms, is_homomorphism,
                    preserves_existing_joins)
@@ -86,6 +87,8 @@ def is_n_potent(potency: Optional[int], n: int) -> bool:
 
 
 def kernel(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> tuple[int, ...]:
+    if mapping[0] == 0 and mapping.count(0) == 1:
+        return (0,)                                   # faithful: no walk
     return tuple(itertools.compress(range(E.n), map(not_, mapping)))
 
 
@@ -95,8 +98,7 @@ def enumerate_endomorphisms(E: FiniteEffectAlgebra,
     return sorted(homomorphisms(E, E, guard_nodes=guard_nodes))
 
 
-@dataclass(frozen=True, slots=True)
-class OperatorProfile:
+class OperatorProfile(NamedTuple):
     mapping: tuple[int, ...]
     is_state_operator: bool          # tau^2 = tau
     minimal_potency: Optional[int]   # least n >= 2 with tau^n = tau
@@ -135,7 +137,8 @@ def is_strong_operator(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> bool:
 def check_esp(mapping: Sequence[int], P: StatePolytope) -> bool:
     """Extremal-state preservation: s o tau lands on a vertex for every vertex s.
 
-    Vacuously true when there are no states at all.
+    Vacuously true with no states.  An endomorphism needs this lookup only when
+    P has scale above 1 and two or more vertices (proof in ``classify_operator``).
     """
     return P.vertex_map(mapping) is not None
 
@@ -145,7 +148,12 @@ def classify_operator(E: FiniteEffectAlgebra, mapping: Sequence[int],
     """Every class of an endomorphism, decided here and nowhere else.
 
     Only an idempotent can be strong (the join of tau(a) with itself is
-    tau(a)), so the strong test runs on idempotents alone.
+    tau(a)), so the strong test runs on idempotents alone.  ESP needs the
+    ``check_esp`` lookup only when P has scale above 1 and two or more vertices.
+    Each s o tau is a state, as tau is an endomorphism.  At scale 1 each vertex
+    s is {0,1}-valued, so s o tau is, and is extremal: in l s1 + (1 - l) s2 with
+    0 < l < 1 each value 0 or 1 forces s1 = s2 there.  With one vertex, s o tau
+    is the only state, s; with none, ESP holds vacuously.
     """
     m = tuple(mapping)
     if not is_endomorphism(E, m):
@@ -153,20 +161,12 @@ def classify_operator(E: FiniteEffectAlgebra, mapping: Sequence[int],
     potency = minimal_potency(m)
     idem = potency == 2
     ker = kernel(E, m)
-    return OperatorProfile(
-        mapping=m,
-        is_state_operator=idem,
-        minimal_potency=potency,
-        is_strong=idem and is_strong_operator(E, m),
-        is_state_morphism=idem and preserves_existing_joins(E, E, m),
-        is_faithful=ker == (0,),
-        kernel=ker,
-        has_esp=check_esp(m, P),
-    )
+    esp = P.scale == 1 or len(P.int_vertices) < 2 or check_esp(m, P)
+    return OperatorProfile(m, idem, potency, idem and is_strong_operator(E, m),
+                           idem and preserves_existing_joins(E, E, m), ker == (0,), ker, esp)
 
 
-@dataclass(frozen=True, slots=True)
-class InducedStateMap:
+class InducedStateMap(NamedTuple):
     """Precomposition with an endomorphism tau, restricted to the polytope vertices.
 
     The map s -> s o tau is linear in s, so its images at the vertices fix it on
@@ -271,8 +271,7 @@ def scan_mv_operator_agreement(A, P: StatePolytope) -> dict:
     return stats
 
 
-@dataclass(frozen=True, slots=True)
-class LawResult:
+class LawResult(NamedTuple):
     applicable: bool
     holds: Optional[bool]
 

@@ -7,7 +7,6 @@ backtracking enumerator.
 
 import random
 from collections import Counter
-from dataclasses import astuple, fields
 from itertools import permutations, product
 
 import pytest
@@ -23,13 +22,13 @@ from effectalg.operators import (NOT_APPLICABLE, check_esp, classify_operator, c
                                  induced_state_map, is_endomorphism, is_n_potent,
                                  is_strong_operator, minimal_potency, mv_operator_agreement,
                                  operator_law_report, scan_mv_operator_agreement)
-from effectalg.states import compute_states, is_state
+from effectalg.states import StatePolytope, compute_states, is_state
 from effectalg.suite import check_kernel_ideals
 from effectalg.structure import check_rdp, classify_lattice
 from oracles import (all_pairs_strong_operator, composition_potency, dense_lattice_class,
                      full_triple_endomorphism, law_report_counts, power,
                      preserves_existing_meets)
-from tables import leq_table, paste_boolean_cubes, sums_dict, wright_triangle
+from tables import greechie_chain, leq_table, paste_boolean_cubes, sums_dict, wright_triangle
 from test_acceptance import Budget, operator_population
 
 
@@ -218,9 +217,73 @@ def test_identity_induces_identity():
 
 
 def test_esp_vacuous_without_states():
-    from effectalg.states import StatePolytope
     empty = StatePolytope(size=4, int_vertices=(), scale=1, free_dim=0)
     assert check_esp((0, 1, 2, 3), empty)
+
+
+def esp_negative_control():
+    """chain(2) beside boolean(2): scale 2, four vertices, and one of its five
+    endomorphisms sends a vertex off the vertex set."""
+    return horizontal_sum([build_chain(2), build_boolean(2)])
+
+
+def test_closed_form_esp_matches_vertex_lookup():
+    """``classify_operator`` decides ESP without the lookup at scale 1 or under
+    two vertices; on every endomorphism of the A05 population, boolean(5), the
+    2x boolean(3) sum, greechie_chain(3), chain(2) x chain(1) and the negative
+    control its verdict equals the lookup's.  Both branches and a False occur:
+    the A05 population and boolean(5) take the closed form 21,531 times and
+    the lookup 154 times."""
+    def esp_counts(algebras):
+        counts = Counter()
+        for E in algebras:
+            P = compute_states(E)
+            closed = P.scale == 1 or len(P.int_vertices) < 2
+            for m in enumerate_endomorphisms(E):
+                esp = P.vertex_map(m) is not None
+                assert classify_operator(E, m, P).has_esp == esp, (E.labels, m)
+                counts[closed, esp] += 1
+        return counts
+    population = [E for _name, E in operator_population()] + [build_boolean(5)]
+    assert esp_counts(population) == {(True, True): 21531, (False, True): 154}
+    others = esp_counts([horizontal_sum([build_boolean(3)] * 2), greechie_chain(3),
+                         build_product([build_chain(2), build_chain(1)]),
+                         esp_negative_control()])
+    assert others[True, True] and others[False, True] and others[False, False] == 1
+
+
+def test_classification_looks_up_vertices_only_off_the_closed_form(monkeypatch):
+    """Classifying boolean(5)'s 3,125 endomorphisms makes no vertex lookup; the
+    negative control, at scale 2 with four vertices, makes one per map."""
+    calls = Counter()
+    vertex_map = StatePolytope.vertex_map
+
+    def counted(self, mapping):
+        calls["vertex_map"] += 1
+        return vertex_map(self, mapping)
+    monkeypatch.setattr(StatePolytope, "vertex_map", counted)
+    for E, maps, lookups, lacking in ((build_boolean(5), 3125, 0, 0),
+                                      (esp_negative_control(), 5, 5, 1)):
+        P = compute_states(E)
+        calls.clear()
+        endos = enumerate_endomorphisms(E)
+        verdicts = [classify_operator(E, m, P).has_esp for m in endos]
+        assert len(endos) == maps and calls["vertex_map"] == lookups
+        assert verdicts.count(False) == lacking
+
+
+def test_kernel_matches_zero_scan():
+    """The faithful shortcut and the walk agree with a scan for the zeros on
+    the ``self_maps`` of the A05 population; both branches occur."""
+    rng = random.Random(47)
+    faithful = Counter()
+    for _name, E in operator_population():
+        for m in self_maps(E, rng):
+            if len(m) == E.n:
+                ker = operators.kernel(E, m)
+                assert ker == tuple(x for x in range(E.n) if m[x] == 0), m
+                faithful[ker == (0,)] += 1
+    assert faithful[True] and faithful[False]
 
 
 def test_law_report_on_diagonal_operator():
@@ -550,9 +613,10 @@ def test_meet_preservation_matches_join_preservation():
 
 
 def test_operator_records_are_slotted_and_int_only():
-    """The per-map records carry no instance dict; an induced map holds exactly
-    its mapping, vertex map and potency, all ints, and equality tells apart
-    maps with different vertex maps; reports share NOT_APPLICABLE."""
+    """The per-map records carry no instance dict and refuse assignment; an
+    induced map holds exactly its mapping, vertex map and potency, all ints,
+    and equality tells apart maps with different vertex maps; reports share
+    NOT_APPLICABLE."""
     E = build_product([build_chain(2), build_chain(2)])
     P = compute_states(E)
     t1, t2 = coordinate_repeat_maps(E)
@@ -563,8 +627,10 @@ def test_operator_records_are_slotted_and_int_only():
 
     def leaves(x):
         return [y for z in x for y in leaves(z)] if isinstance(x, tuple) else [x]
-    assert [f.name for f in fields(ind1)] == ["mapping", "vertex_to_vertex", "potency"]
-    assert all(type(x) is int or x is None for x in leaves(astuple(ind1)))
+    assert ind1._fields == ("mapping", "vertex_to_vertex", "potency")
+    assert all(type(x) is int or x is None for x in leaves(tuple(ind1)))
+    with pytest.raises(AttributeError):
+        ind1.potency = 3
     assert ind1.vertex_to_vertex != ind2.vertex_to_vertex
     assert ind1 != ind2
     assert ind1 == induced_state_map(E, t1, P)
