@@ -18,6 +18,7 @@ and indecomposable parts, which RDP and the state layer read, is ``decompose``.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,6 +54,7 @@ T = TypeVar("T")
 
 GUARD_ELEMENTS = 4096   # most elements a table is built for: n^2 cells, 16.8M at the guard
 GUARD_ASSOCIATIVITY = 1 << 25   # most (a, b, c) the associativity scan may visit
+SEARCH_HEADROOM = 100   # frames below the recursion limit kept for a search's callers
 
 
 def guard_elements(n: int) -> None:
@@ -496,10 +498,16 @@ def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
     ``guard_nodes``; an undefined step, a failed check or, with ``injective``,
     a repeated image prunes it.  Deeper levels overwrite their entries before
     reading them, so backtracking undoes nothing.  Each map is yielded once.
+    Each level is one nested generator frame, so a schedule that would not
+    fit under the recursion limit, with ``SEARCH_HEADROOM`` frames left for
+    the callers, raises ``GuardExceeded`` before the search starts.
     """
     n, m = E1.n, E2.n
     table = E2.table
     levels = search_schedule(E1, E2)
+    if len(levels) > sys.getrecursionlimit() - SEARCH_HEADROOM:
+        raise GuardExceeded(f"homomorphism search of {len(levels)} levels (recursion limit"
+                            f" {sys.getrecursionlimit()}, {SEARCH_HEADROOM} frames kept)")
     last = len(levels) - 1
     img = [0] * n
     used: set[int] = set()

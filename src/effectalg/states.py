@@ -238,7 +238,9 @@ def _part_polytope(E) -> StatePolytope:
     ``s_i * den * L = c_i * L + sum_j a_ij * (L / h) * t_j`` over the nonzero
     ``a_ij = columns[i][j]``, then divided by the gcd of ``den * L`` and every
     coordinate when it exceeds 1, so that ``scale`` is the least common
-    denominator.  An empty vertex list means the part admits no states.
+    denominator.  A constant coordinate gives rows without coefficients, which
+    double description drops, or answers with no vertices when one is
+    infeasible.  An empty vertex list means the part admits no states.
     """
     n = E.n
     eq_rows, eq_rhs = state_equalities(E)
@@ -249,12 +251,8 @@ def _part_polytope(E) -> StatePolytope:
     d = len(free)
     rows = []
     for col, ci in zip(columns, c):
-        if any(col):
-            rows.append((col, -ci))                          # s_i >= 0
-            rows.append(([-x for x in col], ci - den))       # s_i <= 1
-        elif ci < 0 or ci > den:
-            return StatePolytope(size=n, int_vertices=(), scale=1, free_dim=d)
-
+        rows.append((col, -ci))                          # s_i >= 0
+        rows.append(([-x for x in col], ci - den))       # s_i <= 1
     rays = dd_vertices(rows, d)
     L = lcm(*(ray[d] for ray in rays))
     ks = [L // ray[d] for ray in rays]

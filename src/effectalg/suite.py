@@ -1,18 +1,21 @@
-"""The standing verification suite: worked examples and invariant sweeps.
+"""The paper-suite: the paper's claims, each decided on a fixed finite population.
 
-Each check takes no arguments and returns a CheckResult; the CLI aggregates
-them into one report with an exit code.  Every check decides its claim on a
-fixed finite population, so reports are reproducible bytes.  A check stays
-only if both halves of one rule hold.  It can fail: a verdict fixed by the
-definitions, such as a strong operator being a state-operator, is not a check.
-And no test already defines its claim: unit facts about helpers, such as one
-comparison in an ordered group, one table value or one discreteness profile,
-live in the tier-1 tests, and the suite keeps the paper's claims.
+The claims are those of state-operators and ESP, the finite Loomis-Sikorski
+skeleton (clan closure of the evaluation image), order determination and the
+duality's morphisms, with the worked examples that separate them.  Each check
+takes no arguments and returns a CheckResult; the CLI aggregates them into one
+report with an exit code.  No check samples: none draws random numbers, so
+reports are reproducible bytes, and the seeded table edits that test the axiom
+checker are a tier-1 test.  A check stays only if both halves of one rule hold.
+It can fail: a verdict fixed by the definitions, such as a strong operator
+being a state-operator, is not a check.  And no test already defines its
+claim: unit facts about helpers, such as one comparison in an ordered group,
+one table value, one discreteness profile or the rigidity of chains, live in
+the tier-1 tests, which pin the suite's checks rather than re-derive them.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -20,7 +23,6 @@ from typing import Callable
 from .catalog import (build_boolean, build_chain, build_even_subsets,
                       build_product, horizontal_sum, small_catalog)
 from .duality import VertexMap, check_simplex_morphism, check_state_morphism
-from .fuzz import fuzz_mutations
 from .mv import mv_operations
 from .operators import (classify_operator, coordinate_repeat_maps, enumerate_endomorphisms,
                         induced_state_map, kernel, minimal_potency,
@@ -147,16 +149,6 @@ def check_square_product_operators() -> CheckResult:
                        {"vertices": len(P.vertices), "collapse_to_m1": collapse})
 
 
-def check_chain_rigidity() -> CheckResult:
-    passed = True
-    for n in range(1, 9):
-        E = build_chain(n)
-        endos = enumerate_endomorphisms(E)
-        if endos != [tuple(range(E.n))]:
-            passed = False
-    return CheckResult("chains_admit_identity_only", passed, {})
-
-
 def check_mv_agreement() -> CheckResult:
     """The MV agreement scan on every MV algebra of the roster: every
     star-equivariant self-map, the only maps either reading can accept."""
@@ -222,10 +214,13 @@ def check_order_determining() -> CheckResult:
 
 
 def check_clan_closure_finite() -> CheckResult:
-    b2 = build_boolean(2)
-    P = compute_states(b2)
-    vectors, preimage, contains = finite_clan_engine(b2, P)
-    witness = clan_closure_witness(vectors, preimage, contains)
+    """The evaluation image a |-> a-hat of boolean(2), chain(3) and
+    even_subsets(4) is clan-closed; the first witness found is reported."""
+    witness = None
+    for E in (build_boolean(2), build_chain(3), build_even_subsets(4)):
+        witness = clan_closure_witness(*finite_clan_engine(E, compute_states(E)))
+        if witness is not None:
+            break
     return CheckResult("finite_image_clan_closed", witness is None,
                        {"witness": None if witness is None else witness.kind})
 
@@ -244,19 +239,6 @@ def check_morphism_squares() -> CheckResult:
     p = (0, 1)     # two vertices into three
     ok2 = check_simplex_morphism(VertexMap((1, 0), 3), VertexMap((1, 0, 2), 3), p).passed
     return CheckResult("morphism_squares", ok1 and ok2, {})
-
-
-def check_axiom_fuzz() -> CheckResult:
-    rng = random.Random(0)
-    passed = True
-    totals = {"violation": 0, "valid_different": 0, "valid_same": 0}
-    for name, E in small_catalog():
-        rep = fuzz_mutations(E, rng)
-        for key in totals:
-            totals[key] += rep[key]
-        if rep["valid_same"]:
-            passed = False
-    return CheckResult("axiom_fuzz", passed, totals)
 
 
 def check_structure_invariants() -> CheckResult:
@@ -300,13 +282,11 @@ ALL_CHECKS: list[Callable[[], CheckResult]] = [
     check_even_subsets_rdp,
     check_kernel_ideals,
     check_square_product_operators,
-    check_chain_rigidity,
     check_mv_agreement,
     check_extension_matrices,
     check_order_determining,
     check_clan_closure_finite,
     check_morphism_squares,
-    check_axiom_fuzz,
     check_structure_invariants,
     check_state_geometry,
 ]

@@ -11,15 +11,18 @@ against them, the all-pairs ordering report, powers and the potency by
 repeated composition, the brute-force central-element test, the state
 polytope of a whole algebra run as one part, and the catalog's Boolean
 algebras, products, po-group intervals and horizontal sums tabulated by a
-scan over every pair of elements."""
+scan over every pair of elements; and the raw-table edits that the axiom
+checker must either reject, naming an axiom, or accept as a genuinely
+different algebra."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
 from operator import add, le, mul
 
-from effectalg.core import (GuardExceeded, preserves_existing_joins, raw_triples,
-                            validate_axioms)
+from effectalg.core import (AxiomViolation, GuardExceeded, preserves_existing_joins,
+                            raw_triples, validate_axioms)
 from effectalg.operators import (HOLDS, NOT_APPLICABLE, compose, enumerate_endomorphisms,
                                  operator_law_report)
 from effectalg.states import OrderingReport, _part_polytope
@@ -681,3 +684,61 @@ def indexed_horizontal_sum(blocks):
     return validate_axioms(n, sorted(triples), labels,
                            meta={"construction": "horizontal_sum",
                                  "blocks": tuple(B.n for B in blocks)})
+
+
+MUTATIONS = 50   # random table edits per algebra in ``fuzz_mutations``
+
+
+def _mutate(rng, n: int, triples: list[tuple[int, int, int]]):
+    """One random raw-table edit; returns (new triples, description)."""
+    choice = rng.random()
+    if choice < 0.4 and triples:
+        # change the value of one entry (one side only half of the time)
+        idx = rng.randrange(len(triples))
+        i, j, k = triples[idx]
+        k2 = rng.choice([x for x in range(n) if x != k])
+        new = list(triples)
+        new[idx] = (i, j, k2)
+        if i != j and rng.random() < 0.5:
+            mirror = new.index((j, i, k))
+            new[mirror] = (j, i, k2)
+            return new, "change_both"
+        return new, "change_one_side"
+    if choice < 0.7 and triples:
+        idx = rng.randrange(len(triples))
+        i, j, k = triples[idx]
+        new = [t for t in triples if t != (i, j, k)]
+        if i != j and rng.random() < 0.5:
+            new = [t for t in new if t != (j, i, k)]
+            return new, "delete_both"
+        return new, "delete_one_side"
+    defined = {(i, j) for (i, j, _k) in triples}
+    missing = [(i, j) for i in range(n) for j in range(n) if (i, j) not in defined]
+    if not missing:
+        return list(triples), "noop"
+    i, j = rng.choice(missing)
+    k = rng.randrange(n)
+    new = list(triples) + [(i, j, k)]
+    if i != j and rng.random() < 0.5:
+        new.append((j, i, k))
+        return new, "add_both"
+    return new, "add_one_side"
+
+
+def fuzz_mutations(E, rng) -> Counter:
+    """Outcome counts of ``MUTATIONS`` random edits of E's raw table: "violation"
+    (the validator names an axiom), "valid_different" or "valid_same" (a silent
+    acceptance of the unchanged table).  No-op edits are not counted."""
+    base = raw_triples(E)
+    outcomes = Counter()
+    for _ in range(MUTATIONS):
+        triples, kind = _mutate(rng, E.n, base)
+        if kind == "noop":
+            continue
+        try:
+            mutated = validate_axioms(E.n, triples)
+        except AxiomViolation:
+            outcomes["violation"] += 1
+            continue
+        outcomes["valid_same" if mutated.table == E.table else "valid_different"] += 1
+    return outcomes

@@ -76,7 +76,7 @@ CASES = {
     "operators-boolean3": (BOOLEAN3, ["operators", "--n", "3"], 0,
         "5e3713c7d3f0ec7bf7ad87017e8755fb74eaa40e3a45de5ceb0d7f664fbad654"),
     "paper-suite": (None, ["paper-suite"], 0,
-        "7d776f97c5d7263806b5825f96afc534b8767c386e224ed38b7cb724345e06d3"),
+        "ed7dd6dbb279520cc1e47fe9a6f11869f5c1e462dc531e7546de792993d845c4"),
     "analyze-even4-relabeled": (EVEN4_RELABELED, ["analyze"], 0,
         "1d887e8ce8f45e22ae85254f4a20bc8ffc3097edbffadb1d658d5e8e847ad1d2"),
     "validate-square-asymmetric": (SQUARE_ASYMMETRIC, ["validate"], 1,

@@ -1,14 +1,18 @@
 """File formats and the command-line interface."""
 
 import json
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from effectalg.catalog import build_boolean, build_chain, horizontal_sum
 from effectalg.cli import main
-from effectalg.core import GUARD_ASSOCIATIVITY, GUARD_ELEMENTS
+from effectalg.core import (GUARD_ASSOCIATIVITY, GUARD_ELEMENTS, SEARCH_HEADROOM,
+                            GuardExceeded, homomorphisms)
 from effectalg.io import polytope_to_dict, structure_from_dict, structure_to_dict
+from effectalg.operators import enumerate_endomorphisms
 from effectalg.states import GUARD_VERTICES, StatePolytope
 from tables import greechie_chain, sums_dict
 from test_acceptance import Budget
@@ -102,6 +106,34 @@ def test_cli_malformed_structure(tmp_path, capsys, data, code, axiom):
         assert not report["valid"] and report["axiom"] == axiom
 
 
+@pytest.mark.parametrize("data, message, witness", [
+    ({"n": 0, "sums": []}, "need at least one element", [0]),
+    ({"n": 2, "sums": [[0, 1]]}, "entries must be (i, j, k) triples", [0, 1]),
+    ({"n": 2, "sums": [[0, 5, 1]]}, "index out of range", [0, 5, 1]),
+], ids=["no-elements", "pair-entry", "index-out-of-range"])
+def test_cli_validate_rejects_the_table_shape(tmp_path, capsys, data, message, witness):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "validate", "--input", str(path))
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "axiom": "table", "witness": witness,
+                               "message": message}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "boolean", "k": 0}, "boolean algebra needs k >= 1"),
+    ({"kind": "chain", "n": 0}, "chain needs n >= 1"),
+    ({"kind": "product", "factors": []}, "product needs at least one factor"),
+    ({"kind": "torus"}, "unknown catalog kind 'torus'"),
+], ids=["boolean-k0", "chain-n0", "product-no-factors", "unknown-kind"])
+def test_cli_rejects_a_catalog_spec(tmp_path, capsys, spec, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"catalog": spec}))
+    assert main(["validate", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("data, key", [
     ({"sums": []}, "n"),
     ({"n": 3}, "sums"),
@@ -146,6 +178,16 @@ def test_cli_states(tmp_path, capsys):
     report = json.loads(out)
     assert report["vertices"] == [["0", "1/2", "1"]]
     assert report["order_determining"]
+
+
+def test_cli_states_of_the_one_element_algebra(tmp_path, capsys):
+    """Its 0 is its unit, so no state can send 0 to 0 and the unit to 1."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "sums": [[0, 0, 0]]}))
+    code, out = run_cli(capsys, "states", "--input", str(path))
+    assert code == 0
+    assert json.loads(out) == {"size": 1, "free_dim": 0, "vertices": [], "note": "no states",
+                               "order_determining": False, "separating": False}
 
 
 def test_cli_operators(tmp_path, capsys):
@@ -206,6 +248,27 @@ def test_cli_endomorphism_guard_exits_2(tmp_path, capsys):
     assert main(["operators", "--input", str(path), "--guard-endos", "41599"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "guarded at 41599 nodes" in captured.err
+
+
+def test_cli_search_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
+    """The endomorphism search nests one generator frame per schedule level.
+    1,100 chain(2) blocks have 1,102 elements and 1,101 levels, over the
+    recursion limit less ``SEARCH_HEADROOM``: the search is refused before it
+    starts, through the package and through the CLI, instead of ending in a
+    ``RecursionError`` (exit 3).  500 blocks still find their first map, which
+    sends every middle element to the first."""
+    assert (sys.getrecursionlimit(), SEARCH_HEADROOM) == (1000, 100)
+    E = horizontal_sum([build_chain(2)] * 1100)
+    message = "homomorphism search of 1101 levels (recursion limit 1000, 100 frames kept)"
+    with pytest.raises(GuardExceeded, match=re.escape(message)):
+        enumerate_endomorphisms(E)
+    path = tmp_path / "hsum1100.json"
+    path.write_text(json.dumps(structure_to_dict(E)))
+    assert main(["operators", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"guard exceeded: {message}\n"
+    E = horizontal_sum([build_chain(2)] * 500)
+    assert next(homomorphisms(E, E)) == (0,) + (1,) * 500 + (501,)
 
 
 def test_cli_double_description_guard_exits_2(tmp_path, capsys):
@@ -327,7 +390,7 @@ def test_cli_paper_suite_reports_raising_check(capsys, monkeypatch):
     def check_broken():
         raise NameError("name 'gcd' is not defined")
 
-    monkeypatch.setattr(suite, "ALL_CHECKS", [check_broken, suite.check_chain_rigidity])
+    monkeypatch.setattr(suite, "ALL_CHECKS", [check_broken, suite.check_morphism_squares])
     code, out = run_cli(capsys, "paper-suite")
     assert code == 1
     report = json.loads(out)

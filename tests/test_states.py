@@ -17,12 +17,13 @@ from effectalg.linalg import affine_parametrization
 from effectalg.pogroup import (IntervalAlgebra, PoGroupSpec, extremal_states,
                                group_leq, strict_plane_preimage)
 from effectalg.polytope import GUARD_DIM, dd_vertices
-from effectalg.states import (GUARD_VERTICES, OrderingReport, StatePolytope,
+from effectalg.states import (GUARD_VERTICES, OrderingReport, StatePolytope, _Part,
                               _below_by_columns, _below_by_rows, _order_report,
-                              clan_closure_witness, compute_states,
-                              finite_clan_engine, is_order_determining, is_state,
+                              _part_polytope, clan_closure_witness, compute_states,
+                              is_order_determining, is_state,
                               sampled_order_report, state_equalities)
-from effectalg.suite import check_order_determining, check_state_geometry
+from effectalg.suite import (check_clan_closure_finite, check_order_determining,
+                             check_state_geometry, check_strict_plane_separating)
 
 from oracles import (all_pairs_order_report, brute_force_central,
                      dense_affine_parametrization, fraction_parametrization,
@@ -202,22 +203,17 @@ def strict_plane():
 
 
 def test_strict_plane_separating_not_order_determining():
-    alg = strict_plane()
-    states = extremal_states(alg)
-    elements = [alg.zero, alg.unit, (F(1, 2), F(1, 4)), (F(1, 2), F(1, 2)),
-                (F(3, 10), F(3, 10))]
-    rep = sampled_order_report(elements, states,
-                               lambda x, y: group_leq(alg.spec, x, y))
-    assert rep.separating
-    assert not rep.order_determining
-    assert rep.od_witness == (2, 3)
+    """The suite's check is the one definition; its verdict and details are pinned."""
+    assert check_strict_plane_separating().to_dict() == {
+        "name": "strict_plane_separating_not_determining", "passed": True,
+        "details": {"separating": True, "order_determining": False, "od_witness": (4, 5)}}
 
 
 def test_finite_image_clans_closed():
-    for E in (build_boolean(2), build_chain(3), build_even_subsets(4)):
-        P = compute_states(E)
-        vectors, preimage, contains = finite_clan_engine(E, P)
-        assert clan_closure_witness(vectors, preimage, contains) is None
+    """The suite's check is the one definition: boolean(2), chain(3) and
+    even_subsets(4) have clan-closed evaluation images."""
+    assert check_clan_closure_finite().to_dict() == {
+        "name": "finite_image_clan_closed", "passed": True, "details": {"witness": None}}
 
 
 def test_complement_closure_always_holds_on_interval():
@@ -631,14 +627,27 @@ def test_no_node_has_both_splits():
 
 def test_a_part_without_states_runs_the_whole_algebra(monkeypatch):
     """When a split leaves a part with no states, the result is the run on the
-    whole algebra, which keeps its free dimension; here the parts of
-    chain(2) x boolean(2) are made to report no states."""
-    E = build_product([build_chain(2), build_boolean(2)])
+    whole algebra, which keeps its free dimension.  The Wright triangle x
+    chain(1) splits into a 2-member chain leaf, answered in closed form, and
+    the triangle's 14-member part, which is made to report no states; then
+    the whole 28-element algebra is run."""
+    E = build_product([wright_triangle(), build_chain(1)])
+    seen = []
 
     def parts_without_states(X):
+        seen.append(X.n)
         return whole_algebra_states(X) if X is E else StatePolytope(X.n, (), 1, 0)
     monkeypatch.setattr("effectalg.states._part_polytope", parts_without_states)
     assert compute_states(E) == whole_algebra_states(E)
+    assert seen == [14, 28]
+
+
+def test_an_infeasible_constant_coordinate_leaves_no_states():
+    """In the part 0, a, 1 whose one sum is a + 1 = 0, elimination fixes
+    s(a) = -1 with no free variable.  Double description finds the constant
+    row s(a) >= 0 infeasible and returns no vertex, so the part has the empty
+    polytope over scale 1 with free dimension 0."""
+    assert _part_polytope(_Part(3, [(1, 2, 0)])) == StatePolytope(3, (), 1, 0)
 
 
 def int_states(E, P) -> bool:

@@ -196,12 +196,12 @@ def test_package_imports_only_at_module_level():
     assert problems == {}
 
 
-def test_only_the_fuzzer_and_the_suite_draw_random_numbers():
+def test_only_the_fuzzer_draws_random_numbers():
     """Exact checks decide their contracts; seeded randomness belongs to the
-    table fuzzer and the suite's sampled checks, not to a decision route."""
+    random-algebra generator, not to a decision route or a suite check."""
     users = sorted(path.name for path in PACKAGE.glob("*.py")
                    if "random" in imported_modules(path.read_text(), str(path)))
-    assert users == ["fuzz.py", "suite.py"]
+    assert users == ["fuzz.py"]
 
 
 def float_uses(source: str, filename: str) -> list[tuple[int, str]]:

@@ -12,12 +12,13 @@ from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, horizontal_sum, small_catalog)
 from effectalg.core import (AxiomViolation, _is_central, _Rows, decompose, raw_triples,
                             validate_axioms)
-from effectalg.fuzz import _mutate, permute_algebra, random_algebra
+from effectalg.fuzz import permute_algebra, random_algebra
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, materialize
 from effectalg.structure import (check_interpolation, check_rdp, classify_lattice,
                                  enumerate_ideals, is_riesz_ideal, verify_rdp_witness)
 from effectalg.suite import check_structure_invariants
-from oracles import dense_lattice_class, full_scan_rdp, rdp_splitting, scan_interpolation
+from oracles import (_mutate, dense_lattice_class, full_scan_rdp, rdp_splitting,
+                     scan_interpolation)
 from tables import greechie_chain, leq_table, sums_dict, wright_triangle
 from test_acceptance import Budget, operator_population
 from test_core import order_population

@@ -41,7 +41,7 @@ def test_check_roster_is_pinned():
     assert [c.__name__ for c in ALL_CHECKS] == [
         "check_strict_plane_clan_gap", "check_strict_plane_separating",
         "check_even_subsets_rdp", "check_kernel_ideals", "check_square_product_operators",
-        "check_chain_rigidity", "check_mv_agreement", "check_extension_matrices",
-        "check_order_determining", "check_clan_closure_finite", "check_morphism_squares",
-        "check_axiom_fuzz", "check_structure_invariants", "check_state_geometry",
+        "check_mv_agreement", "check_extension_matrices", "check_order_determining",
+        "check_clan_closure_finite", "check_morphism_squares", "check_structure_invariants",
+        "check_state_geometry",
     ]
