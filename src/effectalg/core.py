@@ -14,6 +14,8 @@ than n^3: once the table is symmetric, every failing triple (a, b, c) or its mir
 ``down``; subtraction, meets and joins are rows read from them and the sum table on
 demand (``OrderData``).  The decomposition tree of central products, horizontal sums
 and indecomposable parts, which RDP and the state layer read, is ``decompose``.
+The maps that ``homomorphisms(E, E)`` yields have the type ``E.endomorphism_type``,
+and a map of that type is an endomorphism of E by construction.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ T = TypeVar("T")
 GUARD_ELEMENTS = 4096   # most elements a table is built for: n^2 cells, 16.8M at the guard
 GUARD_ASSOCIATIVITY = 1 << 25   # most (a, b, c) the associativity scan may visit
 SEARCH_HEADROOM = 100   # frames below the recursion limit kept for a search's callers
+GUARD_MAP_ENTRIES = GUARD_ELEMENTS ** 2   # most entries, over all maps, a search yields
 
 
 def guard_elements(n: int) -> None:
@@ -117,7 +120,7 @@ class FiniteEffectAlgebra:
     is the unique a' with a + a' = 1.  Every field is immutable; ``meta`` is read-only.
     Because the algebra never changes, ``verdict`` keeps the answer of any
     check that reads nothing else, and ``order`` and ``nonzero_triples`` are
-    built on first read.
+    built on first read.  A map of type ``endomorphism_type`` is an endomorphism by construction.
     """
 
     n: int
@@ -142,6 +145,14 @@ class FiniteEffectAlgebra:
         """The triples i + j = k with i != 0, in triple order.  A map that fixes
         0 keeps every other sum 0 + a = a, so these are all a check must read."""
         return tuple(t for t in self.triples if t[0])
+
+    @cached_property
+    def endomorphism_type(self) -> type:
+        """The type of the maps ``homomorphisms(self, self)`` yields.  Only the search
+        mints one, at a leaf whose checks all passed, and neither it nor the algebra
+        can change.  A copy or a pickle of one is a plain tuple, with no proof."""
+        return type("Endomorphism", (tuple,),
+                    {"__slots__": (), "__reduce__": lambda m: (tuple, (tuple(m),))})
 
     @cached_property
     def _verdicts(self) -> dict:
@@ -500,7 +511,9 @@ def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
     reading them, so backtracking undoes nothing.  Each map is yielded once.
     Each level is one nested generator frame, so a schedule that would not
     fit under the recursion limit, with ``SEARCH_HEADROOM`` frames left for
-    the callers, raises ``GuardExceeded`` before the search starts.
+    the callers, raises ``GuardExceeded`` before the search starts; so does a
+    map that takes the entries yielded, E1.n per map, past ``GUARD_MAP_ENTRIES``.
+    Maps of E1 into itself are ``E1.endomorphism_type``, endomorphisms by construction.
     """
     n, m = E1.n, E2.n
     table = E2.table
@@ -511,10 +524,11 @@ def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
     last = len(levels) - 1
     img = [0] * n
     used: set[int] = set()
-    nodes = 0
+    nodes = entries = 0
+    mint = E1.endomorphism_type if E1 is E2 else tuple
 
     def search(d: int) -> Iterator[tuple[int, ...]]:
-        nonlocal nodes
+        nonlocal nodes, entries
         steps, checks, new = levels[d]
         e = new[0]
         for v in range(m) if d else (m - 1,):
@@ -543,7 +557,9 @@ def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
                     if d < last:
                         yield from search(d + 1)
                     else:
-                        yield tuple(img)
+                        if (entries := entries + n) > GUARD_MAP_ENTRIES:
+                            raise GuardExceeded(f"search past {GUARD_MAP_ENTRIES} map entries")
+                        yield mint(img)
                     if injective:
                         used.difference_update(images)
 
@@ -552,13 +568,16 @@ def homomorphisms(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
 
 def is_homomorphism(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra,
                     h: Sequence[int]) -> bool:
-    """Is h a map of E1's indices into E2's that keeps 0, 1 and every defined
-    sum?  It accepts exactly the maps that ``homomorphisms(E1, E2)`` yields.
-    Given h(0) = 0 the zero sums 0 + a = a hold, so only ``E1.nonzero_triples``
-    are read."""
+    """Is h a map of E1's indices into E2's, entries exactly ints, that keeps 0, 1
+    and every defined sum?  It accepts exactly the maps that ``homomorphisms(E1, E2)``
+    yields, those of type ``E1.endomorphism_type`` into E1 itself at once.  Given
+    h(0) = 0 the zero sums 0 + a = a hold, so only ``E1.nonzero_triples`` are read."""
+    if E1 is E2 and type(h) is E1.endomorphism_type:
+        return True
     m = tuple(h)
     top = E2.n - 1
-    if len(m) != E1.n or m[0] != 0 or m[-1] != top or min(m) < 0 or max(m) > top:
+    if (len(m) != E1.n or {*map(type, m)} != {int} or m[0] != 0 or m[-1] != top
+            or min(m) < 0 or max(m) > top):
         return False
     table = E2.table
     for i, j, k in E1.nonzero_triples:

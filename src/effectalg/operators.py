@@ -10,16 +10,18 @@ structural laws apply: each follows from the definitions, proved in
 package reads the report; it stays because the benchmark's operators workload
 times it, and goes when that workload stops calling it.
 
-Each map is read as cheaply as its definitions allow.  An endomorphism fixes 0
-(0 + 0 = 0 gives f(0) + f(0) = f(0), so f(0) = 0), and a map that fixes 0
-keeps every sum 0 + a = a, so ``is_endomorphism``, which is
-``core.is_homomorphism`` from E to E, checks only the sums with a nonzero
-first entry.  Potency is read off the image.  A strong operator is idempotent:
-the pair (a, a) has the join tau(a), so tau(tau(a)) = tau(a); the strong test
-runs only on idempotents.  ESP of an endomorphism needs no vertex lookup when
-the polytope has scale 1 or under two vertices: each s o tau is then a vertex,
-as ``classify_operator`` proves.  Verdicts that depend on the algebra alone,
-its lattice class and RDP, are computed once per algebra
+Each map is read as cheaply as its definitions allow.  A map of type
+``E.endomorphism_type``, as ``enumerate_endomorphisms`` returns them, is an
+endomorphism by construction, which ``is_endomorphism`` (``core.is_homomorphism``
+from E to E) accepts at once.  Any other is walked, on only the sums with a
+nonzero first entry: 0 + 0 = 0 gives f(0) = 0, and then f keeps every 0 + a = a.
+Kernels read an exact tuple, which CPython subscripts fastest; records keep the
+caller's tuple.  Potency is read off the image.  A strong operator is
+idempotent: the pair (a, a) has the join tau(a), so tau(tau(a)) = tau(a); the
+strong test runs only on idempotents.  ESP of an endomorphism needs no vertex
+lookup when the polytope has scale 1 or under two vertices: each s o tau is
+then a vertex, as ``classify_operator`` proves.  Verdicts that depend on the
+algebra alone, its lattice class and RDP, are computed once per algebra
 (``FiniteEffectAlgebra.verdict``), not once per map.
 """
 
@@ -94,7 +96,7 @@ def kernel(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> tuple[int, ...]:
 
 def enumerate_endomorphisms(E: FiniteEffectAlgebra,
                             guard_nodes: int = 2_000_000) -> list[tuple[int, ...]]:
-    """All endomorphisms, sorted; ``core.homomorphisms`` does the search."""
+    """All endomorphisms, sorted, of E's ``endomorphism_type``; ``core.homomorphisms`` searches."""
     return sorted(homomorphisms(E, E, guard_nodes=guard_nodes))
 
 
@@ -153,16 +155,18 @@ def classify_operator(E: FiniteEffectAlgebra, mapping: Sequence[int],
     Each s o tau is a state, as tau is an endomorphism.  At scale 1 each vertex
     s is {0,1}-valued, so s o tau is, and is extremal: in l s1 + (1 - l) s2 with
     0 < l < 1 each value 0 or 1 forces s1 = s2 there.  With one vertex, s o tau
-    is the only state, s; with none, ESP holds vacuously.
+    is the only state, s; with none, ESP holds vacuously.  A map of E's
+    ``endomorphism_type`` needs no proof; any other that is not one raises ValueError.
     """
-    m = tuple(mapping)
-    if not is_endomorphism(E, m):
+    if not is_endomorphism(E, mapping):
         raise ValueError("not an endomorphism; classification undefined")
+    m = tuple(mapping)
     potency = minimal_potency(m)
     idem = potency == 2
     ker = kernel(E, m)
     esp = P.scale == 1 or len(P.int_vertices) < 2 or check_esp(m, P)
-    return OperatorProfile(m, idem, potency, idem and is_strong_operator(E, m),
+    return OperatorProfile(mapping if isinstance(mapping, tuple) else m, idem, potency,
+                           idem and is_strong_operator(E, m),
                            idem and preserves_existing_joins(E, E, m), ker == (0,), ker, esp)
 
 
@@ -189,12 +193,14 @@ def induced_state_map(E: FiniteEffectAlgebra, mapping: Sequence[int],
     sends the polytope into itself.  If tau^n = tau then (s o tau) o tau^(n-1)
     = s o tau^n = s o tau, so the induced map is n-potent whenever tau is.
     The value set of s o tau lies inside that of s.  None of this needs a
-    check once tau is known to be an endomorphism.
+    check once tau is known to be an endomorphism, as a map of type
+    ``E.endomorphism_type`` is by construction; any other is proven here.
     """
-    m = tuple(mapping)
-    if not is_endomorphism(E, m):
+    if not is_endomorphism(E, mapping):
         raise ValueError("not an endomorphism; the induced state map is undefined")
-    return InducedStateMap(mapping=m, vertex_to_vertex=P.vertex_map(m),
+    m = tuple(mapping)
+    return InducedStateMap(mapping=mapping if isinstance(mapping, tuple) else m,
+                           vertex_to_vertex=P.vertex_map(m),
                            potency=minimal_potency(m))
 
 
@@ -317,10 +323,10 @@ def operator_law_report(E: FiniteEffectAlgebra, mapping: Sequence[int]) -> dict:
       previous law.
     The informational ``all_meets_preserved_info`` records whether tau keeps
     every existing meet (equivalently, every existing join); nothing asserts it.
-    The lattice class and RDP are E's own, read once per algebra.
+    The lattice class and RDP are E's own, read once per algebra.  A map of E's
+    ``endomorphism_type`` is an endomorphism by construction; any other is proven.
     """
-    m = tuple(mapping)
-    if not is_endomorphism(E, m) or compose(m, m) != m:
+    if not is_endomorphism(E, mapping) or compose(m := tuple(mapping), m) != m:
         raise ValueError("law report expects an idempotent endomorphism")
     strong = is_strong_operator(E, m)
     faithful = kernel(E, m) == (0,)

@@ -1,5 +1,7 @@
 """Axiom validation, derived order, isomorphism, and mutation detection."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -10,12 +12,14 @@ import pytest
 
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets,
                                build_product, small_catalog)
-from effectalg.core import (AxiomViolation, derive_order, is_isomorphic, raw_triples,
-                            search_schedule, validate_axioms)
+from effectalg.core import (AxiomViolation, derive_order, is_homomorphism, is_isomorphic,
+                            raw_triples, search_schedule, validate_axioms)
 from effectalg.fuzz import permute_algebra, random_algebra
-from effectalg.operators import (coordinate_repeat_maps, enumerate_endomorphisms,
-                                 is_endomorphism)
+from effectalg.operators import (classify_operator, coordinate_repeat_maps,
+                                 enumerate_endomorphisms, induced_state_map, is_endomorphism,
+                                 operator_law_report)
 from effectalg.pogroup import IntervalAlgebra, PoGroupSpec, extend_endomorphism, materialize
+from effectalg.states import compute_states
 from oracles import (MUTATIONS, _mutate, dense_associativity_violation, entrywise_join,
                      fuzz_mutations, updown_order)
 from tables import leq_table, sums_dict, wright_triangle
@@ -393,6 +397,57 @@ def test_algebra_cannot_be_mutated():
     with pytest.raises(FrozenInstanceError):
         o.sub = ()
     assert not hasattr(E, "sums")
+
+
+class Unreadable:
+    """Stands in for ``E.nonzero_triples``: a walk over it raises."""
+
+    def __iter__(self):
+        raise AssertionError("the sums were read")
+
+
+def test_searched_maps_are_accepted_without_a_walk(monkeypatch):
+    """A map the search yields is an endomorphism of its own algebra by
+    construction: with E's nonzero sums unreadable it is still accepted, and
+    the three per-map calls run.  A plain copy of it, a list, and the same map
+    found on an equal but distinct boolean(3) are walked, so they reach the
+    sums and raise.  A boolean(2) map passed with chain(3) is walked and
+    rejected."""
+    E, twin = build_boolean(3), build_boolean(3)
+    assert E == twin and E is not twin
+    P = compute_states(E)
+    ident = tuple(range(E.n))
+    m = next(x for x in enumerate_endomorphisms(E) if x == ident)
+    operator_law_report(E, m)                       # E's verdicts, kept before the patch
+    other = next(x for x in enumerate_endomorphisms(twin) if x == ident)
+    monkeypatch.setitem(E.__dict__, "nonzero_triples", Unreadable())
+    assert is_homomorphism(E, E, m) and is_endomorphism(E, m)
+    assert classify_operator(E, m, P).mapping is m
+    assert induced_state_map(E, m, P).mapping is m
+    operator_law_report(E, m)
+    for walked in (tuple(m), list(m), other):
+        with pytest.raises(AssertionError, match="the sums were read"):
+            is_endomorphism(E, walked)
+    monkeypatch.undo()
+    swap = next(x for x in enumerate_endomorphisms(build_boolean(2)) if x == (0, 2, 1, 3))
+    C3 = build_chain(3)
+    assert not is_homomorphism(C3, C3, swap) and not is_endomorphism(C3, swap)
+    with pytest.raises(ValueError, match="not an endomorphism"):
+        classify_operator(C3, swap, compute_states(C3))
+
+
+def test_searched_maps_copy_and_pickle_as_plain_tuples():
+    """Pickles and copies of a searched map, alone or in a record, are equal
+    plain tuples that carry no proof."""
+    E = build_boolean(2)
+    P = compute_states(E)
+    for m in enumerate_endomorphisms(E):
+        for copied in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert type(copied) is tuple and copied == m
+        prof = classify_operator(E, m, P)
+        assert type(prof.mapping) is E.endomorphism_type
+        again = pickle.loads(pickle.dumps(prof))
+        assert again == prof and type(again.mapping) is tuple
 
 
 def relabeled_map(perm, mapping):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from effectalg import core
 from effectalg.catalog import build_boolean, build_chain, horizontal_sum
 from effectalg.cli import main
 from effectalg.core import (GUARD_ASSOCIATIVITY, GUARD_ELEMENTS, SEARCH_HEADROOM,
@@ -242,12 +243,19 @@ def test_cli_guard_error(tmp_path, capsys):
     assert out["ideals"] is None and out["ideal_count"] == -1
 
 
-def test_cli_endomorphism_guard_exits_2(tmp_path, capsys):
+def test_cli_endomorphism_guard_exits_2(tmp_path, capsys, monkeypatch):
+    """boolean(5)'s search takes 41,600 nodes and yields 100,000 map entries:
+    one over either guard exits 2."""
     path = tmp_path / "b5.json"
     path.write_text(json.dumps({"catalog": {"kind": "boolean", "k": 5}}))
     assert main(["operators", "--input", str(path), "--guard-endos", "41599"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "guarded at 41599 nodes" in captured.err
+    monkeypatch.setattr(core, "GUARD_MAP_ENTRIES", 99_999)
+    assert main(["operators", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "guard exceeded: search past 99999 map entries\n"
 
 
 def test_cli_search_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ from itertools import permutations, product
 
 import pytest
 
-from effectalg import operators
+from effectalg import core, operators
 from effectalg.catalog import (build_boolean, build_chain, build_even_subsets, build_product,
                                horizontal_sum, small_catalog)
 from effectalg.core import GuardExceeded, homomorphisms, preserves_existing_joins
@@ -88,10 +88,12 @@ def test_search_matches_oracle_on_relabeled_tables():
         assert enumerate_endomorphisms(E) == endomorphism_oracle(E), name
 
 
-def test_boolean5_search_is_proportional_to_its_output():
+def test_boolean5_search_is_proportional_to_its_output(monkeypatch):
     """3,125 maps of the five atoms; each atom is one level of the schedule and
     everything else is forced, so the search takes exactly 41,600 nodes.  The
-    120 automorphisms take 8,310: images already taken are skipped uncounted."""
+    120 automorphisms take 8,310: images already taken are skipped uncounted.
+    The maps hold 100,000 entries, E.n per map, which ``GUARD_MAP_ENTRIES``
+    bounds; its default, the n^2 cells of the largest table, admits boolean(6)."""
     E = build_boolean(5)
     assert len(enumerate_endomorphisms(E, guard_nodes=41_600)) == 3125
     with pytest.raises(GuardExceeded):
@@ -99,6 +101,12 @@ def test_boolean5_search_is_proportional_to_its_output():
     assert len(list(homomorphisms(E, E, injective=True, guard_nodes=8_310))) == 120
     with pytest.raises(GuardExceeded):
         list(homomorphisms(E, E, injective=True, guard_nodes=8_309))
+    assert core.GUARD_MAP_ENTRIES == core.GUARD_ELEMENTS ** 2 > 6 ** 6 * 64
+    monkeypatch.setattr(core, "GUARD_MAP_ENTRIES", 100_000)
+    assert len(enumerate_endomorphisms(E)) == 3125
+    monkeypatch.setattr(core, "GUARD_MAP_ENTRIES", 99_999)
+    with pytest.raises(GuardExceeded, match="^search past 99999 map entries$"):
+        enumerate_endomorphisms(E)
 
 
 def test_boolean6_search_within_budget():
@@ -130,6 +138,19 @@ def test_injective_search_matches_oracle():
 def test_guard_raises_instead_of_truncating():
     with pytest.raises(GuardExceeded):
         enumerate_endomorphisms(build_boolean(5), guard_nodes=1_000)
+
+
+def test_every_searched_endomorphism_carries_its_algebras_type():
+    """Each map the search yields from E into E, one-to-one or not, has E's
+    ``endomorphism_type`` and passes the full triple scan, on the A05
+    population and boolean(5); a map into another algebra is a plain tuple."""
+    cases = [E for _name, E in operator_population()] + [build_boolean(5)]
+    for E in cases:
+        for maps in (enumerate_endomorphisms(E), homomorphisms(E, E, injective=True)):
+            for m in maps:
+                assert type(m) is E.endomorphism_type, (E.labels, m)
+                assert full_triple_endomorphism(E, m), (E.labels, m)
+    assert {type(m) for m in homomorphisms(build_boolean(2), build_boolean(3))} == {tuple}
 
 
 def test_identity_always_found():
@@ -317,12 +338,22 @@ def test_law_report_requires_idempotence():
 
 
 def test_law_report_requires_an_endomorphism():
-    """(0, 0, 0, 3) on boolean(2) is idempotent but breaks 1 + 2 = 3."""
+    """(0, 0, 0, 3) on boolean(2) is idempotent but breaks 1 + 2 = 3.  On
+    chain(2) a map with an entry that is not exactly an int is no endomorphism,
+    and each per-map call raises its ValueError."""
     E = build_boolean(2)
     m = (0, 0, 0, 3)
     assert compose(m, m) == m and not is_endomorphism(E, m)
     with pytest.raises(ValueError):
         operator_law_report(E, m)
+    E = build_chain(2)
+    P = compute_states(E)
+    for m in ([0, 1.0, 2], [0, "1", 2], [0, True, 2], (0, True, 2)):
+        assert not is_endomorphism(E, m), m
+        for call in (lambda: classify_operator(E, m, P), lambda: induced_state_map(E, m, P),
+                     lambda: operator_law_report(E, m)):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_definitional_laws_match_their_scans():

@@ -391,3 +391,42 @@ def test_package_functions_read_every_parameter():
     found = [(path.name, *entry) for path in sorted(PACKAGE.glob("*.py"))
              for entry in unused_parameters(path.read_text(), str(path))]
     assert against_allow_list(found, KEPT_PARAMETERS) == ([], [])
+
+
+def attribute_readers(source: str, filename: str, attr: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) for each load of the attribute
+    ``attr`` and each string constant equal to it, as ``getattr`` takes; the
+    function is "" at module level."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Constant) and child.value == attr):
+                found.append((scope, child.lineno))
+            visit(child, child.name if isinstance(child, FUNCTIONS) else scope)
+
+    visit(ast.parse(source, filename), "")
+    return sorted(found)
+
+
+def test_detector_finds_attribute_reads_by_function():
+    source = ("x = E.kind\n\ndef f(E):\n    def g():\n        return getattr(E, 'kind')\n"
+              "    E.kind = 1\n    return g, 'kind.'\n\n"
+              "class C:\n    def kind(self):\n        return self.kind\n")
+    assert attribute_readers(source, "probe.py", "kind") == [("", 1), ("g", 5), ("kind", 11)]
+
+
+def test_only_the_search_reads_the_endomorphism_type():
+    """A map of ``E.endomorphism_type`` is accepted without a walk, which is
+    sound only while the search alone mints that type.  So the package and
+    the benchmark read it in exactly two places: ``homomorphisms``, which
+    mints it at a leaf whose checks passed, and ``is_homomorphism``, which
+    tests for it."""
+    sources = sorted(PACKAGE.glob("*.py")) + [path for path in sorted(PERFBENCH.glob("*.py"))
+                                             if not path.name.startswith("test_")]
+    found = [(path.name, scope) for path in sources
+             for scope, _line in attribute_readers(path.read_text(), str(path),
+                                                   "endomorphism_type")]
+    assert found == [("core.py", "homomorphisms"), ("core.py", "is_homomorphism")]
